@@ -35,7 +35,6 @@ from .xmod import (  # noqa: F401
     crossed_module_violations,
     enumerate_morphisms,
     identity_xmod_morphism,
-    make_action,
     make_crossed_module,
     make_xmod_morphism,
     standard_xmod,

@@ -14,25 +14,9 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import XmodError
-from .session import COMMANDS, DATA_ERRORS, USAGE_ERRORS, parse_session, run_command
+from .session import COMMAND_TABLE, DATA_ERRORS, USAGE_ERRORS, parse_session, run_command
 
 __all__ = ["build_parser", "main"]
-
-_HELP = {
-    "validate": "revalidate every object in the session",
-    "equaliser": "equaliser of two parallel morphisms, with universal property sweep",
-    "coequaliser": "coequaliser of two parallel morphisms, with universal property sweep",
-    "pullback": "pullback of two morphisms into a common target",
-    "product": "binary product of two crossed modules over the base",
-    "kernel-pair": "kernel pair of a morphism",
-    "quotient": "quotient of a crossed module by an equivalence pair set",
-    "homset": "assignments from a free object with the given label boundaries",
-    "embed": "the presheaf of a crossed module: sets and generator actions",
-    "verify-embedding": "compare morphisms with natural transformations for two objects",
-    "verify-exact": "compare a construction before and after the embedding",
-    "witness-generators": "an assignment that fails to factor through a proper mono",
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -42,9 +26,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", required=True, help="session file (JSON)")
     common.add_argument("--output", default="-", help="report destination, - for stdout")
-    common.add_argument("--budget", type=int, default=None, help="search budget override")
+    common.add_argument("--budget", type=int, default=None, help="search budget override, at least 1")
     common.add_argument(
-        "--catalogue-order", type=int, default=None, help="catalogue group order bound override"
+        "--catalogue-order", type=int, default=None, help="catalogue group order bound override, 1 to 6"
     )
     common.add_argument(
         "--json",
@@ -53,8 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the full JSON report (default) or a one-line summary",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd in COMMANDS:
-        sp = sub.add_parser(cmd, parents=[common], help=_HELP[cmd])
+    for cmd, entry in COMMAND_TABLE.items():
+        sp = sub.add_parser(cmd, parents=[common], help=entry.help)
         sp.add_argument("names", nargs="*", help="object names (and indices for homset)")
     return parser
 

@@ -71,22 +71,17 @@ class Group:
         """Return p a p^-1."""
         return self.table[self.table[p][a]][self.inverse[p]]
 
-    def elements(self) -> range:
-        return range(self.order)
-
-    def prod(self, items: Iterable[int]) -> int:
-        """Multiply a sequence left to right; empty product is the identity."""
-        out = self.identity
-        for a in items:
-            out = self.table[out][a]
-        return out
-
     def is_abelian(self) -> bool:
         return all(
             self.table[a][b] == self.table[b][a]
             for a in range(self.order)
             for b in range(a + 1, self.order)
         )
+
+
+def is_index(v: object, n: int) -> bool:
+    """True for an int in 0..n-1; bools are not element indices."""
+    return type(v) is int and 0 <= v < n
 
 
 def make_group(table: Sequence[Sequence[int]], name: str = "G") -> Group:
@@ -104,7 +99,7 @@ def make_group(table: Sequence[Sequence[int]], name: str = "G") -> Group:
         if len(row) != n:
             raise IndexOutOfRangeError(f"{name}: row {i} has length {len(row)}, expected {n}")
         for j, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if not is_index(v, n):
                 raise IndexOutOfRangeError(f"{name}: entry [{i}][{j}] = {v!r} not in 0..{n - 1}")
         rows.append(row)
     t = tuple(rows)
@@ -202,7 +197,7 @@ def make_hom(domain: Group, codomain: Group, image: Sequence[int]) -> GroupHom:
             f"hom image has length {len(image)}, expected {domain.order}"
         )
     for a, v in enumerate(image):
-        if not 0 <= v < codomain.order:
+        if not is_index(v, codomain.order):
             raise IndexOutOfRangeError(f"hom image[{a}] = {v} not in codomain range")
     witness = hom_violation(domain, codomain, image)
     if witness is not None:

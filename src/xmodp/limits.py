@@ -10,8 +10,10 @@ at most four over the session base, plus the diagram's own objects.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DiagramMismatchError,
@@ -33,11 +35,9 @@ from .groups import (
 )
 from .xmod import (
     DEFAULT_BUDGET,
-    Action,
     CrossedModule,
     XModMorphism,
     all_crossed_modules,
-    compose_xmod_morphisms,
     conjugation_action,
     enumerate_morphisms,
     make_crossed_module,
@@ -46,6 +46,7 @@ from .xmod import (
 )
 
 __all__ = [
+    "MAX_CATALOGUE_ORDER",
     "Cone",
     "Cocone",
     "EquivalenceRelation",
@@ -135,6 +136,26 @@ def equaliser(f: XModMorphism, g: XModMorphism) -> Cone:
     return Cone(kind="equaliser", apex=E, legs=(incl,), elements=tuple(agree))
 
 
+def _quotient(A: CrossedModule, N: Sequence[int], kind: str, name: str, group_name: str) -> Cocone:
+    """A by the normal subgroup N, with boundary and action carried down to the classes.
+
+    Each class is read through its least element.  The projection is
+    validated as a morphism, which checks that the boundary and the action
+    are constant on every class.
+    """
+    quot = quotient_group(A.group, N, name=group_name)
+    class_of = quot.projection.image
+    classes = tuple(
+        tuple(b for b in range(A.group.order) if class_of[b] == i)
+        for i in range(quot.group.order)
+    )
+    boundary = [A.boundary.image[members[0]] for members in classes]
+    action = [[class_of[A.act(p, members[0])] for members in classes] for p in range(A.base.order)]
+    apex = make_crossed_module(name, quot.group, A.base, boundary, action)
+    proj = make_xmod_morphism(A, apex, class_of)
+    return Cocone(kind=kind, apex=apex, legs=(proj,), classes=classes)
+
+
 def coequaliser(f: XModMorphism, g: XModMorphism) -> Cocone:
     """Quotient of the common target by the normal closure of f(c)g(c)^-1.
 
@@ -155,33 +176,13 @@ def coequaliser(f: XModMorphism, g: XModMorphism) -> Cocone:
         for n in N:
             if B.act(p, n) not in nset:
                 raise ValidationError(f"coequaliser: closure is not stable under the action")
-    quot = quotient_group(G, N, name=f"{G.name}/{len(N)}")
-    class_of = quot.projection.image
-    classes = tuple(
-        tuple(b for b in range(G.order) if class_of[b] == i)
-        for i in range(quot.group.order)
-    )
-    boundary = []
-    for members in classes:
-        vals = {B.boundary.image[b] for b in members}
-        if len(vals) != 1:
-            raise ValidationError("coequaliser: boundary is not constant on a class")
-        boundary.append(vals.pop())
-    action = []
-    for p in range(B.base.order):
-        row = []
-        for members in classes:
-            vals = {class_of[B.act(p, b)] for b in members}
-            if len(vals) != 1:
-                raise ValidationError("coequaliser: action is not constant on a class")
-            row.append(vals.pop())
-        action.append(row)
-    apex = make_crossed_module(f"coeq({B.name})", quot.group, B.base, boundary, action)
-    proj = make_xmod_morphism(B, apex, class_of)
-    return Cocone(kind="coequaliser", apex=apex, legs=(proj,), classes=classes)
+    return _quotient(B, N, "coequaliser", f"coeq({B.name})", f"{G.name}/{len(N)}")
 
 
-def _pair_apex(C: CrossedModule, D: CrossedModule, pairs: Sequence[tuple[int, int]], name: str) -> CrossedModule:
+def _pair_apex(
+    C: CrossedModule, D: CrossedModule, pairs: Sequence[tuple[int, int]], name: str
+) -> tuple[CrossedModule, XModMorphism, XModMorphism]:
+    """Pairs of elements with componentwise structure, and the two projections."""
     pos = {cd: i for i, cd in enumerate(pairs)}
     table = [
         [pos[(C.group.table[c1][c2], D.group.table[d1][d2])] for (c2, d2) in pairs]
@@ -193,7 +194,10 @@ def _pair_apex(C: CrossedModule, D: CrossedModule, pairs: Sequence[tuple[int, in
         [pos[(C.act(p, c), D.act(p, d))] for (c, d) in pairs]
         for p in range(C.base.order)
     ]
-    return make_crossed_module(name, G, C.base, boundary, action)
+    apex = make_crossed_module(name, G, C.base, boundary, action)
+    p1 = make_xmod_morphism(apex, C, [c for (c, _) in pairs])
+    p2 = make_xmod_morphism(apex, D, [d for (_, d) in pairs])
+    return apex, p1, p2
 
 
 def pullback(f: XModMorphism, g: XModMorphism, name: str | None = None, kind: str = "pullback") -> Cone:
@@ -209,9 +213,7 @@ def pullback(f: XModMorphism, g: XModMorphism, name: str | None = None, kind: st
         for d in range(D.group.order)
         if f.mapping[c] == g.mapping[d]
     ]
-    apex = _pair_apex(C, D, pairs, name or f"pb({C.name},{D.name})")
-    p1 = make_xmod_morphism(apex, C, [c for (c, _) in pairs])
-    p2 = make_xmod_morphism(apex, D, [d for (_, d) in pairs])
+    apex, p1, p2 = _pair_apex(C, D, pairs, name or f"pb({C.name},{D.name})")
     return Cone(kind=kind, apex=apex, legs=(p1, p2), elements=tuple(pairs))
 
 
@@ -314,71 +316,32 @@ def is_equivalence_relation(E: EquivalenceRelation) -> bool:
 
 def relation_xmod(E: EquivalenceRelation) -> tuple[CrossedModule, XModMorphism, XModMorphism]:
     """The pair set as a crossed module with its two projections to the carrier."""
-    A = E.carrier
-    pairs = sorted(E.pairs)
-    apex = _pair_apex(A, A, pairs, name=f"rel({A.name})")
-    u = make_xmod_morphism(apex, A, [a for (a, _) in pairs])
-    v = make_xmod_morphism(apex, A, [b for (_, b) in pairs])
-    return apex, u, v
+    return _pair_apex(E.carrier, E.carrier, sorted(E.pairs), name=f"rel({E.carrier.name})")
 
 
 def quotient_by_equivalence(A: CrossedModule, E: EquivalenceRelation) -> Cocone:
-    """Classes of E with representative-wise structure, checked well defined."""
+    """The classes of E, as the quotient by the class of the identity.
+
+    An equivalence sub-crossed-module is a congruence, so that class is a
+    normal subgroup and the classes of E are its cosets.
+    """
     if E.carrier != A:
         raise DiagramMismatchError(f"relation carrier {E.carrier.name} is not {A.name}")
     reasons = equivalence_violations(E)
     if reasons:
         raise NotEquivalenceRelationError(f"{A.name}: " + "; ".join(reasons[:5]))
-    n = A.group.order
-    seen: set[int] = set()
-    classes = []
-    for a in range(n):
-        if a in seen:
-            continue
-        members = tuple(b for b in range(n) if (a, b) in E.pairs)
-        seen.update(members)
-        classes.append(members)
-    class_of = [0] * n
-    for i, members in enumerate(classes):
-        for b in members:
-            class_of[b] = i
-    k = len(classes)
-    table = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            vals = {class_of[A.group.table[a][b]] for a in classes[i] for b in classes[j]}
-            if len(vals) != 1:
-                raise NotEquivalenceRelationError(
-                    f"{A.name}: product of classes {i} and {j} is not well defined"
-                )
-            row.append(vals.pop())
-        table.append(row)
-    G = make_group(table, f"{A.group.name}/E")
-    boundary = []
-    for i, members in enumerate(classes):
-        vals = {A.boundary.image[b] for b in members}
-        if len(vals) != 1:
-            raise NotEquivalenceRelationError(f"{A.name}: boundary not constant on class {i}")
-        boundary.append(vals.pop())
-    action = []
-    for p in range(A.base.order):
-        row = []
-        for i, members in enumerate(classes):
-            vals = {class_of[A.act(p, b)] for b in members}
-            if len(vals) != 1:
-                raise NotEquivalenceRelationError(f"{A.name}: action not constant on class {i}")
-            row.append(vals.pop())
-        action.append(row)
-    apex = make_crossed_module(f"{A.name}/E", G, A.base, boundary, action)
-    proj = make_xmod_morphism(A, apex, class_of)
-    return Cocone(kind="quotient", apex=apex, legs=(proj,), classes=tuple(classes))
+    e = A.group.identity
+    N = [b for b in range(A.group.order) if (e, b) in E.pairs]
+    return _quotient(A, N, "quotient", f"{A.name}/E", f"{A.group.name}/E")
 
 
 def is_effective(E: EquivalenceRelation) -> bool:
     """True when E is the kernel pair of its own quotient projection."""
-    cocone = quotient_by_equivalence(E.carrier, E)
-    return kernel_pair_relation(cocone.legs[0]).pairs == E.pairs
+    return _is_kernel_pair_of(E, quotient_by_equivalence(E.carrier, E).legs[0])
+
+
+def _is_kernel_pair_of(E: EquivalenceRelation, proj: XModMorphism) -> bool:
+    return kernel_pair_relation(proj).pairs == E.pairs
 
 
 class ImageFactorization(NamedTuple):
@@ -411,14 +374,20 @@ _CATALOGUE_GROUPS = (
 )
 
 
+# _CATALOGUE_GROUPS holds every group of order at most this, up to isomorphism.
+MAX_CATALOGUE_ORDER = 6
+
+
 def default_catalogue(P: Group, max_order: int = 4) -> tuple[CrossedModule, ...]:
     """Every crossed module structure over P on the groups of order <= max_order.
 
-    Complete up to isomorphism for max_order <= 6; larger bounds are refused
-    rather than silently incomplete.
+    Complete up to isomorphism for max_order <= MAX_CATALOGUE_ORDER; larger
+    bounds are refused rather than silently incomplete.
     """
-    if max_order > 6:
-        raise OrderTooLargeError(f"catalogue bound {max_order} exceeds the supported 6")
+    if max_order > MAX_CATALOGUE_ORDER:
+        raise OrderTooLargeError(
+            f"catalogue bound {max_order} exceeds the supported {MAX_CATALOGUE_ORDER}"
+        )
     out: list[CrossedModule] = []
     for build in _CATALOGUE_GROUPS:
         M = build()
@@ -444,8 +413,54 @@ def _catalogue_for(P: Group, extra: Iterable[CrossedModule], catalogue: Sequence
     return extend_catalogue(base, extra)
 
 
-def _catalogue_block(catalogue: Sequence[CrossedModule]) -> list[dict]:
-    return [{"name": T.name, "order": T.group.order} for T in catalogue]
+def _sweep(
+    kind: str,
+    cat: Sequence[CrossedModule],
+    cone: Cone | Cocone,
+    ends: Sequence[CrossedModule],
+    commutes: Callable[..., bool],
+    budget: int,
+) -> dict:
+    """Count mediators through the apex for every test cone over the catalogue.
+
+    A test cone is one map per end: into it from a catalogue object for a
+    limit, out of it to one for a colimit (cone is a Cocone).  Its mediators
+    are the maps between the catalogue object and the apex whose composites
+    with the legs give back the test cone, so they are counted from one
+    Counter of leg composites per catalogue object.  Exactly one mediator
+    must exist for a commuting test cone and none for any other.
+    """
+    colimit = isinstance(cone, Cocone)
+    legs = [leg.mapping for leg in cone.legs]
+    failures = []
+    checked = commuting = 0
+    for T in cat:
+        if colimit:
+            tests = [enumerate_morphisms(X, T, budget=budget) for X in ends]
+            through = enumerate_morphisms(cone.apex, T, budget=budget)
+            found = Counter(tuple(_after(h.mapping, leg) for leg in legs) for h in through)
+        else:
+            tests = [enumerate_morphisms(T, X, budget=budget) for X in ends]
+            through = enumerate_morphisms(T, cone.apex, budget=budget)
+            found = Counter(tuple(_after(leg, h.mapping) for leg in legs) for h in through)
+        for test in itertools.product(*tests):
+            maps = tuple(t.mapping for t in test)
+            checked += 1
+            expected = int(commutes(*maps))
+            commuting += expected
+            if found[maps] != expected:
+                shown = {"map": list(maps[0])} if len(maps) == 1 else {"maps": [list(m) for m in maps]}
+                failures.append({"test_object": T.name, **shown, "expected": expected, "found": found[maps]})
+    return {
+        "kind": kind,
+        "pass": not failures,
+        "apex": cone.apex.name,
+        "apex_order": cone.apex.group.order,
+        "cocones_checked" if colimit else "cones_checked": checked,
+        "commuting": commuting,
+        "failures": failures,
+        "catalogue": [{"name": T.name, "order": T.group.order} for T in cat],
+    }
 
 
 def verify_equaliser(
@@ -457,33 +472,11 @@ def verify_equaliser(
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """Count mediators through the apex for every test map into the source."""
-    u = cone.legs[0]
     cat = _catalogue_for(f.source.base, (f.source, f.target), catalogue, max_order)
-    failures = []
-    checked = commuting = 0
-    for T in cat:
-        into_source = enumerate_morphisms(T, f.source, budget=budget)
-        into_apex = enumerate_morphisms(T, cone.apex, budget=budget)
-        for t in into_source:
-            checked += 1
-            commutes = _after(f.mapping, t.mapping) == _after(g.mapping, t.mapping)
-            commuting += commutes
-            found = sum(1 for h in into_apex if _after(u.mapping, h.mapping) == t.mapping)
-            expected = 1 if commutes else 0
-            if found != expected:
-                failures.append(
-                    {"test_object": T.name, "map": list(t.mapping), "expected": expected, "found": found}
-                )
-    return {
-        "kind": "equaliser",
-        "pass": not failures,
-        "apex": cone.apex.name,
-        "apex_order": cone.apex.group.order,
-        "cones_checked": checked,
-        "commuting": commuting,
-        "failures": failures,
-        "catalogue": _catalogue_block(cat),
-    }
+    return _sweep(
+        "equaliser", cat, cone, (f.source,),
+        lambda t: _after(f.mapping, t) == _after(g.mapping, t), budget,
+    )
 
 
 def verify_coequaliser(
@@ -495,34 +488,11 @@ def verify_coequaliser(
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """Count mediators out of the apex for every test map out of the target."""
-    p = cocone.legs[0]
-    B = f.target
-    cat = _catalogue_for(B.base, (f.source, B), catalogue, max_order)
-    failures = []
-    checked = commuting = 0
-    for T in cat:
-        from_target = enumerate_morphisms(B, T, budget=budget)
-        from_apex = enumerate_morphisms(cocone.apex, T, budget=budget)
-        for q in from_target:
-            checked += 1
-            commutes = _after(q.mapping, f.mapping) == _after(q.mapping, g.mapping)
-            commuting += commutes
-            found = sum(1 for h in from_apex if _after(h.mapping, p.mapping) == q.mapping)
-            expected = 1 if commutes else 0
-            if found != expected:
-                failures.append(
-                    {"test_object": T.name, "map": list(q.mapping), "expected": expected, "found": found}
-                )
-    return {
-        "kind": "coequaliser",
-        "pass": not failures,
-        "apex": cocone.apex.name,
-        "apex_order": cocone.apex.group.order,
-        "cocones_checked": checked,
-        "commuting": commuting,
-        "failures": failures,
-        "catalogue": _catalogue_block(cat),
-    }
+    cat = _catalogue_for(f.target.base, (f.source, f.target), catalogue, max_order)
+    return _sweep(
+        "coequaliser", cat, cocone, (f.target,),
+        lambda q: _after(q, f.mapping) == _after(q, g.mapping), budget,
+    )
 
 
 def verify_pullback(
@@ -534,46 +504,11 @@ def verify_pullback(
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """Count mediators for every pair of test maps into the two sources."""
-    p1, p2 = cone.legs
     cat = _catalogue_for(f.source.base, (f.source, g.source, f.target), catalogue, max_order)
-    failures = []
-    checked = commuting = 0
-    for T in cat:
-        into_left = enumerate_morphisms(T, f.source, budget=budget)
-        into_right = enumerate_morphisms(T, g.source, budget=budget)
-        into_apex = enumerate_morphisms(T, cone.apex, budget=budget)
-        for tC in into_left:
-            fc = _after(f.mapping, tC.mapping)
-            for tD in into_right:
-                checked += 1
-                commutes = fc == _after(g.mapping, tD.mapping)
-                commuting += commutes
-                found = sum(
-                    1
-                    for h in into_apex
-                    if _after(p1.mapping, h.mapping) == tC.mapping
-                    and _after(p2.mapping, h.mapping) == tD.mapping
-                )
-                expected = 1 if commutes else 0
-                if found != expected:
-                    failures.append(
-                        {
-                            "test_object": T.name,
-                            "maps": [list(tC.mapping), list(tD.mapping)],
-                            "expected": expected,
-                            "found": found,
-                        }
-                    )
-    return {
-        "kind": cone.kind,
-        "pass": not failures,
-        "apex": cone.apex.name,
-        "apex_order": cone.apex.group.order,
-        "cones_checked": checked,
-        "commuting": commuting,
-        "failures": failures,
-        "catalogue": _catalogue_block(cat),
-    }
+    return _sweep(
+        cone.kind, cat, cone, (f.source, g.source),
+        lambda tC, tD: _after(f.mapping, tC) == _after(g.mapping, tD), budget,
+    )
 
 
 def verify_product(
@@ -618,7 +553,7 @@ def verify_quotient(
     _, u, v = relation_xmod(E)
     report = verify_coequaliser(u, v, cocone, catalogue=catalogue, max_order=max_order, budget=budget)
     report["kind"] = "quotient"
-    effective = kernel_pair_relation(cocone.legs[0]).pairs == E.pairs
+    effective = _is_kernel_pair_of(E, cocone.legs[0])
     report["effective"] = effective
     report["pass"] = report["pass"] and effective
     return report

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     BaseMismatchError,
@@ -23,7 +23,7 @@ from .errors import (
     ReconstructionInvalidError,
     ShapeMismatchError,
 )
-from .limits import Cone, Cocone, coequaliser, equaliser, kernel_pair, product_over_P
+from .limits import coequaliser, equaliser, kernel_pair, product_over_P
 from .words import (
     Site,
     SiteMorphism,
@@ -142,7 +142,7 @@ def component_shape_violations(phi: NaturalTransformation) -> tuple[str, ...]:
             out.append(f"component at {o.describe()} has length {len(comp)}")
             continue
         limit = len(G.sets[o])
-        if any(not 0 <= v < limit for v in comp):
+        if comp and not (0 <= min(comp) and max(comp) < limit):
             out.append(f"component at {o.describe()} has out-of-range values")
     return tuple(out)
 
@@ -159,14 +159,10 @@ def check_naturality(phi: NaturalTransformation) -> tuple[tuple[str, int], ...]:
         act_G = G.actions[g.name]
         comp_src = phi.components[g.source]
         comp_tgt = phi.components[g.target]
-        for j in range(len(F.sets[g.target])):
+        for j in range(len(act_F)):
             if comp_src[act_F[j]] != act_G[comp_tgt[j]]:
                 bad.append((g.name, j))
     return tuple(bad)
-
-
-def _single_objects(site: Site) -> list[SiteObject]:
-    return [o for o in site.objects if o.kind == "single"]
 
 
 def enumerate_natural_transformations(
@@ -180,7 +176,7 @@ def enumerate_natural_transformations(
     square.  The space size is gated by the budget.
     """
     site = F.site
-    singles = _single_objects(site)
+    singles = [o for o in site.objects if o.kind == "single"]
     space = 1
     for o in singles:
         space *= len(G.sets[o]) ** len(F.sets[o])
@@ -328,12 +324,44 @@ def verify_full_faithful(
     }
 
 
-def _postcompose(mapping: Sequence[int], nu: Assignment) -> Assignment:
-    return tuple(mapping[a] for a in nu)
+def _comparison(
+    kind: str,
+    apex: CrossedModule,
+    site: Site,
+    check_object: Callable[[SiteObject], tuple[int, int, dict | None]],
+    phis: Sequence[NaturalTransformation],
+    square_failure: Callable[[SiteMorphism, int], dict],
+) -> dict:
+    """Report of an exactness comparison: one check per site object, then squares.
+
+    check_object(o) returns the two sizes it compared and, when the
+    comparison at o fails, the failure fields after "object".  The squares
+    are the naturality squares of the comparison maps phis, all out of one
+    presheaf, checked by check_naturality.
+    """
+    objects = []
+    failures = []
+    for o in site.objects:
+        lhs, rhs, failure = check_object(o)
+        objects.append({"object": o.describe(), "lhs_size": lhs, "rhs_size": rhs, "ok": failure is None})
+        if failure is not None:
+            failures.append({"object": o.describe(), **failure})
+    bad = set().union(*(check_naturality(phi) for phi in phis))
+    position = {g.name: i for i, g in enumerate(site.generators)}
+    for name, j in sorted(bad, key=lambda square: (position[square[0]], square[1])):
+        failures.append(square_failure(site.by_name[name], j))
+    return {
+        "kind": kind,
+        "pass": not failures,
+        "apex": apex.name,
+        "objects": objects,
+        "squares_checked": sum(len(phis[0].source.actions[g.name]) for g in site.generators),
+        "failures": failures,
+    }
 
 
-def _object_report(o: SiteObject, lhs: int, rhs: int, ok: bool) -> dict:
-    return {"object": o.describe(), "lhs_size": lhs, "rhs_size": rhs, "ok": ok}
+def _square_at_source(g: SiteMorphism, j: int) -> dict:
+    return {"object": g.source.describe(), "generator": g.name, "index": j}
 
 
 def _verify_product_preserved(A: CrossedModule, B: CrossedModule, site: Site) -> dict:
@@ -341,75 +369,40 @@ def _verify_product_preserved(A: CrossedModule, B: CrossedModule, site: Site) ->
     FX = compute_presheaf(cone.apex, site)
     FA = compute_presheaf(A, site)
     FB = compute_presheaf(B, site)
-    pA, pB = cone.legs
-    pair_of: dict[SiteObject, tuple[tuple[int, int], ...]] = {}
-    objects = []
-    failures = []
-    for o in site.objects:
-        mapped = []
-        for nu in FX.sets[o]:
-            ia = FA.index[o][_postcompose(pA.mapping, nu)]
-            ib = FB.index[o][_postcompose(pB.mapping, nu)]
-            mapped.append((ia, ib))
-        pair_of[o] = tuple(mapped)
-        full = len(FA.sets[o]) * len(FB.sets[o])
-        ok = len(set(mapped)) == len(mapped) == full
-        objects.append(_object_report(o, len(mapped), full, ok))
-        if not ok:
-            failures.append({"object": o.describe(), "reason": "pairing is not a bijection"})
-    squares = 0
-    for g in site.generators:
-        for j in range(len(FX.sets[g.target])):
-            squares += 1
-            lhs = pair_of[g.source][FX.actions[g.name][j]]
-            ja, jb = pair_of[g.target][j]
-            rhs = (FA.actions[g.name][ja], FB.actions[g.name][jb])
-            if lhs != rhs:
-                failures.append({"object": g.source.describe(), "generator": g.name, "index": j})
-    return {
-        "kind": "product",
-        "pass": not failures,
-        "apex": cone.apex.name,
-        "objects": objects,
-        "squares_checked": squares,
-        "failures": failures,
-    }
+    pA = functor_on_morphism(cone.legs[0], FX, FA)
+    pB = functor_on_morphism(cone.legs[1], FX, FB)
+
+    def pairing(o: SiteObject) -> tuple[int, int, dict | None]:
+        # Mark each (a, b) cell hit: a set of pair tuples would be the
+        # largest allocation of the whole comparison.
+        size, nb = len(FX.sets[o]), len(FB.sets[o])
+        full = len(FA.sets[o]) * nb
+        hit = bytearray(full)
+        for a, b in zip(pA.components[o], pB.components[o]):
+            hit[a * nb + b] = 1
+        ok = size == full and all(hit)
+        return size, full, None if ok else {"reason": "pairing is not a bijection"}
+
+    return _comparison("product", cone.apex, site, pairing, [pA, pB], _square_at_source)
 
 
 def _verify_equaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) -> dict:
     cone = equaliser(f, g)
     FE = compute_presheaf(cone.apex, site)
     FC = compute_presheaf(f.source, site)
-    u = cone.legs[0]
-    into: dict[SiteObject, tuple[int, ...]] = {}
-    objects = []
-    failures = []
-    for o in site.objects:
+    phi = functor_on_morphism(cone.legs[0], FE, FC)
+
+    def inclusion(o: SiteObject) -> tuple[int, int, dict | None]:
         agree = [
             j
             for j, nu in enumerate(FC.sets[o])
-            if _postcompose(f.mapping, nu) == _postcompose(g.mapping, nu)
+            if all(f.mapping[a] == g.mapping[a] for a in nu)
         ]
-        mapped = [FC.index[o][_postcompose(u.mapping, nu)] for nu in FE.sets[o]]
-        into[o] = tuple(mapped)
+        mapped = phi.components[o]
         ok = sorted(mapped) == agree and len(set(mapped)) == len(mapped)
-        objects.append(_object_report(o, len(mapped), len(agree), ok))
-        if not ok:
-            failures.append({"object": o.describe(), "reason": "comparison is not a bijection"})
-    squares = 0
-    for gen in site.generators:
-        for j in range(len(FE.sets[gen.target])):
-            squares += 1
-            if into[gen.source][FE.actions[gen.name][j]] != FC.actions[gen.name][into[gen.target][j]]:
-                failures.append({"object": gen.source.describe(), "generator": gen.name, "index": j})
-    return {
-        "kind": "equaliser",
-        "pass": not failures,
-        "apex": cone.apex.name,
-        "objects": objects,
-        "squares_checked": squares,
-        "failures": failures,
-    }
+        return len(mapped), len(agree), None if ok else {"reason": "comparison is not a bijection"}
+
+    return _comparison("equaliser", cone.apex, site, inclusion, [phi], _square_at_source)
 
 
 def _verify_coequaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) -> dict:
@@ -418,22 +411,20 @@ def _verify_coequaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) 
     The projection p is the coequaliser of its own kernel pair, so the
     comparison quotients each assignment set of U(target) by the relation
     the kernel pair induces and matches it against U(apex): same classes,
-    objectwise surjective, actions descending to the classes.
+    objectwise surjective, and the projection natural.  Those three imply
+    that the actions descend to the classes, so descent needs no check of
+    its own.
     """
     cocone = coequaliser(f, g)
-    p = cocone.legs[0]
-    kp = kernel_pair(p)
-    p1, p2 = kp.legs
+    kp = kernel_pair(cocone.legs[0])
     FB = compute_presheaf(f.target, site)
     FQ = compute_presheaf(cocone.apex, site)
     FK = compute_presheaf(kp.apex, site)
-    objects = []
-    failures = []
-    class_of: dict[SiteObject, tuple[int, ...]] = {}
-    proj_of: dict[SiteObject, tuple[int, ...]] = {}
-    for o in site.objects:
-        n = len(FB.sets[o])
-        parent = list(range(n))
+    proj = functor_on_morphism(cocone.legs[0], FB, FQ)
+    pair = [functor_on_morphism(leg, FK, FB) for leg in kp.legs]
+
+    def classes(o: SiteObject) -> tuple[int, int, dict | None]:
+        parent = list(range(len(FB.sets[o])))
 
         def find(a: int) -> int:
             while parent[a] != a:
@@ -441,56 +432,28 @@ def _verify_coequaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) 
                 a = parent[a]
             return a
 
-        for w in FK.sets[o]:
-            ia = FB.index[o][_postcompose(p1.mapping, w)]
-            ib = FB.index[o][_postcompose(p2.mapping, w)]
+        for ia, ib in zip(pair[0].components[o], pair[1].components[o]):
             ra, rb = find(ia), find(ib)
             if ra != rb:
                 parent[rb] = ra
-        roots = sorted({find(j) for j in range(n)})
-        root_pos = {r: i for i, r in enumerate(roots)}
-        classes = tuple(root_pos[find(j)] for j in range(n))
-        proj = tuple(FQ.index[o][_postcompose(p.mapping, nu)] for nu in FB.sets[o])
-        class_of[o] = classes
-        proj_of[o] = proj
         by_class: dict[int, set[int]] = {}
-        for j in range(n):
-            by_class.setdefault(classes[j], set()).add(proj[j])
+        for j, q in enumerate(proj.components[o]):
+            by_class.setdefault(find(j), set()).add(q)
         well_defined = all(len(v) == 1 for v in by_class.values())
         injective = len({next(iter(v)) for v in by_class.values()}) == len(by_class) if well_defined else False
-        surjective = len(set(proj)) == len(FQ.sets[o])
-        ok = well_defined and injective and surjective and len(by_class) == len(FQ.sets[o])
-        objects.append(_object_report(o, len(by_class), len(FQ.sets[o]), ok))
-        if not ok:
-            failures.append(
-                {
-                    "object": o.describe(),
-                    "reason": "class comparison is not a bijection",
-                    "well_defined": well_defined,
-                    "surjective": surjective,
-                }
-            )
-    squares = 0
-    for gen in site.generators:
-        src, tgt = gen.source, gen.target
-        for j in range(len(FB.sets[tgt])):
-            squares += 1
-            if proj_of[src][FB.actions[gen.name][j]] != FQ.actions[gen.name][proj_of[tgt][j]]:
-                failures.append({"generator": gen.name, "index": j, "reason": "projection square"})
-        descent: dict[int, int] = {}
-        for j in range(len(FB.sets[tgt])):
-            c = class_of[tgt][j]
-            image = class_of[src][FB.actions[gen.name][j]]
-            if descent.setdefault(c, image) != image:
-                failures.append({"generator": gen.name, "class": c, "reason": "action does not descend"})
-    return {
-        "kind": "coequaliser",
-        "pass": not failures,
-        "apex": cocone.apex.name,
-        "objects": objects,
-        "squares_checked": squares,
-        "failures": failures,
-    }
+        surjective = len(set(proj.components[o])) == len(FQ.sets[o])
+        if well_defined and injective and surjective and len(by_class) == len(FQ.sets[o]):
+            return len(by_class), len(FQ.sets[o]), None
+        return len(by_class), len(FQ.sets[o]), {
+            "reason": "class comparison is not a bijection",
+            "well_defined": well_defined,
+            "surjective": surjective,
+        }
+
+    return _comparison(
+        "coequaliser", cocone.apex, site, classes, [proj],
+        lambda gen, j: {"generator": gen.name, "index": j, "reason": "projection square"},
+    )
 
 
 def verify_exactness_preservation(
@@ -510,19 +473,13 @@ def verify_exactness_preservation(
     if kind == "product":
         if A is None or B is None:
             raise ShapeMismatchError("product comparison needs two objects")
-        site = site if site is not None else build_site(A.base)
-        return _verify_product_preserved(A, B, site)
-    if kind == "equaliser":
-        if f is None or g is None:
-            raise ShapeMismatchError("equaliser comparison needs a parallel pair")
-        site = site if site is not None else build_site(f.source.base)
-        return _verify_equaliser_preserved(f, g, site)
-    if kind == "coequaliser":
-        if f is None or g is None:
-            raise ShapeMismatchError("coequaliser comparison needs a parallel pair")
-        site = site if site is not None else build_site(f.source.base)
-        return _verify_coequaliser_preserved(f, g, site)
-    raise ShapeMismatchError(f"unknown comparison kind {kind!r}")
+        return _verify_product_preserved(A, B, site if site is not None else build_site(A.base))
+    on_pair = {"equaliser": _verify_equaliser_preserved, "coequaliser": _verify_coequaliser_preserved}
+    if kind not in on_pair:
+        raise ShapeMismatchError(f"unknown comparison kind {kind!r}")
+    if f is None or g is None:
+        raise ShapeMismatchError(f"{kind} comparison needs a parallel pair")
+    return on_pair[kind](f, g, site if site is not None else build_site(f.source.base))
 
 
 def generator_witness(m: XModMorphism) -> dict:

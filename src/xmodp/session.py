@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     BaseMismatchError,
@@ -33,23 +33,8 @@ from .errors import (
     XmodError,
 )
 from .groups import Group, make_group
-from .limits import (
-    Cocone,
-    Cone,
-    EquivalenceRelation,
-    coequaliser,
-    equaliser,
-    kernel_pair,
-    product_over_P,
-    pullback,
-    quotient_by_equivalence,
-    verify_coequaliser,
-    verify_equaliser,
-    verify_kernel_pair,
-    verify_product,
-    verify_pullback,
-    verify_quotient,
-)
+from . import limits
+from .limits import MAX_CATALOGUE_ORDER, Cocone, Cone, EquivalenceRelation
 from .presheaf import (
     compute_presheaf,
     generator_witness,
@@ -63,8 +48,6 @@ from .xmod import (
     XModMorphism,
     make_crossed_module,
     make_xmod_morphism,
-    validate_crossed_module,
-    validate_morphism,
 )
 
 __all__ = [
@@ -73,6 +56,8 @@ __all__ = [
     "parse_session",
     "serialize_session",
     "run_command",
+    "Command",
+    "COMMAND_TABLE",
     "COMMANDS",
     "USAGE_ERRORS",
     "DATA_ERRORS",
@@ -104,6 +89,42 @@ def _need(record: dict, key: str, kind: type, where: str):
     return value
 
 
+def _records(doc: dict, key: str, kind: str, defined: dict, required: bool = False):
+    """(name, record) for each entry of a list section; names must be new."""
+    for rec in _need(doc, key, list, "session") if required or key in doc else []:
+        if not isinstance(rec, dict):
+            raise ParseError(f"{key}: each entry must be an object")
+        name = _need(rec, "name", str, kind)
+        if name in defined:
+            raise ParseError(f"{kind} {name!r} defined twice")
+        yield name, rec
+
+
+def _ref(record: dict, key: str, defined: dict, kind: str, where: str) -> str:
+    """A field naming an object already defined in the session."""
+    name = _need(record, key, str, where)
+    if name not in defined:
+        raise ParseError(f"{where}: unknown {kind} {name!r}")
+    return name
+
+
+def _rows(record: dict, key: str, where: str) -> list:
+    """A table field: a list whose every row is a list."""
+    rows = _need(record, key, list, where)
+    if not all(isinstance(row, list) for row in rows):
+        raise ParseError(f"{where}: each row of {key!r} must be a list")
+    return rows
+
+
+def _check_options(catalogue_order: int, budget: int) -> None:
+    if not 1 <= catalogue_order <= MAX_CATALOGUE_ORDER:
+        raise ParseError(
+            f"catalogue_order must be between 1 and {MAX_CATALOGUE_ORDER}, got {catalogue_order}"
+        )
+    if budget < 1:
+        raise ParseError(f"budget must be at least 1, got {budget}")
+
+
 def _wrap_validation(where: str, exc: XmodError) -> ValidationError:
     violations = getattr(exc, "violations", ())
     return ValidationError(f"{where}: {type(exc).__name__}: {exc}", violations=violations)
@@ -118,14 +139,9 @@ def parse_session(text: str) -> Session:
         raise ParseError("session must be a JSON object")
     base_name = _need(doc, "base", str, "session")
     groups: dict[str, Group] = {}
-    for rec in _need(doc, "groups", list, "session"):
-        if not isinstance(rec, dict):
-            raise ParseError("groups: each entry must be an object")
-        name = _need(rec, "name", str, "group")
-        if name in groups:
-            raise ParseError(f"group {name!r} defined twice")
+    for name, rec in _records(doc, "groups", "group", groups, required=True):
         order = _need(rec, "order", int, f"group {name!r}")
-        table = _need(rec, "table", list, f"group {name!r}")
+        table = _rows(rec, "table", f"group {name!r}")
         if order != len(table):
             raise ParseError(f"group {name!r}: order {order} does not match table size {len(table)}")
         try:
@@ -136,60 +152,37 @@ def parse_session(text: str) -> Session:
         raise ParseError(f"base group {base_name!r} is not defined")
     session = Session(base=groups[base_name], groups=groups)
 
-    for rec in doc.get("xmods", []):
-        if not isinstance(rec, dict):
-            raise ParseError("xmods: each entry must be an object")
-        name = _need(rec, "name", str, "xmod")
-        if name in session.xmods:
-            raise ParseError(f"xmod {name!r} defined twice")
-        m_name = _need(rec, "M", str, f"xmod {name!r}")
-        p_name = _need(rec, "P", str, f"xmod {name!r}")
-        if m_name not in groups:
-            raise ParseError(f"xmod {name!r}: unknown group {m_name!r}")
-        if p_name not in groups:
-            raise ParseError(f"xmod {name!r}: unknown group {p_name!r}")
+    for name, rec in _records(doc, "xmods", "xmod", session.xmods):
+        where = f"xmod {name!r}"
+        m_name = _ref(rec, "M", groups, "group", where)
+        p_name = _ref(rec, "P", groups, "group", where)
         if groups[p_name] != session.base:
             raise ValidationError(
-                f"xmod {name!r}: BaseMismatchError: over {p_name!r}, session base is {base_name!r}"
+                f"{where}: BaseMismatchError: over {p_name!r}, session base is {base_name!r}"
             )
-        boundary = _need(rec, "boundary", list, f"xmod {name!r}")
-        action = _need(rec, "action", list, f"xmod {name!r}")
+        boundary = _need(rec, "boundary", list, where)
+        action = _rows(rec, "action", where)
         try:
             session.xmods[name] = make_crossed_module(
                 name, groups[m_name], session.base, boundary, action
             )
         except XmodError as e:
-            raise _wrap_validation(f"xmod {name!r}", e) from None
+            raise _wrap_validation(where, e) from None
 
-    for rec in doc.get("morphisms", []):
-        if not isinstance(rec, dict):
-            raise ParseError("morphisms: each entry must be an object")
-        name = _need(rec, "name", str, "morphism")
-        if name in session.morphisms:
-            raise ParseError(f"morphism {name!r} defined twice")
-        src = _need(rec, "from", str, f"morphism {name!r}")
-        tgt = _need(rec, "to", str, f"morphism {name!r}")
-        if src not in session.xmods:
-            raise ParseError(f"morphism {name!r}: unknown xmod {src!r}")
-        if tgt not in session.xmods:
-            raise ParseError(f"morphism {name!r}: unknown xmod {tgt!r}")
-        mapping = _need(rec, "map", list, f"morphism {name!r}")
+    for name, rec in _records(doc, "morphisms", "morphism", session.morphisms):
+        where = f"morphism {name!r}"
+        src = _ref(rec, "from", session.xmods, "xmod", where)
+        tgt = _ref(rec, "to", session.xmods, "xmod", where)
+        mapping = _need(rec, "map", list, where)
         try:
             session.morphisms[name] = make_xmod_morphism(
                 session.xmods[src], session.xmods[tgt], mapping
             )
         except XmodError as e:
-            raise _wrap_validation(f"morphism {name!r}", e) from None
+            raise _wrap_validation(where, e) from None
 
-    for rec in doc.get("pairsets", []):
-        if not isinstance(rec, dict):
-            raise ParseError("pairsets: each entry must be an object")
-        name = _need(rec, "name", str, "pairset")
-        if name in session.pairsets:
-            raise ParseError(f"pairset {name!r} defined twice")
-        carrier = _need(rec, "carrier", str, f"pairset {name!r}")
-        if carrier not in session.xmods:
-            raise ParseError(f"pairset {name!r}: unknown xmod {carrier!r}")
+    for name, rec in _records(doc, "pairsets", "pairset", session.pairsets):
+        carrier = _ref(rec, "carrier", session.xmods, "xmod", f"pairset {name!r}")
         pairs = _need(rec, "pairs", list, f"pairset {name!r}")
         cleaned = set()
         for pair in pairs:
@@ -212,6 +205,7 @@ def parse_session(text: str) -> Session:
         options.catalogue_order = _need(opts, "catalogue_order", int, "options")
     if "budget" in opts:
         options.budget = _need(opts, "budget", int, "options")
+    _check_options(options.catalogue_order, options.budget)
     session.options = options
     return session
 
@@ -257,21 +251,6 @@ def serialize_session(session: Session) -> str:
     return json.dumps(doc, indent=2)
 
 
-COMMANDS = (
-    "validate",
-    "equaliser",
-    "coequaliser",
-    "pullback",
-    "product",
-    "kernel-pair",
-    "quotient",
-    "homset",
-    "embed",
-    "verify-embedding",
-    "verify-exact",
-    "witness-generators",
-)
-
 # Errors that mean the invocation itself was wrong: exit code 2.
 USAGE_ERRORS = (
     ParseError,
@@ -306,22 +285,179 @@ def _get(table: dict, name: str, kind: str):
     return table[name]
 
 
-def _cone_json(cone: Cone) -> dict:
-    return {
+_SESSION_TABLES = {"xmod": "xmods", "morphism": "morphisms", "pairset": "pairsets"}
+
+
+def _resolve(session: Session, usage: str, kinds: Sequence[str], args: Sequence[str]) -> list:
+    """The session objects named by args, one of each kind in turn."""
+    names = _args(args, len(kinds), " ".join([usage, *(f"<{kind}>" for kind in kinds)]))
+    return [_get(getattr(session, _SESSION_TABLES[k]), n, k) for k, n in zip(kinds, names)]
+
+
+def _cone_json(cone: Cone | Cocone) -> dict:
+    out = {
         "kind": cone.kind,
         "apex": xmod_json(cone.apex),
         "legs": [morphism_json(f"leg{i}", leg) for i, leg in enumerate(cone.legs)],
-        "elements": [list(e) if isinstance(e, tuple) else e for e in cone.elements],
     }
+    if isinstance(cone, Cocone):
+        out["classes"] = [list(c) for c in cone.classes]
+    else:
+        out["elements"] = [list(e) if isinstance(e, tuple) else e for e in cone.elements]
+    return out
 
 
-def _cocone_json(cocone: Cocone) -> dict:
+def _universal(construct: str, verify: str) -> Callable[..., dict]:
+    """A construction on the named objects, with its universal-property sweep.
+
+    Both are named functions of limits, looked up at call time, so that a
+    wrapper installed on them there (a tracer, say) sees every call.
+    """
+
+    def run(session: Session, objs: Sequence, budget: int, max_order: int) -> dict:
+        cone = getattr(limits, construct)(*objs)
+        up = getattr(limits, verify)(*objs, cone, max_order=max_order, budget=budget)
+        return {**_cone_json(cone), "universal_property": up, "pass": up["pass"]}
+
+    return run
+
+
+def _validate(session: Session, objs: Sequence, budget: int, max_order: int) -> dict:
+    # parse_session has validated every object, so no count can be nonzero.
     return {
-        "kind": cocone.kind,
-        "apex": xmod_json(cocone.apex),
-        "legs": [morphism_json(f"leg{i}", leg) for i, leg in enumerate(cocone.legs)],
-        "classes": [list(c) for c in cocone.classes],
+        "pass": True,
+        "base": session.base.name,
+        "groups": sorted(session.groups),
+        "violation_counts": dict.fromkeys([*session.xmods, *session.morphisms], 0),
     }
+
+
+def _homset(session: Session, args: Sequence[str], budget: int, max_order: int) -> dict:
+    if not args:
+        raise MissingArgumentError("expected homset <xmod> [base-element-index ...]")
+    A = _get(session.xmods, args[0], "xmod")
+    try:
+        omega = tuple(int(a) for a in args[1:])
+    except ValueError:
+        raise ParseError(f"homset: base elements must be integers, got {list(args[1:])}") from None
+    free = make_free_object(session.base, tuple(f"g{i}" for i in range(len(omega))), omega)
+    assignments = hom_set(free, A)
+    return {
+        "pass": True,
+        "xmod": A.name,
+        "omega": list(omega),
+        "count": len(assignments),
+        "product_of_fibers": hom_set_size(free, A),
+        "assignments": [list(t) for t in assignments],
+    }
+
+
+def _embed(session: Session, objs: Sequence, budget: int, max_order: int) -> dict:
+    (A,) = objs
+    F = compute_presheaf(A, build_site(session.base))
+    return {
+        "pass": True,
+        "xmod": A.name,
+        "objects": [
+            {
+                "object": o.describe(),
+                "size": len(F.sets[o]),
+                "assignments": [list(t) for t in F.sets[o]],
+            }
+            for o in F.site.objects
+        ],
+        "actions": [
+            {
+                "generator": g.name,
+                "source": g.source.describe(),
+                "target": g.target.describe(),
+                "map": list(F.actions[g.name]),
+            }
+            for g in F.site.generators
+        ],
+    }
+
+
+def _verify_embedding(session: Session, objs: Sequence, budget: int, max_order: int) -> dict:
+    return verify_full_faithful(*objs, build_site(session.base), budget=budget)
+
+
+def _verify_exact(session: Session, args: Sequence[str], budget: int, max_order: int) -> dict:
+    if not args:
+        raise MissingArgumentError(
+            "expected verify-exact product <xmod> <xmod> | equaliser <m> <m> | coequaliser <m> <m>"
+        )
+    kind, rest = args[0], args[1:]
+    site = build_site(session.base)
+    if kind == "product":
+        A, B = _resolve(session, "verify-exact product", ("xmod", "xmod"), rest)
+        return verify_exactness_preservation("product", A=A, B=B, site=site)
+    if kind in ("equaliser", "coequaliser"):
+        f, g = _resolve(session, f"verify-exact {kind}", ("morphism", "morphism"), rest)
+        return verify_exactness_preservation(kind, f=f, g=g, site=site)
+    raise UnknownCommandError(f"verify-exact: unknown kind {kind!r}")
+
+
+def _witness_generators(session: Session, objs: Sequence, budget: int, max_order: int) -> dict:
+    return generator_witness(*objs)
+
+
+class Command(NamedTuple):
+    """One CLI command.
+
+    run(session, arguments, budget, catalogue order) returns the report
+    fields after "command" and "options", including "pass".  When kinds is
+    set, the arguments are the session objects named on the command line,
+    one of each kind in turn; when it is None they are the raw strings.
+    """
+
+    run: Callable[..., dict]
+    kinds: tuple[str, ...] | None
+    help: str
+
+
+_MORPHISM_PAIR = ("morphism", "morphism")
+
+COMMAND_TABLE: dict[str, Command] = {
+    "validate": Command(
+        _validate, (), "list the session's objects, each validated when the session is read"
+    ),
+    "equaliser": Command(
+        _universal("equaliser", "verify_equaliser"), _MORPHISM_PAIR,
+        "equaliser of two parallel morphisms, with universal property sweep",
+    ),
+    "coequaliser": Command(
+        _universal("coequaliser", "verify_coequaliser"), _MORPHISM_PAIR,
+        "coequaliser of two parallel morphisms, with universal property sweep",
+    ),
+    "pullback": Command(
+        _universal("pullback", "verify_pullback"), _MORPHISM_PAIR,
+        "pullback of two morphisms into a common target",
+    ),
+    "product": Command(
+        _universal("product_over_P", "verify_product"), ("xmod", "xmod"),
+        "binary product of two crossed modules over the base",
+    ),
+    "kernel-pair": Command(
+        _universal("kernel_pair", "verify_kernel_pair"), ("morphism",), "kernel pair of a morphism"
+    ),
+    "quotient": Command(
+        _universal("quotient_by_equivalence", "verify_quotient"), ("xmod", "pairset"),
+        "quotient of a crossed module by an equivalence pair set",
+    ),
+    "homset": Command(_homset, None, "assignments from a free object with the given label boundaries"),
+    "embed": Command(_embed, ("xmod",), "the presheaf of a crossed module: sets and generator actions"),
+    "verify-embedding": Command(
+        _verify_embedding, ("xmod", "xmod"),
+        "compare morphisms with natural transformations for two objects",
+    ),
+    "verify-exact": Command(_verify_exact, None, "compare a construction before and after the embedding"),
+    "witness-generators": Command(
+        _witness_generators, ("morphism",), "an assignment that fails to factor through a proper mono"
+    ),
+}
+
+COMMANDS = tuple(COMMAND_TABLE)
 
 
 def run_command(
@@ -332,155 +468,16 @@ def run_command(
     catalogue_order: int | None = None,
 ) -> tuple[dict, int]:
     """Execute one command and return (report, exit_code)."""
-    if command not in COMMANDS:
+    if command not in COMMAND_TABLE:
         raise UnknownCommandError(f"unknown command {command!r}; expected one of {COMMANDS}")
     budget = budget if budget is not None else session.options.budget
     max_order = catalogue_order if catalogue_order is not None else session.options.catalogue_order
+    _check_options(max_order, budget)
     report: dict = {
         "command": command,
         "options": {"budget": budget, "catalogue_order": max_order},
     }
-
-    if command == "validate":
-        details = {}
-        for name, A in session.xmods.items():
-            details[name] = len(validate_crossed_module(A))
-        for name, f in session.morphisms.items():
-            details[name] = len(validate_morphism(f.source, f.target, f.mapping))
-        report.update(
-            {
-                "pass": all(v == 0 for v in details.values()),
-                "base": session.base.name,
-                "groups": sorted(session.groups),
-                "violation_counts": details,
-            }
-        )
-    elif command in ("equaliser", "coequaliser", "pullback", "kernel-pair"):
-        if command == "kernel-pair":
-            (fname,) = _args(args, 1, "kernel-pair <morphism>")
-            f = _get(session.morphisms, fname, "morphism")
-            cone = kernel_pair(f)
-            up = verify_kernel_pair(f, cone, max_order=max_order, budget=budget)
-            report.update(_cone_json(cone))
-        else:
-            fname, gname = _args(args, 2, f"{command} <morphism> <morphism>")
-            f = _get(session.morphisms, fname, "morphism")
-            g = _get(session.morphisms, gname, "morphism")
-            if command == "equaliser":
-                cone = equaliser(f, g)
-                up = verify_equaliser(f, g, cone, max_order=max_order, budget=budget)
-                report.update(_cone_json(cone))
-            elif command == "coequaliser":
-                cocone = coequaliser(f, g)
-                up = verify_coequaliser(f, g, cocone, max_order=max_order, budget=budget)
-                report.update(_cocone_json(cocone))
-            else:
-                cone = pullback(f, g)
-                up = verify_pullback(f, g, cone, max_order=max_order, budget=budget)
-                report.update(_cone_json(cone))
-        report["universal_property"] = up
-        report["pass"] = up["pass"]
-    elif command == "product":
-        aname, bname = _args(args, 2, "product <xmod> <xmod>")
-        A = _get(session.xmods, aname, "xmod")
-        B = _get(session.xmods, bname, "xmod")
-        cone = product_over_P(A, B)
-        up = verify_product(A, B, cone, max_order=max_order, budget=budget)
-        report.update(_cone_json(cone))
-        report["universal_property"] = up
-        report["pass"] = up["pass"]
-    elif command == "quotient":
-        aname, ename = _args(args, 2, "quotient <xmod> <pairset>")
-        A = _get(session.xmods, aname, "xmod")
-        E = _get(session.pairsets, ename, "pairset")
-        if E.carrier != A:
-            raise DiagramMismatchError(f"pairset {ename!r} is not carried by {aname!r}")
-        cocone = quotient_by_equivalence(A, E)
-        up = verify_quotient(A, E, cocone, max_order=max_order, budget=budget)
-        report.update(_cocone_json(cocone))
-        report["universal_property"] = up
-        report["pass"] = up["pass"]
-    elif command == "homset":
-        if not args:
-            raise MissingArgumentError("expected homset <xmod> [base-element-index ...]")
-        A = _get(session.xmods, args[0], "xmod")
-        try:
-            omega = tuple(int(a) for a in args[1:])
-        except ValueError:
-            raise ParseError(f"homset: base elements must be integers, got {list(args[1:])}") from None
-        free = make_free_object(session.base, tuple(f"g{i}" for i in range(len(omega))), omega)
-        assignments = hom_set(free, A)
-        report.update(
-            {
-                "pass": True,
-                "xmod": A.name,
-                "omega": list(omega),
-                "count": len(assignments),
-                "product_of_fibers": hom_set_size(free, A),
-                "assignments": [list(t) for t in assignments],
-            }
-        )
-    elif command == "embed":
-        (aname,) = _args(args, 1, "embed <xmod>")
-        A = _get(session.xmods, aname, "xmod")
-        F = compute_presheaf(A, build_site(session.base))
-        report.update(
-            {
-                "pass": True,
-                "xmod": A.name,
-                "objects": [
-                    {
-                        "object": o.describe(),
-                        "size": len(F.sets[o]),
-                        "assignments": [list(t) for t in F.sets[o]],
-                    }
-                    for o in F.site.objects
-                ],
-                "actions": [
-                    {
-                        "generator": g.name,
-                        "source": g.source.describe(),
-                        "target": g.target.describe(),
-                        "map": list(F.actions[g.name]),
-                    }
-                    for g in F.site.generators
-                ],
-            }
-        )
-    elif command == "verify-embedding":
-        aname, bname = _args(args, 2, "verify-embedding <xmod> <xmod>")
-        A = _get(session.xmods, aname, "xmod")
-        B = _get(session.xmods, bname, "xmod")
-        result = verify_full_faithful(A, B, build_site(session.base), budget=budget)
-        report.update(result)
-    elif command == "verify-exact":
-        if not args:
-            raise MissingArgumentError(
-                "expected verify-exact product <xmod> <xmod> | equaliser <m> <m> | coequaliser <m> <m>"
-            )
-        kind, rest = args[0], args[1:]
-        site = build_site(session.base)
-        if kind == "product":
-            aname, bname = _args(rest, 2, "verify-exact product <xmod> <xmod>")
-            result = verify_exactness_preservation(
-                "product",
-                A=_get(session.xmods, aname, "xmod"),
-                B=_get(session.xmods, bname, "xmod"),
-                site=site,
-            )
-        elif kind in ("equaliser", "coequaliser"):
-            fname, gname = _args(rest, 2, f"verify-exact {kind} <morphism> <morphism>")
-            result = verify_exactness_preservation(
-                kind,
-                f=_get(session.morphisms, fname, "morphism"),
-                g=_get(session.morphisms, gname, "morphism"),
-                site=site,
-            )
-        else:
-            raise UnknownCommandError(f"verify-exact: unknown kind {kind!r}")
-        report.update(result)
-    elif command == "witness-generators":
-        (mname,) = _args(args, 1, "witness-generators <morphism>")
-        m = _get(session.morphisms, mname, "morphism")
-        report.update(generator_witness(m))
+    entry = COMMAND_TABLE[command]
+    objs = args if entry.kinds is None else _resolve(session, command, entry.kinds, args)
+    report.update(entry.run(session, objs, budget, max_order))
     return report, 0 if report.get("pass", False) else 1

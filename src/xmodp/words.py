@@ -325,31 +325,19 @@ class Site:
         for x in range(base.order):
             for y in range(base.order):
                 tgt = SiteObject("pair", (x, y))
-                free_t = self._frees[tgt]
-                gens.append(
-                    SiteMorphism(
-                        name=f"sigma[{x},{y}]",
-                        source=SiteObject("single", (base.table[x][y],)),
-                        target=tgt,
-                        words=(make_word(free_t, [(e, "g0", 1), (e, "g1", 1)]),),
+                for name, source, labels in (
+                    ("sigma", base.table[x][y], ("g0", "g1")),
+                    ("inc1", x, ("g0",)),
+                    ("inc2", y, ("g1",)),
+                ):
+                    gens.append(
+                        SiteMorphism(
+                            name=f"{name}[{x},{y}]",
+                            source=SiteObject("single", (source,)),
+                            target=tgt,
+                            words=(make_word(self._frees[tgt], [(e, lab, 1) for lab in labels]),),
+                        )
                     )
-                )
-                gens.append(
-                    SiteMorphism(
-                        name=f"inc1[{x},{y}]",
-                        source=SiteObject("single", (x,)),
-                        target=tgt,
-                        words=(make_word(free_t, [(e, "g0", 1)]),),
-                    )
-                )
-                gens.append(
-                    SiteMorphism(
-                        name=f"inc2[{x},{y}]",
-                        source=SiteObject("single", (y,)),
-                        target=tgt,
-                        words=(make_word(free_t, [(e, "g1", 1)]),),
-                    )
-                )
         self.generators: tuple[SiteMorphism, ...] = tuple(gens)
         self.by_name = {g.name: g for g in self.generators}
 

@@ -33,9 +33,9 @@ from .groups import (
     automorphism_group,
     center,
     enumerate_homs,
+    is_index,
     is_normal,
     is_subgroup,
-    make_group,
     subgroup_group,
 )
 
@@ -45,7 +45,6 @@ __all__ = [
     "CrossedModule",
     "XModMorphism",
     "action_violations",
-    "make_action",
     "trivial_action",
     "conjugation_action",
     "crossed_module_violations",
@@ -90,9 +89,6 @@ class Action:
     space: Group
     table: tuple[tuple[int, ...], ...]
 
-    def apply(self, p: int, m: int) -> int:
-        return self.table[p][m]
-
 
 def action_violations(actor: Group, space: Group, table: Sequence[Sequence[int]]) -> tuple[Violation, ...]:
     """Check shape, identity row, compatibility with products on both sides.
@@ -110,7 +106,7 @@ def action_violations(actor: Group, space: Group, table: Sequence[Sequence[int]]
         if len(row) != space.order:
             return (Violation("action-shape", (p, len(row), space.order)),)
         for m, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < space.order:
+            if not is_index(v, space.order):
                 out.append(Violation("action-range", (p, m)))
     if out:
         return tuple(out)
@@ -129,16 +125,6 @@ def action_violations(actor: Group, space: Group, table: Sequence[Sequence[int]]
                 if rows[p][space.table[m][n]] != space.table[rows[p][m]][rows[p][n]]:
                     out.append(Violation("action-product", (p, m, n)))
     return tuple(out)
-
-
-def make_action(actor: Group, space: Group, table: Sequence[Sequence[int]]) -> Action:
-    bad = action_violations(actor, space, table)
-    if bad:
-        raise ValidationError(
-            f"invalid action of {actor.name} on {space.name}: " + "; ".join(v.describe() for v in bad[:5]),
-            violations=bad,
-        )
-    return Action(actor=actor, space=space, table=tuple(tuple(r) for r in table))
 
 
 def trivial_action(actor: Group, space: Group) -> Action:
@@ -164,9 +150,6 @@ class CrossedModule:
     def act(self, p: int, m: int) -> int:
         return self.action.table[p][m]
 
-    def boundary_of(self, m: int) -> int:
-        return self.boundary.image[m]
-
 
 def crossed_module_violations(
     group: Group,
@@ -187,7 +170,7 @@ def crossed_module_violations(
     if len(boundary) != group.order:
         return (Violation("boundary-shape", (len(boundary), group.order)),)
     for m, v in enumerate(boundary):
-        if not isinstance(v, int) or not 0 <= v < base.order:
+        if not is_index(v, base.order):
             out.append(Violation("boundary-range", (m,)))
     act_bad = action_violations(base, group, action)
     shape_bad = [v for v in act_bad if v.axiom in ("action-shape", "action-range")]
@@ -384,7 +367,7 @@ def morphism_violations(A: CrossedModule, B: CrossedModule, mapping: Sequence[in
     if len(mapping) != nA:
         return (Violation("map-shape", (len(mapping), nA)),)
     for m, v in enumerate(mapping):
-        if not isinstance(v, int) or not 0 <= v < nB:
+        if not is_index(v, nB):
             out.append(Violation("map-range", (m,)))
     if out:
         return tuple(out)

@@ -16,6 +16,7 @@ from xmodp.groups import (
     trivial_group,
 )
 from xmodp.limits import (
+    Cocone,
     Cone,
     EquivalenceRelation,
     coequaliser,
@@ -375,3 +376,64 @@ def test_equivalence_relations_on_mod2_match_subgroup_oracle():
         sorted(b for (a, b) in pairs if a == 0) for pairs in found
     )
     assert kernels == [[0], [0, 2]]
+
+
+SWEEP_FAILURE_KEYS = {"test_object", "expected", "found"}
+
+
+def _assert_sweep_fails(report, kind, map_key):
+    assert report["kind"] == kind
+    assert report["pass"] is False
+    assert report["failures"]
+    for entry in report["failures"]:
+        assert set(entry) == SWEEP_FAILURE_KEYS | {map_key}
+        assert entry["expected"] in (0, 1)
+        assert entry["found"] != entry["expected"]
+
+
+def _diagonal(A, kind):
+    ident = identity_xmod_morphism(A)
+    return Cone(kind=kind, apex=A, legs=(ident, ident), elements=tuple((a, a) for a in range(A.group.order)))
+
+
+def _negation():
+    A = _mod2_xmod()
+    return make_xmod_morphism(A, A, [0, 3, 2, 1])
+
+
+def test_verify_coequaliser_catches_wrong_apex():
+    A = _c3_over_point()
+    ident = identity_xmod_morphism(A)
+    inversion = make_xmod_morphism(A, A, [0, 2, 1])
+    no_collapse = Cocone(kind="coequaliser", apex=A, legs=(ident,), classes=((0,), (1,), (2,)))
+    _assert_sweep_fails(verify_coequaliser(ident, inversion, no_collapse), "coequaliser", "map")
+
+
+def test_verify_pullback_catches_wrong_apex():
+    neg = _negation()
+    ident = identity_xmod_morphism(neg.source)
+    report = verify_pullback(ident, neg, _diagonal(neg.source, "pullback"))
+    _assert_sweep_fails(report, "pullback", "maps")
+    assert verify_pullback(ident, neg, pullback(ident, neg))["pass"]
+
+
+def test_verify_kernel_pair_catches_wrong_apex():
+    f = _mod2_morphism()
+    _assert_sweep_fails(verify_kernel_pair(f, _diagonal(f.source, "kernel-pair")), "kernel-pair", "maps")
+
+
+def test_verify_product_catches_wrong_apex():
+    A = _mod2_xmod()
+    _assert_sweep_fails(verify_product(A, A, _diagonal(A, "product")), "product", "maps")
+
+
+def test_verify_quotient_catches_wrong_apex():
+    f = _mod2_morphism()
+    A = f.source
+    E = kernel_pair_relation(f)
+    no_collapse = Cocone(
+        kind="quotient", apex=A, legs=(identity_xmod_morphism(A),), classes=tuple((a,) for a in range(4))
+    )
+    report = verify_quotient(A, E, no_collapse)
+    _assert_sweep_fails(report, "quotient", "map")
+    assert report["effective"] is False

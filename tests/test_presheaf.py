@@ -10,7 +10,8 @@ from xmodp.errors import (
     ShapeMismatchError,
 )
 from xmodp.groups import cyclic_group, klein_four_group, trivial_group
-from xmodp.limits import terminal_object
+from xmodp import presheaf
+from xmodp.limits import Cocone, Cone, terminal_object
 from xmodp.presheaf import (
     NaturalTransformation,
     check_naturality,
@@ -290,3 +291,66 @@ def test_generator_witness_rejects_non_monos_and_isos():
         generator_witness(identity_xmod_morphism(A2))
     with pytest.raises(IsIsoError):
         generator_witness(make_xmod_morphism(_id_xmod(), terminal_object(C2), [0, 1]))
+
+
+def _assert_comparison_fails(report, kind, entry_keys):
+    assert report["kind"] == kind
+    assert report["pass"] is False
+    assert report["failures"]
+    assert not all(o["ok"] for o in report["objects"])
+    for entry in report["failures"]:
+        assert set(entry) == entry_keys
+
+
+def test_product_comparison_catches_wrong_cone(monkeypatch):
+    A = _mod2_xmod()
+    ident = identity_xmod_morphism(A)
+    diagonal = Cone(kind="product", apex=A, legs=(ident, ident), elements=tuple((a, a) for a in range(4)))
+    monkeypatch.setattr(presheaf, "product_over_P", lambda X, Y: diagonal)
+    report = verify_exactness_preservation("product", A=A, B=A)
+    _assert_comparison_fails(report, "product", {"object", "reason"})
+
+
+def test_equaliser_comparison_catches_wrong_cone(monkeypatch):
+    f = make_xmod_morphism(_mod2_xmod(), _id_xmod(), [0, 1, 0, 1])
+    incl = make_xmod_morphism(_flat_xmod(), f.source, [0, 2])
+    too_small = Cone(kind="equaliser", apex=incl.source, legs=(incl,), elements=(0, 2))
+    monkeypatch.setattr(presheaf, "equaliser", lambda u, v: too_small)
+    report = verify_exactness_preservation("equaliser", f=f, g=f)
+    _assert_comparison_fails(report, "equaliser", {"object", "reason"})
+
+
+def test_coequaliser_comparison_catches_wrong_cocone(monkeypatch):
+    B = _flat_xmod()
+    ident = identity_xmod_morphism(B)
+    incl = make_xmod_morphism(B, _mod2_xmod(), [0, 2])
+    not_onto = Cocone(kind="coequaliser", apex=incl.target, legs=(incl,), classes=((0,), (1,)))
+    monkeypatch.setattr(presheaf, "coequaliser", lambda u, v: not_onto)
+    report = verify_exactness_preservation("coequaliser", f=ident, g=ident)
+    _assert_comparison_fails(report, "coequaliser", {"object", "reason", "well_defined", "surjective"})
+    assert any(not entry["surjective"] for entry in report["failures"])
+
+
+@pytest.mark.parametrize(
+    "kind, square_keys",
+    [
+        ("product", {"object", "generator", "index"}),
+        ("equaliser", {"object", "generator", "index"}),
+        ("coequaliser", {"generator", "index", "reason"}),
+    ],
+)
+def test_comparisons_report_failed_squares(monkeypatch, kind, square_keys):
+    # Every comparison map reports one failed square, so each comparison
+    # must read its squares from check_naturality and fail on them.
+    monkeypatch.setattr(presheaf, "check_naturality", lambda phi: (("id[single(0)]", 0),))
+    f = make_xmod_morphism(_mod2_xmod(), _id_xmod(), [0, 1, 0, 1])
+    if kind == "product":
+        report = verify_exactness_preservation("product", A=f.source, B=f.target)
+    else:
+        report = verify_exactness_preservation(kind, f=f, g=f)
+    assert report["pass"] is False
+    assert all(o["ok"] for o in report["objects"])
+    assert len(report["failures"]) == 1
+    (entry,) = report["failures"]
+    assert set(entry) == square_keys
+    assert (entry["generator"], entry["index"]) == ("id[single(0)]", 0)

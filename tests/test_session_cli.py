@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xmodp.cli import main
 from xmodp.errors import (
@@ -13,8 +14,9 @@ from xmodp.errors import (
     UnknownCommandError,
     UnknownNameError,
     ValidationError,
+    XmodError,
 )
-from xmodp.session import parse_session, run_command, serialize_session
+from xmodp.session import Session, parse_session, run_command, serialize_session
 
 C4_TABLE = [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
 
@@ -261,6 +263,8 @@ def test_run_command_argument_errors():
         run_command(_session(), "equaliser", ["f", "ghost"])
     with pytest.raises(MissingArgumentError):
         run_command(_session(), "homset", [])
+    with pytest.raises(UnknownNameError):
+        run_command(_session(), "validate", ["ghost"])
 
 
 def _write_session(tmp_path, doc=None):
@@ -337,3 +341,134 @@ def test_cli_argparse_errors(tmp_path):
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+def _fresh_doc():
+    # _doc() shares C4_TABLE between documents; these tests edit in place.
+    return json.loads(json.dumps(_doc()))
+
+
+def _with(path, value):
+    """A fresh session document with the node at path replaced by value."""
+    doc = _fresh_doc()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, code",
+    [
+        (("groups", 0, "table", 0, 1), "IndexOutOfRangeError"),
+        (("xmods", 0, "boundary", 1), "boundary-range"),
+        (("xmods", 0, "action", 1, 1), "action-range"),
+        (("morphisms", 0, "map", 1), "map-range"),
+    ],
+    ids=["group-table", "boundary", "action", "map"],
+)
+def test_cli_bool_entry_is_rejected_like_an_out_of_range_one(tmp_path, capsys, path, code):
+    # JSON true is not element 1: it takes the out-of-range path.
+    errors = []
+    for value in (True, 7):
+        path_to = _write_session(tmp_path, _with(path, value))
+        assert main(["validate", "--input", path_to]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is False
+        assert report["error"].startswith("ValidationError:")
+        assert code in report["error"]
+        errors.append(report["error"])
+    assert errors[0].replace("True", "7") == errors[1]
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("catalogue_order", -3), ("catalogue_order", 0), ("catalogue_order", 7), ("budget", -5), ("budget", 0)],
+)
+def test_cli_option_out_of_bounds_exits_2(tmp_path, capsys, option, value):
+    flag = "--" + option.replace("_", "-")
+    path = _write_session(tmp_path)
+    assert main(["product", "--input", path, flag, str(value), "A2", "A1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: ParseError: {option} must be ")
+    assert err.endswith(f"got {value}\n")
+
+    doc = _doc()
+    doc["options"][option] = value
+    assert main(["validate", "--input", _write_session(tmp_path, doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: ParseError: {option} must be ")
+
+
+def test_cli_option_bounds_are_inclusive(tmp_path, capsys):
+    doc = _doc()
+    doc["options"] = {"catalogue_order": 6, "budget": 1}
+    assert main(["validate", "--input", _write_session(tmp_path, doc)]) == 0
+    capsys.readouterr()
+    path = _write_session(tmp_path)
+    assert main(["product", "--input", path, "--catalogue-order", "1", "A2", "A1"]) == 0
+    assert json.loads(capsys.readouterr().out)["options"]["catalogue_order"] == 1
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("xmods",), True),
+        (("morphisms",), None),
+        (("pairsets",), 3),
+        (("groups", 1, "table", 2), 5),
+        (("xmods", 0, "action", 1), 0),
+    ],
+    ids=["xmods-section", "morphisms-section", "pairsets-section", "table-row", "action-row"],
+)
+def test_cli_malformed_session_exits_2(tmp_path, capsys, path, value):
+    path_to = _write_session(tmp_path, _with(path, value))
+    assert main(["validate", "--input", path_to]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ParseError: ")
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _mutated_docs(draw):
+    """The valid session with one node, at any depth, replaced by arbitrary JSON."""
+    doc = _fresh_doc()
+    node = doc
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        if isinstance(node[key], (dict, list)) and node[key] and draw(st.booleans()):
+            node = node[key]
+            continue
+        node[key] = draw(_json)
+        return doc
+
+
+def _session_or_xmod_error(doc):
+    try:
+        session = parse_session(json.dumps(doc))
+    except XmodError:
+        return
+    assert isinstance(session, Session)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_docs())
+def test_parse_session_fuzz_near_valid(doc):
+    _session_or_xmod_error(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json | st.dictionaries(st.sampled_from(["base", "groups", "xmods", "morphisms", "pairsets", "options"]), _json))
+def test_parse_session_fuzz_arbitrary(doc):
+    _session_or_xmod_error(doc)
