@@ -221,44 +221,59 @@ def compose_homs(f: GroupHom, g: GroupHom) -> GroupHom:
     return GroupHom(g.domain, f.codomain, tuple(f.image[g.image[a]] for a in range(g.domain.order)))
 
 
-def enumerate_homs(domain: Group, codomain: Group) -> tuple[GroupHom, ...]:
-    """All homomorphisms, by depth-first assignment of images in index order.
+def _search_homs(
+    domain: Group,
+    codomain: Group,
+    candidates: Sequence[Sequence[int]],
+    actions: Iterable[tuple[Sequence[int], Sequence[int]]] = (),
+) -> list[tuple[int, ...]]:
+    """Every multiplicative image tuple img with img[x] in candidates[x] and
+    img[s[x]] == t[img[x]] for each (s, t) in actions.
 
-    A partial assignment is kept only while every product that lands inside
-    the assigned prefix is respected, which prunes hard enough for the group
-    orders used here.
+    Images are assigned in index order, each from its candidates in the order
+    given, so ascending candidates give the tuples in lexicographic order.
+    Each product condition (a, b, ab) and each action condition (x, s[x]) is
+    checked once, at the step that assigns the largest index it involves, so
+    a partial assignment is cut as soon as it breaks one.
     """
-    n, m = domain.order, codomain.order
+    n, tab = domain.order, codomain.table
+    products: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for a, row in enumerate(domain.table):
+        for b, c in enumerate(row):
+            products[max(a, b, c)].append((a, b, c))
+    moves: list[list[tuple[int, int, Sequence[int]]]] = [[] for _ in range(n)]
+    for s, t in actions:
+        for x, y in enumerate(s):
+            moves[max(x, y)].append((x, y, t))
     img = [0] * n
-    out: list[GroupHom] = []
-
-    def consistent(k: int) -> bool:
-        for a in range(k + 1):
-            for b in range(k + 1):
-                c = domain.table[a][b]
-                if c <= k and codomain.table[img[a]][img[b]] != img[c]:
-                    return False
-        return True
+    out: list[tuple[int, ...]] = []
 
     def assign(k: int) -> None:
         if k == n:
-            out.append(GroupHom(domain, codomain, tuple(img)))
+            out.append(tuple(img))
             return
-        candidates = (codomain.identity,) if k == domain.identity else range(m)
-        for c in candidates:
-            img[k] = c
-            if consistent(k):
+        for v in candidates[k]:
+            img[k] = v
+            if all(tab[img[a]][img[b]] == img[c] for a, b, c in products[k]) and all(
+                img[y] == t[img[x]] for x, y, t in moves[k]
+            ):
                 assign(k + 1)
 
     assign(0)
-    return tuple(out)
+    return out
+
+
+def enumerate_homs(domain: Group, codomain: Group) -> tuple[GroupHom, ...]:
+    """All homomorphisms, in lexicographic order of their image tuples."""
+    images = _search_homs(domain, codomain, [range(codomain.order)] * domain.order)
+    return tuple(GroupHom(domain, codomain, img) for img in images)
 
 
 def subgroup_closure(G: Group, seed: Iterable[int]) -> tuple[int, ...]:
     """Smallest subgroup of G containing the seed elements."""
     cur = {G.identity}
     for s in seed:
-        if not 0 <= s < G.order:
+        if not is_index(s, G.order):
             raise IndexOutOfRangeError(f"{G.name}: seed element {s} out of range")
         cur.add(s)
     changed = True
@@ -398,7 +413,7 @@ class AutGroup(NamedTuple):
 
 
 def automorphism_group(M: Group, bound: int = 12) -> AutGroup:
-    """Automorphism group by exhaustive search over bijective endomorphisms.
+    """Automorphism group: the bijective endomorphisms of M.
 
     perms[i] is the i-th automorphism as an image tuple, in lexicographic
     order, and group is the composition table (i * j applies j first).
@@ -408,33 +423,7 @@ def automorphism_group(M: Group, bound: int = 12) -> AutGroup:
             f"{M.name}: order {M.order} exceeds automorphism search bound {bound}"
         )
     n = M.order
-    img = [0] * n
-    used = [False] * n
-    perms: list[tuple[int, ...]] = []
-
-    def consistent(k: int) -> bool:
-        for a in range(k + 1):
-            for b in range(k + 1):
-                c = M.table[a][b]
-                if c <= k and M.table[img[a]][img[b]] != img[c]:
-                    return False
-        return True
-
-    def assign(k: int) -> None:
-        if k == n:
-            perms.append(tuple(img))
-            return
-        candidates = (M.identity,) if k == M.identity else range(n)
-        for c in candidates:
-            if used[c]:
-                continue
-            img[k] = c
-            used[c] = True
-            if consistent(k):
-                assign(k + 1)
-            used[c] = False
-
-    assign(0)
+    perms = [p for p in _search_homs(M, M, [range(n)] * n) if len(set(p)) == n]
     pos = {p: i for i, p in enumerate(perms)}
     table = [
         [pos[tuple(p[q[x]] for x in range(n))] for q in perms]

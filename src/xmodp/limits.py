@@ -408,11 +408,6 @@ def extend_catalogue(catalogue: Sequence[CrossedModule], extra: Iterable[Crossed
     return tuple(out)
 
 
-def _catalogue_for(P: Group, extra: Iterable[CrossedModule], catalogue: Sequence[CrossedModule] | None, max_order: int) -> tuple[CrossedModule, ...]:
-    base = tuple(catalogue) if catalogue is not None else default_catalogue(P, max_order)
-    return extend_catalogue(base, extra)
-
-
 def _sweep(
     kind: str,
     cat: Sequence[CrossedModule],
@@ -467,12 +462,11 @@ def verify_equaliser(
     f: XModMorphism,
     g: XModMorphism,
     cone: Cone,
-    catalogue: Sequence[CrossedModule] | None = None,
     max_order: int = 4,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """Count mediators through the apex for every test map into the source."""
-    cat = _catalogue_for(f.source.base, (f.source, f.target), catalogue, max_order)
+    cat = extend_catalogue(default_catalogue(f.source.base, max_order), (f.source, f.target))
     return _sweep(
         "equaliser", cat, cone, (f.source,),
         lambda t: _after(f.mapping, t) == _after(g.mapping, t), budget,
@@ -483,12 +477,11 @@ def verify_coequaliser(
     f: XModMorphism,
     g: XModMorphism,
     cocone: Cocone,
-    catalogue: Sequence[CrossedModule] | None = None,
     max_order: int = 4,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """Count mediators out of the apex for every test map out of the target."""
-    cat = _catalogue_for(f.target.base, (f.source, f.target), catalogue, max_order)
+    cat = extend_catalogue(default_catalogue(f.target.base, max_order), (f.source, f.target))
     return _sweep(
         "coequaliser", cat, cocone, (f.target,),
         lambda q: _after(q, f.mapping) == _after(q, g.mapping), budget,
@@ -499,12 +492,11 @@ def verify_pullback(
     f: XModMorphism,
     g: XModMorphism,
     cone: Cone,
-    catalogue: Sequence[CrossedModule] | None = None,
     max_order: int = 4,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """Count mediators for every pair of test maps into the two sources."""
-    cat = _catalogue_for(f.source.base, (f.source, g.source, f.target), catalogue, max_order)
+    cat = extend_catalogue(default_catalogue(f.source.base, max_order), (f.source, g.source, f.target))
     return _sweep(
         cone.kind, cat, cone, (f.source, g.source),
         lambda tC, tD: _after(f.mapping, tC) == _after(g.mapping, tD), budget,
@@ -515,7 +507,6 @@ def verify_product(
     A: CrossedModule,
     B: CrossedModule,
     cone: Cone,
-    catalogue: Sequence[CrossedModule] | None = None,
     max_order: int = 4,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
@@ -523,7 +514,7 @@ def verify_product(
     T = terminal_object(A.base)
     report = verify_pullback(
         unique_to_terminal(A, T), unique_to_terminal(B, T), cone,
-        catalogue=catalogue, max_order=max_order, budget=budget,
+        max_order=max_order, budget=budget,
     )
     report["kind"] = "product"
     return report
@@ -532,11 +523,10 @@ def verify_product(
 def verify_kernel_pair(
     f: XModMorphism,
     cone: Cone,
-    catalogue: Sequence[CrossedModule] | None = None,
     max_order: int = 4,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
-    report = verify_pullback(f, f, cone, catalogue=catalogue, max_order=max_order, budget=budget)
+    report = verify_pullback(f, f, cone, max_order=max_order, budget=budget)
     report["kind"] = "kernel-pair"
     return report
 
@@ -545,13 +535,12 @@ def verify_quotient(
     A: CrossedModule,
     E: EquivalenceRelation,
     cocone: Cocone,
-    catalogue: Sequence[CrossedModule] | None = None,
     max_order: int = 4,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """Quotient as the coequaliser of the relation's projections, plus effectiveness."""
     _, u, v = relation_xmod(E)
-    report = verify_coequaliser(u, v, cocone, catalogue=catalogue, max_order=max_order, budget=budget)
+    report = verify_coequaliser(u, v, cocone, max_order=max_order, budget=budget)
     report["kind"] = "quotient"
     effective = _is_kernel_pair_of(E, cocone.legs[0])
     report["effective"] = effective

@@ -29,7 +29,7 @@ from .errors import (
     IndexOutOfRangeError,
     PreconditionFailedError,
 )
-from .groups import Group
+from .groups import Group, is_index
 from .xmod import CrossedModule, fiber
 
 __all__ = [
@@ -102,7 +102,7 @@ def make_free_object(base: Group, labels: Sequence[str], omega: Sequence[int]) -
     if len(labels) != len(omega):
         raise IndexOutOfRangeError(f"{len(labels)} labels but {len(omega)} base elements")
     for x in omega:
-        if not 0 <= x < base.order:
+        if not is_index(x, base.order):
             raise IndexOutOfRangeError(f"base element {x} out of range for {base.name}")
     return FreeObject(base=base, labels=labels, omega=omega)
 
@@ -118,7 +118,7 @@ def pair_object(base: Group, x: int, y: int) -> FreeObject:
 def make_word(free: FreeObject, syms: Sequence[tuple[int, str, int]]) -> Word:
     checked = []
     for (u, label, exp) in syms:
-        if not 0 <= u < free.base.order:
+        if not is_index(u, free.base.order):
             raise IndexOutOfRangeError(f"translate {u} out of range for {free.base.name}")
         free.index_of(label)
         if exp not in (1, -1):
@@ -172,7 +172,7 @@ def _check_assignment(free: FreeObject, A: CrossedModule, assignment: Sequence[i
             f"assignment has {len(assignment)} entries for {len(free.labels)} labels"
         )
     for i, a in enumerate(assignment):
-        if not 0 <= a < A.group.order:
+        if not is_index(a, A.group.order):
             raise FiberMismatchError(f"assignment for {free.labels[i]!r} out of range")
         if A.boundary.image[a] != free.omega[i]:
             raise FiberMismatchError(
@@ -213,7 +213,7 @@ def hom_set_size(free: FreeObject, A: CrossedModule) -> int:
 
 def labelling(A: CrossedModule, a: int) -> tuple[FreeObject, tuple[int, ...]]:
     """The single-label assignment naming the element a."""
-    if not 0 <= a < A.group.order:
+    if not is_index(a, A.group.order):
         raise IndexOutOfRangeError(f"element {a} out of range for {A.name}")
     free = single_object(A.base, A.boundary.image[a])
     return free, (a,)

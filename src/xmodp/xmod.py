@@ -14,7 +14,6 @@ the boundaries and with the action.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,6 +29,7 @@ from .groups import (
     AutGroup,
     Group,
     GroupHom,
+    _search_homs,
     automorphism_group,
     center,
     enumerate_homs,
@@ -194,10 +194,8 @@ def crossed_module_violations(
     return tuple(out)
 
 
-def validate_crossed_module(A: CrossedModule, check_cm2: bool = True) -> tuple[Violation, ...]:
-    return crossed_module_violations(
-        A.group, A.base, A.boundary.image, A.action.table, check_cm2=check_cm2
-    )
+def validate_crossed_module(A: CrossedModule) -> tuple[Violation, ...]:
+    return crossed_module_violations(A.group, A.base, A.boundary.image, A.action.table)
 
 
 def make_crossed_module(
@@ -423,10 +421,12 @@ def compose_xmod_morphisms(f: XModMorphism, g: XModMorphism) -> XModMorphism:
 
 
 def enumerate_morphisms(A: CrossedModule, B: CrossedModule, budget: int = DEFAULT_BUDGET) -> tuple[XModMorphism, ...]:
-    """All morphisms A -> B by filtering every element map, in lexicographic order.
+    """All morphisms A -> B, in lexicographic order of their element maps.
 
-    Deliberately exhaustive so it can serve as an oracle; the search space
-    |M_B| ** |M_A| is gated by the budget.
+    Each element a may only go to the target boundary fiber of its own
+    boundary, and the search cuts a partial map as soon as it breaks a
+    product or the P-action.  The budget gates the size |M_B| ** |M_A| of
+    the space of element maps.
     """
     _require_same_base(A, B)
     nA, nB = A.group.order, B.group.order
@@ -435,38 +435,9 @@ def enumerate_morphisms(A: CrossedModule, B: CrossedModule, budget: int = DEFAUL
         raise BudgetExceededError(
             f"morphism search {B.name}^{A.name} needs {space} maps, budget {budget}"
         )
-    bnd_A, bnd_B = A.boundary.image, B.boundary.image
-    tab_A, tab_B = A.group.table, B.group.table
-    act_A, act_B = A.action.table, B.action.table
-    P_order = A.base.order
-    out = []
-    for mapping in itertools.product(range(nB), repeat=nA):
-        ok = True
-        for m in range(nA):
-            if bnd_B[mapping[m]] != bnd_A[m]:
-                ok = False
-                break
-        if not ok:
-            continue
-        for p in range(P_order):
-            for m in range(nA):
-                if mapping[act_A[p][m]] != act_B[p][mapping[m]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        for a in range(nA):
-            for b in range(nA):
-                if mapping[tab_A[a][b]] != tab_B[mapping[a]][mapping[b]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(XModMorphism(A, B, mapping))
-    return tuple(out)
+    candidates = [fiber(B, x) for x in A.boundary.image]
+    maps = _search_homs(A.group, B.group, candidates, zip(A.action.table, B.action.table))
+    return tuple(XModMorphism(A, B, mapping) for mapping in maps)
 
 
 def structure_key(A: CrossedModule) -> tuple:

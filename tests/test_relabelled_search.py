@@ -1,0 +1,131 @@
+"""Differential tests of the map search on relabelled groups and crossed modules.
+
+Each catalogue group, and each crossed module over C2 on one, gets fresh
+element labels that move the identity off index 0, as a session file from
+an arbitrary source may.  enumerate_homs, automorphism_group and
+enumerate_morphisms must then give exactly what filtering every map gives,
+in the same lexicographic order.
+"""
+
+import itertools
+
+from hypothesis import given, settings, strategies as st
+
+from xmodp.groups import (
+    automorphism_group,
+    cyclic_group,
+    enumerate_homs,
+    klein_four_group,
+    make_group,
+    symmetric_group_3,
+    trivial_group,
+)
+from xmodp.limits import default_catalogue
+from xmodp.xmod import enumerate_morphisms, make_crossed_module, validate_morphism
+
+C2 = cyclic_group(2)
+GROUPS = [trivial_group(), C2, cyclic_group(3), cyclic_group(4), klein_four_group(),
+          cyclic_group(5), cyclic_group(6), symmetric_group_3()]
+XMODS = default_catalogue(C2, 6)
+# The base itself relabelled, so that its identity is element 1.
+BASE = make_group([[1, 0], [0, 1]], "C2")
+BASE_LABEL = (1, 0)
+MAX_MORPHISM_SPACE = 4096
+
+
+def _inverse(perm):
+    inv = [0] * len(perm)
+    for old, new in enumerate(perm):
+        inv[new] = old
+    return inv
+
+
+def _relabel_group(G, perm):
+    """G with element i renamed perm[i]."""
+    inv = _inverse(perm)
+    return make_group(
+        [[perm[G.table[inv[a]][inv[b]]] for b in range(G.order)] for a in range(G.order)],
+        G.name,
+    )
+
+
+def _relabel_xmod(A, perm):
+    """A on its group relabelled by perm, over BASE."""
+    inv, base_inv = _inverse(perm), _inverse(BASE_LABEL)
+    n = A.group.order
+    boundary = [BASE_LABEL[A.boundary.image[inv[m]]] for m in range(n)]
+    action = [[perm[A.action.table[base_inv[p]][inv[m]]] for m in range(n)] for p in range(2)]
+    return make_crossed_module(A.name, _relabel_group(A.group, perm), BASE, boundary, action)
+
+
+def _labels(draw, G):
+    """A permutation of G's elements that moves the identity when it can."""
+    return draw(
+        st.permutations(range(G.order)).filter(
+            lambda p: G.order == 1 or p[G.identity] != G.identity
+        )
+    )
+
+
+def _is_hom(G, H, img):
+    return all(
+        img[G.table[a][b]] == H.table[img[a]][img[b]]
+        for a in range(G.order)
+        for b in range(G.order)
+    )
+
+
+@st.composite
+def relabelled_groups(draw):
+    G = draw(st.sampled_from(GROUPS))
+    return _relabel_group(G, _labels(draw, G))
+
+
+@st.composite
+def relabelled_xmod_pairs(draw):
+    A, B = draw(
+        st.tuples(st.sampled_from(XMODS), st.sampled_from(XMODS)).filter(
+            lambda ab: ab[1].group.order ** ab[0].group.order <= MAX_MORPHISM_SPACE
+        )
+    )
+    return (
+        _relabel_xmod(A, _labels(draw, A.group)),
+        _relabel_xmod(B, _labels(draw, B.group)),
+    )
+
+
+def test_relabelling_moves_the_identity():
+    G = _relabel_group(cyclic_group(3), (2, 0, 1))
+    assert G.identity == 2
+    A = _relabel_xmod(XMODS[1], (1, 0))
+    assert A.group.identity == 1 and A.base.identity == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_groups(), relabelled_groups())
+def test_enumerate_homs_relabelled_matches_filter_oracle(G, H):
+    slow = [
+        img
+        for img in itertools.product(range(H.order), repeat=G.order)
+        if _is_hom(G, H, img)
+    ]
+    assert [f.image for f in enumerate_homs(G, H)] == slow
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_groups())
+def test_automorphism_group_relabelled_matches_permutation_oracle(G):
+    slow = [perm for perm in itertools.permutations(range(G.order)) if _is_hom(G, G, perm)]
+    assert list(automorphism_group(G).perms) == slow
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_xmod_pairs())
+def test_enumerate_morphisms_relabelled_matches_filter_oracle(pair):
+    A, B = pair
+    slow = [
+        mapping
+        for mapping in itertools.product(range(B.group.order), repeat=A.group.order)
+        if validate_morphism(A, B, mapping) == ()
+    ]
+    assert [f.mapping for f in enumerate_morphisms(A, B)] == slow

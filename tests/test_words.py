@@ -12,7 +12,7 @@ from xmodp.errors import (
     IndexOutOfRangeError,
     PreconditionFailedError,
 )
-from xmodp.groups import cyclic_group, symmetric_group_3, trivial_group
+from xmodp.groups import cyclic_group, subgroup_closure, symmetric_group_3
 from xmodp.limits import terminal_object
 from xmodp.words import (
     apply_peiffer_move,
@@ -69,6 +69,26 @@ def test_make_word_errors():
         make_word(free, [(0, "g7", 1)])
     with pytest.raises(IndexOutOfRangeError):
         make_word(free, [(0, "g0", 2)])
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: make_free_object(C2, ["g0"], [True]), IndexOutOfRangeError),
+        (lambda: make_word(single_object(C2, 1), [(True, "g0", 1)]), IndexOutOfRangeError),
+        (lambda: labelling(_mod2_xmod(), True), IndexOutOfRangeError),
+        (
+            lambda: evaluate_word(symbol_word(single_object(C2, 1), "g0"), _mod2_xmod(), [True]),
+            FiberMismatchError,
+        ),
+        (lambda: subgroup_closure(C4, [True]), IndexOutOfRangeError),
+    ],
+    ids=["make_free_object", "make_word", "labelling", "assignment", "subgroup_closure"],
+)
+def test_bool_is_not_an_index(call, error):
+    # True == 1 is in range for every one of these, so only a type check rejects it.
+    with pytest.raises(error):
+        call()
 
 
 def test_word_boundary_single_symbol():
