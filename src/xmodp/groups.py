@@ -2,8 +2,10 @@
 
 Elements of a group of order n are the indices 0..n-1.  A group is a
 validated Cayley table plus the identity and inverse data derived from it.
-All constructions at this scale (subgroups, quotients, automorphism groups)
-are exhaustive searches over the table.
+Tables from outside (session files, the library constructors) are fully
+validated by make_group; tables built from groups that are already valid
+(subgroups, quotients, automorphism groups, the pair apexes of limits) are
+packaged by _trusted_group without the O(n^3) associativity check.
 """
 
 from __future__ import annotations
@@ -127,6 +129,28 @@ def make_group(table: Sequence[Sequence[int]], name: str = "G") -> Group:
             raise NoInverseError(f"{name}: element {a} has no inverse")
         inverse.append(inv)
     return Group(name=name, order=n, table=t, identity=identity, inverse=tuple(inverse))
+
+
+def _trusted_group(table: Sequence[Sequence[int]], name: str) -> Group:
+    """Package a table that is a group by construction, in O(n^2).
+
+    Only for tables built from groups that are already valid, such as a
+    subgroup, a quotient or a product-closed set of pairs: the identity is
+    the row equal to 0..n-1 and each inverse is found in its element's row.
+    Tables from outside go through make_group.
+    """
+    t = tuple(tuple(row) for row in table)
+    try:
+        identity = t.index(tuple(range(len(t))))
+    except ValueError:
+        raise NoIdentityError(f"{name}: no identity row") from None
+    return Group(
+        name=name,
+        order=len(t),
+        table=t,
+        identity=identity,
+        inverse=tuple(row.index(identity) for row in t),
+    )
 
 
 def trivial_group(name: str = "1") -> Group:
@@ -346,7 +370,7 @@ def subgroup_group(G: Group, elems: Iterable[int], name: str | None = None) -> t
         raise NotSubgroupError(f"{G.name}: {sub} is not a subgroup")
     pos = {g: i for i, g in enumerate(sub)}
     table = [[pos[G.table[a][b]] for b in sub] for a in sub]
-    H = make_group(table, name or f"{G.name}|{len(sub)}")
+    H = _trusted_group(table, name or f"{G.name}|{len(sub)}")
     return H, GroupHom(H, G, sub)
 
 
@@ -383,7 +407,7 @@ def quotient_group(G: Group, normal: Iterable[int], name: str | None = None) -> 
         [coset_of[G.table[reps[i]][reps[j]]] for j in range(len(reps))]
         for i in range(len(reps))
     ]
-    Q = make_group(table, name or f"{G.name}/{len(N)}")
+    Q = _trusted_group(table, name or f"{G.name}/{len(N)}")
     proj = GroupHom(G, Q, tuple(coset_of[g] for g in range(G.order)))
     return Quotient(group=Q, projection=proj, representatives=tuple(reps))
 
@@ -429,5 +453,5 @@ def automorphism_group(M: Group, bound: int = 12) -> AutGroup:
         [pos[tuple(p[q[x]] for x in range(n))] for q in perms]
         for p in perms
     ]
-    A = make_group(table, f"Aut({M.name})")
+    A = _trusted_group(table, f"Aut({M.name})")
     return AutGroup(group=A, perms=tuple(perms))

@@ -24,9 +24,10 @@ from .errors import (
 from .groups import (
     Group,
     GroupHom,
+    _trusted_group,
     cyclic_group,
+    is_index,
     klein_four_group,
-    make_group,
     normal_closure,
     quotient_group,
     subgroup_group,
@@ -188,7 +189,7 @@ def _pair_apex(
         [pos[(C.group.table[c1][c2], D.group.table[d1][d2])] for (c2, d2) in pairs]
         for (c1, d1) in pairs
     ]
-    G = make_group(table, f"{name}#grp")
+    G = _trusted_group(table, f"{name}#grp")
     boundary = [C.boundary.image[c] for (c, _) in pairs]
     action = [
         [pos[(C.act(p, c), D.act(p, d))] for (c, d) in pairs]
@@ -276,7 +277,7 @@ def equivalence_violations(E: EquivalenceRelation) -> tuple[str, ...]:
     n = A.group.order
     out = []
     for (a, b) in sorted(E.pairs):
-        if not (0 <= a < n and 0 <= b < n):
+        if not (is_index(a, n) and is_index(b, n)):
             return (f"pair ({a}, {b}) out of range",)
     for (a, b) in sorted(E.pairs):
         if A.boundary.image[a] != A.boundary.image[b]:

@@ -3,34 +3,38 @@
 A crossed module A becomes the functor sending each site object to the set
 of fiber-respecting assignments into A (a finite set of index tuples) and
 each generating morphism to precomposition, computed by evaluating its
-words.  Morphisms become postcomposition families.  At this scale the
-functor's fullness, faithfulness, and exactness are checked by exhaustive
-enumeration, with a budget gate on every search space.
+words.  Morphisms become postcomposition families.  Fullness and
+faithfulness are checked by comparing the crossed-module morphisms with
+the natural transformations, each set found by its own complete search
+(the transformations by backtracking over single components, pruned by
+naturality squares); exactness by comparing constructions objectwise.
+Every search space is gated by the budget.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import (
     BaseMismatchError,
     BudgetExceededError,
+    FiberMismatchError,
     IsIsoError,
     NotMonoError,
     NotNaturalError,
     ReconstructionInvalidError,
     ShapeMismatchError,
 )
+from .groups import is_index
 from .limits import coequaliser, equaliser, kernel_pair, product_over_P
 from .words import (
     Site,
     SiteMorphism,
     SiteObject,
     build_site,
+    _word_images,
     compose_site_morphisms,
-    evaluate_word,
     hom_set,
     single_object,
 )
@@ -77,16 +81,24 @@ class Presheaf:
 
 
 def presheaf_action(F: Presheaf, m: SiteMorphism) -> tuple[int, ...]:
-    """Index map of precomposition with an arbitrary site morphism."""
+    """Index map of precomposition with an arbitrary site morphism.
+
+    The word count, and the base and fibers of each word's free object, are
+    checked once for the morphism; every assignment of the target set then
+    respects those fibers, since it comes from hom_set.
+    """
     A = F.xmod
-    src_free = F.site.free(m.source)
-    out = []
-    for nu in F.sets[m.target]:
-        image = tuple(evaluate_word(w, A, nu) for w in m.words)
-        if len(image) != len(src_free.labels):
-            raise ShapeMismatchError(f"{m.name}: wrong number of words")
-        out.append(F.index[m.source][image])
-    return tuple(out)
+    if len(m.words) != len(F.site.free(m.source).labels):
+        raise ShapeMismatchError(f"{m.name}: wrong number of words")
+    omega = F.site.free(m.target).omega
+    for w in m.words:
+        if w.free.base != A.base:
+            raise BaseMismatchError(f"{A.name} is not over {w.free.base.name}")
+        if w.free.omega != omega:
+            raise FiberMismatchError(f"{m.name}: words are not over {m.target.describe()}")
+    images = zip(*(_word_images(w, A, F.sets[m.target]) for w in m.words))
+    index = F.index[m.source]
+    return tuple(index[image] for image in images)
 
 
 def compute_presheaf(A: CrossedModule, site: Site | None = None) -> Presheaf:
@@ -142,7 +154,7 @@ def component_shape_violations(phi: NaturalTransformation) -> tuple[str, ...]:
             out.append(f"component at {o.describe()} has length {len(comp)}")
             continue
         limit = len(G.sets[o])
-        if comp and not (0 <= min(comp) and max(comp) < limit):
+        if not all(is_index(v, limit) for v in comp):
             out.append(f"component at {o.describe()} has out-of-range values")
     return tuple(out)
 
@@ -168,56 +180,76 @@ def check_naturality(phi: NaturalTransformation) -> tuple[tuple[str, int], ...]:
 def enumerate_natural_transformations(
     F: Presheaf, G: Presheaf, budget: int = DEFAULT_BUDGET
 ) -> tuple[NaturalTransformation, ...]:
-    """All natural maps F -> G, by searching single components only.
+    """All natural maps F -> G, by a backtracking search over single components.
 
     The injection squares force every pair component to act coordinatewise,
-    so the search space is the product over single objects of all functions
-    between the fibers; each candidate is then checked on every generating
-    square.  The space size is gated by the budget.
+    so the variables are the entries of the single components: one per
+    (single object, index), assigned in site order, each trying the values
+    of G's set in ascending order, so the transformations come out in
+    lexicographic order of their single components.  A pair entry is set as
+    soon as both single entries it reads are.  Each generating square is
+    checked once, at the step that assigns the last variable it reads, and
+    every complete assignment is checked again by check_naturality.  Only
+    the two presheaves are read, never the crossed-module morphisms, so
+    verify_full_faithful compares two independently computed sets.  The
+    size of the generate-and-test space, the product of |G_o|^|F_o| over
+    the singles, is gated by the budget.
     """
     site = F.site
-    singles = [o for o in site.objects if o.kind == "single"]
     space = 1
-    for o in singles:
-        space *= len(G.sets[o]) ** len(F.sets[o])
+    for o in site.objects:
+        if o.kind == "single":
+            space *= len(G.sets[o]) ** len(F.sets[o])
     if space > budget:
         raise BudgetExceededError(
             f"natural transformation search needs {space} candidates, budget {budget}"
         )
+    # The components under construction.  Variable k is entry slots[k][1] of
+    # the single component slots[k][0] and takes the values below
+    # slots[k][2]; reads[o][i] lists the variables entry i of o depends on.
+    comps = {o: [0] * len(F.sets[o]) for o in site.objects}
+    slots: list[tuple[list[int], int, int]] = []
+    reads: dict[SiteObject, list[tuple[int, ...]]] = {}
+    for o in site.objects:
+        if o.kind == "single":
+            reads[o] = [(len(slots) + i,) for i in range(len(F.sets[o]))]
+            slots += [(comps[o], i, len(G.sets[o])) for i in range(len(F.sets[o]))]
+    # Per step, the pair entries it completes: G's pair index looked up from
+    # the two single values ...
+    pairs: list[list[tuple]] = [[] for _ in slots]
+    for o in site.objects:
+        if o.kind == "pair":
+            ox, oy = (SiteObject("single", (x,)) for x in o.xs)
+            lookup = [[G.index[o][(bx, by)] for (by,) in G.sets[oy]] for (bx,) in G.sets[ox]]
+            reads[o] = []
+            for j, (a, b) in enumerate(F.sets[o]):
+                ia, ib = F.index[ox][(a,)], F.index[oy][(b,)]
+                reads[o].append(reads[ox][ia] + reads[oy][ib])
+                pairs[max(reads[o][j])].append((comps[o], j, comps[ox], ia, comps[oy], ib, lookup))
+    # ... and the squares it completes, as in check_naturality.
+    squares: list[list[tuple]] = [[] for _ in slots]
+    for g in site.generators:
+        act_F, act_G = F.actions[g.name], G.actions[g.name]
+        for j, i in enumerate(act_F):
+            last = max(reads[g.source][i] + reads[g.target][j])
+            squares[last].append((comps[g.source], i, act_G, comps[g.target], j))
     out = []
-    choices = [
-        list(itertools.product(range(len(G.sets[o])), repeat=len(F.sets[o])))
-        for o in singles
-    ]
-    for combo in itertools.product(*choices):
-        components: dict[SiteObject, tuple[int, ...]] = {}
-        for o, comp in zip(singles, combo):
-            components[o] = tuple(comp)
-        ok = True
-        for o in site.objects:
-            if o.kind != "pair":
-                continue
-            x, y = o.xs
-            ox = SiteObject("single", (x,))
-            oy = SiteObject("single", (y,))
-            comp = []
-            for (a, b) in F.sets[o]:
-                ia = components[ox][F.index[ox][(a,)]]
-                ib = components[oy][F.index[oy][(b,)]]
-                image = (G.sets[ox][ia][0], G.sets[oy][ib][0])
-                idx = G.index[o].get(image)
-                if idx is None:
-                    ok = False
-                    break
-                comp.append(idx)
-            if not ok:
-                break
-            components[o] = tuple(comp)
-        if not ok:
-            continue
-        phi = NaturalTransformation(source=F, target=G, components=components)
-        if not check_naturality(phi):
-            out.append(phi)
+
+    def assign(k: int) -> None:
+        if k == len(slots):
+            phi = NaturalTransformation(F, G, {o: tuple(c) for o, c in comps.items()})
+            if not check_naturality(phi):
+                out.append(phi)
+            return
+        comp, i, size = slots[k]
+        for v in range(size):
+            comp[i] = v
+            for pair, j, cx, ia, cy, ib, lookup in pairs[k]:
+                pair[j] = lookup[cx[ia]][cy[ib]]
+            if all(src[a] == act[tgt[b]] for src, a, act, tgt, b in squares[k]):
+                assign(k + 1)
+
+    assign(0)
     return tuple(out)
 
 
@@ -230,11 +262,8 @@ def functor_on_morphism(f: XModMorphism, F: Presheaf, G: Presheaf) -> NaturalTra
         )
     components = {}
     for o in F.site.objects:
-        comp = []
-        for nu in F.sets[o]:
-            image = tuple(f.mapping[a] for a in nu)
-            comp.append(G.index[o][image])
-        components[o] = tuple(comp)
+        index = G.index[o]
+        components[o] = tuple(index[tuple(f.mapping[a] for a in nu)] for nu in F.sets[o])
     return NaturalTransformation(source=F, target=G, components=components)
 
 

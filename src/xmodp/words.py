@@ -184,13 +184,27 @@ def _check_assignment(free: FreeObject, A: CrossedModule, assignment: Sequence[i
 def evaluate_word(w: Word, A: CrossedModule, assignment: Sequence[int]) -> int:
     """Image of a word under the map the assignment induces from freeness."""
     _check_assignment(w.free, A, assignment)
+    return _word_images(w, A, (assignment,))[0]
+
+
+def _word_images(w: Word, A: CrossedModule, assignments: Sequence[Sequence[int]]) -> list[int]:
+    """Image of the word under each assignment, with no checks.
+
+    The caller guarantees that A is over the word's base and that every
+    assignment respects the fibers of its free object, as the assignments
+    of hom_set do.  Each symbol is translated once into its action row,
+    label index and sign.
+    """
     G = A.group
-    out = G.identity
-    for s in w.syms:
-        val = A.act(s.u, assignment[w.free.index_of(s.label)])
-        if s.exp == -1:
-            val = G.inverse[val]
-        out = G.table[out][val]
+    tab, inv = G.table, G.inverse
+    syms = [(A.action.table[s.u], w.free.index_of(s.label), s.exp == -1) for s in w.syms]
+    out = []
+    for nu in assignments:
+        val = G.identity
+        for row, i, inverted in syms:
+            m = row[nu[i]]
+            val = tab[val][inv[m] if inverted else m]
+        out.append(val)
     return out
 
 

@@ -10,8 +10,15 @@ from xmodp.errors import (
     OrderTooLargeError,
 )
 from xmodp.groups import (
+    _trusted_group,
+    all_subgroups,
+    automorphism_group,
     cyclic_group,
     klein_four_group,
+    make_group,
+    normal_subgroups,
+    quotient_group,
+    subgroup_group,
     symmetric_group_3,
     trivial_group,
 )
@@ -190,6 +197,33 @@ def test_kernel_pair_of_mono_is_diagonal():
     incl = make_xmod_morphism(trivial_xmod(C2, C2), _mod2_xmod(), [0, 2])
     cone = kernel_pair(incl)
     assert cone.elements == ((0, 0), (1, 1))
+
+
+def _internal_groups(kind):
+    """Groups whose tables xmodp builds itself, packaged without re-validation."""
+    cat = default_catalogue(C2, 4)
+    groups = [cyclic_group(n) for n in range(1, 7)] + [klein_four_group(), symmetric_group_3()]
+    if kind == "pullback":
+        into_A2 = [f for A in cat for f in enumerate_morphisms(A, _mod2_xmod())]
+        return [pullback(f, g).apex.group for f in into_A2[::2] for g in into_A2[1::3]]
+    if kind == "product":
+        return [product_over_P(A, B).apex.group for A in cat for B in cat[::2]]
+    if kind == "kernel-pair":
+        return [kernel_pair(f).apex.group for A in cat for B in cat[::3] for f in enumerate_morphisms(A, B)]
+    if kind == "quotient":
+        return [quotient_group(G, N).group for G in groups for N in normal_subgroups(G)]
+    if kind == "subgroup":
+        return [subgroup_group(G, H)[0] for G in groups for H in all_subgroups(G)]
+    return [automorphism_group(G).group for G in groups]
+
+
+@pytest.mark.parametrize("kind", ["pullback", "product", "kernel-pair", "quotient", "subgroup", "automorphism"])
+def test_internal_tables_pass_full_validation(kind):
+    built = _internal_groups(kind)
+    assert len(built) > 5
+    for G in built:
+        assert make_group(G.table, G.name) == G
+        assert _trusted_group(G.table, G.name) == G
 
 
 def test_kernel_pair_relation_is_equivalence():

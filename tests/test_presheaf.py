@@ -1,9 +1,13 @@
 """Tests for the presheaf embedding and its verification reports."""
 
+from dataclasses import replace
+
 import pytest
 
 from xmodp.errors import (
+    BaseMismatchError,
     BudgetExceededError,
+    FiberMismatchError,
     IsIsoError,
     NotMonoError,
     NotNaturalError,
@@ -11,10 +15,11 @@ from xmodp.errors import (
 )
 from xmodp.groups import cyclic_group, klein_four_group, trivial_group
 from xmodp import presheaf
-from xmodp.limits import Cocone, Cone, terminal_object
+from xmodp.limits import Cocone, Cone, EquivalenceRelation, equivalence_violations, terminal_object
 from xmodp.presheaf import (
     NaturalTransformation,
     check_naturality,
+    component_shape_violations,
     compute_presheaf,
     enumerate_natural_transformations,
     functor_on_morphism,
@@ -25,7 +30,7 @@ from xmodp.presheaf import (
     verify_exactness_preservation,
     verify_full_faithful,
 )
-from xmodp.words import SiteObject, build_site
+from xmodp.words import SiteObject, build_site, pair_object, symbol_word
 from xmodp.xmod import (
     compose_xmod_morphisms,
     conjugation_xmod,
@@ -112,6 +117,17 @@ def test_presheaf_action_on_composite_morphism():
     assert direct == chained
 
 
+def test_presheaf_action_rejects_malformed_morphisms():
+    F = compute_presheaf(_mod2_xmod())
+    sigma = F.site.by_name["sigma[1,1]"]
+    with pytest.raises(ShapeMismatchError):
+        presheaf_action(F, replace(sigma, words=sigma.words * 2))
+    with pytest.raises(FiberMismatchError):
+        presheaf_action(F, replace(sigma, words=F.site.by_name["sigma[0,1]"].words))
+    with pytest.raises(BaseMismatchError):
+        presheaf_action(F, replace(sigma, words=(symbol_word(pair_object(C3, 1, 1), "g0"),)))
+
+
 def test_functor_on_morphism_is_natural():
     A2, A1 = _mod2_xmod(), _id_xmod()
     F, G = compute_presheaf(A2), compute_presheaf(A1)
@@ -173,6 +189,26 @@ def test_check_naturality_shape_errors():
         check_naturality(NaturalTransformation(source=F, target=F, components=components))
 
 
+def _relation_with_bool():
+    pairs = frozenset({(0, 0), (True, 1), (2, 2), (3, 3), (0, 2), (2, 0), (1, 3), (3, 1)})
+    return equivalence_violations(EquivalenceRelation(_mod2_xmod(), pairs))
+
+
+def _component_with_bool():
+    F = compute_presheaf(_mod2_xmod())
+    components = dict(functor_on_morphism(identity_xmod_morphism(F.xmod), F, F).components)
+    assert components[_single(0)] == (0, 1)
+    components[_single(0)] = (0, True)
+    return component_shape_violations(NaturalTransformation(source=F, target=F, components=components))
+
+
+@pytest.mark.parametrize("report", [_relation_with_bool, _component_with_bool], ids=["relation", "component"])
+def test_bool_entry_is_reported_out_of_range(report):
+    # True == 1 is in range in both, so only a type check reports it.
+    (reason,) = report()
+    assert "out of range" in reason or "out-of-range" in reason
+
+
 def test_enumerate_natural_transformations_counts():
     A2, A1, A3 = _mod2_xmod(), _id_xmod(), _flat_xmod()
     F2, F1, F3 = compute_presheaf(A2), compute_presheaf(A1), compute_presheaf(A3)
@@ -201,8 +237,10 @@ def test_verify_full_faithful_matrix():
         ("A1", "A1"): 1, ("A1", "A2"): 0, ("A1", "A3"): 0,
         ("A2", "A1"): 1, ("A2", "A2"): 2, ("A2", "A3"): 0,
         ("A3", "A1"): 1, ("A3", "A2"): 2, ("A3", "A3"): 2,
+        # 6^6 = 46656 transformation candidates: slow unless the search prunes.
+        ("T6", "T6"): 6,
     }
-    named = {"A1": A1, "A2": A2, "A3": A3}
+    named = {"A1": A1, "A2": A2, "A3": A3, "T6": trivial_xmod(cyclic_group(6), C2)}
     for (sa, sb), count in expected.items():
         report = verify_full_faithful(named[sa], named[sb], site=site)
         assert report["pass"], (sa, sb, report)

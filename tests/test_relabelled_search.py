@@ -1,16 +1,18 @@
-"""Differential tests of the map search on relabelled groups and crossed modules.
+"""Differential tests of the map searches on relabelled groups and crossed modules.
 
 Each catalogue group, and each crossed module over C2 on one, gets fresh
 element labels that move the identity off index 0, as a session file from
 an arbitrary source may.  enumerate_homs, automorphism_group and
 enumerate_morphisms must then give exactly what filtering every map gives,
-in the same lexicographic order.
+and enumerate_natural_transformations exactly what testing every candidate
+family of components gives, in the same lexicographic order.
 """
 
 import itertools
 
 from hypothesis import given, settings, strategies as st
 
+from xmodp import groups, limits, presheaf, words, xmod
 from xmodp.groups import (
     automorphism_group,
     cyclic_group,
@@ -21,7 +23,14 @@ from xmodp.groups import (
     trivial_group,
 )
 from xmodp.limits import default_catalogue
-from xmodp.xmod import enumerate_morphisms, make_crossed_module, validate_morphism
+from xmodp.presheaf import (
+    NaturalTransformation,
+    check_naturality,
+    compute_presheaf,
+    enumerate_natural_transformations,
+)
+from xmodp.words import SiteObject, build_site
+from xmodp.xmod import enumerate_morphisms, fiber, make_crossed_module, validate_morphism
 
 C2 = cyclic_group(2)
 GROUPS = [trivial_group(), C2, cyclic_group(3), cyclic_group(4), klein_four_group(),
@@ -31,6 +40,15 @@ XMODS = default_catalogue(C2, 6)
 BASE = make_group([[1, 0], [0, 1]], "C2")
 BASE_LABEL = (1, 0)
 MAX_MORPHISM_SPACE = 4096
+SITE = build_site(BASE)
+# Pairs whose transformation candidates the oracle can test one by one.
+MAX_NAT_SPACE = 1296
+NAT_PAIRS = [
+    (A, B)
+    for A in XMODS
+    for B in XMODS
+    if len(fiber(B, 0)) ** len(fiber(A, 0)) * len(fiber(B, 1)) ** len(fiber(A, 1)) <= MAX_NAT_SPACE
+]
 
 
 def _inverse(perm):
@@ -129,3 +147,69 @@ def test_enumerate_morphisms_relabelled_matches_filter_oracle(pair):
         if validate_morphism(A, B, mapping) == ()
     ]
     assert [f.mapping for f in enumerate_morphisms(A, B)] == slow
+
+
+def _natural_transformations_oracle(F, G):
+    """Every family of single components, extended coordinatewise to the
+    pairs and kept when every naturality square commutes, in lexicographic
+    order of the single components."""
+    singles = [o for o in F.site.objects if o.kind == "single"]
+    choices = [
+        list(itertools.product(range(len(G.sets[o])), repeat=len(F.sets[o])))
+        for o in singles
+    ]
+    out = []
+    for combo in itertools.product(*choices):
+        components = dict(zip(singles, combo))
+        for o in F.site.objects:
+            if o.kind == "pair":
+                ox, oy = (SiteObject("single", (x,)) for x in o.xs)
+                components[o] = tuple(
+                    G.index[o][
+                        (
+                            G.sets[ox][components[ox][F.index[ox][(a,)]]][0],
+                            G.sets[oy][components[oy][F.index[oy][(b,)]]][0],
+                        )
+                    ]
+                    for (a, b) in F.sets[o]
+                )
+        phi = NaturalTransformation(source=F, target=G, components=components)
+        if not check_naturality(phi):
+            out.append(phi.components)
+    return out
+
+
+@st.composite
+def relabelled_presheaf_pairs(draw):
+    A, B = draw(st.sampled_from(NAT_PAIRS))
+    return (
+        compute_presheaf(_relabel_xmod(A, _labels(draw, A.group)), SITE),
+        compute_presheaf(_relabel_xmod(B, _labels(draw, B.group)), SITE),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_presheaf_pairs())
+def test_enumerate_natural_transformations_relabelled_matches_oracle(pair):
+    F, G = pair
+    fast = [phi.components for phi in enumerate_natural_transformations(F, G)]
+    assert fast == _natural_transformations_oracle(F, G)
+
+
+def test_natural_transformation_search_reads_only_the_presheaves(monkeypatch):
+    # verify_full_faithful compares morphisms with transformations, so the
+    # transformation side must not be computed by the morphism search.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the morphism search was called")
+
+    cases = [(compute_presheaf(A), compute_presheaf(B)) for A, B in NAT_PAIRS[::11]]
+    for module in (groups, xmod, limits, words, presheaf):
+        for name in ("enumerate_morphisms", "_search_homs"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    found = 0
+    for F, G in cases:
+        fast = [phi.components for phi in enumerate_natural_transformations(F, G)]
+        assert fast == _natural_transformations_oracle(F, G)
+        found += len(fast)
+    assert found > 0
