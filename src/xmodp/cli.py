@@ -94,7 +94,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except XmodError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    _emit(report, ns.output, ns.json)
+    try:
+        _emit(report, ns.output, ns.json)
+    except OSError as e:
+        print(f"error: cannot write {ns.output}: {e}", file=sys.stderr)
+        return 2
     return code
 
 

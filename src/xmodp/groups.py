@@ -50,6 +50,7 @@ __all__ = [
     "conjugacy_class",
     "element_order",
     "automorphism_group",
+    "MAX_AUTOMORPHISM_ORDER",
 ]
 
 
@@ -436,15 +437,20 @@ class AutGroup(NamedTuple):
     perms: tuple[tuple[int, ...], ...]
 
 
-def automorphism_group(M: Group, bound: int = 12) -> AutGroup:
+# Larger groups are refused: the search assigns every element in turn.
+MAX_AUTOMORPHISM_ORDER = 12
+
+
+def automorphism_group(M: Group) -> AutGroup:
     """Automorphism group: the bijective endomorphisms of M.
 
     perms[i] is the i-th automorphism as an image tuple, in lexicographic
     order, and group is the composition table (i * j applies j first).
+    Groups of order above MAX_AUTOMORPHISM_ORDER are refused.
     """
-    if M.order > bound:
+    if M.order > MAX_AUTOMORPHISM_ORDER:
         raise OrderTooLargeError(
-            f"{M.name}: order {M.order} exceeds automorphism search bound {bound}"
+            f"{M.name}: order {M.order} exceeds automorphism search bound {MAX_AUTOMORPHISM_ORDER}"
         )
     n = M.order
     perms = [p for p in _search_homs(M, M, [range(n)] * n) if len(set(p)) == n]

@@ -6,6 +6,10 @@ counts mediating morphisms by exhaustive search: exactly one for every
 commuting test cone or cocone, zero for every non-commuting one.  The
 default catalogue is every crossed module structure on the groups of order
 at most four over the session base, plus the diagram's own objects.
+
+Apexes and structure maps are built componentwise from valid crossed
+modules and morphisms, so they are packaged without re-validation.  Pair
+sets are not validated on entry, so they are checked before use.
 """
 
 from __future__ import annotations
@@ -15,15 +19,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import (
-    DiagramMismatchError,
-    NotEquivalenceRelationError,
-    OrderTooLargeError,
-    ValidationError,
-)
+from .errors import DiagramMismatchError, NotEquivalenceRelationError, OrderTooLargeError
 from .groups import (
     Group,
-    GroupHom,
     _trusted_group,
     cyclic_group,
     is_index,
@@ -38,11 +36,10 @@ from .xmod import (
     DEFAULT_BUDGET,
     CrossedModule,
     XModMorphism,
+    _trusted_xmod,
     all_crossed_modules,
     conjugation_action,
     enumerate_morphisms,
-    make_crossed_module,
-    make_xmod_morphism,
     structure_key,
 )
 
@@ -106,18 +103,14 @@ def _after(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
 
 
 def _sub_xmod(A: CrossedModule, elems: Iterable[int], name: str) -> tuple[CrossedModule, XModMorphism]:
-    """A subset of M as a crossed module, with the inclusion morphism."""
+    """A subgroup of M closed under the base action, with the inclusion morphism."""
     sub = tuple(sorted(set(elems)))
     H, incl = subgroup_group(A.group, sub, name=f"{name}#grp")
     pos = {g: i for i, g in enumerate(sub)}
-    for p in range(A.base.order):
-        for m in sub:
-            if A.act(p, m) not in pos:
-                raise ValidationError(f"{name}: subset is not closed under the base action")
     boundary = [A.boundary.image[m] for m in sub]
     action = [[pos[A.act(p, m)] for m in sub] for p in range(A.base.order)]
-    S = make_crossed_module(name, H, A.base, boundary, action)
-    return S, make_xmod_morphism(S, A, sub)
+    S = _trusted_xmod(name, H, A.base, boundary, action)
+    return S, XModMorphism(S, A, sub)
 
 
 def _check_parallel(f: XModMorphism, g: XModMorphism) -> None:
@@ -140,9 +133,9 @@ def equaliser(f: XModMorphism, g: XModMorphism) -> Cone:
 def _quotient(A: CrossedModule, N: Sequence[int], kind: str, name: str, group_name: str) -> Cocone:
     """A by the normal subgroup N, with boundary and action carried down to the classes.
 
-    Each class is read through its least element.  The projection is
-    validated as a morphism, which checks that the boundary and the action
-    are constant on every class.
+    N must lie in the kernel of the boundary and be stable under the base
+    action; then the boundary and the action are constant on every class,
+    so each class is read through its least element.
     """
     quot = quotient_group(A.group, N, name=group_name)
     class_of = quot.projection.image
@@ -152,31 +145,23 @@ def _quotient(A: CrossedModule, N: Sequence[int], kind: str, name: str, group_na
     )
     boundary = [A.boundary.image[members[0]] for members in classes]
     action = [[class_of[A.act(p, members[0])] for members in classes] for p in range(A.base.order)]
-    apex = make_crossed_module(name, quot.group, A.base, boundary, action)
-    proj = make_xmod_morphism(A, apex, class_of)
+    apex = _trusted_xmod(name, quot.group, A.base, boundary, action)
+    proj = XModMorphism(A, apex, class_of)
     return Cocone(kind=kind, apex=apex, legs=(proj,), classes=classes)
 
 
 def coequaliser(f: XModMorphism, g: XModMorphism) -> Cocone:
     """Quotient of the common target by the normal closure of f(c)g(c)^-1.
 
-    The closure lies in the kernel of the target boundary and is stable
-    under the base action; both facts are rechecked here so the quotient
-    boundary and action are well defined on classes.
+    f and g commute with the boundaries and the action, so the generators
+    lie in ker(boundary) and are permuted by the action; their normal
+    closure keeps both properties, as _quotient needs.
     """
     _check_parallel(f, g)
     B = f.target
     G = B.group
     gens = {G.table[f.mapping[c]][G.inverse[g.mapping[c]]] for c in range(f.source.group.order)}
     N = normal_closure(G, gens)
-    for n in N:
-        if B.boundary.image[n] != B.base.identity:
-            raise ValidationError(f"coequaliser: closure element {n} is outside ker(boundary)")
-    nset = set(N)
-    for p in range(B.base.order):
-        for n in N:
-            if B.act(p, n) not in nset:
-                raise ValidationError(f"coequaliser: closure is not stable under the action")
     return _quotient(B, N, "coequaliser", f"coeq({B.name})", f"{G.name}/{len(N)}")
 
 
@@ -195,9 +180,9 @@ def _pair_apex(
         [pos[(C.act(p, c), D.act(p, d))] for (c, d) in pairs]
         for p in range(C.base.order)
     ]
-    apex = make_crossed_module(name, G, C.base, boundary, action)
-    p1 = make_xmod_morphism(apex, C, [c for (c, _) in pairs])
-    p2 = make_xmod_morphism(apex, D, [d for (_, d) in pairs])
+    apex = _trusted_xmod(name, G, C.base, boundary, action)
+    p1 = XModMorphism(apex, C, tuple(c for (c, _) in pairs))
+    p2 = XModMorphism(apex, D, tuple(d for (_, d) in pairs))
     return apex, p1, p2
 
 
@@ -220,19 +205,13 @@ def pullback(f: XModMorphism, g: XModMorphism, name: str | None = None, kind: st
 
 def terminal_object(P: Group) -> CrossedModule:
     """The base over itself with identity boundary and conjugation action."""
-    return CrossedModule(
-        name=f"terminal({P.name})",
-        group=P,
-        base=P,
-        boundary=GroupHom(P, P, tuple(range(P.order))),
-        action=conjugation_action(P),
-    )
+    return _trusted_xmod(f"terminal({P.name})", P, P, range(P.order), conjugation_action(P).table)
 
 
 def unique_to_terminal(A: CrossedModule, T: CrossedModule | None = None) -> XModMorphism:
     """The boundary of A, viewed as the only morphism into the terminal object."""
     T = T if T is not None else terminal_object(A.base)
-    return make_xmod_morphism(A, T, A.boundary.image)
+    return XModMorphism(A, T, A.boundary.image)
 
 
 def product_over_P(A: CrossedModule, B: CrossedModule) -> Cone:
@@ -315,8 +294,15 @@ def is_equivalence_relation(E: EquivalenceRelation) -> bool:
     return not equivalence_violations(E)
 
 
+def _require_equivalence(E: EquivalenceRelation) -> None:
+    reasons = equivalence_violations(E)
+    if reasons:
+        raise NotEquivalenceRelationError(f"{E.carrier.name}: " + "; ".join(reasons[:5]))
+
+
 def relation_xmod(E: EquivalenceRelation) -> tuple[CrossedModule, XModMorphism, XModMorphism]:
-    """The pair set as a crossed module with its two projections to the carrier."""
+    """The pair set, checked to be an equivalence relation, as a crossed module with its projections."""
+    _require_equivalence(E)
     return _pair_apex(E.carrier, E.carrier, sorted(E.pairs), name=f"rel({E.carrier.name})")
 
 
@@ -328,9 +314,7 @@ def quotient_by_equivalence(A: CrossedModule, E: EquivalenceRelation) -> Cocone:
     """
     if E.carrier != A:
         raise DiagramMismatchError(f"relation carrier {E.carrier.name} is not {A.name}")
-    reasons = equivalence_violations(E)
-    if reasons:
-        raise NotEquivalenceRelationError(f"{A.name}: " + "; ".join(reasons[:5]))
+    _require_equivalence(E)
     e = A.group.identity
     N = [b for b in range(A.group.order) if (e, b) in E.pairs]
     return _quotient(A, N, "quotient", f"{A.name}/E", f"{A.group.name}/E")
@@ -354,10 +338,7 @@ def image_factorization(f: XModMorphism) -> ImageFactorization:
     """Coequalise the kernel pair of f, then include the quotient in the target."""
     kp = kernel_pair(f)
     epi = coequaliser(kp.legs[0], kp.legs[1])
-    reps = [members[0] for members in epi.classes]
-    mono = make_xmod_morphism(epi.apex, f.target, [f.mapping[r] for r in reps])
-    if _after(mono.mapping, epi.legs[0].mapping) != f.mapping:
-        raise ValidationError(f"image factorization of {f.source.name} does not recompose")
+    mono = XModMorphism(epi.apex, f.target, tuple(f.mapping[members[0]] for members in epi.classes))
     return ImageFactorization(epi=epi, mono=mono)
 
 

@@ -10,12 +10,16 @@ Validation returns violations as data, so a caller can inspect every failed
 axiom with its witnessing indices instead of stopping at the first.
 Morphisms keep the base fixed: they are group maps M -> M' commuting with
 the boundaries and with the action.
+
+Data from outside is validated once, by the make_* constructors.  What
+xmodp builds from valid crossed modules and morphisms (catalogue entries,
+the terminal object, limit apexes) is packaged unchecked by _trusted_xmod.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     BaseMismatchError,
@@ -181,17 +185,24 @@ def crossed_module_violations(
         for b in range(group.order):
             if boundary[group.table[a][b]] != base.table[boundary[a]][boundary[b]]:
                 out.append(Violation("boundary-hom", (a, b)))
+    out.extend(_structure_violations(group, base, boundary, action, check_cm2))
+    return tuple(out)
+
+
+def _structure_violations(
+    group: Group, base: Group, boundary: Sequence[int], action: Sequence[Sequence[int]], check_cm2: bool = True
+) -> Iterator[Violation]:
+    """CM1 then CM2 failures, for a boundary hom and an action that are valid."""
     for p in range(base.order):
         for m in range(group.order):
             if boundary[action[p][m]] != base.conj(p, boundary[m]):
-                out.append(Violation("cm1", (p, m)))
+                yield Violation("cm1", (p, m))
     if check_cm2:
         for m in range(group.order):
             pm = boundary[m]
             for n in range(group.order):
                 if action[pm][n] != group.conj(m, n):
-                    out.append(Violation("cm2", (m, n)))
-    return tuple(out)
+                    yield Violation("cm2", (m, n))
 
 
 def validate_crossed_module(A: CrossedModule) -> tuple[Violation, ...]:
@@ -212,6 +223,11 @@ def make_crossed_module(
             f"{name}: " + "; ".join(v.describe() for v in bad[:5]),
             violations=bad,
         )
+    return _trusted_xmod(name, group, base, boundary, action)
+
+
+def _trusted_xmod(name: str, group: Group, base: Group, boundary: Sequence[int], action: Sequence[Sequence[int]]) -> CrossedModule:
+    """Package, unchecked, data built from valid crossed modules and morphisms."""
     return CrossedModule(
         name=name,
         group=group,
@@ -243,9 +259,9 @@ def conjugation_xmod(G: Group, normal_elems: Sequence[int], name: str | None = N
     )
 
 
-def automorphism_xmod(M: Group, bound: int = 12, name: str | None = None) -> CrossedModule:
+def automorphism_xmod(M: Group, name: str | None = None) -> CrossedModule:
     """M over its automorphism group, boundary sending m to conjugation by m."""
-    aut: AutGroup = automorphism_group(M, bound=bound)
+    aut: AutGroup = automorphism_group(M)
     pos = {p: i for i, p in enumerate(aut.perms)}
     boundary = [pos[tuple(M.conj(m, x) for x in range(M.order))] for m in range(M.order)]
     action = [list(aut.perms[phi]) for phi in range(aut.group.order)]
@@ -449,24 +465,15 @@ def all_crossed_modules(M: Group, P: Group, name_prefix: str = "") -> tuple[Cros
     """Every crossed module structure on M over P.
 
     Boundaries range over all homomorphisms M -> P, actions over all
-    homomorphisms P -> Aut(M); each combination is kept when CM1 and CM2
-    hold.  Order is deterministic in (boundary, action) enumeration order.
+    homomorphisms P -> Aut(M).  Those already satisfy the boundary and
+    action axioms, so each combination is kept when CM1 and CM2 hold.
+    Order is deterministic in (boundary, action) enumeration order.
     """
     aut = automorphism_group(M)
     out = []
-    k = 0
     for bnd in enumerate_homs(M, P):
         for act_hom in enumerate_homs(P, aut.group):
             action = tuple(aut.perms[act_hom.image[p]] for p in range(P.order))
-            if not crossed_module_violations(M, P, bnd.image, action):
-                out.append(
-                    CrossedModule(
-                        name=f"{name_prefix}{M.name}.{k}",
-                        group=M,
-                        base=P,
-                        boundary=GroupHom(M, P, bnd.image),
-                        action=Action(actor=P, space=M, table=action),
-                    )
-                )
-                k += 1
+            if next(_structure_violations(M, P, bnd.image, action), None) is None:
+                out.append(_trusted_xmod(f"{name_prefix}{M.name}.{len(out)}", M, P, bnd.image, action))
     return tuple(out)

@@ -50,6 +50,7 @@ from xmodp.limits import (
 )
 from xmodp.xmod import (
     conjugation_xmod,
+    crossed_module_violations,
     enumerate_morphisms,
     identity_xmod_morphism,
     make_crossed_module,
@@ -226,6 +227,52 @@ def test_internal_tables_pass_full_validation(kind):
         assert _trusted_group(G.table, G.name) == G
 
 
+def _internal_xmods(kind):
+    """Crossed modules xmodp builds itself, each with its structure maps,
+    packaged without re-validation."""
+    cat = default_catalogue(C2, 4)
+    into_A2 = [f for A in cat for f in enumerate_morphisms(A, _mod2_xmod())]
+    maps = [f for A in cat for B in cat[::3] for f in enumerate_morphisms(A, B)]
+    if kind == "pullback":
+        cones = [pullback(f, g) for f in into_A2[::2] for g in into_A2[1::3]]
+    elif kind == "product":
+        cones = [product_over_P(A, B) for A in cat for B in cat[::2]]
+    elif kind == "kernel-pair":
+        cones = [kernel_pair(f) for f in maps]
+    elif kind == "relation":
+        return [(R, (u, v)) for R, u, v in (relation_xmod(kernel_pair_relation(f)) for f in maps)]
+    elif kind == "equaliser":
+        cones = [equaliser(f, g) for f in into_A2 for g in into_A2 if f.source == g.source]
+    elif kind == "coequaliser":
+        cones = [coequaliser(f, g) for f in maps for g in maps if (f.source, f.target) == (g.source, g.target)]
+    elif kind == "quotient":
+        cones = [quotient_by_equivalence(f.source, kernel_pair_relation(f)) for f in maps]
+    elif kind == "image":
+        facts = [image_factorization(f) for f in maps]
+        return [(F.epi.apex, F.epi.legs + (F.mono,)) for F in facts]
+    else:
+        return [
+            (A, (unique_to_terminal(A),))
+            for P in (C2, klein_four_group(), symmetric_group_3())
+            for A in default_catalogue(P, 6) + (terminal_object(P),)
+        ]
+    return [(cone.apex, cone.legs) for cone in cones]
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["pullback", "product", "kernel-pair", "relation", "equaliser", "coequaliser", "quotient", "image", "catalogue"],
+)
+def test_internal_xmods_pass_full_validation(kind):
+    built = _internal_xmods(kind)
+    assert len(built) > 5
+    for A, structure_maps in built:
+        assert crossed_module_violations(A.group, A.base, A.boundary.image, A.action.table) == ()
+        assert make_crossed_module(A.name, A.group, A.base, A.boundary.image, A.action.table) == A
+        for f in structure_maps:
+            assert validate_morphism(f.source, f.target, f.mapping) == ()
+
+
 def test_kernel_pair_relation_is_equivalence():
     E = kernel_pair_relation(_mod2_morphism())
     assert len(E.pairs) == 8
@@ -280,6 +327,13 @@ def test_relation_xmod_projections():
     assert validate_morphism(R, E.carrier, u.mapping) == ()
     assert validate_morphism(R, E.carrier, v.mapping) == ()
     assert {(u.mapping[i], v.mapping[i]) for i in range(8)} == set(E.pairs)
+
+
+def test_relation_xmod_rejects_non_relation():
+    # Not an equivalence sub-crossed-module: 0 and 1 have unequal boundaries.
+    E = EquivalenceRelation(_id_xmod(), frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}))
+    with pytest.raises(NotEquivalenceRelationError):
+        relation_xmod(E)
 
 
 def test_image_factorization_of_mod2():

@@ -4,8 +4,9 @@ Each catalogue group, and each crossed module over C2 on one, gets fresh
 element labels that move the identity off index 0, as a session file from
 an arbitrary source may.  enumerate_homs, automorphism_group and
 enumerate_morphisms must then give exactly what filtering every map gives,
+all_crossed_modules exactly what the full crossed-module validation keeps,
 and enumerate_natural_transformations exactly what testing every candidate
-family of components gives, in the same lexicographic order.
+family of components gives, in the same order.
 """
 
 import itertools
@@ -30,7 +31,15 @@ from xmodp.presheaf import (
     enumerate_natural_transformations,
 )
 from xmodp.words import SiteObject, build_site
-from xmodp.xmod import enumerate_morphisms, fiber, make_crossed_module, validate_morphism
+from xmodp.xmod import (
+    all_crossed_modules,
+    crossed_module_violations,
+    enumerate_morphisms,
+    fiber,
+    make_crossed_module,
+    structure_key,
+    validate_morphism,
+)
 
 C2 = cyclic_group(2)
 GROUPS = [trivial_group(), C2, cyclic_group(3), cyclic_group(4), klein_four_group(),
@@ -147,6 +156,27 @@ def test_enumerate_morphisms_relabelled_matches_filter_oracle(pair):
         if validate_morphism(A, B, mapping) == ()
     ]
     assert [f.mapping for f in enumerate_morphisms(A, B)] == slow
+
+
+def _all_crossed_modules_oracle(M, P):
+    """Structure keys of every (boundary, action) pair from the homomorphisms
+    M -> P and P -> Aut(M) that passes the full crossed-module validation,
+    in enumeration order."""
+    aut = automorphism_group(M)
+    out = []
+    for bnd in enumerate_homs(M, P):
+        for act_hom in enumerate_homs(P, aut.group):
+            action = tuple(aut.perms[act_hom.image[p]] for p in range(P.order))
+            if not crossed_module_violations(M, P, bnd.image, action):
+                out.append((M.table, bnd.image, action))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_groups(), st.one_of(st.just(BASE), relabelled_groups()))
+def test_all_crossed_modules_relabelled_matches_full_validation_oracle(M, P):
+    fast = [structure_key(A) for A in all_crossed_modules(M, P)]
+    assert fast == _all_crossed_modules_oracle(M, P)
 
 
 def _natural_transformations_oracle(F, G):

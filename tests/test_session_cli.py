@@ -331,6 +331,16 @@ def test_cli_usage_failures_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+    path = _write_session(tmp_path)
+    out = tmp_path / "missing" / "report.json"
+    assert main(["validate", "--input", path, "--output", str(out)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith(f"error: cannot write {out}: ")
+    assert not out.exists()
+
+
 def test_cli_argparse_errors(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["colimit", "--input", "x.json"])

@@ -1,0 +1,68 @@
+"""Static checks on the package source, with the standard library's ast.
+
+Every name a module imports is used there or re-exported through its
+__all__, and every private function or method is referenced somewhere in
+the package.  __init__.py imports only to re-export, so it is not checked
+for unused imports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "xmodp"
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _referenced(tree):
+    """Names read in the module, as bare names or as attributes."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def _imported(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def test_package_modules_are_found():
+    assert {"__init__.py", "groups.py", "xmod.py", "limits.py", "cli.py"} <= set(TREES)
+
+
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__.py"}))
+def test_no_unused_imports(module):
+    tree = TREES[module]
+    used = _referenced(tree) | _exported(tree)
+    assert [name for name in _imported(tree) if name not in used] == []
+
+
+def test_every_private_function_is_referenced():
+    referenced = set().union(*(_referenced(tree) for tree in TREES.values()))
+    unreferenced = [
+        f"{module}:{node.lineno} {node.name}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+        and node.name not in referenced
+    ]
+    assert unreferenced == []
