@@ -56,8 +56,46 @@ def _summary_line(report: dict) -> str:
     return f"{report.get('command', '?')}: {status}{tail}"
 
 
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value: object, pad: str = "") -> str:
+    """json.dumps(value, indent=2), byte for byte, without its per-token chunks.
+
+    A list of plain ints, such as a table row, is written with one join.
+    Anything else (floats, int subclasses, dicts with non-str keys) goes to
+    json.dumps itself, with its lines indented to the current depth.
+    """
+    if isinstance(value, str):
+        return _ENCODE_STR(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(x) is int for x in value):
+            body = sep.join(map(int.__repr__, value))
+        else:
+            body = sep.join([_json_text(x, inner) for x in value])
+        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        if not value:
+            return "{}"
+        body = sep.join([_ENCODE_STR(k) + ": " + _json_text(v, inner) for k, v in value.items()])
+        return "{\n" + inner + body + "\n" + pad + "}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
 def _emit(report: dict, output: str, as_json: bool) -> None:
-    text = json.dumps(report, indent=2) if as_json else _summary_line(report)
+    text = _json_text(report) if as_json else _summary_line(report)
     if output == "-":
         print(text)
     else:

@@ -2,16 +2,25 @@
 
 Elements of a group of order n are the indices 0..n-1.  A group is a
 validated Cayley table plus the identity and inverse data derived from it.
-Tables from outside (session files, the library constructors) are fully
-validated by make_group; tables built from groups that are already valid
-(subgroups, quotients, automorphism groups, the pair apexes of limits) are
-packaged by _trusted_group without the O(n^3) associativity check.
+Tables from outside (session files, the library constructors) are validated
+by make_group; tables built from groups that are already valid (subgroups,
+quotients, automorphism groups, the pair apexes of limits) are packaged by
+_trusted_group with no associativity check at all.
+
+Validation by generators: an axiom whose satisfying elements are closed
+under products needs checking only on a generating set.  make_group checks
+associativity by Light's test, (x*s)*y == x*(s*y) for s in
+_generating_set(table), in O(n^2 |S|) instead of the O(n^3) scan, and
+hom_violation checks multiplicativity on (a, s) pairs.  Passing on
+generators is a proof, so the full scan runs only to name the first
+witness of a table or map that fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     IndexOutOfRangeError,
@@ -67,6 +76,11 @@ class Group:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
+    @cached_property
+    def _gens(self) -> tuple[int, ...]:
+        """_generating_set(table), computed once per group."""
+        return _generating_set(self.table)
+
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
@@ -106,12 +120,9 @@ def make_group(table: Sequence[Sequence[int]], name: str = "G") -> Group:
                 raise IndexOutOfRangeError(f"{name}: entry [{i}][{j}] = {v!r} not in 0..{n - 1}")
         rows.append(row)
     t = tuple(rows)
-    for a in range(n):
-        for b in range(n):
-            ab = t[a][b]
-            for c in range(n):
-                if t[ab][c] != t[a][t[b][c]]:
-                    raise NotAssociativeError(f"{name}: (a, b, c) = ({a}, {b}, {c})")
+    if not _associative(t):
+        a, b, c = _associativity_witness(t)
+        raise NotAssociativeError(f"{name}: (a, b, c) = ({a}, {b}, {c})")
     identity = None
     for e in range(n):
         if all(t[e][a] == a and t[a][e] == a for a in range(n)):
@@ -130,6 +141,74 @@ def make_group(table: Sequence[Sequence[int]], name: str = "G") -> Group:
             raise NoInverseError(f"{name}: element {a} has no inverse")
         inverse.append(inv)
     return Group(name=name, order=n, table=t, identity=identity, inverse=tuple(inverse))
+
+
+def _greedy_generators(elements: Sequence[Hashable], mul: Callable) -> tuple | None:
+    """Greedy generators of elements under right multiplication, or None.
+
+    elements are taken in the order given, and one not yet reached becomes
+    the next generator; the reached set is then closed again under
+    x -> mul(x, s) for every generator s.  So each element is a left-nested
+    product (..(s1*s2)*..)*sk of generators, and no associativity or
+    identity is assumed.  Returns None as soon as a product of reached
+    elements falls outside elements.
+    """
+    members = set(elements)
+    gens: list = []
+    reached: list = []
+    seen: set = set()
+    for g in elements:
+        if g in seen:
+            continue
+        gens.append(g)
+        stack = [g] + [mul(x, g) for x in reached]
+        while stack:
+            y = stack.pop()
+            if y in seen:
+                continue
+            if y not in members:
+                return None
+            seen.add(y)
+            reached.append(y)
+            stack.extend(mul(y, s) for s in gens)
+    return tuple(gens)
+
+
+def _generating_set(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Indices whose closure under right multiplication is the whole table.
+
+    Greedy in index order; the table only needs entries in range.
+    """
+    return _greedy_generators(range(len(table)), lambda x, s: table[x][s])
+
+
+def _associative(t: Sequence[Sequence[int]]) -> bool:
+    """Light's associativity test on a generating set of the table.
+
+    The s with (x*s)*y == x*(s*y) for all x, y are closed under products
+    without assuming associativity: for such s and u,
+    (x*(su))*y = ((xs)u)y = (xs)(uy) = x(s(uy)) = x((su)y).  So when every
+    generator passes, every left-nested product of generators, that is
+    every element, passes.
+    """
+    for s in _generating_set(t):
+        row_s = t[s]
+        for row_x in t:
+            if t[row_x[s]] != tuple(map(row_x.__getitem__, row_s)):
+                return False
+    return True
+
+
+def _associativity_witness(t: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+    """The first (a, b, c) in index order with (ab)c != a(bc), or None."""
+    n = len(t)
+    for a in range(n):
+        for b in range(n):
+            ab = t[a][b]
+            for c in range(n):
+                if t[ab][c] != t[a][t[b][c]]:
+                    return (a, b, c)
+    return None
 
 
 def _trusted_group(table: Sequence[Sequence[int]], name: str) -> Group:
@@ -208,12 +287,34 @@ class GroupHom:
 
 
 def hom_violation(domain: Group, codomain: Group, image: Sequence[int]) -> tuple[int, int] | None:
-    """Return a pair (a, b) where multiplicativity fails, or None."""
-    for a in range(domain.order):
-        for b in range(domain.order):
-            if image[domain.table[a][b]] != codomain.table[image[a]][image[b]]:
-                return (a, b)
-    return None
+    """Return the first pair (a, b) where multiplicativity fails, or None."""
+    if _multiplicative(domain, codomain, image):
+        return None
+    return next(_hom_failures(domain, codomain, image))
+
+
+def _multiplicative(domain: Group, codomain: Group, image: Sequence[int]) -> bool:
+    """True when image[ab] == image[a] image[b], checked for b in a generating set.
+
+    Both groups are associative, so the b that pass for every a are closed
+    under products and the check on generators covers every b.
+    """
+    tab = codomain.table
+    for b in domain._gens:
+        ib = image[b]
+        for a, row in enumerate(domain.table):
+            if image[row[b]] != tab[image[a]][ib]:
+                return False
+    return True
+
+
+def _hom_failures(domain: Group, codomain: Group, image: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """Every pair (a, b) with image[ab] != image[a] image[b], in index order."""
+    tab = codomain.table
+    for a, row in enumerate(domain.table):
+        for b, ab in enumerate(row):
+            if image[ab] != tab[image[a]][image[b]]:
+                yield (a, b)
 
 
 def make_hom(domain: Group, codomain: Group, image: Sequence[int]) -> GroupHom:

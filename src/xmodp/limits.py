@@ -22,6 +22,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .errors import DiagramMismatchError, NotEquivalenceRelationError, OrderTooLargeError
 from .groups import (
     Group,
+    _greedy_generators,
     _trusted_group,
     cyclic_group,
     is_index,
@@ -258,6 +259,40 @@ def equivalence_violations(E: EquivalenceRelation) -> tuple[str, ...]:
     for (a, b) in sorted(E.pairs):
         if not (is_index(a, n) and is_index(b, n)):
             return (f"pair ({a}, {b}) out of range",)
+    if _equivalence_holds(E):
+        return ()
+    return _equivalence_scan(E)
+
+
+def _equivalence_holds(E: EquivalenceRelation) -> bool:
+    """E is an equivalence sub-crossed-module, proved on generators; False if it may not be.
+
+    Equal boundaries and reflexivity are checked in full.  Growing E from
+    greedy generators under right multiplication without leaving E shows
+    that E is closed under products, so it is a subgroup of M x M.  The
+    pairs mapped back into E by an actor are then closed under products,
+    and the actors doing so for all of E too, so generators of P times
+    generators of E suffice.  A reflexive subgroup of M x M is symmetric and
+    transitive: (b, a) = (b, b)(a, b)^-1(a, a), (a, c) = (a, b)(b, b)^-1(b, c).
+    """
+    A = E.carrier
+    pairs = E.pairs
+    bnd, t = A.boundary.image, A.group.table
+    if any(bnd[a] != bnd[b] for a, b in pairs):
+        return False
+    if any((a, a) not in pairs for a in range(A.group.order)):
+        return False
+    gens = _greedy_generators(sorted(pairs), lambda x, s: (t[x[0]][s[0]], t[x[1]][s[1]]))
+    return gens is not None and all(
+        (A.act(p, a), A.act(p, b)) in pairs for p in A.base._gens for a, b in gens
+    )
+
+
+def _equivalence_scan(E: EquivalenceRelation) -> tuple[str, ...]:
+    """Every reason E fails, for pairs in range."""
+    A = E.carrier
+    n = A.group.order
+    out = []
     for (a, b) in sorted(E.pairs):
         if A.boundary.image[a] != A.boundary.image[b]:
             out.append(f"pair ({a}, {b}) has unequal boundaries")

@@ -14,6 +14,12 @@ the boundaries and with the action.
 Data from outside is validated once, by the make_* constructors.  What
 xmodp builds from valid crossed modules and morphisms (catalogue entries,
 the terminal object, limit apexes) is packaged unchecked by _trusted_xmod.
+
+Each validator first proves the axioms on generating sets of M and P (the
+elements satisfying each axiom are closed under products, given the axioms
+checked before it), at the cost of one pass over a table per generator.
+Only when that proof fails does it run the full scan, which lists every
+violation in index order.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ from .groups import (
     AutGroup,
     Group,
     GroupHom,
+    _hom_failures,
+    _multiplicative,
     _search_homs,
     automorphism_group,
     center,
@@ -114,6 +122,41 @@ def action_violations(actor: Group, space: Group, table: Sequence[Sequence[int]]
                 out.append(Violation("action-range", (p, m)))
     if out:
         return tuple(out)
+    if _action_holds(actor, space, rows):
+        return ()
+    return _action_scan(actor, space, rows)
+
+
+def _action_holds(actor: Group, space: Group, rows: Sequence[tuple[int, ...]]) -> bool:
+    """The action axioms, proved on generators; False if any may fail.
+
+    The identity row is checked in full.  The q with (pq).m = p.(q.m) for
+    all p, m are closed under products, so composition is checked for q in
+    a generating set of the actor.  Rows then compose, so the p whose row is
+    an endomorphism are closed under products, and a row is one when
+    p.(mn) = (p.m)(p.n) holds for n in a generating set of the space.
+    """
+    if rows[actor.identity] != tuple(range(space.order)):
+        return False
+    for q in actor._gens:
+        row_q = rows[q]
+        for p, prow in enumerate(actor.table):
+            if rows[prow[q]] != tuple(map(rows[p].__getitem__, row_q)):
+                return False
+    tab = space.table
+    for p in actor._gens:
+        row_p = rows[p]
+        for n in space._gens:
+            pn = row_p[n]
+            for m, mrow in enumerate(tab):
+                if row_p[mrow[n]] != tab[row_p[m]][pn]:
+                    return False
+    return True
+
+
+def _action_scan(actor: Group, space: Group, rows: Sequence[tuple[int, ...]]) -> tuple[Violation, ...]:
+    """Every action-identity, action-composition and action-product failure."""
+    out = []
     for m in range(space.order):
         if rows[actor.identity][m] != m:
             out.append(Violation("action-identity", (m,)))
@@ -180,13 +223,38 @@ def crossed_module_violations(
     shape_bad = [v for v in act_bad if v.axiom in ("action-shape", "action-range")]
     if out or shape_bad:
         return tuple(out) + tuple(shape_bad)
+    if not act_bad and _crossed_holds(group, base, boundary, action, check_cm2):
+        return ()
     out.extend(act_bad)
-    for a in range(group.order):
-        for b in range(group.order):
-            if boundary[group.table[a][b]] != base.table[boundary[a]][boundary[b]]:
-                out.append(Violation("boundary-hom", (a, b)))
+    out.extend(Violation("boundary-hom", w) for w in _hom_failures(group, base, boundary))
     out.extend(_structure_violations(group, base, boundary, action, check_cm2))
     return tuple(out)
+
+
+def _crossed_holds(
+    group: Group, base: Group, boundary: Sequence[int], action: Sequence[Sequence[int]], check_cm2: bool
+) -> bool:
+    """Boundary hom, CM1 and (if check_cm2) CM2, proved on generators of a valid action.
+
+    With the boundary a homomorphism and each row an automorphism, both
+    sides of CM1 are homomorphisms in m, and the p satisfying it for all m
+    are closed under products; likewise both sides of CM2 in n, and the m
+    satisfying it for all n.  So p in a generating set of P and m, n in
+    one of M suffice.
+    """
+    if not _multiplicative(group, base, boundary):
+        return False
+    for p in base._gens:
+        for m in group._gens:
+            if boundary[action[p][m]] != base.conj(p, boundary[m]):
+                return False
+    if check_cm2:
+        for m in group._gens:
+            row = action[boundary[m]]
+            for n in group._gens:
+                if row[n] != group.conj(m, n):
+                    return False
+    return True
 
 
 def _structure_violations(
@@ -385,10 +453,34 @@ def morphism_violations(A: CrossedModule, B: CrossedModule, mapping: Sequence[in
             out.append(Violation("map-range", (m,)))
     if out:
         return tuple(out)
-    for a in range(nA):
-        for b in range(nA):
-            if mapping[A.group.table[a][b]] != B.group.table[mapping[a]][mapping[b]]:
-                out.append(Violation("map-hom", (a, b)))
+    if _morphism_holds(A, B, mapping):
+        return ()
+    return _morphism_scan(A, B, mapping)
+
+
+def _morphism_holds(A: CrossedModule, B: CrossedModule, mapping: Sequence[int]) -> bool:
+    """The morphism axioms, proved on generators; False if any may fail.
+
+    Once the map is a homomorphism, the m it sends into the right boundary
+    fiber are closed under products, and so are the m and p with
+    mapping(p.m) = p.mapping(m) for all m: so m in a generating set of M_A
+    and p in one of P suffice.
+    """
+    if not _multiplicative(A.group, B.group, mapping):
+        return False
+    if any(B.boundary.image[mapping[m]] != A.boundary.image[m] for m in A.group._gens):
+        return False
+    return all(
+        mapping[A.act(p, m)] == B.act(p, mapping[m])
+        for p in A.base._gens
+        for m in A.group._gens
+    )
+
+
+def _morphism_scan(A: CrossedModule, B: CrossedModule, mapping: Sequence[int]) -> tuple[Violation, ...]:
+    """Every map-hom, map-boundary and map-equivariant failure."""
+    nA = A.group.order
+    out = [Violation("map-hom", w) for w in _hom_failures(A.group, B.group, mapping)]
     for m in range(nA):
         if B.boundary.image[mapping[m]] != A.boundary.image[m]:
             out.append(Violation("map-boundary", (m,)))

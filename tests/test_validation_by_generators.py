@@ -1,0 +1,406 @@
+"""Validation by generators: the fast accept is exact, and it is the path taken.
+
+Each validator of outside data first checks its axioms on generating sets
+and accepts only when that check passes; otherwise it runs the full scan.
+The Hypothesis tests here require, on valid data and on data with one entry
+corrupted, that the generator check passes exactly when the full scan finds
+nothing, and that the public validator returns what the full scan returns.
+The GL(2,3) tests make every full scan raise, so valid data must be
+accepted without one.  The last test pins the CLI's JSON writer to
+json.dumps(indent=2).
+"""
+
+import itertools
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from xmodp import groups, limits, xmod
+from xmodp.cli import _json_text
+from xmodp.errors import NotAssociativeError
+from xmodp.groups import (
+    cyclic_group,
+    enumerate_homs,
+    hom_violation,
+    klein_four_group,
+    make_group,
+    make_hom,
+    symmetric_group_3,
+    trivial_group,
+)
+from xmodp.limits import (
+    EquivalenceRelation,
+    default_catalogue,
+    equivalence_violations,
+    kernel_pair_relation,
+)
+from xmodp.xmod import (
+    Violation,
+    action_violations,
+    all_crossed_modules,
+    conjugation_xmod,
+    crossed_module_violations,
+    enumerate_morphisms,
+    identity_xmod_morphism,
+    make_crossed_module,
+    make_xmod_morphism,
+    morphism_violations,
+)
+
+
+def _permutation_group(degree, name):
+    """The symmetric group on range(degree); i * j applies j first."""
+    perms = list(itertools.permutations(range(degree)))
+    idx = {p: i for i, p in enumerate(perms)}
+    table = [[idx[tuple(p[q[x]] for x in range(degree))] for q in perms] for p in perms]
+    return make_group(table, name)
+
+
+def _matrix_group_gl23():
+    """GL(2,3) as 2x2 matrices over F3 in lexicographic order, with SL(2,3)."""
+    mats = [
+        m
+        for m in itertools.product(range(3), repeat=4)
+        if (m[0] * m[3] - m[1] * m[2]) % 3
+    ]
+    idx = {m: i for i, m in enumerate(mats)}
+
+    def mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return ((a * e + b * g) % 3, (a * f + b * h) % 3, (c * e + d * g) % 3, (c * f + d * h) % 3)
+
+    table = [[idx[mul(x, y)] for y in mats] for x in mats]
+    special = [i for i, m in enumerate(mats) if (m[0] * m[3] - m[1] * m[2]) % 3 == 1]
+    return table, special
+
+
+GROUPS = [trivial_group(), cyclic_group(2), cyclic_group(3), cyclic_group(4), klein_four_group(),
+          cyclic_group(6), symmetric_group_3(), _permutation_group(4, "S4")]
+SMALL = GROUPS[:-1]
+XMODS = (
+    default_catalogue(cyclic_group(2), 6)
+    + default_catalogue(klein_four_group(), 4)
+    + default_catalogue(symmetric_group_3(), 6)
+)
+MORPHISMS = [
+    f
+    for A in XMODS[:20]
+    for B in XMODS[:20]
+    if B.group.order ** A.group.order <= 4096
+    for f in enumerate_morphisms(A, B)
+]
+
+
+def _inverse(perm):
+    inv = [0] * len(perm)
+    for old, new in enumerate(perm):
+        inv[new] = old
+    return inv
+
+
+@st.composite
+def latin_squares(draw):
+    """An isotope (x, y) -> gamma(alpha(x) * beta(y)) of a catalogue group.
+
+    Half of them take alpha = beta = gamma^-1, a relabelled group, so both
+    associative and non-associative squares are drawn.
+    """
+    G = draw(st.sampled_from(GROUPS))
+    n = G.order
+    gamma = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        alpha = beta = _inverse(gamma)
+    else:
+        alpha, beta = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+    return tuple(
+        tuple(gamma[G.table[alpha[x]][beta[y]]] for y in range(n)) for x in range(n)
+    )
+
+
+@st.composite
+def corrupted(draw, rows, width):
+    """rows with at most one entry replaced by another value in range(width)."""
+    rows = [list(r) for r in rows]
+    if draw(st.booleans()) and width > 1:
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        rows[i][j] = draw(st.integers(0, width - 1).filter(lambda v: v != rows[i][j]))
+    return rows
+
+
+@st.composite
+def corrupted_group_tables(draw):
+    square = draw(latin_squares())
+    return tuple(tuple(r) for r in draw(corrupted(square, len(square))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(latin_squares(), corrupted_group_tables()))
+def test_light_test_accepts_exactly_when_the_full_scan_finds_nothing(table):
+    witness = groups._associativity_witness(table)
+    assert groups._associative(table) == (witness is None)
+    if witness is not None:
+        with pytest.raises(NotAssociativeError) as info:
+            make_group(table)
+        assert str(info.value) == "G: (a, b, c) = (%d, %d, %d)" % witness
+
+
+def test_generating_set_needs_no_group_structure():
+    # Constant table: x * y = 0.  Nothing but 0 is a product, so every
+    # element is its own generator.
+    assert groups._generating_set([[0, 0, 0]] * 3) == (0, 1, 2)
+    assert groups._generating_set(cyclic_group(6).table) == (0, 1)
+    G = symmetric_group_3()
+    gens = groups._generating_set(G.table)
+    assert groups.subgroup_closure(G, gens) == tuple(range(6))
+
+
+HOMS = [f for D in SMALL for C in SMALL for f in enumerate_homs(D, C)]
+
+
+@st.composite
+def hom_images(draw):
+    f = draw(st.sampled_from(HOMS))
+    D, C, img = f.domain, f.codomain, f.image
+    return D, C, draw(corrupted([img], C.order))[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hom_images())
+def test_hom_check_on_generators_is_exact(case):
+    D, C, img = case
+    failures = list(groups._hom_failures(D, C, img))
+    assert groups._multiplicative(D, C, img) == (not failures)
+    assert hom_violation(D, C, img) == (failures[0] if failures else None)
+
+
+@st.composite
+def corrupted_xmod_data(draw):
+    A = draw(st.sampled_from(XMODS))
+    boundary = list(A.boundary.image)
+    action = [list(r) for r in A.action.table]
+    part = draw(st.sampled_from(["action", "boundary", "none"]))
+    if part == "action":
+        action = draw(corrupted(action, A.group.order))
+    elif part == "boundary":
+        boundary = draw(corrupted([boundary], A.base.order))[0]
+    return A, boundary, action
+
+
+def _full_crossed_scan(group, base, boundary, action, check_cm2):
+    """crossed_module_violations for in-range data, from the full scans alone."""
+    rows = [tuple(r) for r in action]
+    return (
+        xmod._action_scan(base, group, rows)
+        + tuple(Violation("boundary-hom", w) for w in groups._hom_failures(group, base, boundary))
+        + tuple(xmod._structure_violations(group, base, boundary, action, check_cm2))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_xmod_data(), st.booleans())
+def test_crossed_module_checks_on_generators_are_exact(case, check_cm2):
+    A, boundary, action = case
+    M, P = A.group, A.base
+    rows = [tuple(r) for r in action]
+    scan = xmod._action_scan(P, M, rows)
+    assert xmod._action_holds(P, M, rows) == (not scan)
+    assert action_violations(P, M, action) == scan
+    full = _full_crossed_scan(M, P, boundary, action, check_cm2)
+    assert crossed_module_violations(M, P, boundary, action, check_cm2=check_cm2) == full
+
+
+SYM = {n: (_permutation_group(n, f"S{n}"), list(itertools.permutations(range(n)))) for n in range(1, 5)}
+
+
+@st.composite
+def permutation_actions(draw):
+    """Rows that compose but need not be an action by automorphisms: from a
+    homomorphism P -> Sym(M), or one idempotent endomorphism of M in every
+    row, which breaks only the identity row."""
+    M = draw(st.sampled_from([G for G in SMALL if G.order <= 4]))
+    P = draw(st.sampled_from(SMALL))
+    if draw(st.booleans()):
+        idempotents = [h.image for h in enumerate_homs(M, M) if all(h.image[x] == x for x in h.image)]
+        return M, P, [draw(st.sampled_from(idempotents))] * P.order
+    S, perms = SYM[M.order]
+    phi = draw(st.sampled_from(enumerate_homs(P, S))).image
+    return M, P, [perms[phi[p]] for p in range(P.order)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(permutation_actions())
+def test_action_product_check_on_generators_is_exact(case):
+    M, P, rows = case
+    scan = xmod._action_scan(P, M, rows)
+    assert xmod._action_holds(P, M, rows) == (not scan)
+    assert action_violations(P, M, rows) == scan
+
+
+@st.composite
+def valid_actions_any_boundary(draw):
+    """A boundary hom and a P-action by automorphisms that need not satisfy
+    CM1 or CM2, as all_crossed_modules tries them."""
+    M = draw(st.sampled_from(SMALL))
+    P = draw(st.sampled_from(SMALL))
+    aut = groups.automorphism_group(M)
+    bnd = draw(st.sampled_from(enumerate_homs(M, P))).image
+    act = draw(st.sampled_from(enumerate_homs(P, aut.group))).image
+    return M, P, bnd, tuple(aut.perms[act[p]] for p in range(P.order))
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_actions_any_boundary(), st.booleans())
+def test_cm1_cm2_checks_on_generators_are_exact(case, check_cm2):
+    M, P, bnd, action = case
+    structure = list(xmod._structure_violations(M, P, bnd, action, check_cm2))
+    assert xmod._crossed_holds(M, P, bnd, action, check_cm2) == (not structure)
+    assert crossed_module_violations(M, P, bnd, action, check_cm2=check_cm2) == tuple(structure)
+
+
+def test_catalogue_filter_keeps_what_the_generator_check_accepts():
+    for M in SMALL:
+        for P in (cyclic_group(2), symmetric_group_3()):
+            for A in all_crossed_modules(M, P):
+                assert xmod._crossed_holds(M, P, A.boundary.image, A.action.table, True)
+
+
+# Equivariant homomorphisms between catalogue entries on groups of the
+# same order, whatever they do to the boundaries.
+EQUIVARIANT_HOMS = [
+    (A, B, img)
+    for A in XMODS[:20]
+    for B in XMODS[:20]
+    if A.group.order == B.group.order
+    for img in groups._search_homs(
+        A.group, B.group, [range(B.group.order)] * A.group.order, zip(A.action.table, B.action.table)
+    )
+]
+
+
+@st.composite
+def corrupted_maps(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(EQUIVARIANT_HOMS))
+    f = draw(st.sampled_from(MORPHISMS))
+    return f.source, f.target, draw(corrupted([f.mapping], f.target.group.order))[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_maps())
+def test_morphism_checks_on_generators_are_exact(case):
+    A, B, mapping = case
+    scan = xmod._morphism_scan(A, B, mapping)
+    assert xmod._morphism_holds(A, B, mapping) == (not scan)
+    assert morphism_violations(A, B, mapping) == scan
+
+
+@st.composite
+def edited_pair_sets(draw):
+    """A kernel-pair relation with at most one pair added or removed."""
+    f = draw(st.sampled_from(MORPHISMS))
+    E = kernel_pair_relation(f)
+    pairs = set(E.pairs)
+    n = f.source.group.order
+    edit = draw(st.sampled_from(["add", "remove", "none"]))
+    if edit == "add" and len(pairs) < n * n:
+        pairs.add(draw(st.sampled_from(sorted(set(itertools.product(range(n), repeat=2)) - pairs))))
+    elif edit == "remove":
+        pairs.discard(draw(st.sampled_from(sorted(pairs))))
+    return EquivalenceRelation(E.carrier, frozenset(pairs))
+
+
+def _pair_closure(A, seed):
+    """The subgroup of M x M generated by the diagonal and seed."""
+    t = A.group.table
+    pairs = {(a, a) for a in range(A.group.order)} | set(seed)
+    frontier = list(pairs)
+    while frontier:
+        a, b = frontier.pop()
+        for c, d in list(pairs):
+            for x in ((t[a][c], t[b][d]), (t[c][a], t[d][b])):
+                if x not in pairs:
+                    pairs.add(x)
+                    frontier.append(x)
+    return frozenset(pairs)
+
+
+@st.composite
+def generated_pair_sets(draw):
+    """Reflexive subgroups of M x M inside the boundary fibers: equivalence
+    relations that the P-action may move out of themselves."""
+    A = draw(st.sampled_from([A for A in XMODS if A.group.order > 1]))
+    fibres = [(a, b) for a in range(A.group.order) for b in range(A.group.order)
+              if A.boundary.image[a] == A.boundary.image[b]]
+    seed = draw(st.lists(st.sampled_from(fibres), max_size=2))
+    return EquivalenceRelation(A, _pair_closure(A, seed))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(edited_pair_sets(), generated_pair_sets()))
+def test_equivalence_checks_on_generators_are_exact(E):
+    scan = limits._equivalence_scan(E)
+    assert limits._equivalence_holds(E) == (not scan)
+    assert equivalence_violations(E) == scan
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("full scan run on valid data")
+
+
+@pytest.fixture
+def no_full_scans(monkeypatch):
+    for module, name in [
+        (groups, "_associativity_witness"),
+        (groups, "_hom_failures"),
+        (xmod, "_hom_failures"),
+        (xmod, "_action_scan"),
+        (xmod, "_structure_violations"),
+        (xmod, "_morphism_scan"),
+        (limits, "_equivalence_scan"),
+    ]:
+        monkeypatch.setattr(module, name, _raise)
+
+
+def test_order_96_table_and_gl23_xmod_validate_without_full_scans(no_full_scans):
+    gl, special = _matrix_group_gl23()
+    n = len(gl)
+    product = [
+        [(i ^ j) * n + gl[a][b] for j in range(2) for b in range(n)]
+        for i in range(2)
+        for a in range(n)
+    ]
+    G = make_group(product, "C2xGL23")
+    assert G.order == 96 and G.identity == gl.index(list(range(n)))
+    GL = make_group(gl, "GL23")
+    make_hom(G, GL, [x % n for x in range(96)])
+    A = conjugation_xmod(GL, special)
+    assert A.group.order == 24
+    B = make_crossed_module("B", A.group, A.base, A.boundary.image, A.action.table)
+    assert B.action == A.action
+    make_xmod_morphism(A, B, list(range(24)))
+    assert equivalence_violations(kernel_pair_relation(identity_xmod_morphism(A))) == ()
+
+
+def test_rejections_still_run_the_full_scan(no_full_scans):
+    with pytest.raises(AssertionError, match="full scan"):
+        make_group([[1, 0], [0, 0]])
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.lists(st.integers())
+    | st.dictionaries(st.text(), children)
+    | st.dictionaries(st.integers() | st.booleans() | st.none(), children),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_json_writer_matches_json_dumps_indent_2(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
