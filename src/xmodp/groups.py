@@ -146,10 +146,12 @@ def make_group(table: Sequence[Sequence[int]], name: str = "G") -> Group:
 def _greedy_generators(elements: Sequence[Hashable], mul: Callable) -> tuple | None:
     """Greedy generators of elements under right multiplication, or None.
 
-    elements are taken in the order given, and one not yet reached becomes
-    the next generator; the reached set is then closed again under
+    elements are taken in the order given, except that the idempotent ones
+    (g * g == g, such as an identity) come last, and one not yet reached
+    becomes the next generator; the reached set is then closed again under
     x -> mul(x, s) for every generator s.  So each element is a left-nested
-    product (..(s1*s2)*..)*sk of generators, and no associativity or
+    product (..(s1*s2)*..)*sk of generators, an idempotent is a generator
+    only when no product of the others reaches it, and no associativity or
     identity is assumed.  Returns None as soon as a product of reached
     elements falls outside elements.
     """
@@ -157,7 +159,7 @@ def _greedy_generators(elements: Sequence[Hashable], mul: Callable) -> tuple | N
     gens: list = []
     reached: list = []
     seen: set = set()
-    for g in elements:
+    for g in sorted(elements, key=lambda g: mul(g, g) == g):
         if g in seen:
             continue
         gens.append(g)
@@ -177,7 +179,8 @@ def _greedy_generators(elements: Sequence[Hashable], mul: Callable) -> tuple | N
 def _generating_set(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Indices whose closure under right multiplication is the whole table.
 
-    Greedy in index order; the table only needs entries in range.
+    Greedy in index order, idempotents last; the table only needs entries
+    in range.
     """
     return _greedy_generators(range(len(table)), lambda x, s: table[x][s])
 

@@ -1,18 +1,22 @@
 """The embedding of crossed modules into set-valued presheaves on the site.
 
 A crossed module A becomes the functor sending each site object to the set
-of fiber-respecting assignments into A (a finite set of index tuples) and
-each generating morphism to precomposition, computed by evaluating its
-words.  Morphisms become postcomposition families.  Fullness and
-faithfulness are checked by comparing the crossed-module morphisms with
-the natural transformations, each set found by its own complete search
-(the transformations by backtracking over single components, pruned by
-naturality squares); exactness by comparing constructions objectwise.
-Every search space is gated by the budget.
+of fiber-respecting assignments into A (a product of boundary fibers, as
+index tuples) and each generating morphism to precomposition.  A
+generator's index map is read off fiber positions by the closed form of
+its family; an arbitrary site morphism, such as a composite of
+generators, acts by evaluating its words.  Morphisms become
+postcomposition families.  Fullness and faithfulness are checked by
+comparing the crossed-module morphisms with the natural transformations,
+each set found by its own complete search (the transformations by
+backtracking over single components, pruned by naturality squares);
+exactness by comparing constructions objectwise.  Every search space is
+gated by the budget.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -85,7 +89,7 @@ def presheaf_action(F: Presheaf, m: SiteMorphism) -> tuple[int, ...]:
 
     The word count, and the base and fibers of each word's free object, are
     checked once for the morphism; every assignment of the target set then
-    respects those fibers, since it comes from hom_set.
+    respects those fibers, since F.sets holds the products of fibers.
     """
     A = F.xmod
     if len(m.words) != len(F.site.free(m.source).labels):
@@ -102,16 +106,46 @@ def presheaf_action(F: Presheaf, m: SiteMorphism) -> tuple[int, ...]:
 
 
 def compute_presheaf(A: CrossedModule, site: Site | None = None) -> Presheaf:
+    """The presheaf of A, built from the boundary fibers of A.
+
+    One pass over M lists every fiber and each element's position in its
+    fiber.  The set of an object is the product of its fibers, in the
+    lexicographic order hom_set gives, and each generator's index map is
+    read off fiber positions by the closed form of its family: on target
+    assignment (a) or (a, b), m[p,x] gives the position of p.a, sigma[x,y]
+    that of ab, inc1 that of a and inc2 that of b.
+    """
     site = site if site is not None else build_site(A.base)
     if site.base != A.base:
         raise BaseMismatchError(f"site over {site.base.name} cannot embed {A.name}")
     F = Presheaf(site=site, xmod=A)
+    fibers: list[list[int]] = [[] for _ in range(A.base.order)]
+    pos = []
+    for m, x in enumerate(A.boundary.image):
+        pos.append(len(fibers[x]))
+        fibers[x].append(m)
     for o in site.objects:
-        elems = hom_set(site.free(o), A)
+        elems = tuple(itertools.product(*(fibers[x] for x in o.xs)))
         F.sets[o] = elems
-        F.index[o] = {nu: i for i, nu in enumerate(elems)}
-    for g in site.generators:
-        F.actions[g.name] = presheaf_action(F, g)
+        F.index[o] = dict(zip(elems, range(len(elems))))
+    act, tab = A.action.table, A.group.table
+    for g, (family, *args) in zip(site.generators, site.families):
+        if family == "id":
+            image = tuple(F.index[g.source].values())
+        elif family == "m":
+            p, x = args
+            row = act[p]
+            image = tuple(pos[row[a]] for a in fibers[x])
+        else:
+            x, y = args
+            fx, fy = fibers[x], fibers[y]
+            if family == "sigma":
+                image = tuple(pos[tab[a][b]] for a in fx for b in fy)
+            elif family == "inc1":
+                image = tuple(j // len(fy) for j in range(len(fx) * len(fy)))
+            else:
+                image = tuple(j % len(fy) for j in range(len(fx) * len(fy)))
+        F.actions[g.name] = image
     return F
 
 

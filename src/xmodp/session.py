@@ -355,12 +355,13 @@ def _homset(session: Session, args: Sequence[str], budget: int, max_order: int) 
 def _embed(session: Session, objs: Sequence, budget: int, max_order: int) -> dict:
     (A,) = objs
     F = compute_presheaf(A, build_site(session.base))
+    names = {o: o.describe() for o in F.site.objects}
     return {
         "pass": True,
         "xmod": A.name,
         "objects": [
             {
-                "object": o.describe(),
+                "object": names[o],
                 "size": len(F.sets[o]),
                 "assignments": [list(t) for t in F.sets[o]],
             }
@@ -369,8 +370,8 @@ def _embed(session: Session, objs: Sequence, budget: int, max_order: int) -> dic
         "actions": [
             {
                 "generator": g.name,
-                "source": g.source.describe(),
-                "target": g.target.describe(),
+                "source": names[g.source],
+                "target": names[g.target],
                 "map": list(F.actions[g.name]),
             }
             for g in F.site.generators

@@ -303,56 +303,46 @@ class Site:
     m[p,x]: single(p x p^-1) -> single(x) with word p . g0, the
     multiplication map sigma[x,y]: single(xy) -> pair(x,y) with word
     g0 * g1, and the injections inc1/inc2 into each pair.
+
+    The base is a valid group and every index comes from its range, so the
+    free objects, symbols and words are built directly, without the checks
+    of make_free_object and make_word.  families[k] records how
+    generators[k] was made: ("id",), ("m", p, x), ("sigma", x, y),
+    ("inc1", x, y) or ("inc2", x, y).
     """
 
     def __init__(self, base: Group):
         self.base = base
-        singles = [SiteObject("single", (x,)) for x in range(base.order)]
-        pairs = [
-            SiteObject("pair", (x, y))
-            for x in range(base.order)
-            for y in range(base.order)
-        ]
+        n, e = base.order, base.identity
+        singles = [SiteObject("single", (x,)) for x in range(n)]
+        pairs = [SiteObject("pair", (x, y)) for x in range(n) for y in range(n)]
         self.objects: tuple[SiteObject, ...] = tuple(singles + pairs)
-        self._frees = {}
-        for o in self.objects:
-            if o.kind == "single":
-                self._frees[o] = single_object(base, o.xs[0])
-            else:
-                self._frees[o] = pair_object(base, o.xs[0], o.xs[1])
-        gens: list[SiteMorphism] = []
-        for o in self.objects:
-            gens.append(self.identity(o))
-        e = base.identity
-        for p in range(base.order):
-            for x in range(base.order):
-                src = SiteObject("single", (base.conj(p, x),))
-                tgt = SiteObject("single", (x,))
-                gens.append(
-                    SiteMorphism(
-                        name=f"m[{p},{x}]",
-                        source=src,
-                        target=tgt,
-                        words=(make_word(self._frees[tgt], [(p, "g0", 1)]),),
-                    )
-                )
-        for x in range(base.order):
-            for y in range(base.order):
-                tgt = SiteObject("pair", (x, y))
-                for name, source, labels in (
-                    ("sigma", base.table[x][y], ("g0", "g1")),
-                    ("inc1", x, ("g0",)),
-                    ("inc2", y, ("g1",)),
+        single_frees = [FreeObject(base, ("g0",), o.xs) for o in singles]
+        pair_frees = [FreeObject(base, ("g0", "g1"), o.xs) for o in pairs]
+        self._frees = dict(zip(self.objects, single_frees + pair_frees))
+        gens: list[SiteMorphism] = [self.identity(o) for o in self.objects]
+        families: list[tuple] = [("id",)] * len(gens)
+        for p in range(n):
+            sym = (Symbol(p, "g0", 1),)
+            for x in range(n):
+                word = Word(single_frees[x], sym)
+                gens.append(SiteMorphism(f"m[{p},{x}]", singles[base.conj(p, x)], singles[x], (word,)))
+                families.append(("m", p, x))
+        g0, g1 = Symbol(e, "g0", 1), Symbol(e, "g1", 1)
+        for x in range(n):
+            for y in range(n):
+                tgt, free = pairs[x * n + y], pair_frees[x * n + y]
+                for family, source, syms in (
+                    ("sigma", base.table[x][y], (g0, g1)),
+                    ("inc1", x, (g0,)),
+                    ("inc2", y, (g1,)),
                 ):
                     gens.append(
-                        SiteMorphism(
-                            name=f"{name}[{x},{y}]",
-                            source=SiteObject("single", (source,)),
-                            target=tgt,
-                            words=(make_word(self._frees[tgt], [(e, lab, 1) for lab in labels]),),
-                        )
+                        SiteMorphism(f"{family}[{x},{y}]", singles[source], tgt, (Word(free, syms),))
                     )
+                    families.append((family, x, y))
         self.generators: tuple[SiteMorphism, ...] = tuple(gens)
+        self.families: tuple[tuple, ...] = tuple(families)
         self.by_name = {g.name: g for g in self.generators}
 
     def free(self, o: SiteObject) -> FreeObject:
@@ -368,7 +358,7 @@ class Site:
             name=f"id[{o.describe()}]",
             source=o,
             target=o,
-            words=tuple(make_word(free, [(e, lab, 1)]) for lab in free.labels),
+            words=tuple(Word(free, (Symbol(e, lab, 1),)) for lab in free.labels),
         )
 
 

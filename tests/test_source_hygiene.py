@@ -3,7 +3,8 @@
 Every name a module imports is used there or re-exported through its
 __all__, and every private function or method is referenced somewhere in
 the package.  __init__.py imports only to re-export, so it is not checked
-for unused imports.
+for unused imports.  The site's types are constructed only in words.py,
+so the trusted construction of the site stays in one module.
 """
 
 import ast
@@ -66,3 +67,24 @@ def test_every_private_function_is_referenced():
         and node.name not in referenced
     ]
     assert unreferenced == []
+
+
+SITE_TYPES = {"FreeObject", "Word", "Symbol", "SiteMorphism"}
+
+
+def test_site_types_are_constructed_only_in_words():
+    calls = [
+        f"{module}:{node.lineno} {name}"
+        for module, tree in TREES.items()
+        if module != "words.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+        if name in SITE_TYPES
+    ]
+    assert calls == []
+    assert {
+        node.func.id
+        for node in ast.walk(TREES["words.py"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    } >= SITE_TYPES

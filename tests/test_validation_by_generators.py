@@ -148,13 +148,23 @@ def test_light_test_accepts_exactly_when_the_full_scan_finds_nothing(table):
 
 
 def test_generating_set_needs_no_group_structure():
-    # Constant table: x * y = 0.  Nothing but 0 is a product, so every
-    # element is its own generator.
-    assert groups._generating_set([[0, 0, 0]] * 3) == (0, 1, 2)
-    assert groups._generating_set(cyclic_group(6).table) == (0, 1)
+    # Constant table: x * y = 0.  The idempotent 0 comes last and is reached
+    # as 1 * 1, so 1 and 2 generate.
+    assert groups._generating_set([[0, 0, 0]] * 3) == (1, 2)
     G = symmetric_group_3()
     gens = groups._generating_set(G.table)
     assert groups.subgroup_closure(G, gens) == tuple(range(6))
+
+
+def test_generating_set_takes_the_identity_last():
+    # The identity is idempotent, so it is a generator only of the trivial
+    # group, wherever it sits in the table.
+    assert groups._generating_set(cyclic_group(6).table) == (1,)
+    assert groups._generating_set(trivial_group().table) == (0,)
+    relabelled = [[(a + b + 1) % 6 for b in range(6)] for a in range(6)]  # identity 5
+    assert 5 not in groups._generating_set(relabelled)
+    for G in GROUPS[1:]:
+        assert G.identity not in G._gens
 
 
 HOMS = [f for D in SMALL for C in SMALL for f in enumerate_homs(D, C)]
@@ -212,6 +222,26 @@ def test_crossed_module_checks_on_generators_are_exact(case, check_cm2):
     assert crossed_module_violations(M, P, boundary, action, check_cm2=check_cm2) == full
 
 
+def _action_scan_oracle(actor, space, rows):
+    """Every action failure, from the full loops over every entry."""
+    out = []
+    for m in range(space.order):
+        if rows[actor.identity][m] != m:
+            out.append(Violation("action-identity", (m,)))
+    for p in range(actor.order):
+        for q in range(actor.order):
+            pq = actor.table[p][q]
+            for m in range(space.order):
+                if rows[pq][m] != rows[p][rows[q][m]]:
+                    out.append(Violation("action-composition", (p, q, m)))
+    for p in range(actor.order):
+        for m in range(space.order):
+            for n in range(space.order):
+                if rows[p][space.table[m][n]] != space.table[rows[p][m]][rows[p][n]]:
+                    out.append(Violation("action-product", (p, m, n)))
+    return tuple(out)
+
+
 SYM = {n: (_permutation_group(n, f"S{n}"), list(itertools.permutations(range(n)))) for n in range(1, 5)}
 
 
@@ -237,6 +267,30 @@ def test_action_product_check_on_generators_is_exact(case):
     scan = xmod._action_scan(P, M, rows)
     assert xmod._action_holds(P, M, rows) == (not scan)
     assert action_violations(P, M, rows) == scan
+
+
+def _xmod_rows(case):
+    A, _, action = case
+    return A.group, A.base, [tuple(r) for r in action]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(corrupted_xmod_data().map(_xmod_rows), permutation_actions()))
+def test_action_scan_matches_the_full_loops(case):
+    M, P, rows = case
+    assert xmod._action_scan(P, M, rows) == _action_scan_oracle(P, M, rows)
+
+
+def test_action_scan_of_a_corrupted_gl23_action_matches_the_full_loops():
+    gl, special = _matrix_group_gl23()
+    A = conjugation_xmod(make_group(gl, "GL23"), special)
+    for p, m in [(0, 0), (5, 7), (47, 23)]:
+        rows = [list(r) for r in A.action.table]
+        rows[p][m] = (rows[p][m] + 1) % A.group.order
+        rows = [tuple(r) for r in rows]
+        expected = _action_scan_oracle(A.base, A.group, rows)
+        assert expected
+        assert action_violations(A.base, A.group, rows) == expected
 
 
 @st.composite
