@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from operator import add
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DiagramMismatchError, NotEquivalenceRelationError, OrderTooLargeError
@@ -169,21 +170,44 @@ def coequaliser(f: XModMorphism, g: XModMorphism) -> Cocone:
 def _pair_apex(
     C: CrossedModule, D: CrossedModule, pairs: Sequence[tuple[int, int]], name: str
 ) -> tuple[CrossedModule, XModMorphism, XModMorphism]:
-    """Pairs of elements with componentwise structure, and the two projections."""
-    pos = {cd: i for i, cd in enumerate(pairs)}
-    table = [
-        [pos[(C.group.table[c1][c2], D.group.table[d1][d2])] for (c2, d2) in pairs]
-        for (c1, d1) in pairs
-    ]
-    G = _trusted_group(table, f"{name}#grp")
-    boundary = [C.boundary.image[c] for (c, _) in pairs]
+    """Pairs of elements with componentwise structure, and the two projections.
+
+    The pair (c, d) is coded as c * |D| + d, and pos[code] is its index,
+    or -1 for a pair that is left out.  Multiplying every pair on the left
+    by (c1, d1), or acting on it by p, sends each coordinate through one
+    row of C's table (or action) and one of D's, so a row of the apex is
+    the sum of two gathered rows, decoded through pos.  A table row needs
+    the gathered rows of c1 and d1 only, and there are at most |C| and
+    |D| distinct ones.  pairs must be closed under the componentwise
+    product and action, as the pairs of a pullback are: a product outside
+    them would decode to -1, which is not checked.
+    """
+    nd = D.group.order
+    pos = [-1] * (C.group.order * nd)
+    for i, (c, d) in enumerate(pairs):
+        pos[c * nd + d] = i
+    cs = [c for c, _ in pairs]
+    ds = [d for _, d in pairs]
+
+    def left(c_row: Sequence[int]) -> list[int]:
+        return [c_row[c] * nd for c in cs]
+
+    def right(d_row: Sequence[int]) -> list[int]:
+        return [d_row[d] for d in ds]
+
+    def decode(lefts: list[int], rights: list[int]) -> list[int]:
+        return list(map(pos.__getitem__, map(add, lefts, rights)))
+
+    lefts = {c: left(C.group.table[c]) for c in set(cs)}
+    rights = {d: right(D.group.table[d]) for d in set(ds)}
+    G = _trusted_group([decode(lefts[c], rights[d]) for c, d in pairs], f"{name}#grp")
+    boundary = [C.boundary.image[c] for c in cs]
     action = [
-        [pos[(C.act(p, c), D.act(p, d))] for (c, d) in pairs]
-        for p in range(C.base.order)
+        decode(left(C.action.table[p]), right(D.action.table[p])) for p in range(C.base.order)
     ]
     apex = _trusted_xmod(name, G, C.base, boundary, action)
-    p1 = XModMorphism(apex, C, tuple(c for (c, _) in pairs))
-    p2 = XModMorphism(apex, D, tuple(d for (_, d) in pairs))
+    p1 = XModMorphism(apex, C, tuple(cs))
+    p2 = XModMorphism(apex, D, tuple(ds))
     return apex, p1, p2
 
 

@@ -6,18 +6,20 @@ index tuples) and each generating morphism to precomposition.  A
 generator's index map is read off fiber positions by the closed form of
 its family; an arbitrary site morphism, such as a composite of
 generators, acts by evaluating its words.  Morphisms become
-postcomposition families.  Fullness and faithfulness are checked by
-comparing the crossed-module morphisms with the natural transformations,
-each set found by its own complete search (the transformations by
-backtracking over single components, pruned by naturality squares);
-exactness by comparing constructions objectwise.  Every search space is
-gated by the budget.
+postcomposition families, also read off fiber positions: an assignment's
+index is the mixed-radix number of its entries' positions in their fibers.
+Fullness and faithfulness are checked by comparing the crossed-module
+morphisms with the natural transformations, each set found by its own
+complete search (the transformations by backtracking over single
+components, pruned by naturality squares); exactness by comparing
+constructions objectwise.  Every search space is gated by the budget.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import add, itemgetter
 from typing import Callable, Sequence
 
 from .errors import (
@@ -30,7 +32,6 @@ from .errors import (
     ReconstructionInvalidError,
     ShapeMismatchError,
 )
-from .groups import is_index
 from .limits import coequaliser, equaliser, kernel_pair, product_over_P
 from .words import (
     Site,
@@ -69,12 +70,28 @@ __all__ = [
 Assignment = tuple[int, ...]
 
 
+class _IndexOnRead(dict):
+    """Site object -> {assignment: its index in sets[o]}, each entry built
+    from sets[o] the first time it is read by subscription."""
+
+    def __init__(self, sets: dict[SiteObject, tuple[Assignment, ...]], entries: dict) -> None:
+        super().__init__(entries)
+        self._sets = sets
+
+    def __missing__(self, o: SiteObject) -> dict[Assignment, int]:
+        elems = self._sets[o]
+        built = self[o] = dict(zip(elems, range(len(elems))))
+        return built
+
+
 @dataclass(eq=False)
 class Presheaf:
     """Sets of assignments per site object, with generator actions as index maps.
 
     actions[name][j] = i means the generator named name, a site morphism
-    o -> o', carries assignment j of o' to assignment i of o.
+    o -> o', carries assignment j of o' to assignment i of o.  index[o]
+    maps each assignment of sets[o] to its position; it is built for an
+    object on its first read, since the closed forms below never need it.
     """
 
     site: Site
@@ -82,6 +99,26 @@ class Presheaf:
     sets: dict[SiteObject, tuple[Assignment, ...]] = field(default_factory=dict)
     index: dict[SiteObject, dict[Assignment, int]] = field(default_factory=dict)
     actions: dict[str, tuple[int, ...]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.index = _IndexOnRead(self.sets, self.index)
+
+
+def _fibers(A: CrossedModule) -> tuple[list[list[int]], list[int]]:
+    """fibers[x], the elements of A over x in ascending order, and pos[a],
+    the position of a in its fiber, by one pass over the boundary.
+
+    compute_presheaf lists each set as the product of its fibers in
+    lexicographic order, so the single assignment (a,) of x has index
+    pos[a] and the pair assignment (a, b) of (x, y) has index
+    pos[a] * len(fibers[y]) + pos[b].
+    """
+    fibers: list[list[int]] = [[] for _ in range(A.base.order)]
+    pos = []
+    for m, x in enumerate(A.boundary.image):
+        pos.append(len(fibers[x]))
+        fibers[x].append(m)
+    return fibers, pos
 
 
 def presheaf_action(F: Presheaf, m: SiteMorphism) -> tuple[int, ...]:
@@ -108,30 +145,30 @@ def presheaf_action(F: Presheaf, m: SiteMorphism) -> tuple[int, ...]:
 def compute_presheaf(A: CrossedModule, site: Site | None = None) -> Presheaf:
     """The presheaf of A, built from the boundary fibers of A.
 
-    One pass over M lists every fiber and each element's position in its
-    fiber.  The set of an object is the product of its fibers, in the
+    _fibers lists every fiber and each element's position in its fiber.
+    The set of an object is the product of its fibers, in the
     lexicographic order hom_set gives, and each generator's index map is
     read off fiber positions by the closed form of its family: on target
     assignment (a) or (a, b), m[p,x] gives the position of p.a, sigma[x,y]
-    that of ab, inc1 that of a and inc2 that of b.
+    that of ab, inc1 that of a and inc2 that of b.  Identity, inc1 and
+    inc2 maps depend only on the set sizes, so they are made from ranges
+    and repetition; identity maps of equal length share one tuple.
     """
     site = site if site is not None else build_site(A.base)
     if site.base != A.base:
         raise BaseMismatchError(f"site over {site.base.name} cannot embed {A.name}")
     F = Presheaf(site=site, xmod=A)
-    fibers: list[list[int]] = [[] for _ in range(A.base.order)]
-    pos = []
-    for m, x in enumerate(A.boundary.image):
-        pos.append(len(fibers[x]))
-        fibers[x].append(m)
+    fibers, pos = _fibers(A)
     for o in site.objects:
-        elems = tuple(itertools.product(*(fibers[x] for x in o.xs)))
-        F.sets[o] = elems
-        F.index[o] = dict(zip(elems, range(len(elems))))
+        F.sets[o] = tuple(itertools.product(*(fibers[x] for x in o.xs)))
     act, tab = A.action.table, A.group.table
+    identities: dict[int, tuple[int, ...]] = {}
     for g, (family, *args) in zip(site.generators, site.families):
         if family == "id":
-            image = tuple(F.index[g.source].values())
+            k = len(F.sets[g.source])
+            if k not in identities:
+                identities[k] = tuple(range(k))
+            image = identities[k]
         elif family == "m":
             p, x = args
             row = act[p]
@@ -142,9 +179,11 @@ def compute_presheaf(A: CrossedModule, site: Site | None = None) -> Presheaf:
             if family == "sigma":
                 image = tuple(pos[tab[a][b]] for a in fx for b in fy)
             elif family == "inc1":
-                image = tuple(j // len(fy) for j in range(len(fx) * len(fy)))
+                image = tuple(itertools.chain.from_iterable(
+                    map(itertools.repeat, range(len(fx)), itertools.repeat(len(fy)))
+                ))
             else:
-                image = tuple(j % len(fy) for j in range(len(fx) * len(fy)))
+                image = tuple(range(len(fy))) * len(fx)
         F.actions[g.name] = image
     return F
 
@@ -187,27 +226,43 @@ def component_shape_violations(phi: NaturalTransformation) -> tuple[str, ...]:
         if len(comp) != len(F.sets[o]):
             out.append(f"component at {o.describe()} has length {len(comp)}")
             continue
+        # One C-level pass each for the types and the bounds; bools are not
+        # indices, so their type is not int.
         limit = len(G.sets[o])
-        if not all(is_index(v, limit) for v in comp):
+        if comp and (set(map(type, comp)) != {int} or min(comp) < 0 or max(comp) >= limit):
             out.append(f"component at {o.describe()} has out-of-range values")
     return tuple(out)
 
 
+def _gather(seq: Sequence[int], keys: Sequence[int]) -> tuple[int, ...]:
+    """The tuple of seq[k] for k in keys, by one C-level itemgetter call
+    (itemgetter of one key returns a scalar and of none raises)."""
+    if len(keys) > 1:
+        return itemgetter(*keys)(seq)
+    return tuple(seq[k] for k in keys)
+
+
 def check_naturality(phi: NaturalTransformation) -> tuple[tuple[str, int], ...]:
-    """Failed squares as (generator name, target-set index) witnesses."""
-    shape = component_shape_violations(phi)
-    if shape:
-        raise ShapeMismatchError("; ".join(shape))
+    """Failed squares as (generator name, target-set index) witnesses.
+
+    Fast accept, exact reject.  The shapes are checked by one C-level pass
+    per component, so every index below is in range.  The square of
+    generator g at j compares comp_src[act_F[j]] with act_G[comp_tgt[j]],
+    so g's squares are the entries of two gathers, one over its action and
+    one over its component; only when the two tuples differ are their
+    entries compared one by one, so the witnesses are listed in generator
+    order, then by j.
+    """
+    violations = component_shape_violations(phi)
+    if violations:
+        raise ShapeMismatchError("; ".join(violations))
     F, G = phi.source, phi.target
     bad = []
     for g in F.site.generators:
-        act_F = F.actions[g.name]
-        act_G = G.actions[g.name]
-        comp_src = phi.components[g.source]
-        comp_tgt = phi.components[g.target]
-        for j in range(len(act_F)):
-            if comp_src[act_F[j]] != act_G[comp_tgt[j]]:
-                bad.append((g.name, j))
+        left = _gather(phi.components[g.source], F.actions[g.name])
+        right = _gather(G.actions[g.name], phi.components[g.target])
+        if left != right:
+            bad.extend((g.name, j) for j, (u, v) in enumerate(zip(left, right)) if u != v)
     return tuple(bad)
 
 
@@ -221,13 +276,15 @@ def enumerate_natural_transformations(
     (single object, index), assigned in site order, each trying the values
     of G's set in ascending order, so the transformations come out in
     lexicographic order of their single components.  A pair entry is set as
-    soon as both single entries it reads are.  Each generating square is
-    checked once, at the step that assigns the last variable it reads, and
-    every complete assignment is checked again by check_naturality.  Only
-    the two presheaves are read, never the crossed-module morphisms, so
-    verify_full_faithful compares two independently computed sets.  The
-    size of the generate-and-test space, the product of |G_o|^|F_o| over
-    the singles, is gated by the budget.
+    soon as both single entries it reads are, by fiber arithmetic: pair
+    index pos(a) * |G_y| + pos(b) in G from the two single values.  Each
+    generating square is checked once, at the step that assigns the last
+    variable it reads, so every square of a complete assignment has been
+    checked and the leaves are not re-checked.  Only the two presheaves are
+    read, never the crossed-module morphisms, so verify_full_faithful
+    compares two independently computed sets.  The size of the
+    generate-and-test space, the product of |G_o|^|F_o| over the singles,
+    is gated by the budget.
     """
     site = F.site
     space = 1
@@ -248,18 +305,18 @@ def enumerate_natural_transformations(
         if o.kind == "single":
             reads[o] = [(len(slots) + i,) for i in range(len(F.sets[o]))]
             slots += [(comps[o], i, len(G.sets[o])) for i in range(len(F.sets[o]))]
-    # Per step, the pair entries it completes: G's pair index looked up from
-    # the two single values ...
+    # Per step, the pair entries it completes: entry j of pair(x, y) reads
+    # entry j // |F_y| of single(x) and j % |F_y| of single(y) ...
     pairs: list[list[tuple]] = [[] for _ in slots]
     for o in site.objects:
         if o.kind == "pair":
             ox, oy = (SiteObject("single", (x,)) for x in o.xs)
-            lookup = [[G.index[o][(bx, by)] for (by,) in G.sets[oy]] for (bx,) in G.sets[ox]]
+            nf, ng = len(F.sets[oy]), len(G.sets[oy])
             reads[o] = []
-            for j, (a, b) in enumerate(F.sets[o]):
-                ia, ib = F.index[ox][(a,)], F.index[oy][(b,)]
+            for j in range(len(F.sets[o])):
+                ia, ib = divmod(j, nf)
                 reads[o].append(reads[ox][ia] + reads[oy][ib])
-                pairs[max(reads[o][j])].append((comps[o], j, comps[ox], ia, comps[oy], ib, lookup))
+                pairs[max(reads[o][j])].append((comps[o], j, comps[ox], ia, comps[oy], ib, ng))
     # ... and the squares it completes, as in check_naturality.
     squares: list[list[tuple]] = [[] for _ in slots]
     for g in site.generators:
@@ -271,15 +328,13 @@ def enumerate_natural_transformations(
 
     def assign(k: int) -> None:
         if k == len(slots):
-            phi = NaturalTransformation(F, G, {o: tuple(c) for o, c in comps.items()})
-            if not check_naturality(phi):
-                out.append(phi)
+            out.append(NaturalTransformation(F, G, {o: tuple(c) for o, c in comps.items()}))
             return
         comp, i, size = slots[k]
         for v in range(size):
             comp[i] = v
-            for pair, j, cx, ia, cy, ib, lookup in pairs[k]:
-                pair[j] = lookup[cx[ia]][cy[ib]]
+            for pair, j, cx, ia, cy, ib, ng in pairs[k]:
+                pair[j] = cx[ia] * ng + cy[ib]
             if all(src[a] == act[tgt[b]] for src, a, act, tgt, b in squares[k]):
                 assign(k + 1)
 
@@ -288,21 +343,62 @@ def enumerate_natural_transformations(
 
 
 def functor_on_morphism(f: XModMorphism, F: Presheaf, G: Presheaf) -> NaturalTransformation:
-    """Postcomposition with f, as a transformation U(source) -> U(target)."""
-    if F.xmod != f.source or G.xmod != f.target:
+    """Postcomposition with f, as a transformation U(source) -> U(target).
+
+    f must be a morphism and F, G the presheaves compute_presheaf builds
+    for its source and target.  f respects boundaries, so it carries the
+    single assignment (a,) of x to (f(a),), whose index in G is posG[f(a)];
+    the pair assignment (a, b) of (x, y) goes to (f(a), f(b)), whose index
+    is posG[f(a)] * |G_y| + posG[f(b)].  No assignment tuple is built and
+    no index is read.  The boundaries are checked once over f.mapping, so
+    a map that does not respect them raises instead of giving wrong
+    components.
+    """
+    A, B = f.source, f.target
+    if F.xmod != A or G.xmod != B:
         raise ShapeMismatchError(
             f"presheaves for {F.xmod.name} -> {G.xmod.name} do not match map "
-            f"{f.source.name} -> {f.target.name}"
+            f"{A.name} -> {B.name}"
         )
+    if [B.boundary.image[b] for b in f.mapping] != list(A.boundary.image):
+        raise FiberMismatchError(f"map {A.name} -> {B.name} does not respect the boundaries")
+    fibers, pos = _fibers(B)
+    image_pos = [pos[b] for b in f.mapping]
     components = {}
+    singles = {}
     for o in F.site.objects:
-        index = G.index[o]
-        components[o] = tuple(index[tuple(f.mapping[a] for a in nu)] for nu in F.sets[o])
+        if o.kind == "single":
+            components[o] = singles[o.xs[0]] = tuple([image_pos[a] for (a,) in F.sets[o]])
+    for o in F.site.objects:
+        if o.kind == "pair":
+            x, y = o.xs
+            scaled = [i * len(fibers[y]) for i in singles[x]]
+            components[o] = tuple(itertools.starmap(add, itertools.product(scaled, singles[y])))
     return NaturalTransformation(source=F, target=G, components=components)
 
 
+def _reconstruct(phi: NaturalTransformation) -> XModMorphism:
+    """The element map of phi's single components, validated as a morphism;
+    phi's naturality is the caller's to know."""
+    F, G = phi.source, phi.target
+    A, B = F.xmod, G.xmod
+    mapping = [0] * A.group.order
+    for o in F.site.objects:
+        if o.kind == "single":
+            targets = G.sets[o]
+            for (a,), j in zip(F.sets[o], phi.components[o]):
+                mapping[a] = targets[j][0]
+    violations = validate_morphism(A, B, mapping)
+    if violations:
+        raise ReconstructionInvalidError(
+            f"reconstructed map fails validation: {violations[0].describe()}"
+        )
+    return XModMorphism(source=A, target=B, mapping=tuple(mapping))
+
+
 def reconstruct_morphism(phi: NaturalTransformation) -> XModMorphism:
-    """Read the element map off the single components and validate it.
+    """Check phi's naturality, read its element map off the single
+    components and validate it.
 
     The image of a is the single used by the component at single(boundary a)
     on the labelling of a.
@@ -310,19 +406,7 @@ def reconstruct_morphism(phi: NaturalTransformation) -> XModMorphism:
     bad = check_naturality(phi)
     if bad:
         raise NotNaturalError(f"{len(bad)} naturality squares fail, first at {bad[0]}")
-    F, G = phi.source, phi.target
-    A, B = F.xmod, G.xmod
-    mapping = []
-    for a in range(A.group.order):
-        o = SiteObject("single", (A.boundary.image[a],))
-        j = F.index[o][(a,)]
-        mapping.append(G.sets[o][phi.components[o][j]][0])
-    violations = validate_morphism(A, B, mapping)
-    if violations:
-        raise ReconstructionInvalidError(
-            f"reconstructed map fails validation: {violations[0].describe()}"
-        )
-    return XModMorphism(source=A, target=B, mapping=tuple(mapping))
+    return _reconstruct(phi)
 
 
 def verify_full_faithful(
@@ -337,6 +421,18 @@ def verify_full_faithful(
     transformation side from the presheaves; the counts must agree, the two
     round trips must be identities, and distinct morphisms must stay
     distinct, each separated by a single-label assignment.
+
+    Both sides are read back through _reconstruct, which validates the
+    element map but does not re-check naturality: the transformations
+    were checked square by square by their search, and no image U(f)
+    needs a check of its own.  When the report passes, the counts are
+    equal, U is injective on the homs, and every natural transformation
+    reconstructs to a valid morphism that U carries back to it, so the
+    transformations lie in U(homs) and, the two sets having the same size,
+    U(homs) is exactly the set of natural transformations.  Every
+    transformation compared here, searched or U(f), sets its pair
+    components coordinatewise from its single components, so round trips
+    and injectivity are compared on the single components.
     """
     site = site if site is not None else build_site(A.base)
     F = compute_presheaf(A, site)
@@ -344,14 +440,18 @@ def verify_full_faithful(
     homs = enumerate_morphisms(A, B, budget=budget)
     nats = enumerate_natural_transformations(F, G, budget=budget)
     images = [functor_on_morphism(f, F, G) for f in homs]
-    round_trip_hom = all(
-        reconstruct_morphism(phi).mapping == f.mapping for f, phi in zip(homs, images)
-    )
+    singles = [o for o in site.objects if o.kind == "single"]
+
+    def single_components(phi: NaturalTransformation) -> tuple[tuple[int, ...], ...]:
+        return tuple(phi.components[o] for o in singles)
+
+    round_trip_hom = all(_reconstruct(phi).mapping == f.mapping for f, phi in zip(homs, images))
     round_trip_nat = all(
-        functor_on_morphism(reconstruct_morphism(phi), F, G).same_components(phi)
+        single_components(functor_on_morphism(_reconstruct(phi), F, G)) == single_components(phi)
         for phi in nats
     )
-    image_keys = {tuple(sorted((o.describe(), c) for o, c in phi.components.items())) for phi in images}
+    image_keys = {single_components(phi) for phi in images}
+    _, pos = _fibers(A)
     separated = 0
     for i in range(len(homs)):
         for j in range(i + 1, len(homs)):
@@ -362,8 +462,7 @@ def verify_full_faithful(
             if a is None:
                 continue
             o = SiteObject("single", (A.boundary.image[a],))
-            k = F.index[o][(a,)]
-            if images[i].components[o][k] != images[j].components[o][k]:
+            if images[i].components[o][pos[a]] != images[j].components[o][pos[a]]:
                 separated += 1
     expected_separations = len(homs) * (len(homs) - 1) // 2
     ok = (

@@ -6,10 +6,15 @@ an arbitrary source may.  enumerate_homs, automorphism_group and
 enumerate_morphisms must then give exactly what filtering every map gives,
 all_crossed_modules exactly what the full crossed-module validation keeps,
 and enumerate_natural_transformations exactly what testing every candidate
-family of components gives, in the same order.
+family of components gives, in the same order.  functor_on_morphism, read
+off fiber positions, must give what composing every assignment with the
+morphism and looking it up in the target's index gives, on these pairs, on
+the legs of their products and on the relabelled S3 modules of
+tests/golden/s3.json.
 """
 
 import itertools
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -23,13 +28,15 @@ from xmodp.groups import (
     symmetric_group_3,
     trivial_group,
 )
-from xmodp.limits import default_catalogue
+from xmodp.limits import default_catalogue, kernel_pair, product_over_P
 from xmodp.presheaf import (
     NaturalTransformation,
     check_naturality,
     compute_presheaf,
     enumerate_natural_transformations,
+    functor_on_morphism,
 )
+from xmodp.session import parse_session
 from xmodp.words import SiteObject, build_site
 from xmodp.xmod import (
     all_crossed_modules,
@@ -243,3 +250,64 @@ def test_natural_transformation_search_reads_only_the_presheaves(monkeypatch):
         assert fast == _natural_transformations_oracle(F, G)
         found += len(fast)
     assert found > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_presheaf_pairs())
+def test_searched_transformations_pass_check_naturality(pair):
+    # The search checks each square at its last variable and does not
+    # re-check its leaves, so every output must pass the full check.
+    F, G = pair
+    for phi in enumerate_natural_transformations(F, G):
+        assert check_naturality(phi) == ()
+
+
+def _postcomposition_oracle(f, F, G):
+    """U(f) by its definition: each assignment of F composed with f, looked
+    up in an index of G's set."""
+    components = {}
+    for o in F.site.objects:
+        index = {nu: i for i, nu in enumerate(G.sets[o])}
+        components[o] = tuple(index[tuple(f.mapping[a] for a in nu)] for nu in F.sets[o])
+    return components
+
+
+def _assert_postcomposition(f, F, G):
+    assert functor_on_morphism(f, F, G).components == _postcomposition_oracle(f, F, G)
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_xmod_pairs())
+def test_functor_on_morphism_relabelled_matches_postcomposition_oracle(pair):
+    A, B = pair
+    FA, FB = compute_presheaf(A, SITE), compute_presheaf(B, SITE)
+    for f in enumerate_morphisms(A, B):
+        _assert_postcomposition(f, FA, FB)
+    cone = product_over_P(A, B)
+    FX = compute_presheaf(cone.apex, SITE)
+    for leg, target in zip(cone.legs, (FA, FB)):
+        _assert_postcomposition(leg, FX, target)
+
+
+def test_functor_on_morphism_on_s3_modules_matches_postcomposition_oracle():
+    session = parse_session((Path(__file__).parent / "golden" / "s3.json").read_text())
+    E, T = session.xmods["E"], session.xmods["T"]
+    assert E.base.identity != 0
+    site = build_site(E.base)
+    presheaves = {A.name: compute_presheaf(A, site) for A in (E, T)}
+    checked = 0
+    for A, B in itertools.product((E, T), repeat=2):
+        FA, FB = presheaves[A.name], presheaves[B.name]
+        # The search is quick; only its a-priori gate would refuse E -> E.
+        for f in enumerate_morphisms(A, B, budget=10**15):
+            _assert_postcomposition(f, FA, FB)
+            cone = kernel_pair(f)
+            FK = compute_presheaf(cone.apex, site)
+            for leg in cone.legs:
+                _assert_postcomposition(leg, FK, FA)
+            checked += 1
+        cone = product_over_P(A, B)
+        FX = compute_presheaf(cone.apex, site)
+        for leg, target in zip(cone.legs, (FA, FB)):
+            _assert_postcomposition(leg, FX, target)
+    assert checked == 8
