@@ -106,8 +106,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        text = Path(ns.input).read_text()
-    except OSError as e:
+        text = Path(ns.input).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: cannot read {ns.input}: {e}", file=sys.stderr)
         return 2
     try:

@@ -2,12 +2,14 @@
 
 A crossed module A becomes the functor sending each site object to the set
 of fiber-respecting assignments into A (a product of boundary fibers, as
-index tuples) and each generating morphism to precomposition.  A
-generator's index map is read off fiber positions by the closed form of
-its family; an arbitrary site morphism, such as a composite of
-generators, acts by evaluating its words.  Morphisms become
-postcomposition families, also read off fiber positions: an assignment's
-index is the mixed-radix number of its entries' positions in their fibers.
+index tuples) and each generating morphism to precomposition.  Sets,
+generator actions and transformation components are tuples indexed by
+site position, never by object or name.  A generator's index map is read
+off fiber positions by the closed form of its family; an arbitrary site
+morphism, such as a composite of generators, acts by evaluating its words.
+Morphisms become postcomposition families, also read off fiber positions:
+an assignment's index is the mixed-radix number of its entries' positions
+in their fibers.
 Fullness and faithfulness are checked by comparing the crossed-module
 morphisms with the natural transformations, each set found by its own
 complete search (the transformations by backtracking over single
@@ -18,7 +20,7 @@ constructions objectwise.  Every search space is gated by the budget.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add, itemgetter
 from typing import Callable, Sequence
 
@@ -42,6 +44,7 @@ from .words import (
     compose_site_morphisms,
     hom_set,
     single_object,
+    word_boundary,
 )
 from .xmod import (
     DEFAULT_BUDGET,
@@ -70,38 +73,19 @@ __all__ = [
 Assignment = tuple[int, ...]
 
 
-class _IndexOnRead(dict):
-    """Site object -> {assignment: its index in sets[o]}, each entry built
-    from sets[o] the first time it is read by subscription."""
-
-    def __init__(self, sets: dict[SiteObject, tuple[Assignment, ...]], entries: dict) -> None:
-        super().__init__(entries)
-        self._sets = sets
-
-    def __missing__(self, o: SiteObject) -> dict[Assignment, int]:
-        elems = self._sets[o]
-        built = self[o] = dict(zip(elems, range(len(elems))))
-        return built
-
-
 @dataclass(eq=False)
 class Presheaf:
     """Sets of assignments per site object, with generator actions as index maps.
 
-    actions[name][j] = i means the generator named name, a site morphism
-    o -> o', carries assignment j of o' to assignment i of o.  index[o]
-    maps each assignment of sets[o] to its position; it is built for an
-    object on its first read, since the closed forms below never need it.
+    sets[i] is the set of the object at position i of the site, and
+    actions[k][j] = i means generator k, a site morphism o -> o', carries
+    assignment j of o' to assignment i of o.
     """
 
     site: Site
     xmod: CrossedModule
-    sets: dict[SiteObject, tuple[Assignment, ...]] = field(default_factory=dict)
-    index: dict[SiteObject, dict[Assignment, int]] = field(default_factory=dict)
-    actions: dict[str, tuple[int, ...]] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        self.index = _IndexOnRead(self.sets, self.index)
+    sets: tuple[tuple[Assignment, ...], ...]
+    actions: tuple[tuple[int, ...], ...]
 
 
 def _fibers(A: CrossedModule) -> tuple[list[list[int]], list[int]]:
@@ -124,22 +108,35 @@ def _fibers(A: CrossedModule) -> tuple[list[list[int]], list[int]]:
 def presheaf_action(F: Presheaf, m: SiteMorphism) -> tuple[int, ...]:
     """Index map of precomposition with an arbitrary site morphism.
 
-    The word count, and the base and fibers of each word's free object, are
-    checked once for the morphism; every assignment of the target set then
-    respects those fibers, since F.sets holds the products of fibers.
+    The word count, and the base, fibers and boundary of each word, are
+    checked once for the morphism.  Every assignment of the target set then
+    respects the fibers of the words' free object, since F.sets holds the
+    products of fibers, and the image of word i lies over the boundary of
+    word i, the base element of source label i.  So each image is a member
+    of the source's set, and its index is the mixed-radix number of its
+    entries' fiber positions.
     """
-    A = F.xmod
-    if len(m.words) != len(F.site.free(m.source).labels):
+    A, site = F.xmod, F.site
+    source, target = site.position(m.source), site.position(m.target)
+    omega = site.objects[target].xs
+    xs = site.objects[source].xs
+    if len(m.words) != len(xs):
         raise ShapeMismatchError(f"{m.name}: wrong number of words")
-    omega = F.site.free(m.target).omega
-    for w in m.words:
+    for w, x in zip(m.words, xs):
         if w.free.base != A.base:
             raise BaseMismatchError(f"{A.name} is not over {w.free.base.name}")
         if w.free.omega != omega:
             raise FiberMismatchError(f"{m.name}: words are not over {m.target.describe()}")
-    images = zip(*(_word_images(w, A, F.sets[m.target]) for w in m.words))
-    index = F.index[m.source]
-    return tuple(index[image] for image in images)
+        if word_boundary(w) != x:
+            raise FiberMismatchError(f"{m.name}: a word does not land over {m.source.describe()}")
+    fibers, pos = _fibers(A)
+    out = []
+    for image in zip(*(_word_images(w, A, F.sets[target]) for w in m.words)):
+        i = 0
+        for a, x in zip(image, xs):
+            i = i * len(fibers[x]) + pos[a]
+        out.append(i)
+    return tuple(out)
 
 
 def compute_presheaf(A: CrossedModule, site: Site | None = None) -> Presheaf:
@@ -157,15 +154,14 @@ def compute_presheaf(A: CrossedModule, site: Site | None = None) -> Presheaf:
     site = site if site is not None else build_site(A.base)
     if site.base != A.base:
         raise BaseMismatchError(f"site over {site.base.name} cannot embed {A.name}")
-    F = Presheaf(site=site, xmod=A)
     fibers, pos = _fibers(A)
-    for o in site.objects:
-        F.sets[o] = tuple(itertools.product(*(fibers[x] for x in o.xs)))
+    sets = tuple(tuple(itertools.product(*(fibers[x] for x in o.xs))) for o in site.objects)
     act, tab = A.action.table, A.group.table
     identities: dict[int, tuple[int, ...]] = {}
-    for g, (family, *args) in zip(site.generators, site.families):
+    actions = []
+    for (family, *args), source in zip(site.families, site.sources):
         if family == "id":
-            k = len(F.sets[g.source])
+            k = len(sets[source])
             if k not in identities:
                 identities[k] = tuple(range(k))
             image = identities[k]
@@ -184,20 +180,20 @@ def compute_presheaf(A: CrossedModule, site: Site | None = None) -> Presheaf:
                 ))
             else:
                 image = tuple(range(len(fy))) * len(fx)
-        F.actions[g.name] = image
-    return F
+        actions.append(image)
+    return Presheaf(site, A, sets, tuple(actions))
 
 
 def presheaf_composition_violations(F: Presheaf) -> tuple[tuple[str, str], ...]:
     """Generator pairs whose composite action is not the composite of actions."""
+    site = F.site
     bad = []
-    for f in F.site.generators:
-        for g in F.site.generators:
-            if g.target != f.source:
+    for k, f in enumerate(site.generators):
+        for l, g in enumerate(site.generators):
+            if site.targets[l] != site.sources[k]:
                 continue
-            comp = compose_site_morphisms(f, g)
-            direct = presheaf_action(F, comp)
-            chained = tuple(F.actions[g.name][F.actions[f.name][j]] for j in range(len(F.sets[f.target])))
+            direct = presheaf_action(F, compose_site_morphisms(f, g))
+            chained = tuple(F.actions[l][i] for i in F.actions[k])
             if direct != chained:
                 bad.append((f.name, g.name))
     return tuple(bad)
@@ -205,11 +201,12 @@ def presheaf_composition_violations(F: Presheaf) -> tuple[tuple[str, str], ...]:
 
 @dataclass(eq=False)
 class NaturalTransformation:
-    """A family of functions between two presheaves on the same site."""
+    """A family of functions between two presheaves on the same site;
+    components[i] is the function at the object at position i."""
 
     source: Presheaf
     target: Presheaf
-    components: dict[SiteObject, tuple[int, ...]]
+    components: tuple[tuple[int, ...], ...]
 
     def same_components(self, other: "NaturalTransformation") -> bool:
         return self.components == other.components
@@ -217,19 +214,17 @@ class NaturalTransformation:
 
 def component_shape_violations(phi: NaturalTransformation) -> tuple[str, ...]:
     F, G = phi.source, phi.target
+    objects = F.site.objects
+    if len(phi.components) != len(objects):
+        return (f"{len(phi.components)} components for {len(objects)} objects",)
     out = []
-    for o in F.site.objects:
-        comp = phi.components.get(o)
-        if comp is None:
-            out.append(f"missing component at {o.describe()}")
-            continue
-        if len(comp) != len(F.sets[o]):
+    for o, comp, source, target in zip(objects, phi.components, F.sets, G.sets):
+        if len(comp) != len(source):
             out.append(f"component at {o.describe()} has length {len(comp)}")
             continue
         # One C-level pass each for the types and the bounds; bools are not
         # indices, so their type is not int.
-        limit = len(G.sets[o])
-        if comp and (set(map(type, comp)) != {int} or min(comp) < 0 or max(comp) >= limit):
+        if comp and (set(map(type, comp)) != {int} or min(comp) < 0 or max(comp) >= len(target)):
             out.append(f"component at {o.describe()} has out-of-range values")
     return tuple(out)
 
@@ -242,28 +237,35 @@ def _gather(seq: Sequence[int], keys: Sequence[int]) -> tuple[int, ...]:
     return tuple(seq[k] for k in keys)
 
 
+def _failed_squares(phi: NaturalTransformation) -> list[tuple[int, int]]:
+    """Failed squares of a well-shaped phi as (generator, target-set index).
+
+    The square of generator k at j compares comp_src[act_F[j]] with
+    act_G[comp_tgt[j]], so k's squares are the entries of two gathers, one
+    over its action and one over its component; only when the two tuples
+    differ are their entries compared one by one, so the witnesses are
+    listed in generator order, then by j.
+    """
+    F, G, comps = phi.source, phi.target, phi.components
+    bad = []
+    for k, (s, t, act_F, act_G) in enumerate(zip(F.site.sources, F.site.targets, F.actions, G.actions)):
+        left = _gather(comps[s], act_F)
+        right = _gather(act_G, comps[t])
+        if left != right:
+            bad.extend((k, j) for j, (u, v) in enumerate(zip(left, right)) if u != v)
+    return bad
+
+
 def check_naturality(phi: NaturalTransformation) -> tuple[tuple[str, int], ...]:
     """Failed squares as (generator name, target-set index) witnesses.
 
     Fast accept, exact reject.  The shapes are checked by one C-level pass
-    per component, so every index below is in range.  The square of
-    generator g at j compares comp_src[act_F[j]] with act_G[comp_tgt[j]],
-    so g's squares are the entries of two gathers, one over its action and
-    one over its component; only when the two tuples differ are their
-    entries compared one by one, so the witnesses are listed in generator
-    order, then by j.
+    per component, so every index _failed_squares reads is in range.
     """
     violations = component_shape_violations(phi)
     if violations:
         raise ShapeMismatchError("; ".join(violations))
-    F, G = phi.source, phi.target
-    bad = []
-    for g in F.site.generators:
-        left = _gather(phi.components[g.source], F.actions[g.name])
-        right = _gather(G.actions[g.name], phi.components[g.target])
-        if left != right:
-            bad.extend((g.name, j) for j, (u, v) in enumerate(zip(left, right)) if u != v)
-    return tuple(bad)
+    return tuple((phi.source.site.name(k), j) for k, j in _failed_squares(phi))
 
 
 def enumerate_natural_transformations(
@@ -287,48 +289,44 @@ def enumerate_natural_transformations(
     is gated by the budget.
     """
     site = F.site
+    n = site.base.order
     space = 1
-    for o in site.objects:
-        if o.kind == "single":
-            space *= len(G.sets[o]) ** len(F.sets[o])
+    for x in range(n):
+        space *= len(G.sets[x]) ** len(F.sets[x])
     if space > budget:
         raise BudgetExceededError(
             f"natural transformation search needs {space} candidates, budget {budget}"
         )
-    # The components under construction.  Variable k is entry slots[k][1] of
-    # the single component slots[k][0] and takes the values below
-    # slots[k][2]; reads[o][i] lists the variables entry i of o depends on.
-    comps = {o: [0] * len(F.sets[o]) for o in site.objects}
+    # The components under construction, by position.  Variable k is entry
+    # slots[k][1] of the single component slots[k][0] and takes the values
+    # below slots[k][2]; reads[o][i] lists the variables entry i of o reads.
+    comps = [[0] * len(elems) for elems in F.sets]
     slots: list[tuple[list[int], int, int]] = []
-    reads: dict[SiteObject, list[tuple[int, ...]]] = {}
-    for o in site.objects:
-        if o.kind == "single":
-            reads[o] = [(len(slots) + i,) for i in range(len(F.sets[o]))]
-            slots += [(comps[o], i, len(G.sets[o])) for i in range(len(F.sets[o]))]
+    reads: list[list[tuple[int, ...]]] = []
+    for x in range(n):
+        reads.append([(len(slots) + i,) for i in range(len(F.sets[x]))])
+        slots += [(comps[x], i, len(G.sets[x])) for i in range(len(F.sets[x]))]
     # Per step, the pair entries it completes: entry j of pair(x, y) reads
     # entry j // |F_y| of single(x) and j % |F_y| of single(y) ...
     pairs: list[list[tuple]] = [[] for _ in slots]
-    for o in site.objects:
-        if o.kind == "pair":
-            ox, oy = (SiteObject("single", (x,)) for x in o.xs)
-            nf, ng = len(F.sets[oy]), len(G.sets[oy])
-            reads[o] = []
-            for j in range(len(F.sets[o])):
-                ia, ib = divmod(j, nf)
-                reads[o].append(reads[ox][ia] + reads[oy][ib])
-                pairs[max(reads[o][j])].append((comps[o], j, comps[ox], ia, comps[oy], ib, ng))
-    # ... and the squares it completes, as in check_naturality.
+    for x, y in itertools.product(range(n), repeat=2):
+        o = n + x * n + y
+        nf, ng = len(F.sets[y]), len(G.sets[y])
+        reads.append([])
+        for j in range(len(F.sets[o])):
+            ia, ib = divmod(j, nf)
+            reads[o].append(reads[x][ia] + reads[y][ib])
+            pairs[max(reads[o][j])].append((comps[o], j, comps[x], ia, comps[y], ib, ng))
+    # ... and the squares it completes, as in _failed_squares.
     squares: list[list[tuple]] = [[] for _ in slots]
-    for g in site.generators:
-        act_F, act_G = F.actions[g.name], G.actions[g.name]
+    for s, t, act_F, act_G in zip(site.sources, site.targets, F.actions, G.actions):
         for j, i in enumerate(act_F):
-            last = max(reads[g.source][i] + reads[g.target][j])
-            squares[last].append((comps[g.source], i, act_G, comps[g.target], j))
+            squares[max(reads[s][i] + reads[t][j])].append((comps[s], i, act_G, comps[t], j))
     out = []
 
     def assign(k: int) -> None:
         if k == len(slots):
-            out.append(NaturalTransformation(F, G, {o: tuple(c) for o, c in comps.items()}))
+            out.append(NaturalTransformation(F, G, tuple(map(tuple, comps))))
             return
         comp, i, size = slots[k]
         for v in range(size):
@@ -364,17 +362,13 @@ def functor_on_morphism(f: XModMorphism, F: Presheaf, G: Presheaf) -> NaturalTra
         raise FiberMismatchError(f"map {A.name} -> {B.name} does not respect the boundaries")
     fibers, pos = _fibers(B)
     image_pos = [pos[b] for b in f.mapping]
-    components = {}
-    singles = {}
-    for o in F.site.objects:
-        if o.kind == "single":
-            components[o] = singles[o.xs[0]] = tuple([image_pos[a] for (a,) in F.sets[o]])
-    for o in F.site.objects:
-        if o.kind == "pair":
-            x, y = o.xs
-            scaled = [i * len(fibers[y]) for i in singles[x]]
-            components[o] = tuple(itertools.starmap(add, itertools.product(scaled, singles[y])))
-    return NaturalTransformation(source=F, target=G, components=components)
+    n = A.base.order
+    singles = [tuple([image_pos[a] for (a,) in F.sets[x]]) for x in range(n)]
+    pairs = []
+    for x, y in itertools.product(range(n), repeat=2):
+        scaled = [i * len(fibers[y]) for i in singles[x]]
+        pairs.append(tuple(itertools.starmap(add, itertools.product(scaled, singles[y]))))
+    return NaturalTransformation(source=F, target=G, components=(*singles, *pairs))
 
 
 def _reconstruct(phi: NaturalTransformation) -> XModMorphism:
@@ -383,11 +377,10 @@ def _reconstruct(phi: NaturalTransformation) -> XModMorphism:
     F, G = phi.source, phi.target
     A, B = F.xmod, G.xmod
     mapping = [0] * A.group.order
-    for o in F.site.objects:
-        if o.kind == "single":
-            targets = G.sets[o]
-            for (a,), j in zip(F.sets[o], phi.components[o]):
-                mapping[a] = targets[j][0]
+    for x in range(A.base.order):
+        targets = G.sets[x]
+        for (a,), j in zip(F.sets[x], phi.components[x]):
+            mapping[a] = targets[j][0]
     violations = validate_morphism(A, B, mapping)
     if violations:
         raise ReconstructionInvalidError(
@@ -440,10 +433,9 @@ def verify_full_faithful(
     homs = enumerate_morphisms(A, B, budget=budget)
     nats = enumerate_natural_transformations(F, G, budget=budget)
     images = [functor_on_morphism(f, F, G) for f in homs]
-    singles = [o for o in site.objects if o.kind == "single"]
 
     def single_components(phi: NaturalTransformation) -> tuple[tuple[int, ...], ...]:
-        return tuple(phi.components[o] for o in singles)
+        return phi.components[: A.base.order]
 
     round_trip_hom = all(_reconstruct(phi).mapping == f.mapping for f, phi in zip(homs, images))
     round_trip_nat = all(
@@ -461,8 +453,8 @@ def verify_full_faithful(
             )
             if a is None:
                 continue
-            o = SiteObject("single", (A.boundary.image[a],))
-            if images[i].components[o][pos[a]] != images[j].components[o][pos[a]]:
+            x = A.boundary.image[a]
+            if images[i].components[x][pos[a]] != images[j].components[x][pos[a]]:
                 separated += 1
     expected_separations = len(homs) * (len(homs) - 1) // 2
     ok = (
@@ -490,40 +482,40 @@ def _comparison(
     kind: str,
     apex: CrossedModule,
     site: Site,
-    check_object: Callable[[SiteObject], tuple[int, int, dict | None]],
+    check_object: Callable[[int], tuple[int, int, dict | None]],
     phis: Sequence[NaturalTransformation],
-    square_failure: Callable[[SiteMorphism, int], dict],
+    square_failure: Callable[[str, SiteObject, int], dict],
 ) -> dict:
     """Report of an exactness comparison: one check per site object, then squares.
 
-    check_object(o) returns the two sizes it compared and, when the
-    comparison at o fails, the failure fields after "object".  The squares
-    are the naturality squares of the comparison maps phis, all out of one
-    presheaf, checked by check_naturality.
+    check_object(i) returns the two sizes it compared at the object at
+    position i and, when the comparison there fails, the failure fields
+    after "object".  The squares are the naturality squares of the
+    comparison maps phis, all out of one presheaf; each failure is reported
+    by square_failure(generator name, its source object, index).  The phis
+    are images U(f), so their shapes need no check.
     """
     objects = []
     failures = []
-    for o in site.objects:
-        lhs, rhs, failure = check_object(o)
+    for i, o in enumerate(site.objects):
+        lhs, rhs, failure = check_object(i)
         objects.append({"object": o.describe(), "lhs_size": lhs, "rhs_size": rhs, "ok": failure is None})
         if failure is not None:
             failures.append({"object": o.describe(), **failure})
-    bad = set().union(*(check_naturality(phi) for phi in phis))
-    position = {g.name: i for i, g in enumerate(site.generators)}
-    for name, j in sorted(bad, key=lambda square: (position[square[0]], square[1])):
-        failures.append(square_failure(site.by_name[name], j))
+    for k, j in sorted(set().union(*map(_failed_squares, phis))):
+        failures.append(square_failure(site.name(k), site.objects[site.sources[k]], j))
     return {
         "kind": kind,
         "pass": not failures,
         "apex": apex.name,
         "objects": objects,
-        "squares_checked": sum(len(phis[0].source.actions[g.name]) for g in site.generators),
+        "squares_checked": sum(map(len, phis[0].source.actions)),
         "failures": failures,
     }
 
 
-def _square_at_source(g: SiteMorphism, j: int) -> dict:
-    return {"object": g.source.describe(), "generator": g.name, "index": j}
+def _square_at_source(name: str, source: SiteObject, j: int) -> dict:
+    return {"object": source.describe(), "generator": name, "index": j}
 
 
 def _verify_product_preserved(A: CrossedModule, B: CrossedModule, site: Site) -> dict:
@@ -534,7 +526,7 @@ def _verify_product_preserved(A: CrossedModule, B: CrossedModule, site: Site) ->
     pA = functor_on_morphism(cone.legs[0], FX, FA)
     pB = functor_on_morphism(cone.legs[1], FX, FB)
 
-    def pairing(o: SiteObject) -> tuple[int, int, dict | None]:
+    def pairing(o: int) -> tuple[int, int, dict | None]:
         # Mark each (a, b) cell hit: a set of pair tuples would be the
         # largest allocation of the whole comparison.
         size, nb = len(FX.sets[o]), len(FB.sets[o])
@@ -554,7 +546,7 @@ def _verify_equaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) ->
     FC = compute_presheaf(f.source, site)
     phi = functor_on_morphism(cone.legs[0], FE, FC)
 
-    def inclusion(o: SiteObject) -> tuple[int, int, dict | None]:
+    def inclusion(o: int) -> tuple[int, int, dict | None]:
         agree = [
             j
             for j, nu in enumerate(FC.sets[o])
@@ -585,7 +577,7 @@ def _verify_coequaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) 
     proj = functor_on_morphism(cocone.legs[0], FB, FQ)
     pair = [functor_on_morphism(leg, FK, FB) for leg in kp.legs]
 
-    def classes(o: SiteObject) -> tuple[int, int, dict | None]:
+    def classes(o: int) -> tuple[int, int, dict | None]:
         parent = list(range(len(FB.sets[o])))
 
         def find(a: int) -> int:
@@ -614,7 +606,7 @@ def _verify_coequaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) 
 
     return _comparison(
         "coequaliser", cocone.apex, site, classes, [proj],
-        lambda gen, j: {"generator": gen.name, "index": j, "reason": "projection square"},
+        lambda name, source, j: {"generator": name, "index": j, "reason": "projection square"},
     )
 
 

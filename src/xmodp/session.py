@@ -135,6 +135,8 @@ def parse_session(text: str) -> Session:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("session must be a JSON object")
     base_name = _need(doc, "base", str, "session")
@@ -337,7 +339,10 @@ def _homset(session: Session, args: Sequence[str], budget: int, max_order: int) 
         raise MissingArgumentError("expected homset <xmod> [base-element-index ...]")
     A = _get(session.xmods, args[0], "xmod")
     try:
-        omega = tuple(int(a) for a in args[1:])
+        # ASCII digits only: int() also reads signs, spaces, "_" and other scripts' digits.
+        if not all(a.isascii() and a.isdigit() for a in args[1:]):
+            raise ValueError
+        omega = tuple(map(int, args[1:]))
     except ValueError:
         raise ParseError(f"homset: base elements must be integers, got {list(args[1:])}") from None
     free = make_free_object(session.base, tuple(f"g{i}" for i in range(len(omega))), omega)
@@ -354,27 +359,19 @@ def _homset(session: Session, args: Sequence[str], budget: int, max_order: int) 
 
 def _embed(session: Session, objs: Sequence, budget: int, max_order: int) -> dict:
     (A,) = objs
-    F = compute_presheaf(A, build_site(session.base))
-    names = {o: o.describe() for o in F.site.objects}
+    site = build_site(session.base)
+    F = compute_presheaf(A, site)
+    names = [o.describe() for o in site.objects]
     return {
         "pass": True,
         "xmod": A.name,
         "objects": [
-            {
-                "object": names[o],
-                "size": len(F.sets[o]),
-                "assignments": [list(t) for t in F.sets[o]],
-            }
-            for o in F.site.objects
+            {"object": name, "size": len(elems), "assignments": [list(t) for t in elems]}
+            for name, elems in zip(names, F.sets)
         ],
         "actions": [
-            {
-                "generator": g.name,
-                "source": names[g.source],
-                "target": names[g.target],
-                "map": list(F.actions[g.name]),
-            }
-            for g in F.site.generators
+            {"generator": site.name(k), "source": names[s], "target": names[t], "map": list(image)}
+            for k, (s, t, image) in enumerate(zip(site.sources, site.targets, F.actions))
         ],
     }
 

@@ -13,13 +13,18 @@ the one choice making the symbolic boundary equivariant.
 
 The site has one object per base element (single) and one per ordered pair
 (pair); its generating morphisms are conjugation moves between singles, the
-multiplication map from a single into a pair, and the two injections.
+multiplication map from a single into a pair, and the two injections.  An
+object or generator is identified by its position in site order alone:
+the site stores each generator as a family record with source and target
+positions, and makes names, free objects, words and SiteMorphisms from
+the record only for the word calculus and the report edge.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -296,70 +301,75 @@ class SiteMorphism:
 
 
 class Site:
-    """The finite index category for a base group.
+    """The finite index category for a base group of order n, keyed by position.
 
-    Objects: single(x) for every base element and pair(x, y) for every
-    ordered pair.  Generating morphisms: identities, conjugation moves
-    m[p,x]: single(p x p^-1) -> single(x) with word p . g0, the
-    multiplication map sigma[x,y]: single(xy) -> pair(x,y) with word
-    g0 * g1, and the injections inc1/inc2 into each pair.
+    Objects: single(x) at position x and pair(x, y) at position n + x n + y.
+    Generating morphisms, in this order: the identity of every object, the
+    conjugation moves m[p,x]: single(p x p^-1) -> single(x) with word
+    p . g0, then per pair (x, y) the multiplication map sigma[x,y]:
+    single(xy) -> pair(x,y) with word g0 * g1 and the injections inc1 and
+    inc2 with words g0 and g1.  Generator k is the record families[k], one
+    of ("id",), ("m", p, x), ("sigma", x, y), ("inc1", x, y) or
+    ("inc2", x, y), with the object positions sources[k] and targets[k].
 
-    The base is a valid group and every index comes from its range, so the
-    free objects, symbols and words are built directly, without the checks
-    of make_free_object and make_word.  families[k] records how
-    generators[k] was made: ("id",), ("m", p, x), ("sigma", x, y),
-    ("inc1", x, y) or ("inc2", x, y).
+    Names, free objects, words and SiteMorphisms are made from a record
+    only when asked for: name(k), free(i), morphism(k), and the views
+    generators and by_name for the word calculus.  The base is a valid
+    group and every index comes from its range, so they are built without
+    the checks of make_free_object and make_word.
     """
 
     def __init__(self, base: Group):
         self.base = base
-        n, e = base.order, base.identity
-        singles = [SiteObject("single", (x,)) for x in range(n)]
-        pairs = [SiteObject("pair", (x, y)) for x in range(n) for y in range(n)]
-        self.objects: tuple[SiteObject, ...] = tuple(singles + pairs)
-        single_frees = [FreeObject(base, ("g0",), o.xs) for o in singles]
-        pair_frees = [FreeObject(base, ("g0", "g1"), o.xs) for o in pairs]
-        self._frees = dict(zip(self.objects, single_frees + pair_frees))
-        gens: list[SiteMorphism] = [self.identity(o) for o in self.objects]
-        families: list[tuple] = [("id",)] * len(gens)
-        for p in range(n):
-            sym = (Symbol(p, "g0", 1),)
-            for x in range(n):
-                word = Word(single_frees[x], sym)
-                gens.append(SiteMorphism(f"m[{p},{x}]", singles[base.conj(p, x)], singles[x], (word,)))
-                families.append(("m", p, x))
-        g0, g1 = Symbol(e, "g0", 1), Symbol(e, "g1", 1)
-        for x in range(n):
-            for y in range(n):
-                tgt, free = pairs[x * n + y], pair_frees[x * n + y]
-                for family, source, syms in (
-                    ("sigma", base.table[x][y], (g0, g1)),
-                    ("inc1", x, (g0,)),
-                    ("inc2", y, (g1,)),
-                ):
-                    gens.append(
-                        SiteMorphism(f"{family}[{x},{y}]", singles[source], tgt, (Word(free, syms),))
-                    )
-                    families.append((family, x, y))
-        self.generators: tuple[SiteMorphism, ...] = tuple(gens)
-        self.families: tuple[tuple, ...] = tuple(families)
-        self.by_name = {g.name: g for g in self.generators}
-
-    def free(self, o: SiteObject) -> FreeObject:
-        try:
-            return self._frees[o]
-        except KeyError:
-            raise IndexOutOfRangeError(f"object {o.describe()} is not in the site") from None
-
-    def identity(self, o: SiteObject) -> SiteMorphism:
-        free = self._frees[o]
-        e = self.base.identity
-        return SiteMorphism(
-            name=f"id[{o.describe()}]",
-            source=o,
-            target=o,
-            words=tuple(Word(free, (Symbol(e, lab, 1),)) for lab in free.labels),
+        n = base.order
+        grid = list(itertools.product(range(n), repeat=2))
+        self.objects: tuple[SiteObject, ...] = tuple(
+            [SiteObject("single", (x,)) for x in range(n)] + [SiteObject("pair", xy) for xy in grid]
         )
+        ids = range(len(self.objects))
+        self.families: tuple[tuple, ...] = (("id",),) * len(ids) + tuple(
+            [("m", p, x) for p, x in grid] + [(f, x, y) for x, y in grid for f in ("sigma", "inc1", "inc2")]
+        )
+        self.sources: tuple[int, ...] = (
+            *ids, *(base.conj(p, x) for p, x in grid), *(s for x, y in grid for s in (base.table[x][y], x, y))
+        )
+        self.targets: tuple[int, ...] = (*ids, *(x for _, x in grid), *(t for t in ids[n:] for _ in range(3)))
+
+    def position(self, o: SiteObject) -> int:
+        """Where o is in site order; o is a SiteObject at the API edge."""
+        n, xs = self.base.order, o.xs
+        i = xs[0] if len(xs) == 1 else n + xs[0] * n + xs[1] if len(xs) == 2 else -1
+        if 0 <= i < len(self.objects) and self.objects[i] == o:
+            return i
+        raise IndexOutOfRangeError(f"object {o.describe()} is not in the site")
+
+    def free(self, i: int) -> FreeObject:
+        xs = self.objects[i].xs
+        return FreeObject(self.base, ("g0", "g1")[: len(xs)], xs)
+
+    def name(self, k: int) -> str:
+        family, *args = self.families[k]
+        if family == "id":
+            return f"id[{self.objects[k].describe()}]"
+        return f"{family}[{','.join(map(str, args))}]"
+
+    def morphism(self, k: int) -> SiteMorphism:
+        family, *args = self.families[k]
+        source, target = self.sources[k], self.targets[k]
+        free = self.free(target)
+        u = args[0] if family == "m" else self.base.identity
+        # The labels of each word; m and inc1 have the one word g0.
+        labels = {"id": [(g,) for g in free.labels], "sigma": [("g0", "g1")], "inc2": [("g1",)]}
+        words = tuple(Word(free, tuple(Symbol(u, g, 1) for g in w)) for w in labels.get(family, [("g0",)]))
+        return SiteMorphism(self.name(k), self.objects[source], self.objects[target], words)
+
+    @cached_property
+    def generators(self) -> tuple[SiteMorphism, ...]:
+        return tuple(map(self.morphism, range(len(self.families))))
+
+    @cached_property
+    def by_name(self) -> dict[str, SiteMorphism]:
+        return {g.name: g for g in self.generators}
 
 
 def build_site(base: Group) -> Site:

@@ -224,13 +224,11 @@ def crossed_module_violations(
     base: Group,
     boundary: Sequence[int],
     action: Sequence[Sequence[int]],
-    check_cm2: bool = True,
 ) -> tuple[Violation, ...]:
     """Full validation report for crossed-module shaped data.
 
     Includes component-level checks (boundary is a homomorphism, action
-    axioms) and the two structure axioms.  With check_cm2 false only CM1 is
-    required, which validates the weaker pre-crossed structure.
+    axioms) and the two structure axioms.
     Codes: boundary-shape, boundary-range, boundary-hom, the action-* codes,
     cm1 with witness (p, m), cm2 with witness (m, n).
     """
@@ -244,18 +242,16 @@ def crossed_module_violations(
     shape_bad = [v for v in act_bad if v.axiom in ("action-shape", "action-range")]
     if out or shape_bad:
         return tuple(out) + tuple(shape_bad)
-    if not act_bad and _crossed_holds(group, base, boundary, action, check_cm2):
+    if not act_bad and _crossed_holds(group, base, boundary, action):
         return ()
     out.extend(act_bad)
     out.extend(Violation("boundary-hom", w) for w in _hom_failures(group, base, boundary))
-    out.extend(_structure_violations(group, base, boundary, action, check_cm2))
+    out.extend(_structure_violations(group, base, boundary, action))
     return tuple(out)
 
 
-def _crossed_holds(
-    group: Group, base: Group, boundary: Sequence[int], action: Sequence[Sequence[int]], check_cm2: bool
-) -> bool:
-    """Boundary hom, CM1 and (if check_cm2) CM2, proved on generators of a valid action.
+def _crossed_holds(group: Group, base: Group, boundary: Sequence[int], action: Sequence[Sequence[int]]) -> bool:
+    """Boundary hom, CM1 and CM2, proved on generators of a valid action.
 
     With the boundary a homomorphism and each row an automorphism, both
     sides of CM1 are homomorphisms in m, and the p satisfying it for all m
@@ -269,29 +265,27 @@ def _crossed_holds(
         for m in group._gens:
             if boundary[action[p][m]] != base.conj(p, boundary[m]):
                 return False
-    if check_cm2:
-        for m in group._gens:
-            row = action[boundary[m]]
-            for n in group._gens:
-                if row[n] != group.conj(m, n):
-                    return False
+    for m in group._gens:
+        row = action[boundary[m]]
+        for n in group._gens:
+            if row[n] != group.conj(m, n):
+                return False
     return True
 
 
 def _structure_violations(
-    group: Group, base: Group, boundary: Sequence[int], action: Sequence[Sequence[int]], check_cm2: bool = True
+    group: Group, base: Group, boundary: Sequence[int], action: Sequence[Sequence[int]]
 ) -> Iterator[Violation]:
     """CM1 then CM2 failures, for a boundary hom and an action that are valid."""
     for p in range(base.order):
         for m in range(group.order):
             if boundary[action[p][m]] != base.conj(p, boundary[m]):
                 yield Violation("cm1", (p, m))
-    if check_cm2:
-        for m in range(group.order):
-            pm = boundary[m]
-            for n in range(group.order):
-                if action[pm][n] != group.conj(m, n):
-                    yield Violation("cm2", (m, n))
+    for m in range(group.order):
+        pm = boundary[m]
+        for n in range(group.order):
+            if action[pm][n] != group.conj(m, n):
+                yield Violation("cm2", (m, n))
 
 
 def validate_crossed_module(A: CrossedModule) -> tuple[Violation, ...]:

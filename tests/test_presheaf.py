@@ -59,23 +59,29 @@ def _flat_xmod():
     return trivial_xmod(C2, C2)
 
 
-def _single(x):
-    return SiteObject("single", (x,))
+def _pair(F, x, y):
+    """Position of pair(x, y); single(x) is at position x."""
+    return F.site.position(SiteObject("pair", (x, y)))
+
+
+def _action(F, name):
+    """The index map of the generator called name."""
+    (k,) = [k for k in range(len(F.actions)) if F.site.name(k) == name]
+    return F.actions[k]
 
 
 def test_presheaf_sets_are_fiber_products():
     F = compute_presheaf(_mod2_xmod())
-    assert F.sets[_single(0)] == ((0,), (2,))
-    assert F.sets[_single(1)] == ((1,), (3,))
-    assert F.sets[SiteObject("pair", (1, 1))] == ((1, 1), (1, 3), (3, 1), (3, 3))
-    assert F.sets[SiteObject("pair", (0, 1))] == ((0, 1), (0, 3), (2, 1), (2, 3))
+    assert F.sets[0] == ((0,), (2,))
+    assert F.sets[1] == ((1,), (3,))
+    assert F.sets[_pair(F, 1, 1)] == ((1, 1), (1, 3), (3, 1), (3, 3))
+    assert F.sets[_pair(F, 0, 1)] == ((0, 1), (0, 3), (2, 1), (2, 3))
 
 
 def test_presheaf_identity_generators_act_as_identity():
     F = compute_presheaf(_mod2_xmod())
-    for o in F.site.objects:
-        name = f"id[{o.describe()}]"
-        assert F.actions[name] == tuple(range(len(F.sets[o])))
+    for i, o in enumerate(F.site.objects):
+        assert _action(F, f"id[{o.describe()}]") == F.actions[i] == tuple(range(len(F.sets[i])))
 
 
 def test_conjugation_move_acts_through_the_action():
@@ -83,18 +89,18 @@ def test_conjugation_move_acts_through_the_action():
     F = compute_presheaf(twisted)
     # The move at p = 1 sends the assignment a to the action of 1 on a,
     # which here is inversion.
-    assert F.actions["m[1,0]"] == (0, 2, 1)
+    assert _action(F, "m[1,0]") == (0, 2, 1)
     plain = compute_presheaf(_mod2_xmod())
-    assert plain.actions["m[1,1]"] == (0, 1)
+    assert _action(plain, "m[1,1]") == (0, 1)
 
 
 def test_multiplication_move_multiplies_components():
     F = compute_presheaf(_mod2_xmod())
     # Pair assignments in lexicographic order (1,1),(1,3),(3,1),(3,3) map to
     # the products 2, 0, 0, 2 inside single(0) = ((0,),(2,)).
-    assert F.actions["sigma[1,1]"] == (1, 0, 0, 1)
-    assert F.actions["inc1[1,1]"] == (0, 0, 1, 1)
-    assert F.actions["inc2[1,1]"] == (0, 1, 0, 1)
+    assert _action(F, "sigma[1,1]") == (1, 0, 0, 1)
+    assert _action(F, "inc1[1,1]") == (0, 0, 1, 1)
+    assert _action(F, "inc2[1,1]") == (0, 1, 0, 1)
 
 
 def test_presheaf_respects_composition():
@@ -111,8 +117,8 @@ def test_presheaf_action_on_composite_morphism():
     comp = compose_site_morphisms(site.by_name["inc1[1,1]"], site.by_name["m[1,1]"])
     direct = presheaf_action(F, comp)
     chained = tuple(
-        F.actions["m[1,1]"][F.actions["inc1[1,1]"][j]]
-        for j in range(len(F.sets[SiteObject("pair", (1, 1))]))
+        _action(F, "m[1,1]")[_action(F, "inc1[1,1]")[j]]
+        for j in range(len(F.sets[_pair(F, 1, 1)]))
     )
     assert direct == chained
 
@@ -126,6 +132,10 @@ def test_presheaf_action_rejects_malformed_morphisms():
         presheaf_action(F, replace(sigma, words=F.site.by_name["sigma[0,1]"].words))
     with pytest.raises(BaseMismatchError):
         presheaf_action(F, replace(sigma, words=(symbol_word(pair_object(C3, 1, 1), "g0"),)))
+    # inc1[0,1]'s word g0 lies over 0, not over the 1 of single(1): its
+    # images are not in F.sets[1], so no index map exists.
+    with pytest.raises(FiberMismatchError):
+        presheaf_action(F, replace(F.site.by_name["inc1[0,1]"], source=F.site.objects[1]))
 
 
 def test_functor_on_morphism_is_natural():
@@ -134,11 +144,12 @@ def test_functor_on_morphism_is_natural():
     f = make_xmod_morphism(A2, A1, [0, 1, 0, 1])
     phi = functor_on_morphism(f, F, G)
     assert check_naturality(phi) == ()
-    assert phi.components[_single(0)] == (0, 0)
+    assert phi.components[0] == (0, 0)
 
     ident = functor_on_morphism(identity_xmod_morphism(A2), F, F)
-    for o in F.site.objects:
-        assert ident.components[o] == tuple(range(len(F.sets[o])))
+    assert len(ident.components) == len(F.site.objects)
+    for comp, elems in zip(ident.components, F.sets):
+        assert comp == tuple(range(len(elems)))
 
 
 def test_functor_respects_composition():
@@ -149,7 +160,7 @@ def test_functor_respects_composition():
     lhs = functor_on_morphism(compose_xmod_morphisms(f, g), F3, F1)
     uf = functor_on_morphism(f, F2, F1)
     ug = functor_on_morphism(g, F3, F2)
-    for o in F3.site.objects:
+    for o in range(len(F3.site.objects)):
         chained = tuple(uf.components[o][ug.components[o][j]] for j in range(len(F3.sets[o])))
         assert lhs.components[o] == chained
 
@@ -164,10 +175,9 @@ def test_functor_rejects_mismatched_presheaves():
 
 def _perturbed_identity(F):
     phi = functor_on_morphism(identity_xmod_morphism(F.xmod), F, F)
-    components = dict(phi.components)
-    o = _single(0)
-    components[o] = tuple(reversed(components[o]))
-    return NaturalTransformation(source=F, target=F, components=components)
+    components = list(phi.components)
+    components[0] = tuple(reversed(components[0]))
+    return NaturalTransformation(source=F, target=F, components=tuple(components))
 
 
 def test_check_naturality_finds_broken_squares():
@@ -179,14 +189,9 @@ def test_check_naturality_finds_broken_squares():
 def test_check_naturality_shape_errors():
     F = compute_presheaf(_mod2_xmod())
     phi = functor_on_morphism(identity_xmod_morphism(F.xmod), F, F)
-    components = dict(phi.components)
-    del components[_single(0)]
-    with pytest.raises(ShapeMismatchError):
-        check_naturality(NaturalTransformation(source=F, target=F, components=components))
-    components = dict(phi.components)
-    components[_single(0)] = (0,)
-    with pytest.raises(ShapeMismatchError):
-        check_naturality(NaturalTransformation(source=F, target=F, components=components))
+    for components in (phi.components[1:], ((0,), *phi.components[1:])):
+        with pytest.raises(ShapeMismatchError):
+            check_naturality(NaturalTransformation(source=F, target=F, components=components))
 
 
 def _relation_with_bool():
@@ -196,10 +201,10 @@ def _relation_with_bool():
 
 def _component_with_bool():
     F = compute_presheaf(_mod2_xmod())
-    components = dict(functor_on_morphism(identity_xmod_morphism(F.xmod), F, F).components)
-    assert components[_single(0)] == (0, 1)
-    components[_single(0)] = (0, True)
-    return component_shape_violations(NaturalTransformation(source=F, target=F, components=components))
+    components = list(functor_on_morphism(identity_xmod_morphism(F.xmod), F, F).components)
+    assert components[0] == (0, 1)
+    components[0] = (0, True)
+    return component_shape_violations(NaturalTransformation(source=F, target=F, components=tuple(components)))
 
 
 @pytest.mark.parametrize("report", [_relation_with_bool, _component_with_bool], ids=["relation", "component"])
@@ -378,9 +383,9 @@ def test_coequaliser_comparison_catches_wrong_cocone(monkeypatch):
     ],
 )
 def test_comparisons_report_failed_squares(monkeypatch, kind, square_keys):
-    # Every comparison map reports one failed square, so each comparison
-    # must read its squares from check_naturality and fail on them.
-    monkeypatch.setattr(presheaf, "check_naturality", lambda phi: (("id[single(0)]", 0),))
+    # Every comparison map reports one failed square, generator 0 at index
+    # 0, so each comparison must read its squares and fail on them.
+    monkeypatch.setattr(presheaf, "_failed_squares", lambda phi: [(0, 0)])
     f = make_xmod_morphism(_mod2_xmod(), _id_xmod(), [0, 1, 0, 1])
     if kind == "product":
         report = verify_exactness_preservation("product", A=f.source, B=f.target)

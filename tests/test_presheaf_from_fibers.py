@@ -1,25 +1,31 @@
 """The presheaf built from fibers against word evaluation, on relabelled inputs.
 
 compute_presheaf reads each set off the boundary fibers and each
-generator's index map off fiber positions, and words.Site builds its free
-objects and words without the checks of make_free_object and make_word.
+generator's index map off fiber positions, and words.Site keys objects and
+generators by position and builds their free objects and words, on demand,
+without the checks of make_free_object and make_word.
 Here catalogue crossed modules over C2, V4 and S3, and the central
 extension GL(2,3) -> S4 with central kernel {I, -I}, are relabelled so
 that the identities of M and of the base leave index 0.  Every set must
 then equal hom_set, every generator's map must equal presheaf_action's
-evaluation of its words, and every word of the site must equal the word
-rebuilt through make_free_object and make_word.
+and carry each assignment to the evaluation of its words, every position
+must follow single x = x and pair (x, y) = n + x n + y, and every word of
+the site must equal the word rebuilt through make_free_object and
+make_word.
 """
 
 import itertools
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from xmodp.groups import cyclic_group, klein_four_group, make_group, make_hom, symmetric_group_3
 from xmodp.limits import default_catalogue
-from xmodp.presheaf import compute_presheaf, presheaf_action
-from xmodp.words import build_site, hom_set, make_free_object, make_word
-from xmodp.xmod import central_extension_xmod, make_crossed_module
+from xmodp import words
+from xmodp.presheaf import compute_presheaf, presheaf_action, verify_exactness_preservation, verify_full_faithful
+from xmodp.session import parse_session, run_command
+from xmodp.words import build_site, evaluate_word, hom_set, make_free_object, make_word
+from xmodp.xmod import central_extension_xmod, enumerate_morphisms, make_crossed_module
 
 BASES = [cyclic_group(2), klein_four_group(), symmetric_group_3()]
 SMALL_XMODS = [A for P in BASES for A in default_catalogue(P, 6 if P.order != 4 else 4)]
@@ -98,19 +104,28 @@ def _check_against_words(A):
     assert A.base.identity != 0 or A.base.order == 1
     site = build_site(A.base)
     F = compute_presheaf(A, site)
-    for o in site.objects:
-        free = site.free(o)
+    n = A.base.order
+    assert len(F.sets) == len(site.objects) == n + n * n
+    for i, o in enumerate(site.objects):
+        assert site.position(o) == i == (o.xs[0] if o.kind == "single" else n + o.xs[0] * n + o.xs[1])
+        free = site.free(i)
         assert free == make_free_object(A.base, free.labels, o.xs)
-        assert F.sets[o] == hom_set(free, A)
-        assert F.index[o] == {nu: i for i, nu in enumerate(F.sets[o])}
-    assert list(F.actions) == [g.name for g in site.generators]
-    for g, (family, *args) in zip(site.generators, site.families):
-        assert F.actions[g.name] == presheaf_action(F, g)
+        assert F.sets[i] == hom_set(free, A)
+    assert len(F.actions) == len(site.families) == len(site.sources) == len(site.targets)
+    for k, (family, *args) in enumerate(site.families):
+        g = site.morphism(k)
+        assert site.objects[site.sources[k]] == g.source and site.objects[site.targets[k]] == g.target
+        assert g.name == site.name(k)
+        assert F.actions[k] == presheaf_action(F, g)
+        images = [tuple(evaluate_word(w, A, nu) for w in g.words) for nu in F.sets[site.targets[k]]]
+        assert [F.sets[site.sources[k]][i] for i in F.actions[k]] == images
         if family != "id":
             assert g.name == f"{family}[{','.join(map(str, args))}]"
+        else:
+            assert site.sources[k] == site.targets[k] == k
         for w in g.words:
             rebuilt = make_free_object(w.free.base, w.free.labels, w.free.omega)
-            assert w.free == rebuilt == site.free(g.target)
+            assert w.free == rebuilt == site.free(site.targets[k])
             assert w == make_word(rebuilt, [tuple(s) for s in w.syms])
 
 
@@ -123,5 +138,31 @@ def test_presheaf_from_fibers_matches_word_evaluation(A):
 @settings(max_examples=5, deadline=None)
 @given(relabelled([E48]))
 def test_presheaf_from_fibers_matches_word_evaluation_over_s4(A):
-    assert (A.group.order, A.base.order, len(build_site(A.base).generators)) == (48, 24, 2904)
+    assert (A.group.order, A.base.order, len(build_site(A.base).families)) == (48, 24, 2904)
     _check_against_words(A)
+
+
+S3_SESSION = parse_session((Path(__file__).parent / "golden" / "s3.json").read_text())
+
+
+def test_embedding_builds_no_words(monkeypatch):
+    # Positions key the site inside the embedding: building it, embed,
+    # verify-embedding and the three exactness comparisons make no site
+    # morphism, word or free object, which exist only for the word calculus.
+    made = []
+    for name in ("SiteMorphism", "Word", "FreeObject"):
+        cls = getattr(words, name)
+        monkeypatch.setattr(words, name, lambda *args, _cls=cls, **kw: made.append(_cls) or _cls(*args, **kw))
+    E, T = S3_SESSION.xmods["E"], S3_SESSION.xmods["T"]
+    site = build_site(E.base)
+    report, code = run_command(S3_SESSION, "embed", ["E"])
+    assert code == 0 and len(report["actions"]) == len(site.families)
+    assert verify_full_faithful(T, E, site)["pass"]
+    f, g = enumerate_morphisms(E, E, budget=10**15)[:2]
+    pairs = {"product": {"A": T, "B": E}, "equaliser": {"f": f, "g": g}, "coequaliser": {"f": f, "g": g}}
+    for kind, args in pairs.items():
+        assert verify_exactness_preservation(kind, site=site, **args)["pass"]
+    assert made == []
+    # The counter sees constructions: the identity of single(0) makes one of each.
+    site.morphism(0)
+    assert [cls.__name__ for cls in made] == ["FreeObject", "Word", "SiteMorphism"]

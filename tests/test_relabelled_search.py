@@ -190,26 +190,30 @@ def _natural_transformations_oracle(F, G):
     """Every family of single components, extended coordinatewise to the
     pairs and kept when every naturality square commutes, in lexicographic
     order of the single components."""
-    singles = [o for o in F.site.objects if o.kind == "single"]
+    site = F.site
+    singles = [i for i, o in enumerate(site.objects) if o.kind == "single"]
     choices = [
         list(itertools.product(range(len(G.sets[o])), repeat=len(F.sets[o])))
         for o in singles
     ]
+    index_F = [{nu: i for i, nu in enumerate(elems)} for elems in F.sets]
+    index_G = [{nu: i for i, nu in enumerate(elems)} for elems in G.sets]
     out = []
     for combo in itertools.product(*choices):
         components = dict(zip(singles, combo))
-        for o in F.site.objects:
-            if o.kind == "pair":
-                ox, oy = (SiteObject("single", (x,)) for x in o.xs)
+        for o, obj in enumerate(site.objects):
+            if obj.kind == "pair":
+                ox, oy = (site.position(SiteObject("single", (x,))) for x in obj.xs)
                 components[o] = tuple(
-                    G.index[o][
+                    index_G[o][
                         (
-                            G.sets[ox][components[ox][F.index[ox][(a,)]]][0],
-                            G.sets[oy][components[oy][F.index[oy][(b,)]]][0],
+                            G.sets[ox][components[ox][index_F[ox][(a,)]]][0],
+                            G.sets[oy][components[oy][index_F[oy][(b,)]]][0],
                         )
                     ]
                     for (a, b) in F.sets[o]
                 )
+        components = tuple(components[o] for o in range(len(site.objects)))
         phi = NaturalTransformation(source=F, target=G, components=components)
         if not check_naturality(phi):
             out.append(phi.components)
@@ -265,11 +269,11 @@ def test_searched_transformations_pass_check_naturality(pair):
 def _postcomposition_oracle(f, F, G):
     """U(f) by its definition: each assignment of F composed with f, looked
     up in an index of G's set."""
-    components = {}
-    for o in F.site.objects:
-        index = {nu: i for i, nu in enumerate(G.sets[o])}
-        components[o] = tuple(index[tuple(f.mapping[a] for a in nu)] for nu in F.sets[o])
-    return components
+    components = []
+    for elems, targets in zip(F.sets, G.sets, strict=True):
+        index = {nu: i for i, nu in enumerate(targets)}
+        components.append(tuple(index[tuple(f.mapping[a] for a in nu)] for nu in elems))
+    return tuple(components)
 
 
 def _assert_postcomposition(f, F, G):

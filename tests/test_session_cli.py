@@ -216,8 +216,11 @@ def test_run_homset():
     assert report["assignments"] == [[1, 1], [1, 3], [3, 1], [3, 3]]
     report, _ = run_command(_session(), "homset", ["A2"])
     assert report["count"] == 1
-    with pytest.raises(ParseError):
-        run_command(_session(), "homset", ["A2", "x"])
+    # int() would read the middle four as 1, 10, 1 and 1, and refuses the
+    # last by its own digit limit.
+    for element in ["x", " +1", "1_0", "\u0661", "+1", "9" * 5000]:
+        with pytest.raises(ParseError):
+            run_command(_session(), "homset", ["A2", element])
 
 
 def test_run_embed():
@@ -339,6 +342,26 @@ def test_cli_unwritable_output_exits_2(tmp_path, capsys):
     assert stdout == ""
     assert stderr.startswith(f"error: cannot write {out}: ")
     assert not out.exists()
+
+
+def _assert_one_line_error(capsys, start):
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert stderr.startswith(start) and stderr.count("\n") == 1 and stderr.endswith("\n")
+
+
+def test_cli_non_utf8_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "session.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert main(["validate", "--input", str(path)]) == 2
+    _assert_one_line_error(capsys, f"error: cannot read {path}: ")
+
+
+def test_cli_deeply_nested_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "session.json"
+    path.write_text("[" * 100000)
+    assert main(["validate", "--input", str(path)]) == 2
+    _assert_one_line_error(capsys, "error: ParseError: ")
 
 
 def test_cli_argparse_errors(tmp_path):

@@ -29,10 +29,11 @@ from xmodp.presheaf import (
     compute_presheaf,
     enumerate_natural_transformations,
     functor_on_morphism,
+    presheaf_action,
     verify_full_faithful,
 )
 from xmodp.session import parse_session
-from xmodp.words import SiteObject, build_site
+from xmodp.words import build_site, evaluate_word
 from xmodp.xmod import (
     XModMorphism,
     compose_xmod_morphisms,
@@ -90,16 +91,16 @@ CASES = _transformations()
 def _shape_oracle(phi):
     """The definition of a component's shape, entry by entry."""
     F, G = phi.source, phi.target
+    objects = F.site.objects
+    if len(phi.components) != len(objects):
+        return (f"{len(phi.components)} components for {len(objects)} objects",)
     out = []
-    for o in F.site.objects:
-        comp = phi.components.get(o)
-        if comp is None:
-            out.append(f"missing component at {o.describe()}")
-            continue
-        if len(comp) != len(F.sets[o]):
+    for i, o in enumerate(objects):
+        comp = phi.components[i]
+        if len(comp) != len(F.sets[i]):
             out.append(f"component at {o.describe()} has length {len(comp)}")
             continue
-        if not all(is_index(v, len(G.sets[o])) for v in comp):
+        if not all(is_index(v, len(G.sets[i])) for v in comp):
             out.append(f"component at {o.describe()} has out-of-range values")
     return tuple(out)
 
@@ -110,10 +111,12 @@ def _naturality_oracle(phi):
     if shape:
         raise ShapeMismatchError("; ".join(shape))
     F, G = phi.source, phi.target
+    site = F.site
     bad = []
-    for g in F.site.generators:
-        act_F, act_G = F.actions[g.name], G.actions[g.name]
-        comp_src, comp_tgt = phi.components[g.source], phi.components[g.target]
+    for k, g in enumerate(site.generators):
+        act_F, act_G = F.actions[k], G.actions[k]
+        comp_src = phi.components[site.position(g.source)]
+        comp_tgt = phi.components[site.position(g.target)]
         for j in range(len(act_F)):
             if comp_src[act_F[j]] != act_G[comp_tgt[j]]:
                 bad.append((g.name, j))
@@ -128,7 +131,7 @@ def _outcome(check, phi):
 
 
 def test_cases_cover_empty_and_one_element_sets():
-    sizes = {len(phi.source.sets[o]) for phi in CASES for o in phi.source.site.objects}
+    sizes = {len(elems) for phi in CASES for elems in phi.source.sets}
     assert {0, 1} <= sizes and max(sizes) > 1
     assert any(phi.source.site.base.order == 24 for phi in CASES)
     assert all(check_naturality(phi) == () for phi in CASES)
@@ -141,9 +144,9 @@ PERTURBATIONS = ["none", "entry", "bool", "out-of-range", "negative", "missing",
 @given(st.sampled_from(CASES), st.sampled_from(PERTURBATIONS), st.data())
 def test_check_naturality_matches_square_by_square_oracle(phi, kind, data):
     F, G = phi.source, phi.target
-    components = dict(phi.components)
-    objects = [o for o in F.site.objects if components[o]]
-    o = data.draw(st.sampled_from(objects if kind != "missing" else F.site.objects))
+    components = list(phi.components)
+    objects = [o for o, comp in enumerate(components) if comp]
+    o = data.draw(st.sampled_from(objects if kind != "missing" else range(len(components))))
     comp = list(components[o])
     i = data.draw(st.integers(0, max(len(comp) - 1, 0)))
     limit = len(G.sets[o])
@@ -162,7 +165,7 @@ def test_check_naturality_matches_square_by_square_oracle(phi, kind, data):
     components[o] = tuple(comp)
     if kind == "missing":
         del components[o]
-    perturbed = NaturalTransformation(source=F, target=G, components=components)
+    perturbed = NaturalTransformation(source=F, target=G, components=tuple(components))
     assert _outcome(check_naturality, perturbed) == _outcome(_naturality_oracle, perturbed)
     assert component_shape_violations(perturbed) == _shape_oracle(perturbed)
 
@@ -170,10 +173,10 @@ def test_check_naturality_matches_square_by_square_oracle(phi, kind, data):
 def test_check_naturality_lists_failures_in_generator_order():
     # Two components broken at once, on a presheaf with squares of one entry.
     phi = next(p for p in CASES if p.source.xmod is E and p.target.xmod is E)
-    components = dict(phi.components)
-    for o in phi.source.site.objects[:2]:
+    components = list(phi.components)
+    for o in range(2):
         components[o] = tuple(reversed(components[o]))
-    broken = NaturalTransformation(source=phi.source, target=phi.target, components=components)
+    broken = NaturalTransformation(source=phi.source, target=phi.target, components=tuple(components))
     bad = check_naturality(broken)
     assert bad and bad == _naturality_oracle(broken)
     assert len({name for name, _ in bad}) > 1
@@ -231,10 +234,9 @@ def _mod2_xmod():
 def _swapped_identity(F):
     """U(id) with the component at single(0) reversed: the element map it
     reads, 0 <-> 2 on C4, moves the identity, so it is no morphism."""
-    components = dict(functor_on_morphism(identity_xmod_morphism(F.xmod), F, F).components)
-    o = SiteObject("single", (0,))
-    components[o] = tuple(reversed(components[o]))
-    return NaturalTransformation(source=F, target=F, components=components)
+    components = list(functor_on_morphism(identity_xmod_morphism(F.xmod), F, F).components)
+    components[0] = tuple(reversed(components[0]))
+    return NaturalTransformation(source=F, target=F, components=tuple(components))
 
 
 def test_private_reconstruction_still_validates_the_morphism():
@@ -272,9 +274,15 @@ def test_functor_on_morphism_rejects_a_map_across_fibers():
         functor_on_morphism(XModMorphism(E, E, (0,) * E.group.order), F, F)
 
 
-def test_index_is_built_per_object_on_first_read():
+def test_presheaf_action_indexes_images_by_fiber_position():
+    # On a relabelled base, an image's index in its set is the mixed-radix
+    # number of its entries' fiber positions, with no lookup table.
     F = compute_presheaf(E)
-    assert len(F.index) == 0
-    o = SiteObject("pair", (E.base.identity, E.base.identity))
-    assert F.index[o] == {nu: i for i, nu in enumerate(F.sets[o])}
-    assert list(F.index) == [o]
+    site = F.site
+    for k in range(len(site.families)):
+        g = site.morphism(k)
+        source = {nu: i for i, nu in enumerate(F.sets[site.sources[k]])}
+        expected = tuple(
+            source[tuple(evaluate_word(w, E, nu) for w in g.words)] for nu in F.sets[site.targets[k]]
+        )
+        assert presheaf_action(F, g) == expected == F.actions[k]

@@ -199,27 +199,27 @@ def corrupted_xmod_data(draw):
     return A, boundary, action
 
 
-def _full_crossed_scan(group, base, boundary, action, check_cm2):
+def _full_crossed_scan(group, base, boundary, action):
     """crossed_module_violations for in-range data, from the full scans alone."""
     rows = [tuple(r) for r in action]
     return (
         xmod._action_scan(base, group, rows)
         + tuple(Violation("boundary-hom", w) for w in groups._hom_failures(group, base, boundary))
-        + tuple(xmod._structure_violations(group, base, boundary, action, check_cm2))
+        + tuple(xmod._structure_violations(group, base, boundary, action))
     )
 
 
 @settings(max_examples=300, deadline=None)
-@given(corrupted_xmod_data(), st.booleans())
-def test_crossed_module_checks_on_generators_are_exact(case, check_cm2):
+@given(corrupted_xmod_data())
+def test_crossed_module_checks_on_generators_are_exact(case):
     A, boundary, action = case
     M, P = A.group, A.base
     rows = [tuple(r) for r in action]
     scan = xmod._action_scan(P, M, rows)
     assert xmod._action_holds(P, M, rows) == (not scan)
     assert action_violations(P, M, action) == scan
-    full = _full_crossed_scan(M, P, boundary, action, check_cm2)
-    assert crossed_module_violations(M, P, boundary, action, check_cm2=check_cm2) == full
+    full = _full_crossed_scan(M, P, boundary, action)
+    assert crossed_module_violations(M, P, boundary, action) == full
 
 
 def _action_scan_oracle(actor, space, rows):
@@ -306,19 +306,19 @@ def valid_actions_any_boundary(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(valid_actions_any_boundary(), st.booleans())
-def test_cm1_cm2_checks_on_generators_are_exact(case, check_cm2):
+@given(valid_actions_any_boundary())
+def test_cm1_cm2_checks_on_generators_are_exact(case):
     M, P, bnd, action = case
-    structure = list(xmod._structure_violations(M, P, bnd, action, check_cm2))
-    assert xmod._crossed_holds(M, P, bnd, action, check_cm2) == (not structure)
-    assert crossed_module_violations(M, P, bnd, action, check_cm2=check_cm2) == tuple(structure)
+    structure = list(xmod._structure_violations(M, P, bnd, action))
+    assert xmod._crossed_holds(M, P, bnd, action) == (not structure)
+    assert crossed_module_violations(M, P, bnd, action) == tuple(structure)
 
 
 def test_catalogue_filter_keeps_what_the_generator_check_accepts():
     for M in SMALL:
         for P in (cyclic_group(2), symmetric_group_3()):
             for A in all_crossed_modules(M, P):
-                assert xmod._crossed_holds(M, P, A.boundary.image, A.action.table, True)
+                assert xmod._crossed_holds(M, P, A.boundary.image, A.action.table)
 
 
 # Equivariant homomorphisms between catalogue entries on groups of the

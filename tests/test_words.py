@@ -15,6 +15,7 @@ from xmodp.errors import (
 from xmodp.groups import cyclic_group, subgroup_closure, symmetric_group_3
 from xmodp.limits import terminal_object
 from xmodp.words import (
+    SiteObject,
     apply_peiffer_move,
     build_site,
     compose_site_morphisms,
@@ -201,11 +202,14 @@ def test_apply_peiffer_move_rewrites():
 def test_site_shape_over_c2():
     site = build_site(C2)
     assert len(site.objects) == 6
-    assert len(site.generators) == 22
+    assert len(site.generators) == len(site.families) == 22
     assert site.by_name["m[1,0]"].source.describe() == "single(0)"
     assert site.by_name["sigma[1,1]"].source == site.objects[0]
-    with pytest.raises(IndexOutOfRangeError):
-        site.free(type(site.objects[0])("single", (9,)))
+    assert [site.position(o) for o in site.objects] == list(range(6))
+    outside = [("single", (9,)), ("single", (-1,)), ("single", ()), ("pair", (-1, 3)), ("pair", (0, 2))]
+    for kind, xs in outside + [("triple", (0, 0, 0))]:
+        with pytest.raises(IndexOutOfRangeError):
+            site.position(SiteObject(kind, xs))
 
 
 def test_site_shape_over_s3():
@@ -217,7 +221,7 @@ def test_site_shape_over_s3():
 def test_identity_translation_move_matches_identity():
     site = build_site(C2)
     for x in range(2):
-        assert site.by_name[f"m[0,{x}]"].words == site.identity(site.objects[x]).words
+        assert site.by_name[f"m[0,{x}]"].words == site.morphism(x).words == site.by_name[f"id[single({x})]"].words
 
 
 def test_compose_injection_after_move():
@@ -243,8 +247,8 @@ def test_compose_multiplication_after_move():
 def test_compose_with_identity_is_neutral():
     site = build_site(C2)
     f = site.by_name["sigma[0,1]"]
-    left = compose_site_morphisms(site.identity(f.target), f)
-    right = compose_site_morphisms(f, site.identity(f.source))
+    left = compose_site_morphisms(site.morphism(site.position(f.target)), f)
+    right = compose_site_morphisms(f, site.morphism(site.position(f.source)))
     assert left.words == f.words == right.words
 
 
@@ -270,7 +274,7 @@ def test_substitute_preserves_boundary_relation():
     # the conjugation move that is conjugation by p.
     site = build_site(S3)
     m = site.by_name["m[2,1]"]
-    w = symbol_word(site.free(m.source), "g0", u=4)
+    w = symbol_word(site.free(site.position(m.source)), "g0", u=4)
     pushed = substitute_word(w, m)
     assert word_boundary(pushed) == S3.conj(4, word_boundary(m.words[0]))
 

@@ -106,13 +106,6 @@ def test_cm1_violations_witnessed():
     assert cm1 == {(1, 1), (1, 2)}
 
 
-def test_pre_crossed_check_skips_cm2():
-    violations = crossed_module_violations(
-        C4, C2, [0, 1, 0, 1], [[0, 1, 2, 3], [0, 3, 2, 1]], check_cm2=False
-    )
-    assert violations == ()
-
-
 def test_action_violation_codes():
     broken_identity = crossed_module_violations(
         C3, C2, [0, 0, 0], [[0, 2, 1], [0, 1, 2]]
