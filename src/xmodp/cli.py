@@ -9,37 +9,51 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .errors import XmodError
+from .limits import MAX_CATALOGUE_ORDER
 from .session import COMMAND_TABLE, DATA_ERRORS, USAGE_ERRORS, parse_session, run_command
 
 __all__ = ["build_parser", "main"]
 
+
+def _decimal(text: str) -> int:
+    """An optional minus sign and ASCII decimal digits, read as an int."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"expected an ASCII decimal integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    width = max(map(len, COMMAND_TABLE))
+    commands = "\n".join(f"  {cmd:<{width}}  {entry.help}" for cmd, entry in COMMAND_TABLE.items())
     parser = argparse.ArgumentParser(
         prog="xmodp",
         description="Crossed modules over a fixed finite base group.",
+        epilog=f"commands:\n{commands}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", required=True, help="session file (JSON)")
-    common.add_argument("--output", default="-", help="report destination, - for stdout")
-    common.add_argument("--budget", type=int, default=None, help="search budget override, at least 1")
-    common.add_argument(
-        "--catalogue-order", type=int, default=None, help="catalogue group order bound override, 1 to 6"
+    parser.add_argument("command", choices=COMMAND_TABLE, metavar="command", help="one of the commands below")
+    parser.add_argument("names", nargs="*", help="object names (and indices for homset)")
+    parser.add_argument("--input", required=True, help="session file (JSON)")
+    parser.add_argument("--output", default="-", help="report destination, - for stdout")
+    parser.add_argument("--budget", type=_decimal, default=None, help="search budget override, at least 1")
+    parser.add_argument(
+        "--catalogue-order",
+        type=_decimal,
+        default=None,
+        help=f"catalogue group order bound override, 1 to {MAX_CATALOGUE_ORDER}",
     )
-    common.add_argument(
+    parser.add_argument(
         "--json",
         action=argparse.BooleanOptionalAction,
         default=True,
         help="emit the full JSON report (default) or a one-line summary",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for cmd, entry in COMMAND_TABLE.items():
-        sp = sub.add_parser(cmd, parents=[common], help=entry.help)
-        sp.add_argument("names", nargs="*", help="object names (and indices for homset)")
     return parser
 
 
@@ -104,7 +118,7 @@ def _emit(report: dict, output: str, as_json: bool) -> None:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = parser.parse_intermixed_args(argv)
     try:
         text = Path(ns.input).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:

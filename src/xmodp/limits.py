@@ -107,7 +107,7 @@ def _after(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
 def _sub_xmod(A: CrossedModule, elems: Iterable[int], name: str) -> tuple[CrossedModule, XModMorphism]:
     """A subgroup of M closed under the base action, with the inclusion morphism."""
     sub = tuple(sorted(set(elems)))
-    H, incl = subgroup_group(A.group, sub, name=f"{name}#grp")
+    H, _ = subgroup_group(A.group, sub, name=f"{name}#grp")
     pos = {g: i for i, g in enumerate(sub)}
     boundary = [A.boundary.image[m] for m in sub]
     action = [[pos[A.act(p, m)] for m in sub] for p in range(A.base.order)]
@@ -279,7 +279,6 @@ def equivalence_violations(E: EquivalenceRelation) -> tuple[str, ...]:
     """Reasons the pair set fails to be an equivalence sub-crossed-module."""
     A = E.carrier
     n = A.group.order
-    out = []
     for (a, b) in sorted(E.pairs):
         if not (is_index(a, n) and is_index(b, n)):
             return (f"pair ({a}, {b}) out of range",)

@@ -3,9 +3,10 @@
 tests/golden/cases.json lists each case: the argv passed to xmodp.cli.main
 (its --input names a session file in tests/golden/) and the expected exit
 code.  <name>.out and <name>.err hold the exact stdout and stderr of that
-call.  They were written once by running the cases on the code before the
-search engines were merged, so a refactor that keeps them passing keeps
-every report unchanged.  Never regenerate them to make this test pass: a
+call, and of the same call with every option moved after the names.  They
+were written once by running the cases on the code before the search
+engines were merged, so a refactor that keeps them passing keeps every
+report unchanged.  Never regenerate them to make this test pass: a
 changed report is either a bug or a change of the report format, which
 needs its own review.
 """
@@ -22,6 +23,9 @@ GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 
+OPTIONS_WITH_VALUE = {"--input", "--output", "--budget", "--catalogue-order"}
+
+
 def _argv(case: dict) -> list[str]:
     argv = list(case["argv"])
     i = argv.index("--input") + 1
@@ -29,13 +33,42 @@ def _argv(case: dict) -> list[str]:
     return argv
 
 
-@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
-def test_golden_report(case, capsys):
-    code = main(_argv(case))
+def _options_last(argv: list[str]) -> list[str]:
+    """The same argv with every option token moved after the names."""
+    names, options = [], []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in OPTIONS_WITH_VALUE:
+            options += [token, next(tokens)]
+        elif token.startswith("--"):
+            options.append(token)
+        else:
+            names.append(token)
+    return [argv[0], *names, *options]
+
+
+ORDERS = {"as-listed": list, "options-last": _options_last}
+
+
+@pytest.mark.parametrize(
+    "case, order",
+    [(c, order) for order in ORDERS for c in CASES],
+    ids=[c["name"] if order == "as-listed" else f"{c['name']}-{order}" for order in ORDERS for c in CASES],
+)
+def test_golden_report(case, order, capsys):
+    # The parser reads options before, between or after the names.
+    code = main(ORDERS[order](_argv(case)))
     out, err = capsys.readouterr()
     assert code == case["exit"]
     assert out == (GOLDEN / f"{case['name']}.out").read_text()
     assert err == (GOLDEN / f"{case['name']}.err").read_text()
+
+
+def test_options_last_moves_every_option_after_the_names():
+    argv = ["equaliser", "--input", "p.json", "--catalogue-order", "3", "--budget", "9", "--no-json", "id", "inv"]
+    assert _options_last(argv) == [
+        "equaliser", "id", "inv", "--input", "p.json", "--catalogue-order", "3", "--budget", "9", "--no-json"
+    ]
 
 
 def test_golden_cases_cover_every_command():

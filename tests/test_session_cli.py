@@ -1,5 +1,6 @@
 """Tests for session files, the command layer, and the CLI."""
 
+import argparse
 import json
 
 import pytest
@@ -16,7 +17,7 @@ from xmodp.errors import (
     ValidationError,
     XmodError,
 )
-from xmodp.session import Session, parse_session, run_command, serialize_session
+from xmodp.session import COMMAND_TABLE, Session, parse_session, run_command, serialize_session
 
 C4_TABLE = [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
 
@@ -374,6 +375,46 @@ def test_cli_argparse_errors(tmp_path):
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["1_000", " 5", "+5", "\u0664"], ids=["underscore", "space", "plus", "arabic-indic"])
+@pytest.mark.parametrize("flag", ["--budget", "--catalogue-order"])
+def test_cli_integer_options_take_ascii_digits_only(tmp_path, capsys, flag, value):
+    # int() would read these as 1000, 5, 5 and 4.
+    path = _write_session(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["product", "--input", path, flag, value, "A2", "A1"])
+    assert err.value.code == 2
+    out, err_text = capsys.readouterr()
+    assert out == ""
+    assert f"argument {flag}: expected an ASCII decimal integer" in err_text
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["embed", "--help"]], ids=["top", "command"])
+def test_cli_help_lists_every_command(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for cmd, entry in COMMAND_TABLE.items():
+        assert any(line.split() == [cmd, *entry.help.split()] for line in lines), cmd
+
+
+def test_cli_builds_one_parser_per_call(tmp_path, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    path = _write_session(tmp_path)
+    for argv in (["validate", "--input", path], ["product", "A2", "A1", "--input", path, "--no-json"]):
+        built.clear()
+        assert main(argv) == 0
+        assert len(built) == 1
+    capsys.readouterr()
 
 
 def _fresh_doc():

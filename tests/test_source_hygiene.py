@@ -2,9 +2,10 @@
 
 Every name a module imports is used there or re-exported through its
 __all__, and every private function or method is referenced somewhere in
-the package.  __init__.py imports only to re-export, so it is not checked
-for unused imports.  The site's types are constructed only in words.py,
-so the trusted construction of the site stays in one module.
+the package.  Every local name a function assigns, other than _, is read
+in that function.  __init__.py imports only to re-export, so it is not
+checked for unused imports.  The site's types are constructed only in
+words.py, so the trusted construction of the site stays in one module.
 """
 
 import ast
@@ -88,3 +89,39 @@ def test_site_types_are_constructed_only_in_words():
         for node in ast.walk(TREES["words.py"])
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     } >= SITE_TYPES
+
+
+def _own_nodes(function):
+    """The nodes of a function's own scope: nested functions, lambdas and classes are left out."""
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_assigned_local_is_read():
+    # A nested function may read its enclosing function's locals, so reads
+    # are collected over the whole function, nested scopes included.
+    unread = []
+    for module, tree in TREES.items():
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            own = list(_own_nodes(function))
+            declared = {
+                name for node in own if isinstance(node, (ast.Global, ast.Nonlocal)) for name in node.names
+            }
+            read = {
+                node.id
+                for node in ast.walk(function)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            unread += [
+                f"{module}:{node.lineno} {function.name}: {node.id}"
+                for node in own
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                and node.id != "_" and node.id not in read | declared
+            ]
+    assert unread == []
