@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import XmodError
 from .limits import MAX_CATALOGUE_ORDER
-from .session import COMMAND_TABLE, DATA_ERRORS, USAGE_ERRORS, parse_session, run_command
+from .session import COMMAND_TABLE, DATA_ERRORS, parse_session, run_command
 
 __all__ = ["build_parser", "main"]
 
@@ -133,9 +133,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             budget=ns.budget,
             catalogue_order=ns.catalogue_order,
         )
-    except USAGE_ERRORS as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
     except DATA_ERRORS as e:
         report = {
             "command": ns.command,

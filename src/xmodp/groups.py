@@ -350,30 +350,28 @@ def compose_homs(f: GroupHom, g: GroupHom) -> GroupHom:
     return GroupHom(g.domain, f.codomain, tuple(f.image[g.image[a]] for a in range(g.domain.order)))
 
 
-def _search_homs(
-    domain: Group,
-    codomain: Group,
-    candidates: Sequence[Sequence[int]],
-    actions: Iterable[tuple[Sequence[int], Sequence[int]]] = (),
+def _search(
+    candidates: Sequence[Iterable[int]],
+    products: Iterable[tuple[int, int, int, Sequence[Sequence[int]]]],
+    moves: Iterable[tuple[int, int, Sequence[int]]],
 ) -> list[tuple[int, ...]]:
-    """Every multiplicative image tuple img with img[x] in candidates[x] and
-    img[s[x]] == t[img[x]] for each (s, t) in actions.
+    """Every tuple img with img[k] in candidates[k] that meets the conditions.
 
-    Images are assigned in index order, each from its candidates in the order
-    given, so ascending candidates give the tuples in lexicographic order.
-    Each product condition (a, b, ab) and each action condition (x, s[x]) is
-    checked once, at the step that assigns the largest index it involves, so
-    a partial assignment is cut as soon as it breaks one.
+    A product (a, b, c, T) asks for img[c] == T[img[a]][img[b]] and a move
+    (x, y, t) for img[y] == t[img[x]].  Variables are assigned in index
+    order, each from its candidates in the order given, so the tuples come
+    out in the lexicographic order of those candidate orders.  Each
+    condition is filed under its largest variable and checked once, at the
+    step that assigns it, so a partial assignment is cut as soon as it
+    breaks one and every condition holds at the leaves.
     """
-    n, tab = domain.order, codomain.table
-    products: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for a, row in enumerate(domain.table):
-        for b, c in enumerate(row):
-            products[max(a, b, c)].append((a, b, c))
-    moves: list[list[tuple[int, int, Sequence[int]]]] = [[] for _ in range(n)]
-    for s, t in actions:
-        for x, y in enumerate(s):
-            moves[max(x, y)].append((x, y, t))
+    n = len(candidates)
+    by_product: list[list[tuple]] = [[] for _ in range(n)]
+    for a, b, c, T in products:
+        by_product[max(a, b, c)].append((a, b, c, T))
+    by_move: list[list[tuple]] = [[] for _ in range(n)]
+    for x, y, t in moves:
+        by_move[max(x, y)].append((x, y, t))
     img = [0] * n
     out: list[tuple[int, ...]] = []
 
@@ -383,13 +381,33 @@ def _search_homs(
             return
         for v in candidates[k]:
             img[k] = v
-            if all(tab[img[a]][img[b]] == img[c] for a, b, c in products[k]) and all(
-                img[y] == t[img[x]] for x, y, t in moves[k]
+            if all(T[img[a]][img[b]] == img[c] for a, b, c, T in by_product[k]) and all(
+                img[y] == t[img[x]] for x, y, t in by_move[k]
             ):
                 assign(k + 1)
 
     assign(0)
     return out
+
+
+def _search_homs(
+    domain: Group,
+    codomain: Group,
+    candidates: Sequence[Sequence[int]],
+    actions: Iterable[tuple[Sequence[int], Sequence[int]]] = (),
+) -> list[tuple[int, ...]]:
+    """Every multiplicative image tuple img with img[x] in candidates[x] and
+    img[s[x]] == t[img[x]] for each (s, t) in actions, by _search.
+
+    The conditions are one product (a, b, ab) per entry of the domain
+    table, read through the codomain table, and one move (x, s[x]) per
+    action pair and element; ascending candidates give the tuples in
+    lexicographic order.
+    """
+    tab = codomain.table
+    products = [(a, b, c, tab) for a, row in enumerate(domain.table) for b, c in enumerate(row)]
+    moves = [(x, y, t) for s, t in actions for x, y in enumerate(s)]
+    return _search(candidates, products, moves)
 
 
 def enumerate_homs(domain: Group, codomain: Group) -> tuple[GroupHom, ...]:

@@ -38,6 +38,7 @@ from .xmod import (
     DEFAULT_BUDGET,
     CrossedModule,
     XModMorphism,
+    _require_same_base,
     _trusted_xmod,
     all_crossed_modules,
     conjugation_action,
@@ -240,15 +241,16 @@ def unique_to_terminal(A: CrossedModule, T: CrossedModule | None = None) -> XMod
 
 
 def product_over_P(A: CrossedModule, B: CrossedModule) -> Cone:
-    """Binary product, realised as the pullback over the terminal object."""
+    """Binary product, realised as the pullback over the terminal object;
+    A and B must share their base."""
+    _require_same_base(A, B)
     T = terminal_object(A.base)
-    cone = pullback(
+    return pullback(
         unique_to_terminal(A, T),
         unique_to_terminal(B, T),
         name=f"prod({A.name},{B.name})",
         kind="product",
     )
-    return cone
 
 
 def kernel_pair(f: XModMorphism) -> Cone:

@@ -11,10 +11,16 @@ Morphisms become postcomposition families, also read off fiber positions:
 an assignment's index is the mixed-radix number of its entries' positions
 in their fibers.
 Fullness and faithfulness are checked by comparing the crossed-module
-morphisms with the natural transformations, each set found by its own
-complete search (the transformations by backtracking over single
-components, pruned by naturality squares); exactness by comparing
-constructions objectwise.  Every search space is gated by the budget.
+morphisms with the natural transformations, each set found by a complete
+search of groups._search on its own constraints: the morphisms from the
+group tables and actions, the transformations from the two presheaves
+alone.  The transformation variables are the entries of the single
+components; the search checks the squares of the moves m[p,x] and of the
+multiplications sigma[x,y].  Identity squares hold by definition, and the
+inc1/inc2 squares by construction, since every pair component is built
+coordinatewise from the single components (as naturality forces).
+Exactness is checked by comparing constructions objectwise.  Every search
+space is gated by the budget.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .errors import (
     ReconstructionInvalidError,
     ShapeMismatchError,
 )
+from .groups import _search
 from .limits import coequaliser, equaliser, kernel_pair, product_over_P
 from .words import (
     Site,
@@ -50,6 +57,7 @@ from .xmod import (
     DEFAULT_BUDGET,
     CrossedModule,
     XModMorphism,
+    _fibers,
     enumerate_morphisms,
     validate_morphism,
 )
@@ -86,23 +94,6 @@ class Presheaf:
     xmod: CrossedModule
     sets: tuple[tuple[Assignment, ...], ...]
     actions: tuple[tuple[int, ...], ...]
-
-
-def _fibers(A: CrossedModule) -> tuple[list[list[int]], list[int]]:
-    """fibers[x], the elements of A over x in ascending order, and pos[a],
-    the position of a in its fiber, by one pass over the boundary.
-
-    compute_presheaf lists each set as the product of its fibers in
-    lexicographic order, so the single assignment (a,) of x has index
-    pos[a] and the pair assignment (a, b) of (x, y) has index
-    pos[a] * len(fibers[y]) + pos[b].
-    """
-    fibers: list[list[int]] = [[] for _ in range(A.base.order)]
-    pos = []
-    for m, x in enumerate(A.boundary.image):
-        pos.append(len(fibers[x]))
-        fibers[x].append(m)
-    return fibers, pos
 
 
 def presheaf_action(F: Presheaf, m: SiteMorphism) -> tuple[int, ...]:
@@ -268,25 +259,49 @@ def check_naturality(phi: NaturalTransformation) -> tuple[tuple[str, int], ...]:
     return tuple((phi.source.site.name(k), j) for k, j in _failed_squares(phi))
 
 
+def _with_pairs(singles: Sequence[tuple[int, ...]], G: Presheaf) -> tuple[tuple[int, ...], ...]:
+    """The components of the transformation into G that has the single
+    components singles and acts on pairs coordinatewise.
+
+    Entry ia * |F_y| + ib of the component at pair(x, y) is
+    singles[x][ia] * |G_y| + singles[y][ib], the index in G's product of
+    fibers of the pair of the two single images.
+    """
+    pairs = []
+    for x, y in itertools.product(range(len(singles)), repeat=2):
+        scaled = [i * len(G.sets[y]) for i in singles[x]]
+        pairs.append(tuple(itertools.starmap(add, itertools.product(scaled, singles[y]))))
+    return (*singles, *pairs)
+
+
 def enumerate_natural_transformations(
     F: Presheaf, G: Presheaf, budget: int = DEFAULT_BUDGET
 ) -> tuple[NaturalTransformation, ...]:
-    """All natural maps F -> G, by a backtracking search over single components.
+    """All natural maps F -> G, found by groups._search.
 
-    The injection squares force every pair component to act coordinatewise,
-    so the variables are the entries of the single components: one per
-    (single object, index), assigned in site order, each trying the values
-    of G's set in ascending order, so the transformations come out in
-    lexicographic order of their single components.  A pair entry is set as
-    soon as both single entries it reads are, by fiber arithmetic: pair
-    index pos(a) * |G_y| + pos(b) in G from the two single values.  Each
-    generating square is checked once, at the step that assigns the last
-    variable it reads, so every square of a complete assignment has been
-    checked and the leaves are not re-checked.  Only the two presheaves are
-    read, never the crossed-module morphisms, so verify_full_faithful
-    compares two independently computed sets.  The size of the
-    generate-and-test space, the product of |G_o|^|F_o| over the singles,
-    is gated by the budget.
+    The variables are the entries of the single components, entry i of
+    single(x) being variable start[x] + i, with candidates range(|G_x|):
+    they are assigned in site order, so the transformations come out in
+    lexicographic order of their single components.  The pair components
+    are built from them coordinatewise by _with_pairs, and the search
+    checks the squares that can fail:
+    - m[p,x], from single(s) to single(t), carries entry j of F_t to
+      entry act_F[j] of F_s, so its square at j is the move
+      (start[t] + j, start[s] + act_F[j], act_G);
+    - sigma[x,y], from single(s) to pair(x,y), has at j = ia * |F_y| + ib
+      the square comp_s[act_F[j]] == act_G[cx[ia] * |G_y| + cy[ib]], the
+      product (start[x] + ia, start[y] + ib, start[s] + act_F[j], rows)
+      with rows[u] = act_G[u * |G_y|:(u + 1) * |G_y|].
+    Identity squares hold by definition.  The injection squares hold by
+    construction: inc1[x,y] carries entry ia * |F_y| + ib of F_pair to
+    entry ia of F_x, and in G it sends cx[ia] * |G_y| + cy[ib] to cx[ia],
+    so both sides of its square are cx[ia]; inc2 likewise gives cy[ib].
+    Conversely those squares force every natural pair component to be the
+    coordinatewise one, so the search misses nothing.  Only the two
+    presheaves are read, never the crossed-module morphisms, so
+    verify_full_faithful compares two independently computed sets.  The
+    size of the generate-and-test space, the product of |G_o|^|F_o| over
+    the singles, is gated by the budget.
     """
     site = F.site
     n = site.base.order
@@ -297,47 +312,26 @@ def enumerate_natural_transformations(
         raise BudgetExceededError(
             f"natural transformation search needs {space} candidates, budget {budget}"
         )
-    # The components under construction, by position.  Variable k is entry
-    # slots[k][1] of the single component slots[k][0] and takes the values
-    # below slots[k][2]; reads[o][i] lists the variables entry i of o reads.
-    comps = [[0] * len(elems) for elems in F.sets]
-    slots: list[tuple[list[int], int, int]] = []
-    reads: list[list[tuple[int, ...]]] = []
-    for x in range(n):
-        reads.append([(len(slots) + i,) for i in range(len(F.sets[x]))])
-        slots += [(comps[x], i, len(G.sets[x])) for i in range(len(F.sets[x]))]
-    # Per step, the pair entries it completes: entry j of pair(x, y) reads
-    # entry j // |F_y| of single(x) and j % |F_y| of single(y) ...
-    pairs: list[list[tuple]] = [[] for _ in slots]
-    for x, y in itertools.product(range(n), repeat=2):
-        o = n + x * n + y
-        nf, ng = len(F.sets[y]), len(G.sets[y])
-        reads.append([])
-        for j in range(len(F.sets[o])):
-            ia, ib = divmod(j, nf)
-            reads[o].append(reads[x][ia] + reads[y][ib])
-            pairs[max(reads[o][j])].append((comps[o], j, comps[x], ia, comps[y], ib, ng))
-    # ... and the squares it completes, as in _failed_squares.
-    squares: list[list[tuple]] = [[] for _ in slots]
-    for s, t, act_F, act_G in zip(site.sources, site.targets, F.actions, G.actions):
-        for j, i in enumerate(act_F):
-            squares[max(reads[s][i] + reads[t][j])].append((comps[s], i, act_G, comps[t], j))
-    out = []
-
-    def assign(k: int) -> None:
-        if k == len(slots):
-            out.append(NaturalTransformation(F, G, tuple(map(tuple, comps))))
-            return
-        comp, i, size = slots[k]
-        for v in range(size):
-            comp[i] = v
-            for pair, j, cx, ia, cy, ib, ng in pairs[k]:
-                pair[j] = cx[ia] * ng + cy[ib]
-            if all(src[a] == act[tgt[b]] for src, a, act, tgt, b in squares[k]):
-                assign(k + 1)
-
-    assign(0)
-    return tuple(out)
+    start = list(itertools.accumulate((len(F.sets[x]) for x in range(n)), initial=0))
+    candidates = [range(len(G.sets[x])) for x in range(n) for _ in F.sets[x]]
+    products = []
+    moves = []
+    for (family, *args), s, t, act_F, act_G in zip(
+        site.families, site.sources, site.targets, F.actions, G.actions
+    ):
+        if family == "m":
+            moves += [(start[t] + j, start[s] + i, act_G) for j, i in enumerate(act_F)]
+        elif family == "sigma":
+            x, y = args
+            nf, ng = len(F.sets[y]), len(G.sets[y])
+            rows = [act_G[u * ng : (u + 1) * ng] for u in range(len(G.sets[x]))]
+            products += [
+                (start[x] + j // nf, start[y] + j % nf, start[s] + i, rows) for j, i in enumerate(act_F)
+            ]
+    return tuple(
+        NaturalTransformation(F, G, _with_pairs([img[start[x] : start[x + 1]] for x in range(n)], G))
+        for img in _search(candidates, products, moves)
+    )
 
 
 def functor_on_morphism(f: XModMorphism, F: Presheaf, G: Presheaf) -> NaturalTransformation:
@@ -345,12 +339,12 @@ def functor_on_morphism(f: XModMorphism, F: Presheaf, G: Presheaf) -> NaturalTra
 
     f must be a morphism and F, G the presheaves compute_presheaf builds
     for its source and target.  f respects boundaries, so it carries the
-    single assignment (a,) of x to (f(a),), whose index in G is posG[f(a)];
-    the pair assignment (a, b) of (x, y) goes to (f(a), f(b)), whose index
-    is posG[f(a)] * |G_y| + posG[f(b)].  No assignment tuple is built and
-    no index is read.  The boundaries are checked once over f.mapping, so
-    a map that does not respect them raises instead of giving wrong
-    components.
+    single assignment (a,) of x to (f(a),), whose index in G is posG[f(a)],
+    and the pair assignment (a, b) to (f(a), f(b)): U(f) acts on pairs
+    coordinatewise, and _with_pairs builds its pair components.  No
+    assignment tuple is built and no index is read.  The boundaries are
+    checked once over f.mapping, so a map that does not respect them
+    raises instead of giving wrong components.
     """
     A, B = f.source, f.target
     if F.xmod != A or G.xmod != B:
@@ -360,15 +354,9 @@ def functor_on_morphism(f: XModMorphism, F: Presheaf, G: Presheaf) -> NaturalTra
         )
     if [B.boundary.image[b] for b in f.mapping] != list(A.boundary.image):
         raise FiberMismatchError(f"map {A.name} -> {B.name} does not respect the boundaries")
-    fibers, pos = _fibers(B)
-    image_pos = [pos[b] for b in f.mapping]
-    n = A.base.order
-    singles = [tuple([image_pos[a] for (a,) in F.sets[x]]) for x in range(n)]
-    pairs = []
-    for x, y in itertools.product(range(n), repeat=2):
-        scaled = [i * len(fibers[y]) for i in singles[x]]
-        pairs.append(tuple(itertools.starmap(add, itertools.product(scaled, singles[y]))))
-    return NaturalTransformation(source=F, target=G, components=(*singles, *pairs))
+    _, pos = _fibers(B)
+    singles = [tuple([pos[f.mapping[a]] for (a,) in F.sets[x]]) for x in range(A.base.order)]
+    return NaturalTransformation(F, G, _with_pairs(singles, G))
 
 
 def _reconstruct(phi: NaturalTransformation) -> XModMorphism:
@@ -416,16 +404,19 @@ def verify_full_faithful(
     distinct, each separated by a single-label assignment.
 
     Both sides are read back through _reconstruct, which validates the
-    element map but does not re-check naturality: the transformations
-    were checked square by square by their search, and no image U(f)
-    needs a check of its own.  When the report passes, the counts are
+    element map but does not re-check naturality: the search checked the
+    move and sigma squares of every transformation it returns, and the
+    identity and inc squares hold by construction (see
+    enumerate_natural_transformations), and no image U(f) needs a check
+    of its own.  When the report passes, the counts are
     equal, U is injective on the homs, and every natural transformation
     reconstructs to a valid morphism that U carries back to it, so the
     transformations lie in U(homs) and, the two sets having the same size,
     U(homs) is exactly the set of natural transformations.  Every
-    transformation compared here, searched or U(f), sets its pair
-    components coordinatewise from its single components, so round trips
-    and injectivity are compared on the single components.
+    transformation compared here, searched or U(f), has its pair
+    components built coordinatewise from its single components by
+    _with_pairs, so round trips and injectivity are compared on the single
+    components.
     """
     site = site if site is not None else build_site(A.base)
     F = compute_presheaf(A, site)

@@ -16,17 +16,9 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
-    BaseMismatchError,
-    BudgetExceededError,
-    DiagramMismatchError,
-    IndexOutOfRangeError,
-    IsIsoError,
     MissingArgumentError,
     NotEquivalenceRelationError,
-    NotMonoError,
-    OrderTooLargeError,
     ParseError,
-    PreconditionFailedError,
     UnknownCommandError,
     UnknownNameError,
     ValidationError,
@@ -59,7 +51,6 @@ __all__ = [
     "Command",
     "COMMAND_TABLE",
     "COMMANDS",
-    "USAGE_ERRORS",
     "DATA_ERRORS",
 ]
 
@@ -252,22 +243,6 @@ def serialize_session(session: Session) -> str:
     }
     return json.dumps(doc, indent=2)
 
-
-# Errors that mean the invocation itself was wrong: exit code 2.
-USAGE_ERRORS = (
-    ParseError,
-    UnknownCommandError,
-    UnknownNameError,
-    MissingArgumentError,
-    DiagramMismatchError,
-    BaseMismatchError,
-    BudgetExceededError,
-    OrderTooLargeError,
-    NotMonoError,
-    IsIsoError,
-    IndexOutOfRangeError,
-    PreconditionFailedError,
-)
 
 # Errors that mean the data failed a check: exit code 1.
 DATA_ERRORS = (ValidationError, NotEquivalenceRelationError)

@@ -35,7 +35,7 @@ from .errors import (
     PreconditionFailedError,
 )
 from .groups import Group, is_index
-from .xmod import CrossedModule, fiber
+from .xmod import CrossedModule, _fibers
 
 __all__ = [
     "Symbol",
@@ -217,16 +217,17 @@ def hom_set(free: FreeObject, A: CrossedModule) -> tuple[tuple[int, ...], ...]:
     """All fiber-respecting assignments, in lexicographic element order."""
     if A.base != free.base:
         raise BaseMismatchError(f"{A.name} is not over {free.base.name}")
-    fibers = [fiber(A, x) for x in free.omega]
-    return tuple(itertools.product(*fibers))
+    fibers, _ = _fibers(A)
+    return tuple(itertools.product(*(fibers[x] for x in free.omega)))
 
 
 def hom_set_size(free: FreeObject, A: CrossedModule) -> int:
     if A.base != free.base:
         raise BaseMismatchError(f"{A.name} is not over {free.base.name}")
+    fibers, _ = _fibers(A)
     size = 1
     for x in free.omega:
-        size *= len(fiber(A, x))
+        size *= len(fibers[x])
     return size
 
 

@@ -320,9 +320,27 @@ def _trusted_xmod(name: str, group: Group, base: Group, boundary: Sequence[int],
     )
 
 
+def _fibers(A: CrossedModule) -> tuple[list[list[int]], list[int]]:
+    """fibers[x], the elements of A over x in ascending order, and pos[a],
+    the position of a in its fiber, by one pass over the boundary.
+
+    This is the one place M is split by boundary.  The presheaf lists each
+    set as the product of its fibers in lexicographic order, so the single
+    assignment (a,) of x has index pos[a] and the pair assignment (a, b)
+    of (x, y) has index pos[a] * len(fibers[y]) + pos[b].
+    """
+    fibers: list[list[int]] = [[] for _ in range(A.base.order)]
+    pos = []
+    for m, x in enumerate(A.boundary.image):
+        pos.append(len(fibers[x]))
+        fibers[x].append(m)
+    return fibers, pos
+
+
 def fiber(A: CrossedModule, x: int) -> tuple[int, ...]:
     """Elements of M whose boundary is x, in index order."""
-    return tuple(m for m in range(A.group.order) if A.boundary.image[m] == x)
+    fibers, _ = _fibers(A)
+    return tuple(fibers[x]) if x in range(len(fibers)) else ()
 
 
 # The five standard constructions.
@@ -558,7 +576,8 @@ def enumerate_morphisms(A: CrossedModule, B: CrossedModule, budget: int = DEFAUL
         raise BudgetExceededError(
             f"morphism search {B.name}^{A.name} needs {space} maps, budget {budget}"
         )
-    candidates = [fiber(B, x) for x in A.boundary.image]
+    fibers, _ = _fibers(B)
+    candidates = [fibers[x] for x in A.boundary.image]
     maps = _search_homs(A.group, B.group, candidates, zip(A.action.table, B.action.table))
     return tuple(XModMorphism(A, B, mapping) for mapping in maps)
 

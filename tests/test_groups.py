@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from xmodp.errors import (
     IndexOutOfRangeError,
@@ -16,6 +16,7 @@ from xmodp.errors import (
     OrderTooLargeError,
 )
 from xmodp.groups import (
+    _search,
     all_subgroups,
     automorphism_group,
     center,
@@ -268,3 +269,43 @@ def test_s3_conjugation_is_automorphism(p, a):
     S3 = symmetric_group_3()
     for b in range(6):
         assert S3.conj(p, S3.mul(a, b)) == S3.mul(S3.conj(p, a), S3.conj(p, b))
+
+
+@st.composite
+def search_problems(draw):
+    """Up to six variables over values 0..m-1: candidate lists (possibly
+    empty, in any order), products each with its own m x m table, and
+    moves each with its own map; a condition may repeat a variable."""
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 6))
+    values = st.integers(0, m - 1)
+    candidates = draw(st.lists(st.lists(values, max_size=3), min_size=k, max_size=k))
+    if k == 0:
+        return candidates, [], []
+    var = st.integers(0, k - 1)
+    table = st.lists(st.lists(values, min_size=m, max_size=m), min_size=m, max_size=m)
+    products = draw(st.lists(st.tuples(var, var, var, table), max_size=4))
+    moves = draw(st.lists(st.tuples(var, var, st.lists(values, min_size=m, max_size=m)), max_size=4))
+    return candidates, products, moves
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_problems())
+def test_search_matches_filtering_every_assignment(problem):
+    candidates, products, moves = problem
+    oracle = [
+        img
+        for img in itertools.product(*candidates)
+        if all(img[c] == T[img[a]][img[b]] for a, b, c, T in products)
+        and all(img[y] == t[img[x]] for x, y, t in moves)
+    ]
+    assert _search(candidates, products, moves) == oracle
+
+
+def test_search_keeps_only_assignments_that_meet_the_moves():
+    # img[1] must be the successor of img[0] mod 3, and img[2] must equal
+    # img[0] + img[1] mod 3; both kinds of condition cut the 27 assignments.
+    add3 = [[(u + v) % 3 for v in range(3)] for u in range(3)]
+    assert _search([range(3)] * 2, [], [(0, 1, (1, 2, 0))]) == [(0, 1), (1, 2), (2, 0)]
+    assert _search([range(3)] * 3, [(0, 1, 2, add3)], [(0, 1, (1, 2, 0))]) == [(0, 1, 1), (1, 2, 0), (2, 0, 2)]
+    assert _search([range(3), [], range(3)], [], []) == []

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from xmodp.errors import (
+    BaseMismatchError,
     DiagramMismatchError,
     NotEquivalenceRelationError,
     OrderTooLargeError,
@@ -49,6 +50,7 @@ from xmodp.limits import (
     verify_quotient,
 )
 from xmodp.xmod import (
+    all_crossed_modules,
     conjugation_xmod,
     crossed_module_violations,
     enumerate_morphisms,
@@ -183,6 +185,14 @@ def test_product_orders():
     square = product_over_P(A3, A3)
     assert square.apex.group.order == 4
     assert square.apex.group.is_abelian()
+
+
+def test_product_refuses_modules_over_different_bases():
+    # Over C2 and over V4: there is no product over one base to build.
+    A = all_crossed_modules(C2, C2)[1]
+    B = all_crossed_modules(C2, klein_four_group())[3]
+    with pytest.raises(BaseMismatchError):
+        product_over_P(A, B)
 
 
 def test_product_with_terminal_is_identity():

@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xmodp import cli, errors
 from xmodp.cli import main
 from xmodp.errors import (
     MissingArgumentError,
@@ -17,7 +18,7 @@ from xmodp.errors import (
     ValidationError,
     XmodError,
 )
-from xmodp.session import COMMAND_TABLE, Session, parse_session, run_command, serialize_session
+from xmodp.session import COMMAND_TABLE, DATA_ERRORS, Session, parse_session, run_command, serialize_session
 
 C4_TABLE = [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
 
@@ -333,6 +334,25 @@ def test_cli_usage_failures_exit_2(tmp_path, capsys):
     assert main(["equaliser", "--input", path, "f", "ghost"]) == 2
     assert main(["verify-embedding", "--input", path, "--budget", "1", "A2", "A2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", errors.__all__)
+def test_cli_exit_code_for_every_error_class(name, tmp_path, capsys, monkeypatch):
+    # A data error is a failed report with exit 1; every other library
+    # error is a usage error: one stderr line and exit 2.
+    cls = getattr(errors, name)
+
+    def fail(*args, **kwargs):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "run_command", fail)
+    code = main(["validate", "--input", _write_session(tmp_path)])
+    out, err = capsys.readouterr()
+    if cls in DATA_ERRORS:
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {"command": "validate", "pass": False, "error": f"{name}: boom"}
+    else:
+        assert (code, out, err) == (2, "", f"error: {name}: boom\n")
 
 
 def test_cli_unwritable_output_exits_2(tmp_path, capsys):

@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from xmodp import presheaf
 from xmodp.errors import FiberMismatchError, ReconstructionInvalidError, ShapeMismatchError
-from xmodp.groups import cyclic_group, is_index, make_group
+from xmodp.groups import cyclic_group, is_index, klein_four_group, make_group
 from xmodp.limits import default_catalogue, kernel_pair, product_over_P, pullback, terminal_object
 from xmodp.presheaf import (
     NaturalTransformation,
@@ -263,6 +263,21 @@ def test_verify_full_faithful_trusts_its_own_transformations(monkeypatch):
     for A, B in [(_mod2_xmod(), _mod2_xmod()), (T, E)]:
         report = verify_full_faithful(A, B)
         assert report["pass"] and report["hom_count"] == report["nat_count"] > 0
+
+
+def test_transformation_search_checks_the_move_squares():
+    # V4 over C2 with trivial boundary, C2 swapping 1 and 2 in the source
+    # and acting trivially in the target.  The sigma squares alone admit
+    # all 16 endomorphisms of V4; the m[1,0] squares keep the 4 with
+    # f(1) == f(2), which are the morphisms.
+    V4 = klein_four_group()
+    swap = trivial_xmod(V4, C2, [[0, 1, 2, 3], [0, 2, 1, 3]], name="swap")
+    fixed = trivial_xmod(V4, C2, name="fixed")
+    F, G = compute_presheaf(swap), compute_presheaf(fixed)
+    nats = enumerate_natural_transformations(F, G)
+    homs = enumerate_morphisms(swap, fixed)
+    assert [phi.components for phi in nats] == [functor_on_morphism(f, F, G).components for f in homs]
+    assert [f.mapping for f in homs] == [(0, u, u, 0) for u in range(4)]
 
 
 def test_functor_on_morphism_rejects_a_map_across_fibers():
