@@ -111,7 +111,7 @@ class FiberMismatchError(XmodError):
 # Embedding errors.
 
 class BudgetExceededError(XmodError):
-    """An enumeration would exceed the configured search budget."""
+    """The searches of one command used more work than its budget."""
 
 
 class NotMonoError(XmodError):

@@ -23,6 +23,7 @@ from functools import cached_property
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
+    BudgetExceededError,
     IndexOutOfRangeError,
     NoIdentityError,
     NoInverseError,
@@ -350,10 +351,38 @@ def compose_homs(f: GroupHom, g: GroupHom) -> GroupHom:
     return GroupHom(g.domain, f.codomain, tuple(f.image[g.image[a]] for a in range(g.domain.order)))
 
 
+DEFAULT_BUDGET = 10_000_000
+
+
+@dataclass
+class Work:
+    """The search budget of one command and the work charged against it.
+
+    One meter is handed down through every search a command makes, so the
+    budget bounds the command's total work, not that of each search.
+    """
+
+    budget: int
+    used: int = 0
+
+    def charge(self, units: int, what: str) -> None:
+        """Add units of work; raise once the total passes the budget."""
+        self.used += units
+        if self.used > self.budget:
+            raise BudgetExceededError(f"{what} passes the budget: {self.used} units used, budget {self.budget}")
+
+
+def _meter(budget: int | Work) -> Work:
+    """The meter of an enclosing call, or a fresh one for a plain budget."""
+    return budget if isinstance(budget, Work) else Work(budget)
+
+
 def _search(
-    candidates: Sequence[Iterable[int]],
+    candidates: Sequence[Sequence[int]],
     products: Iterable[tuple[int, int, int, Sequence[Sequence[int]]]],
     moves: Iterable[tuple[int, int, Sequence[int]]],
+    work: Work,
+    what: str,
 ) -> list[tuple[int, ...]]:
     """Every tuple img with img[k] in candidates[k] that meets the conditions.
 
@@ -363,7 +392,9 @@ def _search(
     out in the lexicographic order of those candidate orders.  Each
     condition is filed under its largest variable and checked once, at the
     step that assigns it, so a partial assignment is cut as soon as it
-    breaks one and every condition holds at the leaves.
+    breaks one and every condition holds at the leaves.  Each node charges
+    work with the number of candidates it tries; what names the search in
+    the refusal.
     """
     n = len(candidates)
     by_product: list[list[tuple]] = [[] for _ in range(n)]
@@ -379,6 +410,7 @@ def _search(
         if k == n:
             out.append(tuple(img))
             return
+        work.charge(len(candidates[k]), what)
         for v in candidates[k]:
             img[k] = v
             if all(T[img[a]][img[b]] == img[c] for a, b, c, T in by_product[k]) and all(
@@ -394,6 +426,8 @@ def _search_homs(
     domain: Group,
     codomain: Group,
     candidates: Sequence[Sequence[int]],
+    work: Work,
+    what: str,
     actions: Iterable[tuple[Sequence[int], Sequence[int]]] = (),
 ) -> list[tuple[int, ...]]:
     """Every multiplicative image tuple img with img[x] in candidates[x] and
@@ -407,35 +441,32 @@ def _search_homs(
     tab = codomain.table
     products = [(a, b, c, tab) for a, row in enumerate(domain.table) for b, c in enumerate(row)]
     moves = [(x, y, t) for s, t in actions for x, y in enumerate(s)]
-    return _search(candidates, products, moves)
+    return _search(candidates, products, moves, work, what)
 
 
 def enumerate_homs(domain: Group, codomain: Group) -> tuple[GroupHom, ...]:
-    """All homomorphisms, in lexicographic order of their image tuples."""
-    images = _search_homs(domain, codomain, [range(codomain.order)] * domain.order)
+    """All homomorphisms, in lexicographic order of their image tuples,
+    found within DEFAULT_BUDGET."""
+    what = f"hom search {domain.name} -> {codomain.name}"
+    images = _search_homs(domain, codomain, [range(codomain.order)] * domain.order, Work(DEFAULT_BUDGET), what)
     return tuple(GroupHom(domain, codomain, img) for img in images)
 
 
 def subgroup_closure(G: Group, seed: Iterable[int]) -> tuple[int, ...]:
-    """Smallest subgroup of G containing the seed elements."""
-    cur = {G.identity}
-    for s in seed:
+    """Smallest subgroup of G containing the seed elements.
+
+    The identity closed under right multiplication by the seed is the
+    monoid the seed generates, which in a finite group holds each inverse
+    s^-1 = s^(k-1) too, so it is that subgroup.
+    """
+    gens = list(seed)
+    for s in gens:
         if not is_index(s, G.order):
             raise IndexOutOfRangeError(f"{G.name}: seed element {s} out of range")
-        cur.add(s)
-    changed = True
-    while changed:
-        changed = False
-        snapshot = sorted(cur)
-        for a in snapshot:
-            if G.inverse[a] not in cur:
-                cur.add(G.inverse[a])
-                changed = True
-            for b in snapshot:
-                p = G.table[a][b]
-                if p not in cur:
-                    cur.add(p)
-                    changed = True
+    cur = frontier = {G.identity}
+    while frontier:
+        frontier = {G.table[a][s] for a in frontier for s in gens} - cur
+        cur = cur | frontier
     return tuple(sorted(cur))
 
 
@@ -472,18 +503,10 @@ def normal_subgroups(G: Group) -> tuple[tuple[int, ...], ...]:
 
 
 def normal_closure(G: Group, seed: Iterable[int]) -> tuple[int, ...]:
-    """Smallest normal subgroup containing the seed, by saturation."""
-    cur = set(subgroup_closure(G, seed))
-    changed = True
-    while changed:
-        changed = False
-        for g in range(G.order):
-            for a in sorted(cur):
-                c = G.conj(g, a)
-                if c not in cur:
-                    cur = set(subgroup_closure(G, cur | {c}))
-                    changed = True
-    return tuple(sorted(cur))
+    """Smallest normal subgroup containing the seed: the subgroup generated
+    by the conjugates of the subgroup the seed generates."""
+    H = subgroup_closure(G, seed)
+    return subgroup_closure(G, {G.conj(g, h) for g in range(G.order) for h in H})
 
 
 def subgroup_group(G: Group, elems: Iterable[int], name: str | None = None) -> tuple[Group, GroupHom]:
@@ -569,13 +592,21 @@ def automorphism_group(M: Group) -> AutGroup:
     perms[i] is the i-th automorphism as an image tuple, in lexicographic
     order, and group is the composition table (i * j applies j first).
     Groups of order above MAX_AUTOMORPHISM_ORDER are refused.
+
+    An automorphism keeps element orders, so x's candidates are the
+    elements of x's order.  Conversely an endomorphism that keeps orders
+    sends only the identity to the identity, so it is injective and, M
+    being finite, bijective: every map the search finds is kept.  The
+    search runs within DEFAULT_BUDGET.
     """
     if M.order > MAX_AUTOMORPHISM_ORDER:
         raise OrderTooLargeError(
             f"{M.name}: order {M.order} exceeds automorphism search bound {MAX_AUTOMORPHISM_ORDER}"
         )
     n = M.order
-    perms = [p for p in _search_homs(M, M, [range(n)] * n) if len(set(p)) == n]
+    orders = [element_order(M, a) for a in range(n)]
+    candidates = [[b for b in range(n) if orders[b] == k] for k in orders]
+    perms = _search_homs(M, M, candidates, Work(DEFAULT_BUDGET), f"automorphism search {M.name}")
     pos = {p: i for i, p in enumerate(perms)}
     table = [
         [pos[tuple(p[q[x]] for x in range(n))] for q in perms]

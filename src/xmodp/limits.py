@@ -22,8 +22,10 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DiagramMismatchError, NotEquivalenceRelationError, OrderTooLargeError
 from .groups import (
+    DEFAULT_BUDGET,
     Group,
     _greedy_generators,
+    _meter,
     _trusted_group,
     cyclic_group,
     is_index,
@@ -35,7 +37,6 @@ from .groups import (
     trivial_group,
 )
 from .xmod import (
-    DEFAULT_BUDGET,
     CrossedModule,
     XModMorphism,
     _require_same_base,
@@ -366,14 +367,18 @@ def relation_xmod(E: EquivalenceRelation) -> tuple[CrossedModule, XModMorphism, 
     return _pair_apex(E.carrier, E.carrier, sorted(E.pairs), name=f"rel({E.carrier.name})")
 
 
+def _require_carrier(A: CrossedModule, E: EquivalenceRelation) -> None:
+    if E.carrier != A:
+        raise DiagramMismatchError(f"relation carrier {E.carrier.name} is not {A.name}")
+
+
 def quotient_by_equivalence(A: CrossedModule, E: EquivalenceRelation) -> Cocone:
     """The classes of E, as the quotient by the class of the identity.
 
     An equivalence sub-crossed-module is a congruence, so that class is a
     normal subgroup and the classes of E are its cosets.
     """
-    if E.carrier != A:
-        raise DiagramMismatchError(f"relation carrier {E.carrier.name} is not {A.name}")
+    _require_carrier(A, E)
     _require_equivalence(E)
     e = A.group.identity
     N = [b for b in range(A.group.order) if (e, b) in E.pairs]
@@ -465,22 +470,25 @@ def _sweep(
     are the maps between the catalogue object and the apex whose composites
     with the legs give back the test cone, so they are counted from one
     Counter of leg composites per catalogue object.  Exactly one mediator
-    must exist for a commuting test cone and none for any other.
+    must exist for a commuting test cone and none for any other.  One meter
+    is charged by every morphism search and by one unit per test cone.
     """
+    work = _meter(budget)
     colimit = isinstance(cone, Cocone)
     legs = [leg.mapping for leg in cone.legs]
     failures = []
     checked = commuting = 0
     for T in cat:
         if colimit:
-            tests = [enumerate_morphisms(X, T, budget=budget) for X in ends]
-            through = enumerate_morphisms(cone.apex, T, budget=budget)
+            tests = [enumerate_morphisms(X, T, budget=work) for X in ends]
+            through = enumerate_morphisms(cone.apex, T, budget=work)
             found = Counter(tuple(_after(h.mapping, leg) for leg in legs) for h in through)
         else:
-            tests = [enumerate_morphisms(T, X, budget=budget) for X in ends]
-            through = enumerate_morphisms(T, cone.apex, budget=budget)
+            tests = [enumerate_morphisms(T, X, budget=work) for X in ends]
+            through = enumerate_morphisms(T, cone.apex, budget=work)
             found = Counter(tuple(_after(leg, h.mapping) for leg in legs) for h in through)
         for test in itertools.product(*tests):
+            work.charge(1, f"{kind} sweep test cone")
             maps = tuple(t.mapping for t in test)
             checked += 1
             expected = int(commutes(*maps))
@@ -580,7 +588,9 @@ def verify_quotient(
     max_order: int = 4,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
-    """Quotient as the coequaliser of the relation's projections, plus effectiveness."""
+    """Quotient as the coequaliser of the relation's projections, plus
+    effectiveness; E must be a relation on A."""
+    _require_carrier(A, E)
     _, u, v = relation_xmod(E)
     report = verify_coequaliser(u, v, cocone, max_order=max_order, budget=budget)
     report["kind"] = "quotient"

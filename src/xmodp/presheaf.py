@@ -19,8 +19,9 @@ components; the search checks the squares of the moves m[p,x] and of the
 multiplications sigma[x,y].  Identity squares hold by definition, and the
 inc1/inc2 squares by construction, since every pair component is built
 coordinatewise from the single components (as naturality forces).
-Exactness is checked by comparing constructions objectwise.  Every search
-space is gated by the budget.
+Exactness is checked by comparing constructions objectwise.  Both searches
+charge the candidates they try to one Work meter, so the budget bounds
+their sum.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from typing import Callable, Sequence
 
 from .errors import (
     BaseMismatchError,
-    BudgetExceededError,
     FiberMismatchError,
     IsIsoError,
     NotMonoError,
@@ -40,7 +40,7 @@ from .errors import (
     ReconstructionInvalidError,
     ShapeMismatchError,
 )
-from .groups import _search
+from .groups import DEFAULT_BUDGET, _meter, _search
 from .limits import coequaliser, equaliser, kernel_pair, product_over_P
 from .words import (
     Site,
@@ -54,7 +54,6 @@ from .words import (
     word_boundary,
 )
 from .xmod import (
-    DEFAULT_BUDGET,
     CrossedModule,
     XModMorphism,
     _fibers,
@@ -299,19 +298,13 @@ def enumerate_natural_transformations(
     Conversely those squares force every natural pair component to be the
     coordinatewise one, so the search misses nothing.  Only the two
     presheaves are read, never the crossed-module morphisms, so
-    verify_full_faithful compares two independently computed sets.  The
-    size of the generate-and-test space, the product of |G_o|^|F_o| over
-    the singles, is gated by the budget.
+    verify_full_faithful compares two independently computed sets.  Every
+    candidate the search tries is charged to the budget, or to the Work
+    meter of an enclosing call.
     """
     site = F.site
     n = site.base.order
-    space = 1
-    for x in range(n):
-        space *= len(G.sets[x]) ** len(F.sets[x])
-    if space > budget:
-        raise BudgetExceededError(
-            f"natural transformation search needs {space} candidates, budget {budget}"
-        )
+    what = f"natural transformation search {F.xmod.name} -> {G.xmod.name}"
     start = list(itertools.accumulate((len(F.sets[x]) for x in range(n)), initial=0))
     candidates = [range(len(G.sets[x])) for x in range(n) for _ in F.sets[x]]
     products = []
@@ -330,7 +323,7 @@ def enumerate_natural_transformations(
             ]
     return tuple(
         NaturalTransformation(F, G, _with_pairs([img[start[x] : start[x + 1]] for x in range(n)], G))
-        for img in _search(candidates, products, moves)
+        for img in _search(candidates, products, moves, _meter(budget), what)
     )
 
 
@@ -416,13 +409,15 @@ def verify_full_faithful(
     transformation compared here, searched or U(f), has its pair
     components built coordinatewise from its single components by
     _with_pairs, so round trips and injectivity are compared on the single
-    components.
+    components.  Both searches charge one meter, so the budget bounds
+    their sum.
     """
     site = site if site is not None else build_site(A.base)
     F = compute_presheaf(A, site)
     G = compute_presheaf(B, site)
-    homs = enumerate_morphisms(A, B, budget=budget)
-    nats = enumerate_natural_transformations(F, G, budget=budget)
+    work = _meter(budget)
+    homs = enumerate_morphisms(A, B, budget=work)
+    nats = enumerate_natural_transformations(F, G, budget=work)
     images = [functor_on_morphism(f, F, G) for f in homs]
 
     def single_components(phi: NaturalTransformation) -> tuple[tuple[int, ...], ...]:
@@ -465,7 +460,7 @@ def verify_full_faithful(
         "round_trip_nat": round_trip_nat,
         "functor_injective": len(image_keys) == len(homs),
         "separating_pairs": separated,
-        "budget": budget,
+        "budget": work.budget,
     }
 
 

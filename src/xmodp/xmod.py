@@ -31,17 +31,18 @@ from typing import Iterator, Sequence
 
 from .errors import (
     BaseMismatchError,
-    BudgetExceededError,
     CompositionMismatchError,
     IllDefinedActionError,
     PreconditionFailedError,
     ValidationError,
 )
 from .groups import (
+    DEFAULT_BUDGET,
     AutGroup,
     Group,
     GroupHom,
     _hom_failures,
+    _meter,
     _multiplicative,
     _search_homs,
     automorphism_group,
@@ -80,9 +81,6 @@ __all__ = [
     "all_crossed_modules",
     "structure_key",
 ]
-
-DEFAULT_BUDGET = 10_000_000
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -566,19 +564,14 @@ def enumerate_morphisms(A: CrossedModule, B: CrossedModule, budget: int = DEFAUL
 
     Each element a may only go to the target boundary fiber of its own
     boundary, and the search cuts a partial map as soon as it breaks a
-    product or the P-action.  The budget gates the size |M_B| ** |M_A| of
-    the space of element maps.
+    product or the P-action.  Every candidate the search tries is charged
+    to the budget, or to the Work meter of an enclosing call.
     """
     _require_same_base(A, B)
-    nA, nB = A.group.order, B.group.order
-    space = nB ** nA
-    if space > budget:
-        raise BudgetExceededError(
-            f"morphism search {B.name}^{A.name} needs {space} maps, budget {budget}"
-        )
     fibers, _ = _fibers(B)
     candidates = [fibers[x] for x in A.boundary.image]
-    maps = _search_homs(A.group, B.group, candidates, zip(A.action.table, B.action.table))
+    what = f"morphism search {A.name} -> {B.name}"
+    maps = _search_homs(A.group, B.group, candidates, _meter(budget), what, zip(A.action.table, B.action.table))
     return tuple(XModMorphism(A, B, mapping) for mapping in maps)
 
 
@@ -596,9 +589,10 @@ def all_crossed_modules(M: Group, P: Group, name_prefix: str = "") -> tuple[Cros
     Order is deterministic in (boundary, action) enumeration order.
     """
     aut = automorphism_group(M)
+    act_homs = enumerate_homs(P, aut.group)
     out = []
     for bnd in enumerate_homs(M, P):
-        for act_hom in enumerate_homs(P, aut.group):
+        for act_hom in act_homs:
             action = tuple(aut.perms[act_hom.image[p]] for p in range(P.order))
             if next(_structure_violations(M, P, bnd.image, action), None) is None:
                 out.append(_trusted_xmod(f"{name_prefix}{M.name}.{len(out)}", M, P, bnd.image, action))

@@ -5,8 +5,9 @@ tests/golden/cases.json lists each case: the argv passed to xmodp.cli.main
 code.  <name>.out and <name>.err hold the exact stdout and stderr of that
 call, and of the same call with every option moved after the names.  They
 were written once by running the cases on the code before the search
-engines were merged, so a refactor that keeps them passing keeps every
-report unchanged.  Never regenerate them to make this test pass: a
+engines were merged (budget-exceeded, on the code that introduced the
+work meter), so a refactor that keeps them passing keeps every report
+unchanged.  Never regenerate them to make this test pass: a
 changed report is either a bug or a change of the report format, which
 needs its own review.
 """

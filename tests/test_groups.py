@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xmodp.errors import (
+    BudgetExceededError,
     IndexOutOfRangeError,
     NoIdentityError,
     NoInverseError,
@@ -16,6 +17,8 @@ from xmodp.errors import (
     OrderTooLargeError,
 )
 from xmodp.groups import (
+    DEFAULT_BUDGET,
+    Work,
     _search,
     all_subgroups,
     automorphism_group,
@@ -191,6 +194,22 @@ def test_normal_closure_is_smallest_normal_oversubgroup():
             assert set(closed) == expected
 
 
+def test_closures_are_the_least_subgroups_containing_the_seed():
+    # Oracle: every subset that is a subgroup, found by testing closure.
+    for G in [cyclic_group(4), klein_four_group(), symmetric_group_3(), cyclic_group(6)]:
+        subgroups = [
+            set(H)
+            for r in range(1, G.order + 1)
+            for H in itertools.combinations(range(G.order), r)
+            if is_subgroup(G, H)
+        ]
+        normals = [H for H in subgroups if is_normal(G, H)]
+        for k in range(3):
+            for seed in itertools.combinations(range(G.order), k):
+                assert set(subgroup_closure(G, seed)) == set.intersection(*(H for H in subgroups if H >= set(seed)))
+                assert set(normal_closure(G, seed)) == set.intersection(*(H for H in normals if H >= set(seed)))
+
+
 def test_quotient_examples():
     C4 = cyclic_group(4)
     q = quotient_group(C4, [0, 2])
@@ -299,13 +318,16 @@ def test_search_matches_filtering_every_assignment(problem):
         if all(img[c] == T[img[a]][img[b]] for a, b, c, T in products)
         and all(img[y] == t[img[x]] for x, y, t in moves)
     ]
-    assert _search(candidates, products, moves) == oracle
+    assert _search(candidates, products, moves, Work(DEFAULT_BUDGET), "search") == oracle
 
 
 def test_search_keeps_only_assignments_that_meet_the_moves():
     # img[1] must be the successor of img[0] mod 3, and img[2] must equal
     # img[0] + img[1] mod 3; both kinds of condition cut the 27 assignments.
     add3 = [[(u + v) % 3 for v in range(3)] for u in range(3)]
-    assert _search([range(3)] * 2, [], [(0, 1, (1, 2, 0))]) == [(0, 1), (1, 2), (2, 0)]
-    assert _search([range(3)] * 3, [(0, 1, 2, add3)], [(0, 1, (1, 2, 0))]) == [(0, 1, 1), (1, 2, 0), (2, 0, 2)]
-    assert _search([range(3), [], range(3)], [], []) == []
+    work = Work(DEFAULT_BUDGET)
+    assert _search([range(3)] * 2, [], [(0, 1, (1, 2, 0))], work, "search") == [(0, 1), (1, 2), (2, 0)]
+    assert _search([range(3)] * 3, [(0, 1, 2, add3)], [(0, 1, (1, 2, 0))], work, "search") == [
+        (0, 1, 1), (1, 2, 0), (2, 0, 2)
+    ]
+    assert _search([range(3), [], range(3)], [], [], work, "search") == []

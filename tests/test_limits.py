@@ -455,6 +455,16 @@ def test_verify_quotient_sweep():
     assert report["pass"] and report["effective"]
 
 
+def test_verify_quotient_refuses_a_relation_on_another_module():
+    # E lives on the source A2 of f: A2 -> A1; naming A1 as its carrier
+    # must be refused, as quotient_by_equivalence refuses it.
+    f = _mod2_morphism()
+    E = kernel_pair_relation(f)
+    cocone = quotient_by_equivalence(f.source, E)
+    with pytest.raises(DiagramMismatchError, match="relation carrier A2 is not"):
+        verify_quotient(f.target, E, cocone)
+
+
 def test_equivalence_relations_on_mod2_match_subgroup_oracle():
     # Congruences correspond to action-stable subgroups inside the boundary
     # kernel; on (C4, mod 2) that means {0} and {0, 2}.

@@ -329,7 +329,8 @@ EQUIVARIANT_HOMS = [
     for B in XMODS[:20]
     if A.group.order == B.group.order
     for img in groups._search_homs(
-        A.group, B.group, [range(B.group.order)] * A.group.order, zip(A.action.table, B.action.table)
+        A.group, B.group, [range(B.group.order)] * A.group.order,
+        groups.Work(groups.DEFAULT_BUDGET), "equivariant hom search", zip(A.action.table, B.action.table),
     )
 ]
 
