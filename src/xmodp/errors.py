@@ -16,7 +16,6 @@ __all__ = [
     "NotHomomorphismError",
     "OrderTooLargeError",
     "PreconditionFailedError",
-    "IllDefinedActionError",
     "BaseMismatchError",
     "CompositionMismatchError",
     "DiagramMismatchError",
@@ -78,10 +77,6 @@ class OrderTooLargeError(XmodError):
 
 class PreconditionFailedError(XmodError):
     """Input data does not meet a construction's stated precondition."""
-
-
-class IllDefinedActionError(XmodError):
-    """An action defined through representatives depends on the choice."""
 
 
 class BaseMismatchError(XmodError):

@@ -107,6 +107,16 @@ def make_group(table: Sequence[Sequence[int]], name: str = "G") -> Group:
 
     Raises IndexOutOfRangeError for malformed entries, NotAssociativeError,
     NoIdentityError, or NoInverseError with the witnessing indices.
+
+    Once the table is associative, _trusted_group derives the identity and
+    inverses, after two checks.  The identity must be the first row equal
+    to 0..n-1, with its column 0..n-1 too: a two-sided identity e is the
+    only left identity, as e' = e'e = e, so when the first left identity is
+    not two-sided there is none.  Every row must contain e: if ab = e, then
+    x -> ax is onto (a(bx) = x), so one-to-one on a finite set, and
+    a(ba) = (ab)a = ae gives ba = e.  So a right inverse is two-sided and
+    unique, the first b with ab = e is a's inverse, and a row without e
+    names an element with no inverse.
     """
     n = len(table)
     if n == 0:
@@ -124,24 +134,13 @@ def make_group(table: Sequence[Sequence[int]], name: str = "G") -> Group:
     if not _associative(t):
         a, b, c = _associativity_witness(t)
         raise NotAssociativeError(f"{name}: (a, b, c) = ({a}, {b}, {c})")
-    identity = None
-    for e in range(n):
-        if all(t[e][a] == a and t[a][e] == a for a in range(n)):
-            identity = e
-            break
-    if identity is None:
+    e = next((i for i, row in enumerate(t) if row == tuple(range(n))), None)
+    if e is None or any(row[e] != a for a, row in enumerate(t)):
         raise NoIdentityError(f"{name}: no two-sided identity")
-    inverse = []
-    for a in range(n):
-        inv = None
-        for b in range(n):
-            if t[a][b] == identity and t[b][a] == identity:
-                inv = b
-                break
-        if inv is None:
+    for a, row in enumerate(t):
+        if e not in row:
             raise NoInverseError(f"{name}: element {a} has no inverse")
-        inverse.append(inv)
-    return Group(name=name, order=n, table=t, identity=identity, inverse=tuple(inverse))
+    return _trusted_group(t, name)
 
 
 def _greedy_generators(elements: Sequence[Hashable], mul: Callable) -> tuple | None:

@@ -1,12 +1,14 @@
 """The embedding of crossed modules into set-valued presheaves on the site.
 
 A crossed module A becomes the functor sending each site object to the set
-of fiber-respecting assignments into A (a product of boundary fibers, as
-index tuples) and each generating morphism to precomposition.  Sets,
-generator actions and transformation components are tuples indexed by
-site position, never by object or name.  A generator's index map is read
-off fiber positions by the closed form of its family; an arbitrary site
-morphism, such as a composite of generators, acts by evaluating its words.
+of fiber-respecting assignments into A (a product of boundary fibers) and
+each generating morphism to precomposition.  A presheaf stores the fibers,
+not the assignments: set sizes, generator actions and transformation
+components are tuples indexed by site position, never by object or name,
+and an assignment is read off the fibers by its mixed-radix index.  A
+generator's index map is read off fiber positions by the closed form of
+its family; an arbitrary site morphism, such as a composite of
+generators, acts by evaluating its words.
 Morphisms become postcomposition families, also read off fiber positions:
 an assignment's index is the mixed-radix number of its entries' positions
 in their fibers.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add, itemgetter
 from typing import Callable, Sequence
 
@@ -82,17 +85,28 @@ Assignment = tuple[int, ...]
 
 @dataclass(eq=False)
 class Presheaf:
-    """Sets of assignments per site object, with generator actions as index maps.
+    """Boundary fibers and set sizes per site object, with generator actions
+    as index maps.
 
-    sets[i] is the set of the object at position i of the site, and
-    actions[k][j] = i means generator k, a site morphism o -> o', carries
-    assignment j of o' to assignment i of o.
+    fibers and pos are those of xmod._fibers(xmod).  The set of the object
+    at position i of the site is the product of the fibers over its labels
+    in lexicographic order, of size sizes[i]: assignment (a,) of single(x)
+    has index pos[a], and (a, b) of pair(x, y) has index
+    pos[a] * |fibers[y]| + pos[b].  actions[k][j] = i means generator k, a
+    site morphism o -> o', carries assignment j of o' to assignment i of o.
     """
 
     site: Site
     xmod: CrossedModule
-    sets: tuple[tuple[Assignment, ...], ...]
+    fibers: list[list[int]]
+    pos: list[int]
+    sizes: tuple[int, ...]
     actions: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def sets(self) -> tuple[tuple[Assignment, ...], ...]:
+        """The assignment tuples of every object, built on first read."""
+        return tuple(tuple(itertools.product(*(self.fibers[x] for x in o.xs))) for o in self.site.objects)
 
 
 def presheaf_action(F: Presheaf, m: SiteMorphism) -> tuple[int, ...]:
@@ -100,7 +114,7 @@ def presheaf_action(F: Presheaf, m: SiteMorphism) -> tuple[int, ...]:
 
     The word count, and the base, fibers and boundary of each word, are
     checked once for the morphism.  Every assignment of the target set then
-    respects the fibers of the words' free object, since F.sets holds the
+    respects the fibers of the words' free object, since F.sets lists the
     products of fibers, and the image of word i lies over the boundary of
     word i, the base element of source label i.  So each image is a member
     of the source's set, and its index is the mixed-radix number of its
@@ -119,12 +133,11 @@ def presheaf_action(F: Presheaf, m: SiteMorphism) -> tuple[int, ...]:
             raise FiberMismatchError(f"{m.name}: words are not over {m.target.describe()}")
         if word_boundary(w) != x:
             raise FiberMismatchError(f"{m.name}: a word does not land over {m.source.describe()}")
-    fibers, pos = _fibers(A)
     out = []
     for image in zip(*(_word_images(w, A, F.sets[target]) for w in m.words)):
         i = 0
         for a, x in zip(image, xs):
-            i = i * len(fibers[x]) + pos[a]
+            i = i * len(F.fibers[x]) + F.pos[a]
         out.append(i)
     return tuple(out)
 
@@ -132,26 +145,30 @@ def presheaf_action(F: Presheaf, m: SiteMorphism) -> tuple[int, ...]:
 def compute_presheaf(A: CrossedModule, site: Site | None = None) -> Presheaf:
     """The presheaf of A, built from the boundary fibers of A.
 
-    _fibers lists every fiber and each element's position in its fiber.
-    The set of an object is the product of its fibers, in the
-    lexicographic order hom_set gives, and each generator's index map is
-    read off fiber positions by the closed form of its family: on target
-    assignment (a) or (a, b), m[p,x] gives the position of p.a, sigma[x,y]
-    that of ab, inc1 that of a and inc2 that of b.  Identity, inc1 and
-    inc2 maps depend only on the set sizes, so they are made from ranges
-    and repetition; identity maps of equal length share one tuple.
+    _fibers lists every fiber and each element's position in its fiber,
+    and the presheaf keeps both.  The set of an object is the product of
+    its fibers, in the lexicographic order hom_set gives; only its size is
+    stored, in site order (single(x) at x, then pair(x, y) at n + x n + y),
+    and the tuples are built only if F.sets is read.  Each generator's
+    index map is read off fiber positions by the closed form of its
+    family: on target assignment (a) or (a, b), m[p,x] gives the position
+    of p.a, sigma[x,y] that of ab, inc1 that of a and inc2 that of b.
+    Identity, inc1 and inc2 maps depend only on the set sizes, so they are
+    made from ranges and repetition; identity maps of equal length share
+    one tuple.
     """
     site = site if site is not None else build_site(A.base)
     if site.base != A.base:
         raise BaseMismatchError(f"site over {site.base.name} cannot embed {A.name}")
     fibers, pos = _fibers(A)
-    sets = tuple(tuple(itertools.product(*(fibers[x] for x in o.xs))) for o in site.objects)
+    lens = [len(f) for f in fibers]
+    sizes = (*lens, *(i * j for i in lens for j in lens))
     act, tab = A.action.table, A.group.table
     identities: dict[int, tuple[int, ...]] = {}
     actions = []
     for (family, *args), source in zip(site.families, site.sources):
         if family == "id":
-            k = len(sets[source])
+            k = sizes[source]
             if k not in identities:
                 identities[k] = tuple(range(k))
             image = identities[k]
@@ -171,7 +188,7 @@ def compute_presheaf(A: CrossedModule, site: Site | None = None) -> Presheaf:
             else:
                 image = tuple(range(len(fy))) * len(fx)
         actions.append(image)
-    return Presheaf(site, A, sets, tuple(actions))
+    return Presheaf(site, A, fibers, pos, sizes, tuple(actions))
 
 
 def presheaf_composition_violations(F: Presheaf) -> tuple[tuple[str, str], ...]:
@@ -208,13 +225,13 @@ def component_shape_violations(phi: NaturalTransformation) -> tuple[str, ...]:
     if len(phi.components) != len(objects):
         return (f"{len(phi.components)} components for {len(objects)} objects",)
     out = []
-    for o, comp, source, target in zip(objects, phi.components, F.sets, G.sets):
-        if len(comp) != len(source):
+    for o, comp, size, limit in zip(objects, phi.components, F.sizes, G.sizes):
+        if len(comp) != size:
             out.append(f"component at {o.describe()} has length {len(comp)}")
             continue
         # One C-level pass each for the types and the bounds; bools are not
         # indices, so their type is not int.
-        if comp and (set(map(type, comp)) != {int} or min(comp) < 0 or max(comp) >= len(target)):
+        if comp and (set(map(type, comp)) != {int} or min(comp) < 0 or max(comp) >= limit):
             out.append(f"component at {o.describe()} has out-of-range values")
     return tuple(out)
 
@@ -268,7 +285,7 @@ def _with_pairs(singles: Sequence[tuple[int, ...]], G: Presheaf) -> tuple[tuple[
     """
     pairs = []
     for x, y in itertools.product(range(len(singles)), repeat=2):
-        scaled = [i * len(G.sets[y]) for i in singles[x]]
+        scaled = [i * G.sizes[y] for i in singles[x]]
         pairs.append(tuple(itertools.starmap(add, itertools.product(scaled, singles[y]))))
     return (*singles, *pairs)
 
@@ -305,8 +322,8 @@ def enumerate_natural_transformations(
     site = F.site
     n = site.base.order
     what = f"natural transformation search {F.xmod.name} -> {G.xmod.name}"
-    start = list(itertools.accumulate((len(F.sets[x]) for x in range(n)), initial=0))
-    candidates = [range(len(G.sets[x])) for x in range(n) for _ in F.sets[x]]
+    start = list(itertools.accumulate(F.sizes[:n], initial=0))
+    candidates = [range(G.sizes[x]) for x in range(n) for _ in range(F.sizes[x])]
     products = []
     moves = []
     for (family, *args), s, t, act_F, act_G in zip(
@@ -316,8 +333,8 @@ def enumerate_natural_transformations(
             moves += [(start[t] + j, start[s] + i, act_G) for j, i in enumerate(act_F)]
         elif family == "sigma":
             x, y = args
-            nf, ng = len(F.sets[y]), len(G.sets[y])
-            rows = [act_G[u * ng : (u + 1) * ng] for u in range(len(G.sets[x]))]
+            nf, ng = F.sizes[y], G.sizes[y]
+            rows = [act_G[u * ng : (u + 1) * ng] for u in range(G.sizes[x])]
             products += [
                 (start[x] + j // nf, start[y] + j % nf, start[s] + i, rows) for j, i in enumerate(act_F)
             ]
@@ -332,7 +349,7 @@ def functor_on_morphism(f: XModMorphism, F: Presheaf, G: Presheaf) -> NaturalTra
 
     f must be a morphism and F, G the presheaves compute_presheaf builds
     for its source and target.  f respects boundaries, so it carries the
-    single assignment (a,) of x to (f(a),), whose index in G is posG[f(a)],
+    single assignment (a,) of x to (f(a),), whose index in G is G.pos[f(a)],
     and the pair assignment (a, b) to (f(a), f(b)): U(f) acts on pairs
     coordinatewise, and _with_pairs builds its pair components.  No
     assignment tuple is built and no index is read.  The boundaries are
@@ -347,8 +364,7 @@ def functor_on_morphism(f: XModMorphism, F: Presheaf, G: Presheaf) -> NaturalTra
         )
     if [B.boundary.image[b] for b in f.mapping] != list(A.boundary.image):
         raise FiberMismatchError(f"map {A.name} -> {B.name} does not respect the boundaries")
-    _, pos = _fibers(B)
-    singles = [tuple([pos[f.mapping[a]] for (a,) in F.sets[x]]) for x in range(A.base.order)]
+    singles = [tuple([G.pos[f.mapping[a]] for a in F.fibers[x]]) for x in range(A.base.order)]
     return NaturalTransformation(F, G, _with_pairs(singles, G))
 
 
@@ -359,9 +375,8 @@ def _reconstruct(phi: NaturalTransformation) -> XModMorphism:
     A, B = F.xmod, G.xmod
     mapping = [0] * A.group.order
     for x in range(A.base.order):
-        targets = G.sets[x]
-        for (a,), j in zip(F.sets[x], phi.components[x]):
-            mapping[a] = targets[j][0]
+        for a, j in zip(F.fibers[x], phi.components[x]):
+            mapping[a] = G.fibers[x][j]
     violations = validate_morphism(A, B, mapping)
     if violations:
         raise ReconstructionInvalidError(
@@ -410,11 +425,11 @@ def verify_full_faithful(
     components built coordinatewise from its single components by
     _with_pairs, so round trips and injectivity are compared on the single
     components.  Both searches charge one meter, so the budget bounds
-    their sum.
+    their sum.  When B is A, one presheaf serves as both F and G.
     """
     site = site if site is not None else build_site(A.base)
     F = compute_presheaf(A, site)
-    G = compute_presheaf(B, site)
+    G = F if B is A else compute_presheaf(B, site)
     work = _meter(budget)
     homs = enumerate_morphisms(A, B, budget=work)
     nats = enumerate_natural_transformations(F, G, budget=work)
@@ -429,7 +444,6 @@ def verify_full_faithful(
         for phi in nats
     )
     image_keys = {single_components(phi) for phi in images}
-    _, pos = _fibers(A)
     separated = 0
     for i in range(len(homs)):
         for j in range(i + 1, len(homs)):
@@ -440,7 +454,7 @@ def verify_full_faithful(
             if a is None:
                 continue
             x = A.boundary.image[a]
-            if images[i].components[x][pos[a]] != images[j].components[x][pos[a]]:
+            if images[i].components[x][F.pos[a]] != images[j].components[x][F.pos[a]]:
                 separated += 1
     expected_separations = len(homs) * (len(homs) - 1) // 2
     ok = (
@@ -515,8 +529,8 @@ def _verify_product_preserved(A: CrossedModule, B: CrossedModule, site: Site) ->
     def pairing(o: int) -> tuple[int, int, dict | None]:
         # Mark each (a, b) cell hit: a set of pair tuples would be the
         # largest allocation of the whole comparison.
-        size, nb = len(FX.sets[o]), len(FB.sets[o])
-        full = len(FA.sets[o]) * nb
+        size, nb = FX.sizes[o], FB.sizes[o]
+        full = FA.sizes[o] * nb
         hit = bytearray(full)
         for a, b in zip(pA.components[o], pB.components[o]):
             hit[a * nb + b] = 1
@@ -564,7 +578,7 @@ def _verify_coequaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) 
     pair = [functor_on_morphism(leg, FK, FB) for leg in kp.legs]
 
     def classes(o: int) -> tuple[int, int, dict | None]:
-        parent = list(range(len(FB.sets[o])))
+        parent = list(range(FB.sizes[o]))
 
         def find(a: int) -> int:
             while parent[a] != a:
@@ -581,10 +595,10 @@ def _verify_coequaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) 
             by_class.setdefault(find(j), set()).add(q)
         well_defined = all(len(v) == 1 for v in by_class.values())
         injective = len({next(iter(v)) for v in by_class.values()}) == len(by_class) if well_defined else False
-        surjective = len(set(proj.components[o])) == len(FQ.sets[o])
-        if well_defined and injective and surjective and len(by_class) == len(FQ.sets[o]):
-            return len(by_class), len(FQ.sets[o]), None
-        return len(by_class), len(FQ.sets[o]), {
+        surjective = len(set(proj.components[o])) == FQ.sizes[o]
+        if well_defined and injective and surjective and len(by_class) == FQ.sizes[o]:
+            return len(by_class), FQ.sizes[o], None
+        return len(by_class), FQ.sizes[o], {
             "reason": "class comparison is not a bijection",
             "well_defined": well_defined,
             "surjective": surjective,

@@ -32,7 +32,6 @@ from typing import Iterator, Sequence
 from .errors import (
     BaseMismatchError,
     CompositionMismatchError,
-    IllDefinedActionError,
     PreconditionFailedError,
     ValidationError,
 )
@@ -274,7 +273,12 @@ def _crossed_holds(group: Group, base: Group, boundary: Sequence[int], action: S
 def _structure_violations(
     group: Group, base: Group, boundary: Sequence[int], action: Sequence[Sequence[int]]
 ) -> Iterator[Violation]:
-    """CM1 then CM2 failures, for a boundary hom and an action that are valid."""
+    """CM1 then CM2 failures, by a full scan of P x M and M x M.
+
+    crossed_module_violations runs it whenever some check fails, once the
+    boundary and action entries are in range, so the boundary need not be
+    a hom nor the action valid: each axiom is read off the tables as given.
+    """
     for p in range(base.order):
         for m in range(group.order):
             if boundary[action[p][m]] != base.conj(p, boundary[m]):
@@ -384,9 +388,10 @@ def trivial_xmod(M: Group, P: Group, action: Sequence[Sequence[int]] | None = No
 def central_extension_xmod(mu: GroupHom, name: str | None = None) -> CrossedModule:
     """Surjective mu: M -> P with central kernel; P acts through preimages.
 
-    p . m is x m x^-1 for any preimage x of p.  Independence from the choice
-    is checked over every preimage and IllDefinedActionError reports the
-    first disagreement.
+    p . m is x0 m x0^-1 for the least preimage x0 of p.  Every preimage
+    gives the same conjugation once the kernel is central: mu(x0^-1 x) is
+    the identity for any preimage x of p, so x = x0 k with k central and
+    x m x^-1 = x0 k m k^-1 x0^-1 = x0 m x0^-1.
     """
     M, P = mu.domain, mu.codomain
     if not mu.is_surjective():
@@ -398,19 +403,7 @@ def central_extension_xmod(mu: GroupHom, name: str | None = None) -> CrossedModu
         raise PreconditionFailedError(
             f"central extension: kernel element {outside[0]} is not central in {M.name}"
         )
-    action = []
-    for p in range(P.order):
-        preimages = [x for x in range(M.order) if mu.image[x] == p]
-        x0 = preimages[0]
-        row = [M.conj(x0, m) for m in range(M.order)]
-        for x in preimages[1:]:
-            for m in range(M.order):
-                if M.conj(x, m) != row[m]:
-                    raise IllDefinedActionError(
-                        f"central extension: preimages {x0} and {x} of {p} "
-                        f"conjugate {m} differently"
-                    )
-        action.append(row)
+    action = [[M.conj(x0, m) for m in range(M.order)] for x0 in map(mu.image.index, range(P.order))]
     return make_crossed_module(name or f"cext({M.name},{P.name})", M, P, mu.image, action)
 
 

@@ -98,6 +98,61 @@ def test_make_group_no_inverse():
     assert "1" in str(err.value)
 
 
+def _identity_and_inverses_by_loops(t, name):
+    """make_group's derivation before it packaged the table by
+    _trusted_group: the first two-sided identity, then for each element
+    the first two-sided inverse."""
+    n = len(t)
+    identity = None
+    for e in range(n):
+        if all(t[e][a] == a and t[a][e] == a for a in range(n)):
+            identity = e
+            break
+    if identity is None:
+        raise NoIdentityError(f"{name}: no two-sided identity")
+    inverse = []
+    for a in range(n):
+        inv = None
+        for b in range(n):
+            if t[a][b] == identity and t[b][a] == identity:
+                inv = b
+                break
+        if inv is None:
+            raise NoInverseError(f"{name}: element {a} has no inverse")
+        inverse.append(inv)
+    return identity, tuple(inverse)
+
+
+def test_make_group_derives_identity_and_inverses_as_the_loops_did():
+    # Every table of order <= 3: the associativity verdict is the
+    # brute-force one, and on associative tables the identity, inverses,
+    # error types and messages are those of the two-sided loops.
+    outcomes = {NotAssociativeError: 0, NoIdentityError: 0, NoInverseError: 0, "group": 0}
+    for n in (1, 2, 3):
+        for flat in itertools.product(range(n), repeat=n * n):
+            t = [list(flat[i * n : (i + 1) * n]) for i in range(n)]
+            associative = all(
+                t[t[a][b]][c] == t[a][t[b][c]] for a in range(n) for b in range(n) for c in range(n)
+            )
+            try:
+                want = _identity_and_inverses_by_loops(t, "T") if associative else NotAssociativeError
+            except (NoIdentityError, NoInverseError) as exc:
+                want = (type(exc), str(exc))
+            try:
+                G = make_group(t, "T")
+                got = (G.identity, G.inverse)
+            except NotAssociativeError:
+                got = NotAssociativeError
+            except (NoIdentityError, NoInverseError) as exc:
+                got = (type(exc), str(exc))
+            assert got == want, t
+            if got is NotAssociativeError:
+                outcomes[got] += 1
+            else:
+                outcomes[got[0] if isinstance(got[0], type) else "group"] += 1
+    assert all(outcomes.values()), outcomes
+
+
 def test_make_group_bad_entries():
     with pytest.raises(IndexOutOfRangeError):
         make_group([[0, 2], [1, 0]])

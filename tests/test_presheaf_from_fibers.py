@@ -6,12 +6,13 @@ generators by position and builds their free objects and words, on demand,
 without the checks of make_free_object and make_word.
 Here catalogue crossed modules over C2, V4 and S3, and the central
 extension GL(2,3) -> S4 with central kernel {I, -I}, are relabelled so
-that the identities of M and of the base leave index 0.  Every set must
-then equal hom_set, every generator's map must equal presheaf_action's
-and carry each assignment to the evaluation of its words, every position
-must follow single x = x and pair (x, y) = n + x n + y, and every word of
-the site must equal the word rebuilt through make_free_object and
-make_word.
+that the identities of M and of the base leave index 0.  The presheaf
+must then keep the fibers of xmod._fibers, every set must equal hom_set
+and have its stored size, every generator's map must equal
+presheaf_action's and carry each assignment to the evaluation of its
+words, every position must follow single x = x and pair (x, y) =
+n + x n + y, and every word of the site must equal the word rebuilt
+through make_free_object and make_word.
 """
 
 import itertools
@@ -21,11 +22,11 @@ from hypothesis import given, settings, strategies as st
 
 from xmodp.groups import cyclic_group, klein_four_group, make_group, make_hom, symmetric_group_3
 from xmodp.limits import default_catalogue
-from xmodp import words
+from xmodp import presheaf, words
 from xmodp.presheaf import compute_presheaf, presheaf_action, verify_exactness_preservation, verify_full_faithful
 from xmodp.session import parse_session, run_command
-from xmodp.words import build_site, evaluate_word, hom_set, make_free_object, make_word
-from xmodp.xmod import central_extension_xmod, enumerate_morphisms, make_crossed_module
+from xmodp.words import build_site, evaluate_word, hom_set, hom_set_size, make_free_object, make_word
+from xmodp.xmod import _fibers, central_extension_xmod, enumerate_morphisms, make_crossed_module
 
 BASES = [cyclic_group(2), klein_four_group(), symmetric_group_3()]
 SMALL_XMODS = [A for P in BASES for A in default_catalogue(P, 6 if P.order != 4 else 4)]
@@ -105,12 +106,14 @@ def _check_against_words(A):
     site = build_site(A.base)
     F = compute_presheaf(A, site)
     n = A.base.order
-    assert len(F.sets) == len(site.objects) == n + n * n
+    assert (F.fibers, F.pos) == _fibers(A)
+    assert len(F.sets) == len(F.sizes) == len(site.objects) == n + n * n
     for i, o in enumerate(site.objects):
         assert site.position(o) == i == (o.xs[0] if o.kind == "single" else n + o.xs[0] * n + o.xs[1])
         free = site.free(i)
         assert free == make_free_object(A.base, free.labels, o.xs)
         assert F.sets[i] == hom_set(free, A)
+        assert F.sizes[i] == len(F.sets[i]) == hom_set_size(free, A)
     assert len(F.actions) == len(site.families) == len(site.sources) == len(site.targets)
     for k, (family, *args) in enumerate(site.families):
         g = site.morphism(k)
@@ -166,3 +169,29 @@ def test_embedding_builds_no_words(monkeypatch):
     # The counter sees constructions: the identity of single(0) makes one of each.
     site.morphism(0)
     assert [cls.__name__ for cls in made] == ["FreeObject", "Word", "SiteMorphism"]
+
+
+def test_searches_and_comparisons_build_no_assignment_tuples(monkeypatch):
+    # verify-embedding and the product and coequaliser comparisons read set
+    # sizes and fibers only, so no presheaf they build fills its sets view;
+    # verify-embedding of an object with itself builds one presheaf.
+    built = []
+
+    def recording(*args, _real=compute_presheaf, **kwargs):
+        built.append(_real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(presheaf, "compute_presheaf", recording)
+    E, T = S3_SESSION.xmods["E"], S3_SESSION.xmods["T"]
+    site = build_site(E.base)
+    for A, B in itertools.product([E, T], repeat=2):
+        assert verify_full_faithful(A, B, site)["pass"]
+        assert verify_exactness_preservation("product", A, B, site=site)["pass"]
+    assert len(built) == 2 * 2 + 2 * 1 + 4 * 3
+    report, code = run_command(S3_SESSION, "verify-embedding", ["E", "E"])
+    assert code == 0 and report["pass"] and len(built) == 19
+    pairs = [fg for X in (E, T) for fg in itertools.combinations(enumerate_morphisms(X, X), 2)]
+    for f, g in pairs:
+        assert verify_exactness_preservation("coequaliser", f=f, g=g, site=site)["pass"]
+    assert len(pairs) == 6 + 3 and len(built) == 19 + 3 * len(pairs)
+    assert all("sets" not in vars(F) for F in built)
