@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import XmodError
 from .limits import MAX_CATALOGUE_ORDER
-from .session import COMMAND_TABLE, DATA_ERRORS, parse_session, run_command
+from .session import COMMAND_TABLE, DATA_ERRORS, _ItemTexts, parse_session, run_command
 
 __all__ = ["build_parser", "main"]
 
@@ -76,7 +76,9 @@ _ENCODE_STR = json.encoder.encode_basestring_ascii
 def _json_text(value: object, pad: str = "") -> str:
     """json.dumps(value, indent=2), byte for byte, without its per-token chunks.
 
-    A list of plain ints, such as a table row, is written with one join.
+    A list of plain ints, such as a table row, is written with one join,
+    and a session._ItemTexts by joining its item texts, each line
+    indented to the depth of the list.
     Anything else (floats, int subclasses, dicts with non-str keys) goes to
     json.dumps itself, with its lines indented to the current depth.
     """
@@ -105,6 +107,10 @@ def _json_text(value: object, pad: str = "") -> str:
             return "{}"
         body = sep.join([_ENCODE_STR(k) + ": " + _json_text(v, inner) for k, v in value.items()])
         return "{\n" + inner + body + "\n" + pad + "}"
+    if isinstance(value, _ItemTexts):
+        if not value:
+            return "[]"
+        return ("[\n" + ",\n".join(value.texts)).replace("\n", "\n" + inner) + "\n" + pad + "]"
     return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 

@@ -105,7 +105,11 @@ class Presheaf:
 
     @cached_property
     def sets(self) -> tuple[tuple[Assignment, ...], ...]:
-        """The assignment tuples of every object, built on first read."""
+        """The assignment tuples of every object, built on first read.
+
+        No code of the library reads them; they are the definition that
+        tests compare the fibers with.
+        """
         return tuple(tuple(itertools.product(*(self.fibers[x] for x in o.xs))) for o in self.site.objects)
 
 
@@ -113,12 +117,12 @@ def presheaf_action(F: Presheaf, m: SiteMorphism) -> tuple[int, ...]:
     """Index map of precomposition with an arbitrary site morphism.
 
     The word count, and the base, fibers and boundary of each word, are
-    checked once for the morphism.  Every assignment of the target set then
-    respects the fibers of the words' free object, since F.sets lists the
-    products of fibers, and the image of word i lies over the boundary of
-    word i, the base element of source label i.  So each image is a member
-    of the source's set, and its index is the mixed-radix number of its
-    entries' fiber positions.
+    checked once for the morphism.  The target's assignments, the product
+    of its fibers, are built once per call, so each respects the fibers of
+    the words' free object, and the image of word i lies over the boundary
+    of word i, the base element of source label i.  So each image is a
+    member of the source's set, and its index is the mixed-radix number of
+    its entries' fiber positions.
     """
     A, site = F.xmod, F.site
     source, target = site.position(m.source), site.position(m.target)
@@ -133,8 +137,9 @@ def presheaf_action(F: Presheaf, m: SiteMorphism) -> tuple[int, ...]:
             raise FiberMismatchError(f"{m.name}: words are not over {m.target.describe()}")
         if word_boundary(w) != x:
             raise FiberMismatchError(f"{m.name}: a word does not land over {m.source.describe()}")
+    assignments = tuple(itertools.product(*(F.fibers[x] for x in omega)))
     out = []
-    for image in zip(*(_word_images(w, A, F.sets[target]) for w in m.words)):
+    for image in zip(*(_word_images(w, A, assignments) for w in m.words)):
         i = 0
         for a, x in zip(image, xs):
             i = i * len(F.fibers[x]) + F.pos[a]
@@ -546,12 +551,14 @@ def _verify_equaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) ->
     FC = compute_presheaf(f.source, site)
     phi = functor_on_morphism(cone.legs[0], FE, FC)
 
+    # The agreeing assignments of an object are the product of the agreeing
+    # elements of its fibers; each is numbered by its fiber positions.
+    good = [[j for j, a in enumerate(fiber) if f.mapping[a] == g.mapping[a]] for fiber in FC.fibers]
+
     def inclusion(o: int) -> tuple[int, int, dict | None]:
-        agree = [
-            j
-            for j, nu in enumerate(FC.sets[o])
-            if all(f.mapping[a] == g.mapping[a] for a in nu)
-        ]
+        agree = [0]
+        for x in site.objects[o].xs:
+            agree = [i * len(FC.fibers[x]) + j for i in agree for j in good[x]]
         mapped = phi.components[o]
         ok = sorted(mapped) == agree and len(set(mapped)) == len(mapped)
         return len(mapped), len(agree), None if ok else {"reason": "comparison is not a bijection"}

@@ -11,9 +11,11 @@ process exit code (0 pass, 1 failed verification or validation, 2 usage).
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 from .errors import (
     MissingArgumentError,
@@ -332,23 +334,61 @@ def _homset(session: Session, args: Sequence[str], budget: int, max_order: int) 
     }
 
 
+class _ItemTexts(Sequence):
+    """A read-only report list held as the JSON text of each item.
+
+    Each text is json.dumps(item, indent=2) of one item, and indexing
+    parses it back into that item.  cli._json_text writes the texts as
+    they are, indented to the depth it writes the list at.
+    """
+
+    def __init__(self, texts: list[str]) -> None:
+        self.texts = texts
+
+    def __len__(self) -> int:
+        return len(self.texts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [json.loads(t) for t in self.texts[i]]
+        return json.loads(self.texts[i])
+
+
+_ENCODE_STR = json.encoder.encode_basestring_ascii
+_OBJECT = '{\n  "object": %s,\n  "size": %d,\n  "assignments": %s\n}'
+_ACTION = '{\n  "generator": %s,\n  "source": %s,\n  "target": %s,\n  "map": %s\n}'
+
+
 def _embed(session: Session, objs: Sequence, budget: int, max_order: int) -> dict:
+    """The presheaf of A, each object and generator record rendered once.
+
+    The records are written straight from the fibers: an object's
+    assignments are the product of its fibers' element texts, each made
+    once, and each object name is encoded once for every record that
+    names it.
+    """
     (A,) = objs
     site = build_site(session.base)
     F = compute_presheaf(A, site)
-    names = [o.describe() for o in site.objects]
-    return {
-        "pass": True,
-        "xmod": A.name,
-        "objects": [
-            {"object": name, "size": len(elems), "assignments": [list(t) for t in elems]}
-            for name, elems in zip(names, F.sets)
-        ],
-        "actions": [
-            {"generator": site.name(k), "source": names[s], "target": names[t], "map": list(image)}
-            for k, (s, t, image) in enumerate(zip(site.sources, site.targets, F.actions))
-        ],
-    }
+    names = [_ENCODE_STR(o.describe()) for o in site.objects]
+    # The text of every int the records print: elements of M and set indices.
+    digits = list(map(str, range(max(A.group.order, *F.sizes))))
+    elements = [[digits[a] for a in fiber] for fiber in F.fibers]
+    objects = []
+    for name, o, size in zip(names, site.objects, F.sizes):
+        assignments = "[]"
+        if size:
+            tuples = map(",\n      ".join, itertools.product(*(elements[x] for x in o.xs)))
+            assignments = "[\n    [\n      " + "\n    ],\n    [\n      ".join(tuples) + "\n    ]\n  ]"
+        objects.append(_OBJECT % (name, size, assignments))
+    actions = [
+        _ACTION % (
+            _ENCODE_STR(site.name(k)), names[s], names[t],
+            "[\n    " + ",\n    ".join(map(digits.__getitem__, image)) + "\n  ]" if image else "[]",
+        )
+        for k, (s, t, image) in enumerate(zip(site.sources, site.targets, F.actions))
+    ]
+    return {"pass": True, "xmod": A.name, "objects": _ItemTexts(objects), "actions": _ItemTexts(actions)}
 
 
 def _verify_embedding(session: Session, objs: Sequence, budget: int, max_order: int) -> dict:

@@ -12,19 +12,24 @@ and have its stored size, every generator's map must equal
 presheaf_action's and carry each assignment to the evaluation of its
 words, every position must follow single x = x and pair (x, y) =
 n + x n + y, and every word of the site must equal the word rebuilt
-through make_free_object and make_word.
+through make_free_object and make_word.  The embed report, rendered from
+the fibers, must be the bytes json.dumps writes for the records built
+from the assignment tuples of F.sets, and its lists must index as those
+records.
 """
 
 import itertools
+import json
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xmodp.groups import cyclic_group, klein_four_group, make_group, make_hom, symmetric_group_3
 from xmodp.limits import default_catalogue
-from xmodp import presheaf, words
+from xmodp import presheaf, session, words
+from xmodp.cli import _json_text
 from xmodp.presheaf import compute_presheaf, presheaf_action, verify_exactness_preservation, verify_full_faithful
-from xmodp.session import parse_session, run_command
+from xmodp.session import Session, parse_session, run_command
 from xmodp.words import build_site, evaluate_word, hom_set, hom_set_size, make_free_object, make_word
 from xmodp.xmod import _fibers, central_extension_xmod, enumerate_morphisms, make_crossed_module
 
@@ -172,9 +177,10 @@ def test_embedding_builds_no_words(monkeypatch):
 
 
 def test_searches_and_comparisons_build_no_assignment_tuples(monkeypatch):
-    # verify-embedding and the product and coequaliser comparisons read set
-    # sizes and fibers only, so no presheaf they build fills its sets view;
-    # verify-embedding of an object with itself builds one presheaf.
+    # embed, verify-embedding, presheaf_action and the three comparisons
+    # read set sizes and fibers only, so no presheaf they build fills its
+    # sets view; verify-embedding of an object with itself builds one
+    # presheaf.
     built = []
 
     def recording(*args, _real=compute_presheaf, **kwargs):
@@ -182,6 +188,7 @@ def test_searches_and_comparisons_build_no_assignment_tuples(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(presheaf, "compute_presheaf", recording)
+    monkeypatch.setattr(session, "compute_presheaf", recording)
     E, T = S3_SESSION.xmods["E"], S3_SESSION.xmods["T"]
     site = build_site(E.base)
     for A, B in itertools.product([E, T], repeat=2):
@@ -194,4 +201,58 @@ def test_searches_and_comparisons_build_no_assignment_tuples(monkeypatch):
     for f, g in pairs:
         assert verify_exactness_preservation("coequaliser", f=f, g=g, site=site)["pass"]
     assert len(pairs) == 6 + 3 and len(built) == 19 + 3 * len(pairs)
+    for f, g in pairs:
+        assert verify_exactness_preservation("equaliser", f=f, g=g, site=site)["pass"]
+    assert len(built) == 19 + 5 * len(pairs)
+    report, code = run_command(S3_SESSION, "embed", ["E"])
+    assert code == 0 and len(report["objects"]) == len(site.objects) and len(built) == 65
+    F = presheaf.compute_presheaf(E, site)
+    assert presheaf_action(F, site.morphism(len(site.objects))) == F.actions[len(site.objects)]
+    assert len(built) == 66
     assert all("sets" not in vars(F) for F in built)
+
+
+def _embed_records_from_sets(F):
+    """The objects and actions of an embed report as dicts, built from the
+    assignment tuples of F.sets."""
+    site = F.site
+    names = [o.describe() for o in site.objects]
+    objects = [
+        {"object": name, "size": len(elems), "assignments": [list(t) for t in elems]}
+        for name, elems in zip(names, F.sets)
+    ]
+    actions = [
+        {"generator": site.name(k), "source": names[s], "target": names[t], "map": list(image)}
+        for k, (s, t, image) in enumerate(zip(site.sources, site.targets, F.actions))
+    ]
+    return objects, actions
+
+
+def _check_embed_writer(A):
+    report, code = run_command(Session(base=A.base, xmods={A.name: A}), "embed", [A.name])
+    objects, actions = _embed_records_from_sets(compute_presheaf(A, build_site(A.base)))
+    oracle = {**report, "objects": objects, "actions": actions}
+    assert code == 0 and list(oracle) == ["command", "options", "pass", "xmod", "objects", "actions"]
+    assert _json_text(report) == json.dumps(oracle, indent=2)
+    # The item texts are indented to the depth they are written at.
+    assert _json_text({"nested": [report]}) == json.dumps({"nested": [oracle]}, indent=2)
+    assert list(report["objects"]) == objects and list(report["actions"]) == actions
+    assert report["objects"][1:3] == objects[1:3]
+
+
+# A catalogue module whose boundary misses some base element, so that some
+# objects have size 0 and some maps are empty.
+WITH_EMPTY_FIBER = next(A for A in SMALL_XMODS if len(set(A.boundary.image)) < A.base.order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabelled(SMALL_XMODS))
+@example(WITH_EMPTY_FIBER)
+def test_embed_report_is_json_dumps_of_the_records(A):
+    _check_embed_writer(A)
+
+
+@settings(max_examples=3, deadline=None)
+@given(relabelled([E48]))
+def test_embed_report_is_json_dumps_of_the_records_over_s4(A):
+    _check_embed_writer(A)
