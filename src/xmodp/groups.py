@@ -14,12 +14,19 @@ _generating_set(table), in O(n^2 |S|) instead of the O(n^3) scan, and
 hom_violation checks multiplicativity on (a, s) pairs.  Passing on
 generators is a proof, so the full scan runs only to name the first
 witness of a table or map that fails.
+
+Validation by rows: the checks and scans compare whole rows or columns,
+as tuples gathered in C (_gather, _column, _indices), and only a row that
+differs is searched entry by entry, by _differences, for its witnesses in
+index order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
+from operator import itemgetter, ne
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -79,8 +86,14 @@ class Group:
 
     @cached_property
     def _gens(self) -> tuple[int, ...]:
-        """_generating_set(table), computed once per group."""
+        """_generating_set(table), computed once per group; make_group
+        stores the set its associativity test used."""
         return _generating_set(self.table)
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """The columns of the table, _columns[b][a] == table[a][b]."""
+        return tuple(zip(*self.table))
 
     def inv(self, a: int) -> int:
         return self.inverse[a]
@@ -100,6 +113,34 @@ class Group:
 def is_index(v: object, n: int) -> bool:
     """True for an int in 0..n-1; bools are not element indices."""
     return type(v) is int and 0 <= v < n
+
+
+def _indices(row: Sequence[object], n: int) -> bool:
+    """is_index(v, n) for every entry of a non-empty row, in C.
+
+    The entry types are compared, not the entries: True and 1.0 equal 1
+    and hash like it, so a membership test would let them through.
+    """
+    return set(map(type, row)) == {int} and 0 <= min(row) and max(row) < n
+
+
+def _gather(keys: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The map seq -> tuple(seq[k] for k in keys), one C-level itemgetter
+    call per seq (itemgetter of one key returns a scalar and of none
+    raises, so those are gathered in Python)."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return lambda seq: tuple(seq[k] for k in keys)
+
+
+def _column(table: Sequence[Sequence[int]], x: int) -> tuple[int, ...]:
+    """Column x of a table: (table[0][x], table[1][x], ...)."""
+    return tuple(map(itemgetter(x), table))
+
+
+def _differences(xs: Iterable[int], ys: Iterable[int]) -> Iterator[int]:
+    """The positions where xs and ys differ, ascending, found in C."""
+    return compress(count(), map(ne, xs, ys))
 
 
 def make_group(table: Sequence[Sequence[int]], name: str = "G") -> Group:
@@ -126,21 +167,25 @@ def make_group(table: Sequence[Sequence[int]], name: str = "G") -> Group:
         row = tuple(row)
         if len(row) != n:
             raise IndexOutOfRangeError(f"{name}: row {i} has length {len(row)}, expected {n}")
-        for j, v in enumerate(row):
-            if not is_index(v, n):
-                raise IndexOutOfRangeError(f"{name}: entry [{i}][{j}] = {v!r} not in 0..{n - 1}")
+        if not _indices(row, n):
+            j, v = next((j, v) for j, v in enumerate(row) if not is_index(v, n))
+            raise IndexOutOfRangeError(f"{name}: entry [{i}][{j}] = {v!r} not in 0..{n - 1}")
         rows.append(row)
     t = tuple(rows)
-    if not _associative(t):
+    gens = _generating_set(t)
+    if not _associative(t, gens):
         a, b, c = _associativity_witness(t)
         raise NotAssociativeError(f"{name}: (a, b, c) = ({a}, {b}, {c})")
-    e = next((i for i, row in enumerate(t) if row == tuple(range(n))), None)
-    if e is None or any(row[e] != a for a, row in enumerate(t)):
+    identity = tuple(range(n))
+    e = next((i for i, row in enumerate(t) if row == identity), None)
+    if e is None or _column(t, e) != identity:
         raise NoIdentityError(f"{name}: no two-sided identity")
     for a, row in enumerate(t):
         if e not in row:
             raise NoInverseError(f"{name}: element {a} has no inverse")
-    return _trusted_group(t, name)
+    G = _trusted_group(t, name)
+    G.__dict__["_gens"] = gens  # the cached_property's slot: one generating set per table
+    return G
 
 
 def _greedy_generators(elements: Sequence[Hashable], mul: Callable) -> tuple | None:
@@ -185,32 +230,34 @@ def _generating_set(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return _greedy_generators(range(len(table)), lambda x, s: table[x][s])
 
 
-def _associative(t: Sequence[Sequence[int]]) -> bool:
-    """Light's associativity test on a generating set of the table.
+def _associative(t: tuple[tuple[int, ...], ...], gens: Iterable[int]) -> bool:
+    """Light's associativity test on gens, a generating set of the table.
 
     The s with (x*s)*y == x*(s*y) for all x, y are closed under products
     without assuming associativity: for such s and u,
     (x*(su))*y = ((xs)u)y = (xs)(uy) = x(s(uy)) = x((su)y).  So when every
     generator passes, every left-nested product of generators, that is
-    every element, passes.
+    every element, passes.  For each s, the rows of x*s, read down column
+    s, are compared with the rows x*(s*y), each gathered from row x by
+    row s.
     """
-    for s in _generating_set(t):
-        row_s = t[s]
-        for row_x in t:
-            if t[row_x[s]] != tuple(map(row_x.__getitem__, row_s)):
-                return False
+    for s in gens:
+        if _gather(_column(t, s))(t) != tuple(map(_gather(t[s]), t)):
+            return False
     return True
 
 
-def _associativity_witness(t: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
-    """The first (a, b, c) in index order with (ab)c != a(bc), or None."""
-    n = len(t)
-    for a in range(n):
-        for b in range(n):
-            ab = t[a][b]
-            for c in range(n):
-                if t[ab][c] != t[a][t[b][c]]:
-                    return (a, b, c)
+def _associativity_witness(t: tuple[tuple[int, ...], ...]) -> tuple[int, int, int] | None:
+    """The first (a, b, c) in index order with (ab)c != a(bc), or None.
+
+    For each (a, b) the row of ab is compared with row a gathered by row
+    b, and only a row that differs is searched for its c.
+    """
+    for a, row_a in enumerate(t):
+        for b, ab in enumerate(row_a):
+            left, right = t[ab], _gather(t[b])(row_a)
+            if left != right:
+                return (a, b, next(_differences(left, right)))
     return None
 
 
@@ -300,24 +347,29 @@ def _multiplicative(domain: Group, codomain: Group, image: Sequence[int]) -> boo
     """True when image[ab] == image[a] image[b], checked for b in a generating set.
 
     Both groups are associative, so the b that pass for every a are closed
-    under products and the check on generators covers every b.
+    under products and the check on generators covers every b.  For each
+    b, both sides are compared as columns over a: image read down column b
+    of the domain, and column image[b] of the codomain read at image.
     """
-    tab = codomain.table
+    at_image = _gather(image)
     for b in domain._gens:
-        ib = image[b]
-        for a, row in enumerate(domain.table):
-            if image[row[b]] != tab[image[a]][ib]:
-                return False
+        if _gather(domain._columns[b])(image) != at_image(codomain._columns[image[b]]):
+            return False
     return True
 
 
 def _hom_failures(domain: Group, codomain: Group, image: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Every pair (a, b) with image[ab] != image[a] image[b], in index order."""
+    """Every pair (a, b) with image[ab] != image[a] image[b], in index order.
+
+    Row a of both sides is gathered as a tuple, and only a row that
+    differs is searched for its b.
+    """
     tab = codomain.table
+    at_image = _gather(image)
     for a, row in enumerate(domain.table):
-        for b, ab in enumerate(row):
-            if image[ab] != tab[image[a]][image[b]]:
-                yield (a, b)
+        left, right = _gather(row)(image), at_image(tab[image[a]])
+        if left != right:
+            yield from ((a, b) for b in _differences(left, right))
 
 
 def make_hom(domain: Group, codomain: Group, image: Sequence[int]) -> GroupHom:
@@ -325,9 +377,9 @@ def make_hom(domain: Group, codomain: Group, image: Sequence[int]) -> GroupHom:
         raise IndexOutOfRangeError(
             f"hom image has length {len(image)}, expected {domain.order}"
         )
-    for a, v in enumerate(image):
-        if not is_index(v, codomain.order):
-            raise IndexOutOfRangeError(f"hom image[{a}] = {v} not in codomain range")
+    if not _indices(image, codomain.order):
+        a, v = next((a, v) for a, v in enumerate(image) if not is_index(v, codomain.order))
+        raise IndexOutOfRangeError(f"hom image[{a}] = {v} not in codomain range")
     witness = hom_violation(domain, codomain, image)
     if witness is not None:
         a, b = witness

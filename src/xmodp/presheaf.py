@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, itemgetter
+from operator import add
 from typing import Callable, Sequence
 
 from .errors import (
@@ -43,7 +43,7 @@ from .errors import (
     ReconstructionInvalidError,
     ShapeMismatchError,
 )
-from .groups import DEFAULT_BUDGET, _meter, _search
+from .groups import DEFAULT_BUDGET, _differences, _gather, _meter, _search
 from .limits import coequaliser, equaliser, kernel_pair, product_over_P
 from .words import (
     Site,
@@ -241,14 +241,6 @@ def component_shape_violations(phi: NaturalTransformation) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _gather(seq: Sequence[int], keys: Sequence[int]) -> tuple[int, ...]:
-    """The tuple of seq[k] for k in keys, by one C-level itemgetter call
-    (itemgetter of one key returns a scalar and of none raises)."""
-    if len(keys) > 1:
-        return itemgetter(*keys)(seq)
-    return tuple(seq[k] for k in keys)
-
-
 def _failed_squares(phi: NaturalTransformation) -> list[tuple[int, int]]:
     """Failed squares of a well-shaped phi as (generator, target-set index).
 
@@ -261,10 +253,10 @@ def _failed_squares(phi: NaturalTransformation) -> list[tuple[int, int]]:
     F, G, comps = phi.source, phi.target, phi.components
     bad = []
     for k, (s, t, act_F, act_G) in enumerate(zip(F.site.sources, F.site.targets, F.actions, G.actions)):
-        left = _gather(comps[s], act_F)
-        right = _gather(act_G, comps[t])
+        left = _gather(act_F)(comps[s])
+        right = _gather(comps[t])(act_G)
         if left != right:
-            bad.extend((k, j) for j, (u, v) in enumerate(zip(left, right)) if u != v)
+            bad.extend((k, j) for j in _differences(left, right))
     return bad
 
 

@@ -19,9 +19,9 @@ Each validator first proves the axioms on generating sets of M and P (the
 elements satisfying each axiom are closed under products, given the axioms
 checked before it), at the cost of one pass over a table per generator.
 Only when that proof fails does it run the full scan, which lists every
-violation in index order; the action scan walks entry by entry only the
-(p, q) pairs whose rows do not compose and the rows not proved to be
-endomorphisms on generators.
+violation in index order.  Proof and scan compare whole rows, gathered as
+tuples in C, and the scan searches entry by entry only the rows that
+differ.
 """
 
 from __future__ import annotations
@@ -40,7 +40,10 @@ from .groups import (
     AutGroup,
     Group,
     GroupHom,
+    _differences,
+    _gather,
     _hom_failures,
+    _indices,
     _meter,
     _multiplicative,
     _search_homs,
@@ -109,16 +112,20 @@ def action_violations(actor: Group, space: Group, table: Sequence[Sequence[int]]
     (p.(mn) = (p.m)(p.n)).  Bijectivity of each row follows from the first
     two axioms, so it is not checked separately.
     """
-    out = []
     if len(table) != actor.order:
         return (Violation("action-shape", (len(table), actor.order)),)
     rows = [tuple(r) for r in table]
+    n = space.order
     for p, row in enumerate(rows):
-        if len(row) != space.order:
-            return (Violation("action-shape", (p, len(row), space.order)),)
-        for m, v in enumerate(row):
-            if not is_index(v, space.order):
-                out.append(Violation("action-range", (p, m)))
+        if len(row) != n:
+            return (Violation("action-shape", (p, len(row), n)),)
+    out = [
+        Violation("action-range", (p, m))
+        for p, row in enumerate(rows)
+        if not _indices(row, n)
+        for m, v in enumerate(row)
+        if not is_index(v, n)
+    ]
     if out:
         return tuple(out)
     if _action_holds(actor, space, rows):
@@ -131,64 +138,42 @@ def _action_holds(actor: Group, space: Group, rows: Sequence[tuple[int, ...]]) -
 
     The identity row is checked in full.  The q with (pq).m = p.(q.m) for
     all p, m are closed under products, so composition is checked for q in
-    a generating set of the actor.  Rows then compose, so the p whose row is
-    an endomorphism are closed under products, and a row is one when
-    p.(mn) = (p.m)(p.n) holds for n in a generating set of the space.
+    a generating set of the actor: the rows of pq, read down column q of
+    the actor, against each row p gathered by row q.  Rows then compose,
+    so the p whose row is an endomorphism are closed under products, and a
+    row is one when _multiplicative proves it on generators of the space.
     """
     if rows[actor.identity] != tuple(range(space.order)):
         return False
     for q in actor._gens:
-        row_q = rows[q]
-        for p, prow in enumerate(actor.table):
-            if rows[prow[q]] != tuple(map(rows[p].__getitem__, row_q)):
-                return False
-    return all(_endomorphism_on_generators(space, rows[p]) for p in actor._gens)
-
-
-def _endomorphism_on_generators(space: Group, row: tuple[int, ...]) -> bool:
-    """row[mn] == row[m] row[n] for every m and every n in space._gens.
-
-    The n that satisfy it for all m are closed under products, so this
-    proves that row is an endomorphism of the space.
-    """
-    tab = space.table
-    for n in space._gens:
-        rn = row[n]
-        for m, mrow in enumerate(tab):
-            if row[mrow[n]] != tab[row[m]][rn]:
-                return False
-    return True
+        if _gather(actor._columns[q])(rows) != tuple(map(_gather(rows[q]), rows)):
+            return False
+    return all(_multiplicative(space, space, rows[p]) for p in actor._gens)
 
 
 def _action_scan(actor: Group, space: Group, rows: Sequence[tuple[int, ...]]) -> tuple[Violation, ...]:
     """Every action-identity, action-composition and action-product failure.
 
-    A pair (p, q) is scanned entry by entry only when the row of pq is not
-    the composite of the rows of p and q, and a row p only when it is not
-    proved an endomorphism on generators of the space (as in _action_holds),
-    so the failures and their order are those of the full loops.
+    Row first: the identity row is compared with 0..n-1, the row of pq
+    with row p gathered by row q, and a row p that _multiplicative proves
+    an endomorphism (as in _action_holds) is skipped, while the others go
+    through _hom_failures, which compares them row m by row m.  Only a row
+    that differs is searched entry by entry, by ascending m or n.  The
+    rows are visited in the order of the full loops, (p, q) and then p
+    ascending, so the failures and their order are those of the full
+    loops over every entry.
     """
-    out = []
-    for m in range(space.order):
-        if rows[actor.identity][m] != m:
-            out.append(Violation("action-identity", (m,)))
+    out = [Violation("action-identity", (m,)) for m in _differences(rows[actor.identity], range(space.order))]
+    after = [_gather(row) for row in rows]
     for p, prow in enumerate(actor.table):
         row_p = rows[p]
         for q, pq in enumerate(prow):
-            row_pq, row_q = rows[pq], rows[q]
-            if row_pq == tuple(map(row_p.__getitem__, row_q)):
-                continue
-            for m in range(space.order):
-                if row_pq[m] != row_p[row_q[m]]:
-                    out.append(Violation("action-composition", (p, q, m)))
-    tab = space.table
+            composite = after[q](row_p)
+            if rows[pq] != composite:
+                out.extend(Violation("action-composition", (p, q, m)) for m in _differences(rows[pq], composite))
     for p, row_p in enumerate(rows):
-        if _endomorphism_on_generators(space, row_p):
-            continue
-        for m, mrow in enumerate(tab):
-            for n in range(space.order):
-                if row_p[mrow[n]] != tab[row_p[m]][row_p[n]]:
-                    out.append(Violation("action-product", (p, m, n)))
+        if not _multiplicative(space, space, row_p):
+            out.extend(Violation("action-product", (p, m, n)) for m, n in _hom_failures(space, space, row_p))
     return tuple(out)
 
 
@@ -229,26 +214,27 @@ def crossed_module_violations(
     Codes: boundary-shape, boundary-range, boundary-hom, the action-* codes,
     cm1 with witness (p, m), cm2 with witness (m, n).
     """
-    out = []
     if len(boundary) != group.order:
         return (Violation("boundary-shape", (len(boundary), group.order)),)
-    for m, v in enumerate(boundary):
-        if not is_index(v, base.order):
-            out.append(Violation("boundary-range", (m,)))
+    out = []
+    if not _indices(boundary, base.order):
+        out = [Violation("boundary-range", (m,)) for m, v in enumerate(boundary) if not is_index(v, base.order)]
     act_bad = action_violations(base, group, action)
     shape_bad = [v for v in act_bad if v.axiom in ("action-shape", "action-range")]
     if out or shape_bad:
         return tuple(out) + tuple(shape_bad)
-    if not act_bad and _crossed_holds(group, base, boundary, action):
+    hom = _multiplicative(group, base, boundary)
+    if not act_bad and hom and _crossed_holds(group, base, boundary, action):
         return ()
     out.extend(act_bad)
-    out.extend(Violation("boundary-hom", w) for w in _hom_failures(group, base, boundary))
+    if not hom:
+        out.extend(Violation("boundary-hom", w) for w in _hom_failures(group, base, boundary))
     out.extend(_structure_violations(group, base, boundary, action))
     return tuple(out)
 
 
 def _crossed_holds(group: Group, base: Group, boundary: Sequence[int], action: Sequence[Sequence[int]]) -> bool:
-    """Boundary hom, CM1 and CM2, proved on generators of a valid action.
+    """CM1 and CM2, proved on generators for a boundary hom and a valid action.
 
     With the boundary a homomorphism and each row an automorphism, both
     sides of CM1 are homomorphisms in m, and the p satisfying it for all m
@@ -256,8 +242,6 @@ def _crossed_holds(group: Group, base: Group, boundary: Sequence[int], action: S
     satisfying it for all n.  So p in a generating set of P and m, n in
     one of M suffice.
     """
-    if not _multiplicative(group, base, boundary):
-        return False
     for p in base._gens:
         for m in group._gens:
             if boundary[action[p][m]] != base.conj(p, boundary[m]):
@@ -278,16 +262,29 @@ def _structure_violations(
     crossed_module_violations runs it whenever some check fails, once the
     boundary and action entries are in range, so the boundary need not be
     a hom nor the action valid: each axiom is read off the tables as given.
+
+    Row first: for each p, the row m -> boundary(p.m) is compared with
+    m -> p boundary(m) p^-1, and for each m, the row n -> boundary(m).n
+    with n -> m n m^-1, each side built as a tuple in C.  Only a row that
+    differs is searched entry by entry, by ascending m or n.  With p, and
+    then m, ascending, the failures come in the order of the full loops
+    over every pair.
     """
+    rows = [tuple(r) for r in action]
+    at_boundary = _gather(boundary)
     for p in range(base.order):
-        for m in range(group.order):
-            if boundary[action[p][m]] != base.conj(p, boundary[m]):
-                yield Violation("cm1", (p, m))
+        left, right = _gather(rows[p])(boundary), at_boundary(_conjugation_row(base, p))
+        if left != right:
+            yield from (Violation("cm1", (p, m)) for m in _differences(left, right))
     for m in range(group.order):
-        pm = boundary[m]
-        for n in range(group.order):
-            if action[pm][n] != group.conj(m, n):
-                yield Violation("cm2", (m, n))
+        left, right = rows[boundary[m]], _conjugation_row(group, m)
+        if left != right:
+            yield from (Violation("cm2", (m, n)) for n in _differences(left, right))
+
+
+def _conjugation_row(G: Group, p: int) -> tuple[int, ...]:
+    """x -> p x p^-1 on G: column p^-1 of the table, read at row p."""
+    return _gather(G.table[p])(G._columns[G.inverse[p]])
 
 
 def validate_crossed_module(A: CrossedModule) -> tuple[Violation, ...]:
@@ -468,15 +465,11 @@ def morphism_violations(A: CrossedModule, B: CrossedModule, mapping: Sequence[in
     (target boundary after the map equals the source boundary), and
     map-equivariant (the map commutes with the P-action).
     """
-    out = []
     nA, nB = A.group.order, B.group.order
     if len(mapping) != nA:
         return (Violation("map-shape", (len(mapping), nA)),)
-    for m, v in enumerate(mapping):
-        if not is_index(v, nB):
-            out.append(Violation("map-range", (m,)))
-    if out:
-        return tuple(out)
+    if not _indices(mapping, nB):
+        return tuple(Violation("map-range", (m,)) for m, v in enumerate(mapping) if not is_index(v, nB))
     if _morphism_holds(A, B, mapping):
         return ()
     return _morphism_scan(A, B, mapping)
@@ -578,7 +571,8 @@ def all_crossed_modules(M: Group, P: Group, name_prefix: str = "") -> tuple[Cros
 
     Boundaries range over all homomorphisms M -> P, actions over all
     homomorphisms P -> Aut(M).  Those already satisfy the boundary and
-    action axioms, so each combination is kept when CM1 and CM2 hold.
+    action axioms, so each combination is kept when CM1 and CM2 hold, and
+    _crossed_holds, their proof on generators, decides that exactly.
     Order is deterministic in (boundary, action) enumeration order.
     """
     aut = automorphism_group(M)
@@ -587,6 +581,6 @@ def all_crossed_modules(M: Group, P: Group, name_prefix: str = "") -> tuple[Cros
     for bnd in enumerate_homs(M, P):
         for act_hom in act_homs:
             action = tuple(aut.perms[act_hom.image[p]] for p in range(P.order))
-            if next(_structure_violations(M, P, bnd.image, action), None) is None:
+            if _crossed_holds(M, P, bnd.image, action):
                 out.append(_trusted_xmod(f"{name_prefix}{M.name}.{len(out)}", M, P, bnd.image, action))
     return tuple(out)

@@ -6,19 +6,33 @@ The Hypothesis tests here require, on valid data and on data with one entry
 corrupted, that the generator check passes exactly when the full scan finds
 nothing, and that the public validator returns what the full scan returns.
 The GL(2,3) tests make every full scan raise, so valid data must be
-accepted without one.  The last test pins the CLI's JSON writer to
-json.dumps(indent=2).
+accepted without one.  The JSON-writer test pins the CLI's JSON writer
+to json.dumps(indent=2).
+
+The checks compare whole rows in C and search entry by entry only the
+rows that differ.  The differential tests at the end hold make_group,
+action_violations and crossed_module_violations to the per-entry loops on
+untrusted entries (bools, floats, strings, None, out-of-range ints, rows
+of the wrong length), on order-1 groups and on a corrupted order-48
+module, and the catalogue filter to the full CM1/CM2 scan.
 """
 
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from xmodp import groups, limits, xmod
 from xmodp.cli import _json_text
-from xmodp.errors import NotAssociativeError
+from xmodp.errors import (
+    IndexOutOfRangeError,
+    NoIdentityError,
+    NoInverseError,
+    NotAssociativeError,
+    XmodError,
+)
 from xmodp.groups import (
     cyclic_group,
     enumerate_homs,
@@ -38,7 +52,9 @@ from xmodp.limits import (
 from xmodp.xmod import (
     Violation,
     action_violations,
+    _trusted_xmod,
     all_crossed_modules,
+    central_extension_xmod,
     conjugation_xmod,
     crossed_module_violations,
     enumerate_morphisms,
@@ -46,6 +62,7 @@ from xmodp.xmod import (
     make_crossed_module,
     make_xmod_morphism,
     morphism_violations,
+    structure_key,
 )
 
 
@@ -140,7 +157,7 @@ def corrupted_group_tables(draw):
 @given(st.one_of(latin_squares(), corrupted_group_tables()))
 def test_light_test_accepts_exactly_when_the_full_scan_finds_nothing(table):
     witness = groups._associativity_witness(table)
-    assert groups._associative(table) == (witness is None)
+    assert groups._associative(table, groups._generating_set(table)) == (witness is None)
     if witness is not None:
         with pytest.raises(NotAssociativeError) as info:
             make_group(table)
@@ -459,3 +476,255 @@ json_values = st.recursive(
 @given(json_values)
 def test_json_writer_matches_json_dumps_indent_2(value):
     assert _json_text(value) == json.dumps(value, indent=2)
+
+
+# Differential tests of validation by rows against the per-entry loops.
+# The oracles below are the loops that validated every entry one by one
+# before the checks compared whole rows: the same errors, messages and
+# violation tuples, in the same order, are required on untrusted data.
+
+
+def _entries(n):
+    """Values an untrusted table may hold where an index in range(n) is due."""
+    return st.one_of(st.integers(0, n - 1), st.sampled_from([-1, n, True, False, 1.0, "1", None]))
+
+
+def _make_group_oracle(table, name="G"):
+    """(error type, message) of make_group, or (None, (table, identity, inverse))."""
+    n = len(table)
+    if n == 0:
+        return NoIdentityError, f"{name}: empty table has no identity"
+    rows = []
+    for i, row in enumerate(table):
+        row = tuple(row)
+        if len(row) != n:
+            return IndexOutOfRangeError, f"{name}: row {i} has length {len(row)}, expected {n}"
+        for j, v in enumerate(row):
+            if not (type(v) is int and 0 <= v < n):
+                return IndexOutOfRangeError, f"{name}: entry [{i}][{j}] = {v!r} not in 0..{n - 1}"
+        rows.append(row)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+            return NotAssociativeError, f"{name}: (a, b, c) = ({a}, {b}, {c})"
+    e = next((i for i, row in enumerate(rows) if row == tuple(range(n))), None)
+    if e is None or any(row[e] != a for a, row in enumerate(rows)):
+        return NoIdentityError, f"{name}: no two-sided identity"
+    for a, row in enumerate(rows):
+        if e not in row:
+            return NoInverseError, f"{name}: element {a} has no inverse"
+    return None, (tuple(rows), e, tuple(row.index(e) for row in rows))
+
+
+def _make_group_outcome(table):
+    try:
+        G = make_group(table)
+    except XmodError as exc:
+        return type(exc), str(exc)
+    return None, (G.table, G.identity, G.inverse)
+
+
+@st.composite
+def untrusted_tables(draw):
+    """A catalogue table, relabelled or not, with up to two entries replaced
+    by values in range or not, and at times one row of the wrong length."""
+    rows = [list(r) for r in draw(latin_squares())]
+    n = len(rows)
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_entries(n))
+    if draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, n - 1))
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + [0]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(untrusted_tables())
+def test_make_group_matches_the_per_entry_loops(table):
+    assert _make_group_outcome(table) == _make_group_oracle(table)
+
+
+def _in_range(v, n):
+    return type(v) is int and 0 <= v < n
+
+
+def _action_violations_oracle(actor, space, table):
+    if len(table) != actor.order:
+        return (Violation("action-shape", (len(table), actor.order)),)
+    out = []
+    for p, row in enumerate(table):
+        if len(row) != space.order:
+            return (Violation("action-shape", (p, len(row), space.order)),)
+        for m, v in enumerate(row):
+            if not _in_range(v, space.order):
+                out.append(Violation("action-range", (p, m)))
+    return tuple(out) or _action_scan_oracle(actor, space, table)
+
+
+def _hom_failures_oracle(domain, codomain, image):
+    return tuple(
+        (a, b)
+        for a in range(domain.order)
+        for b in range(domain.order)
+        if image[domain.table[a][b]] != codomain.table[image[a]][image[b]]
+    )
+
+
+def _structure_oracle(group, base, boundary, action):
+    cm1 = [
+        Violation("cm1", (p, m))
+        for p in range(base.order)
+        for m in range(group.order)
+        if boundary[action[p][m]] != base.conj(p, boundary[m])
+    ]
+    cm2 = [
+        Violation("cm2", (m, n))
+        for m in range(group.order)
+        for n in range(group.order)
+        if action[boundary[m]][n] != group.conj(m, n)
+    ]
+    return tuple(cm1 + cm2)
+
+
+def _crossed_module_oracle(group, base, boundary, action):
+    """crossed_module_violations from the per-entry loops: when the entries
+    are in range, every action, boundary-hom, CM1 and CM2 failure."""
+    if len(boundary) != group.order:
+        return (Violation("boundary-shape", (len(boundary), group.order)),)
+    out = tuple(Violation("boundary-range", (m,)) for m, v in enumerate(boundary) if not _in_range(v, base.order))
+    act_bad = _action_violations_oracle(base, group, action)
+    shape_bad = tuple(v for v in act_bad if v.axiom in ("action-shape", "action-range"))
+    if out or shape_bad:
+        return out + shape_bad
+    hom_bad = tuple(Violation("boundary-hom", w) for w in _hom_failures_oracle(group, base, boundary))
+    return act_bad + hom_bad + _structure_oracle(group, base, boundary, action)
+
+
+# Catalogue entries include order-1 spaces; those over the trivial base
+# have an order-1 actor.
+UNTRUSTED_XMODS = XMODS + default_catalogue(trivial_group(), 4)
+
+
+@st.composite
+def untrusted_xmod_data(draw):
+    """A catalogue entry's boundary and action with up to two entries replaced
+    by values in range or not, and at times a row or list of the wrong length."""
+    A = draw(st.sampled_from(UNTRUSTED_XMODS))
+    n, k = A.group.order, A.base.order
+    boundary = list(A.boundary.image)
+    action = [list(r) for r in A.action.table]
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            boundary[draw(st.integers(0, n - 1))] = draw(_entries(k))
+        else:
+            action[draw(st.integers(0, k - 1))][draw(st.integers(0, n - 1))] = draw(_entries(n))
+    shape = draw(st.integers(0, 7))
+    if shape == 0:
+        action[draw(st.integers(0, k - 1))].append(0)
+    elif shape == 1:
+        action.pop()
+    elif shape == 2:
+        boundary.append(0)
+    return A.group, A.base, boundary, action
+
+
+@settings(max_examples=400, deadline=None)
+@given(untrusted_xmod_data())
+def test_action_and_crossed_module_violations_match_the_per_entry_loops(case):
+    M, P, boundary, action = case
+    assert action_violations(P, M, action) == _action_violations_oracle(P, M, action)
+    assert crossed_module_violations(M, P, boundary, action) == _crossed_module_oracle(M, P, boundary, action)
+
+
+@pytest.mark.parametrize(
+    "M, P, boundary, action",
+    [
+        (trivial_group(), cyclic_group(2), [1], [[0], [0]]),
+        (trivial_group(), cyclic_group(2), [0], [[0], [True]]),
+        (cyclic_group(2), trivial_group(), [0, 0], [[0, 1]]),
+        (cyclic_group(2), trivial_group(), [0, 0], [[1, 0]]),
+        (cyclic_group(2), trivial_group(), [0, 0], [[1, 1]]),
+        (trivial_group(), trivial_group(), [0], [[0]]),
+        (trivial_group(), trivial_group(), [0.0], [[0]]),
+    ],
+    ids=["1-over-C2", "1-over-C2-bool", "C2-over-1", "C2-over-1-swap", "C2-over-1-repeat", "1-over-1", "1-over-1-float"],
+)
+def test_order_one_space_and_actor_match_the_per_entry_loops(M, P, boundary, action):
+    # With one index, itemgetter returns an entry, not a 1-tuple.
+    assert action_violations(P, M, action) == _action_violations_oracle(P, M, action)
+    assert crossed_module_violations(M, P, boundary, action) == _crossed_module_oracle(M, P, boundary, action)
+    assert _make_group_outcome(M.table) == _make_group_oracle(M.table)
+
+
+def _relabel_xmod(A, rng):
+    """A's tables, boundary and action rewritten under random permutations
+    of M and P that move 0, as the benchmark relabels its sessions."""
+    def perm(n):
+        s = list(range(n))
+        while s[0] == 0:
+            rng.shuffle(s)
+        return s
+
+    def table(G, s):
+        t = [[0] * G.order for _ in range(G.order)]
+        for a, row in enumerate(G.table):
+            for b, c in enumerate(row):
+                t[s[a]][s[b]] = s[c]
+        return t
+
+    sm, sp = perm(A.group.order), perm(A.base.order)
+    boundary = [0] * A.group.order
+    for m, x in enumerate(A.boundary.image):
+        boundary[sm[m]] = sp[x]
+    action = [[0] * A.group.order for _ in range(A.base.order)]
+    for p, row in enumerate(A.action.table):
+        for m, v in enumerate(row):
+            action[sp[p]][sm[m]] = sm[v]
+    return table(A.group, sm), table(A.base, sp), boundary, action
+
+
+def test_corrupted_gl23_central_extension_matches_the_per_entry_loops():
+    # GL(2,3) over PGL(2,3), the order-48 central extension of S4, with one
+    # action entry of a non-identity row made a repeat, then relabelled.
+    GL = make_group(_matrix_group_gl23()[0], "GL23")
+    E = central_extension_xmod(groups.quotient_group(GL, groups.center(GL)).projection)
+    assert (E.group.order, E.base.order) == (48, 24)
+    rng = random.Random(18)
+    for _ in range(3):
+        action = [list(r) for r in E.action.table]
+        p = rng.choice([p for p in range(E.base.order) if p != E.base.identity])
+        m = rng.randrange(E.group.order)
+        action[p][m] = rng.choice([v for v in action[p] if v != action[p][m]])
+        bad = _trusted_xmod("bad", E.group, E.base, E.boundary.image, action)
+        m_table, p_table, boundary, action = _relabel_xmod(bad, rng)
+        M, P = make_group(m_table, "M"), make_group(p_table, "P")
+        expected = _crossed_module_oracle(M, P, boundary, action)
+        assert expected
+        assert crossed_module_violations(M, P, boundary, action) == expected
+
+
+def test_catalogue_keeps_what_the_full_cm1_cm2_scan_keeps(monkeypatch):
+    monkeypatch.setattr(xmod, "_structure_violations", _raise)
+    for P, max_order in [(cyclic_group(2), 6), (klein_four_group(), 4), (symmetric_group_3(), 6)]:
+        expected = []
+        for build in limits._CATALOGUE_GROUPS:
+            M = build()
+            if M.order > max_order:
+                continue
+            aut = groups.automorphism_group(M)
+            act_homs = enumerate_homs(P, aut.group)
+            for bnd in enumerate_homs(M, P):
+                for act in act_homs:
+                    action = tuple(aut.perms[act.image[p]] for p in range(P.order))
+                    if not _structure_oracle(M, P, bnd.image, action):
+                        expected.append((M.table, bnd.image, action))
+        assert [structure_key(A) for A in default_catalogue(P, max_order)] == expected
+
+
+def test_make_group_computes_one_generating_set(monkeypatch):
+    table = symmetric_group_3().table
+    calls = []
+    generating_set = groups._generating_set
+    monkeypatch.setattr(groups, "_generating_set", lambda t: calls.append(t) or generating_set(t))
+    G = make_group(table)
+    assert G._gens == generating_set(G.table)
+    assert len(calls) == 1
