@@ -7,18 +7,25 @@ by make_group; tables built from groups that are already valid (subgroups,
 quotients, automorphism groups, the pair apexes of limits) are packaged by
 _trusted_group with no associativity check at all.
 
-Validation by generators: an axiom whose satisfying elements are closed
-under products needs checking only on a generating set.  make_group checks
-associativity by Light's test, (x*s)*y == x*(s*y) for s in
-_generating_set(table), in O(n^2 |S|) instead of the O(n^3) scan, and
-hom_violation checks multiplicativity on (a, s) pairs.  Passing on
-generators is a proof, so the full scan runs only to name the first
-witness of a table or map that fails.
+One check per axiom: associativity and multiplicativity are each written
+once, as a function that lists the failures of the axiom while one of its
+variables ranges over an index set it is given (_associativity_failures,
+_hom_failures).  The elements passing either axiom are closed under
+products, so a generating set is enough to prove it: the fast accept runs
+the function on the generating set and finds nothing, and the exact
+reject runs the same function on the whole range, sorted into index order,
+only for a table or map that fails.  For associativity this is Light's
+test, (x*s)*y == x*(s*y) for s in _generating_set(table), in O(n^2 |S|)
+instead of O(n^3): the s passing for all x, y are closed under products
+without assuming associativity.  For a map between groups, the b with
+image[ab] == image[a] image[b] for all a are closed under products, as
+both groups are associative.  make_group, make_hom and hom_violation read
+these; the validators of xmod.py use _hom_failures the same way.
 
-Validation by rows: the checks and scans compare whole rows or columns,
-as tuples gathered in C (_gather, _column, _indices), and only a row that
-differs is searched entry by entry, by _differences, for its witnesses in
-index order.
+Validation by rows: the checks compare whole rows or columns, as tuples
+gathered in C (_gather, _column, _indices), and only a row that differs
+is searched entry by entry, by _differences, for its witnesses in index
+order.
 """
 
 from __future__ import annotations
@@ -173,8 +180,8 @@ def make_group(table: Sequence[Sequence[int]], name: str = "G") -> Group:
         rows.append(row)
     t = tuple(rows)
     gens = _generating_set(t)
-    if not _associative(t, gens):
-        a, b, c = _associativity_witness(t)
+    if _associativity_failures(t, gens):
+        a, b, c = min(_associativity_failures(t, range(n)))
         raise NotAssociativeError(f"{name}: (a, b, c) = ({a}, {b}, {c})")
     identity = tuple(range(n))
     e = next((i for i, row in enumerate(t) if row == identity), None)
@@ -230,35 +237,26 @@ def _generating_set(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return _greedy_generators(range(len(table)), lambda x, s: table[x][s])
 
 
-def _associative(t: tuple[tuple[int, ...], ...], gens: Iterable[int]) -> bool:
-    """Light's associativity test on gens, a generating set of the table.
+def _associativity_failures(t: tuple[tuple[int, ...], ...], over: Iterable[int]) -> list[tuple[int, int, int]]:
+    """For each s in over with (x*s)*y != x*(s*y) for some x, y, the least
+    such (x, s, y), in the order of over.
 
-    The s with (x*s)*y == x*(s*y) for all x, y are closed under products
-    without assuming associativity: for such s and u,
-    (x*(su))*y = ((xs)u)y = (xs)(uy) = x(s(uy)) = x((su)y).  So when every
-    generator passes, every left-nested product of generators, that is
-    every element, passes.  For each s, the rows of x*s, read down column
-    s, are compared with the rows x*(s*y), each gathered from row x by
-    row s.
+    On a generating set of the table this is Light's test: the s passing
+    for all x, y are closed under products without assuming associativity,
+    as for such s and u, (x*(su))*y = ((xs)u)y = (xs)(uy) = x(s(uy)) =
+    x((su)y).  So when no generator fails, every left-nested product of
+    generators, that is every element, passes.  Over the whole table the
+    least entry is the least witness (a, b, c).  For each s, the rows of
+    x*s, read down column s, are compared with the rows x*(s*y), each
+    gathered from row x by row s, and only a row that differs is searched.
     """
-    for s in gens:
-        if _gather(_column(t, s))(t) != tuple(map(_gather(t[s]), t)):
-            return False
-    return True
-
-
-def _associativity_witness(t: tuple[tuple[int, ...], ...]) -> tuple[int, int, int] | None:
-    """The first (a, b, c) in index order with (ab)c != a(bc), or None.
-
-    For each (a, b) the row of ab is compared with row a gathered by row
-    b, and only a row that differs is searched for its c.
-    """
-    for a, row_a in enumerate(t):
-        for b, ab in enumerate(row_a):
-            left, right = t[ab], _gather(t[b])(row_a)
-            if left != right:
-                return (a, b, next(_differences(left, right)))
-    return None
+    out = []
+    for s in over:
+        left, right = _gather(_column(t, s))(t), tuple(map(_gather(t[s]), t))
+        if left != right:
+            x = next(_differences(left, right))
+            out.append((x, s, next(_differences(left[x], right[x]))))
+    return out
 
 
 def _trusted_group(table: Sequence[Sequence[int]], name: str) -> Group:
@@ -338,38 +336,37 @@ class GroupHom:
 
 def hom_violation(domain: Group, codomain: Group, image: Sequence[int]) -> tuple[int, int] | None:
     """Return the first pair (a, b) where multiplicativity fails, or None."""
-    if _multiplicative(domain, codomain, image):
-        return None
-    return next(_hom_failures(domain, codomain, image))
+    failures = _hom_witnesses(domain, codomain, image)
+    return failures[0] if failures else None
 
 
-def _multiplicative(domain: Group, codomain: Group, image: Sequence[int]) -> bool:
-    """True when image[ab] == image[a] image[b], checked for b in a generating set.
+def _hom_failures(domain: Group, codomain: Group, image: Sequence[int], over: Iterable[int]) -> list[tuple[int, int]]:
+    """Every pair (a, b) with b in over and image[ab] != image[a] image[b],
+    by b in the order of over, then by ascending a.
 
     Both groups are associative, so the b that pass for every a are closed
-    under products and the check on generators covers every b.  For each
-    b, both sides are compared as columns over a: image read down column b
-    of the domain, and column image[b] of the codomain read at image.
+    under products, and no failure for b in a generating set of the domain
+    proves image a homomorphism.  For each b, both sides are compared as
+    columns over a: image read down column b of the domain, and column
+    image[b] of the codomain read at image; only a column that differs is
+    searched.
     """
     at_image = _gather(image)
-    for b in domain._gens:
-        if _gather(domain._columns[b])(image) != at_image(codomain._columns[image[b]]):
-            return False
-    return True
-
-
-def _hom_failures(domain: Group, codomain: Group, image: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Every pair (a, b) with image[ab] != image[a] image[b], in index order.
-
-    Row a of both sides is gathered as a tuple, and only a row that
-    differs is searched for its b.
-    """
-    tab = codomain.table
-    at_image = _gather(image)
-    for a, row in enumerate(domain.table):
-        left, right = _gather(row)(image), at_image(tab[image[a]])
+    out = []
+    for b in over:
+        left, right = _gather(domain._columns[b])(image), at_image(codomain._columns[image[b]])
         if left != right:
-            yield from ((a, b) for b in _differences(left, right))
+            out.extend((a, b) for a in _differences(left, right))
+    return out
+
+
+def _hom_witnesses(domain: Group, codomain: Group, image: Sequence[int]) -> list[tuple[int, int]]:
+    """Every pair where multiplicativity fails, in index order: none when
+    _hom_failures finds none on the generators of the domain, and otherwise
+    _hom_failures over the whole domain, sorted."""
+    if not _hom_failures(domain, codomain, image, domain._gens):
+        return []
+    return sorted(_hom_failures(domain, codomain, image, range(domain.order)))
 
 
 def make_hom(domain: Group, codomain: Group, image: Sequence[int]) -> GroupHom:

@@ -5,7 +5,8 @@ each has a companion verifier that sweeps a catalogue of test objects and
 counts mediating morphisms by exhaustive search: exactly one for every
 commuting test cone or cocone, zero for every non-commuting one.  The
 default catalogue is every crossed module structure on the groups of order
-at most four over the session base, plus the diagram's own objects.
+at most DEFAULT_CATALOGUE_ORDER over the session base, plus the diagram's
+own objects.
 
 Apexes and structure maps are built componentwise from valid crossed
 modules and morphisms, so they are packaged without re-validation.  Pair
@@ -49,6 +50,7 @@ from .xmod import (
 
 __all__ = [
     "MAX_CATALOGUE_ORDER",
+    "DEFAULT_CATALOGUE_ORDER",
     "Cone",
     "Cocone",
     "EquivalenceRelation",
@@ -280,14 +282,21 @@ def kernel_pair_relation(f: XModMorphism) -> EquivalenceRelation:
 
 def equivalence_violations(E: EquivalenceRelation) -> tuple[str, ...]:
     """Reasons the pair set fails to be an equivalence sub-crossed-module."""
-    A = E.carrier
-    n = A.group.order
-    for (a, b) in sorted(E.pairs):
-        if not (is_index(a, n) and is_index(b, n)):
-            return (f"pair ({a}, {b}) out of range",)
+    n = E.carrier.group.order
+    bad = [x for x in E.pairs if not (isinstance(x, tuple) and len(x) == 2 and is_index(x[0], n) and is_index(x[1], n))]
+    if bad:
+        return (f"pair {min(bad, key=_pair_order)!r} out of range",)
     if _equivalence_holds(E):
         return ()
     return _equivalence_scan(E)
+
+
+def _pair_order(x: object) -> tuple:
+    """Tuples of numbers in their own order, then anything else by repr,
+    so that any pair set has a least malformed pair."""
+    if isinstance(x, tuple) and all(isinstance(v, (int, float)) for v in x):
+        return (0, x, "")
+    return (1, (), repr(x))
 
 
 def _equivalence_holds(E: EquivalenceRelation) -> bool:
@@ -424,8 +433,11 @@ _CATALOGUE_GROUPS = (
 # _CATALOGUE_GROUPS holds every group of order at most this, up to isomorphism.
 MAX_CATALOGUE_ORDER = 6
 
+# The catalogue bound of a session, a command and a sweep unless one is set.
+DEFAULT_CATALOGUE_ORDER = 4
 
-def default_catalogue(P: Group, max_order: int = 4) -> tuple[CrossedModule, ...]:
+
+def default_catalogue(P: Group, max_order: int = DEFAULT_CATALOGUE_ORDER) -> tuple[CrossedModule, ...]:
     """Every crossed module structure over P on the groups of order <= max_order.
 
     Complete up to isomorphism for max_order <= MAX_CATALOGUE_ORDER; larger
@@ -512,7 +524,7 @@ def verify_equaliser(
     f: XModMorphism,
     g: XModMorphism,
     cone: Cone,
-    max_order: int = 4,
+    max_order: int = DEFAULT_CATALOGUE_ORDER,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """Count mediators through the apex for every test map into the source."""
@@ -527,7 +539,7 @@ def verify_coequaliser(
     f: XModMorphism,
     g: XModMorphism,
     cocone: Cocone,
-    max_order: int = 4,
+    max_order: int = DEFAULT_CATALOGUE_ORDER,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """Count mediators out of the apex for every test map out of the target."""
@@ -542,7 +554,7 @@ def verify_pullback(
     f: XModMorphism,
     g: XModMorphism,
     cone: Cone,
-    max_order: int = 4,
+    max_order: int = DEFAULT_CATALOGUE_ORDER,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """Count mediators for every pair of test maps into the two sources."""
@@ -557,7 +569,7 @@ def verify_product(
     A: CrossedModule,
     B: CrossedModule,
     cone: Cone,
-    max_order: int = 4,
+    max_order: int = DEFAULT_CATALOGUE_ORDER,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """Product universal property via its pullback presentation over the terminal."""
@@ -573,7 +585,7 @@ def verify_product(
 def verify_kernel_pair(
     f: XModMorphism,
     cone: Cone,
-    max_order: int = 4,
+    max_order: int = DEFAULT_CATALOGUE_ORDER,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
     report = verify_pullback(f, f, cone, max_order=max_order, budget=budget)
@@ -585,7 +597,7 @@ def verify_quotient(
     A: CrossedModule,
     E: EquivalenceRelation,
     cocone: Cocone,
-    max_order: int = 4,
+    max_order: int = DEFAULT_CATALOGUE_ORDER,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """Quotient as the coequaliser of the relation's projections, plus

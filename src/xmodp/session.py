@@ -28,7 +28,7 @@ from .errors import (
 )
 from .groups import Group, make_group
 from . import limits
-from .limits import MAX_CATALOGUE_ORDER, Cocone, Cone, EquivalenceRelation
+from .limits import DEFAULT_CATALOGUE_ORDER, MAX_CATALOGUE_ORDER, Cocone, Cone, EquivalenceRelation
 from .presheaf import (
     compute_presheaf,
     generator_witness,
@@ -59,7 +59,7 @@ __all__ = [
 
 @dataclass
 class SessionOptions:
-    catalogue_order: int = 4
+    catalogue_order: int = DEFAULT_CATALOGUE_ORDER
     budget: int = DEFAULT_BUDGET
 
 

@@ -15,19 +15,44 @@ Data from outside is validated once, by the make_* constructors.  What
 xmodp builds from valid crossed modules and morphisms (catalogue entries,
 the terminal object, limit apexes) is packaged unchecked by _trusted_xmod.
 
-Each validator first proves the axioms on generating sets of M and P (the
-elements satisfying each axiom are closed under products, given the axioms
-checked before it), at the cost of one pass over a table per generator.
-Only when that proof fails does it run the full scan, which lists every
-violation in index order.  Proof and scan compare whole rows, gathered as
-tuples in C, and the scan searches entry by entry only the rows that
-differ.
+One check per axiom: each axiom is written once, as a function that lists
+its failures while one variable ranges over an index set it is given.  The
+validator runs it first on generating sets of M and P, a proof when it
+finds nothing, as the elements satisfying the axiom are closed under
+products once the axioms checked before it hold; only a failure there
+runs the same function over the whole range, sorted into the order of the
+full loops over every entry.  The axioms and their closure arguments:
+
+- action-composition, _composition_failures over q: the actor is
+  associative, so the q with (pq).m = p.(q.m) for all p, m are closed
+  under products;
+- action-product, groups._hom_failures of each row: once the rows
+  compose, the p whose row is an endomorphism are closed under products,
+  and each row is a map of M, whose passing b are closed under products;
+- boundary-hom and map-hom, groups._hom_failures;
+- map-boundary and map-equivariant, _morphism_failures over (ps, ms): once
+  the map is a homomorphism, the m sent into the right boundary fiber are
+  closed under products, and so are the m with mapping(p.m) = p.mapping(m)
+  for a given p, and the p with it for all m.
+
+CM1 and CM2 keep two forms.  _crossed_holds checks entries on generators,
+and it is also the filter of all_crossed_modules, where a row form on
+generators costs about 8 us per (boundary, action) candidate against
+1.2 us (the 276 candidates of V4/V4, C4/V4 and S3/S3, Python 3.11 on a
+shared 2-CPU host).  _structure_violations is the full scan by rows: an
+entry-level full scan would bring back the per-entry loops that the row
+scan replaced, which took 0.088 s against 0.004 s over ten corrupted
+base-S4 parses.
+
+The action and CM1/CM2 checks compare whole rows, gathered as tuples in
+C, and search entry by entry only the rows that differ; the map-boundary
+and map-equivariant checks go entry by entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BaseMismatchError,
@@ -43,9 +68,9 @@ from .groups import (
     _differences,
     _gather,
     _hom_failures,
+    _hom_witnesses,
     _indices,
     _meter,
-    _multiplicative,
     _search_homs,
     automorphism_group,
     center,
@@ -111,6 +136,13 @@ def action_violations(actor: Group, space: Group, table: Sequence[Sequence[int]]
     identity map), action-composition ((pq).m = p.(q.m)), action-product
     (p.(mn) = (p.m)(p.n)).  Bijectivity of each row follows from the first
     two axioms, so it is not checked separately.
+
+    The identity row is compared whole.  Once the rows compose, the p
+    whose row is an endomorphism are closed under products, so the accept
+    asks _hom_failures only of the rows of generators of the actor, on
+    generators of the space.  The report lists every failure in the order
+    of the full loops over every entry: the composition failures over the
+    whole actor, sorted, then each row's _hom_witnesses.
     """
     if len(table) != actor.order:
         return (Violation("action-shape", (len(table), actor.order)),)
@@ -128,53 +160,37 @@ def action_violations(actor: Group, space: Group, table: Sequence[Sequence[int]]
     ]
     if out:
         return tuple(out)
-    if _action_holds(actor, space, rows):
+    identity = tuple(range(n))
+    if (
+        rows[actor.identity] == identity
+        and not _composition_failures(actor, rows, actor._gens)
+        and not any(_hom_failures(space, space, rows[p], space._gens) for p in actor._gens)
+    ):
         return ()
-    return _action_scan(actor, space, rows)
-
-
-def _action_holds(actor: Group, space: Group, rows: Sequence[tuple[int, ...]]) -> bool:
-    """The action axioms, proved on generators; False if any may fail.
-
-    The identity row is checked in full.  The q with (pq).m = p.(q.m) for
-    all p, m are closed under products, so composition is checked for q in
-    a generating set of the actor: the rows of pq, read down column q of
-    the actor, against each row p gathered by row q.  Rows then compose,
-    so the p whose row is an endomorphism are closed under products, and a
-    row is one when _multiplicative proves it on generators of the space.
-    """
-    if rows[actor.identity] != tuple(range(space.order)):
-        return False
-    for q in actor._gens:
-        if _gather(actor._columns[q])(rows) != tuple(map(_gather(rows[q]), rows)):
-            return False
-    return all(_multiplicative(space, space, rows[p]) for p in actor._gens)
-
-
-def _action_scan(actor: Group, space: Group, rows: Sequence[tuple[int, ...]]) -> tuple[Violation, ...]:
-    """Every action-identity, action-composition and action-product failure.
-
-    Row first: the identity row is compared with 0..n-1, the row of pq
-    with row p gathered by row q, and a row p that _multiplicative proves
-    an endomorphism (as in _action_holds) is skipped, while the others go
-    through _hom_failures, which compares them row m by row m.  Only a row
-    that differs is searched entry by entry, by ascending m or n.  The
-    rows are visited in the order of the full loops, (p, q) and then p
-    ascending, so the failures and their order are those of the full
-    loops over every entry.
-    """
-    out = [Violation("action-identity", (m,)) for m in _differences(rows[actor.identity], range(space.order))]
-    after = [_gather(row) for row in rows]
-    for p, prow in enumerate(actor.table):
-        row_p = rows[p]
-        for q, pq in enumerate(prow):
-            composite = after[q](row_p)
-            if rows[pq] != composite:
-                out.extend(Violation("action-composition", (p, q, m)) for m in _differences(rows[pq], composite))
-    for p, row_p in enumerate(rows):
-        if not _multiplicative(space, space, row_p):
-            out.extend(Violation("action-product", (p, m, n)) for m, n in _hom_failures(space, space, row_p))
+    out = [Violation("action-identity", (m,)) for m in _differences(rows[actor.identity], identity)]
+    out.extend(Violation("action-composition", w) for w in sorted(_composition_failures(actor, rows, range(actor.order))))
+    for p, row in enumerate(rows):
+        out.extend(Violation("action-product", (p, m, k)) for m, k in _hom_witnesses(space, space, row))
     return tuple(out)
+
+
+def _composition_failures(actor: Group, rows: Sequence[tuple[int, ...]], over: Iterable[int]) -> list[tuple[int, int, int]]:
+    """Every (p, q, m) with q in over and (pq).m != p.(q.m), by q in the
+    order of over, then by ascending p and m.
+
+    The actor is associative, so the q passing for all p, m are closed
+    under products, and no failure for q in a generating set of the actor
+    proves that the rows compose.  For each q, the rows of pq, read down
+    column q of the actor, are compared with each row p gathered by row q,
+    and only a row that differs is searched.
+    """
+    out = []
+    for q in over:
+        left, right = _gather(actor._columns[q])(rows), tuple(map(_gather(rows[q]), rows))
+        if left != right:
+            for p in _differences(left, right):
+                out.extend((p, q, m) for m in _differences(left[p], right[p]))
+    return out
 
 
 def trivial_action(actor: Group, space: Group) -> Action:
@@ -223,12 +239,11 @@ def crossed_module_violations(
     shape_bad = [v for v in act_bad if v.axiom in ("action-shape", "action-range")]
     if out or shape_bad:
         return tuple(out) + tuple(shape_bad)
-    hom = _multiplicative(group, base, boundary)
-    if not act_bad and hom and _crossed_holds(group, base, boundary, action):
+    hom_bad = _hom_witnesses(group, base, boundary)
+    if not act_bad and not hom_bad and _crossed_holds(group, base, boundary, action):
         return ()
     out.extend(act_bad)
-    if not hom:
-        out.extend(Violation("boundary-hom", w) for w in _hom_failures(group, base, boundary))
+    out.extend(Violation("boundary-hom", w) for w in hom_bad)
     out.extend(_structure_violations(group, base, boundary, action))
     return tuple(out)
 
@@ -339,7 +354,7 @@ def _fibers(A: CrossedModule) -> tuple[list[list[int]], list[int]]:
 def fiber(A: CrossedModule, x: int) -> tuple[int, ...]:
     """Elements of M whose boundary is x, in index order."""
     fibers, _ = _fibers(A)
-    return tuple(fibers[x]) if x in range(len(fibers)) else ()
+    return tuple(fibers[x]) if is_index(x, len(fibers)) else ()
 
 
 # The five standard constructions.
@@ -369,7 +384,12 @@ def automorphism_xmod(M: Group, name: str | None = None) -> CrossedModule:
 
 
 def trivial_xmod(M: Group, P: Group, action: Sequence[Sequence[int]] | None = None, name: str | None = None) -> CrossedModule:
-    """Abelian M with constant-identity boundary and a chosen P-action."""
+    """Abelian M with constant-identity boundary and a chosen P-action.
+
+    Once the action is checked, the module is valid by construction: the
+    boundary is a homomorphism, both sides of CM1 are the identity, and
+    CM2 holds as M is abelian.
+    """
     if not M.is_abelian():
         raise PreconditionFailedError(f"trivial module: {M.name} is not abelian")
     table = action if action is not None else trivial_action(P, M).table
@@ -379,7 +399,7 @@ def trivial_xmod(M: Group, P: Group, action: Sequence[Sequence[int]] | None = No
             f"trivial module: given table is not an action ({bad[0].describe()})"
         )
     boundary = [P.identity] * M.order
-    return make_crossed_module(name or f"triv({M.name},{P.name})", M, P, boundary, table)
+    return _trusted_xmod(name or f"triv({M.name},{P.name})", M, P, boundary, table)
 
 
 def central_extension_xmod(mu: GroupHom, name: str | None = None) -> CrossedModule:
@@ -470,42 +490,30 @@ def morphism_violations(A: CrossedModule, B: CrossedModule, mapping: Sequence[in
         return (Violation("map-shape", (len(mapping), nA)),)
     if not _indices(mapping, nB):
         return tuple(Violation("map-range", (m,)) for m, v in enumerate(mapping) if not is_index(v, nB))
-    if _morphism_holds(A, B, mapping):
+    hom_bad = _hom_witnesses(A.group, B.group, mapping)
+    if not hom_bad and not _morphism_failures(A, B, mapping, A.base._gens, A.group._gens):
         return ()
-    return _morphism_scan(A, B, mapping)
+    everywhere = _morphism_failures(A, B, mapping, range(A.base.order), range(nA))
+    return tuple([Violation("map-hom", w) for w in hom_bad] + everywhere)
 
 
-def _morphism_holds(A: CrossedModule, B: CrossedModule, mapping: Sequence[int]) -> bool:
-    """The morphism axioms, proved on generators; False if any may fail.
+def _morphism_failures(
+    A: CrossedModule, B: CrossedModule, mapping: Sequence[int], ps: Iterable[int], ms: Sequence[int]
+) -> list[Violation]:
+    """Every map-boundary failure m in ms, then every map-equivariant
+    failure (p, m) in ps x ms, in the order of ps and ms.
 
     Once the map is a homomorphism, the m it sends into the right boundary
-    fiber are closed under products, and so are the m and p with
-    mapping(p.m) = p.mapping(m) for all m: so m in a generating set of M_A
-    and p in one of P suffice.
+    fiber are closed under products, and so are the m with mapping(p.m) =
+    p.mapping(m) for a given p, and the p with it for all m: so no failure
+    for m in a generating set of M_A and p in one of P proves the map a
+    morphism.
     """
-    if not _multiplicative(A.group, B.group, mapping):
-        return False
-    if any(B.boundary.image[mapping[m]] != A.boundary.image[m] for m in A.group._gens):
-        return False
-    return all(
-        mapping[A.act(p, m)] == B.act(p, mapping[m])
-        for p in A.base._gens
-        for m in A.group._gens
-    )
-
-
-def _morphism_scan(A: CrossedModule, B: CrossedModule, mapping: Sequence[int]) -> tuple[Violation, ...]:
-    """Every map-hom, map-boundary and map-equivariant failure."""
-    nA = A.group.order
-    out = [Violation("map-hom", w) for w in _hom_failures(A.group, B.group, mapping)]
-    for m in range(nA):
-        if B.boundary.image[mapping[m]] != A.boundary.image[m]:
-            out.append(Violation("map-boundary", (m,)))
-    for p in range(A.base.order):
-        for m in range(nA):
-            if mapping[A.act(p, m)] != B.act(p, mapping[m]):
-                out.append(Violation("map-equivariant", (p, m)))
-    return tuple(out)
+    bnd_a, bnd_b = A.boundary.image, B.boundary.image
+    act_a, act_b = A.action.table, B.action.table
+    return [Violation("map-boundary", (m,)) for m in ms if bnd_b[mapping[m]] != bnd_a[m]] + [
+        Violation("map-equivariant", (p, m)) for p in ps for m in ms if mapping[act_a[p][m]] != act_b[p][mapping[m]]
+    ]
 
 
 def _require_same_base(A: CrossedModule, B: CrossedModule) -> None:

@@ -15,6 +15,7 @@ from xmodp.groups import (
     all_subgroups,
     automorphism_group,
     cyclic_group,
+    enumerate_homs,
     klein_four_group,
     make_group,
     normal_subgroups,
@@ -24,6 +25,7 @@ from xmodp.groups import (
     trivial_group,
 )
 from xmodp.limits import (
+    _CATALOGUE_GROUPS,
     Cocone,
     Cone,
     EquivalenceRelation,
@@ -260,6 +262,16 @@ def _internal_xmods(kind):
     elif kind == "image":
         facts = [image_factorization(f) for f in maps]
         return [(F.epi.apex, F.epi.legs + (F.mono,)) for F in facts]
+    elif kind == "trivial":
+        # trivial_xmod checks only its action, then packages the module.
+        modules = []
+        for P in (C2, symmetric_group_3()):
+            for M in (build() for build in _CATALOGUE_GROUPS):
+                if M.is_abelian():
+                    aut = automorphism_group(M)
+                    for phi in enumerate_homs(P, aut.group):
+                        modules.append(trivial_xmod(M, P, [aut.perms[phi.image[p]] for p in range(P.order)]))
+        return [(A, (unique_to_terminal(A),)) for A in modules]
     else:
         return [
             (A, (unique_to_terminal(A),))
@@ -271,7 +283,7 @@ def _internal_xmods(kind):
 
 @pytest.mark.parametrize(
     "kind",
-    ["pullback", "product", "kernel-pair", "relation", "equaliser", "coequaliser", "quotient", "image", "catalogue"],
+    ["pullback", "product", "kernel-pair", "relation", "equaliser", "coequaliser", "quotient", "image", "catalogue", "trivial"],
 )
 def test_internal_xmods_pass_full_validation(kind):
     built = _internal_xmods(kind)

@@ -199,6 +199,12 @@ def _relation_with_bool():
     return equivalence_violations(EquivalenceRelation(_mod2_xmod(), pairs))
 
 
+def _relation_with(pair):
+    """A2's kernel-pair relation with one malformed pair added."""
+    pairs = frozenset({(0, 0), (1, 1), (2, 2), (3, 3), (0, 2), (2, 0), (1, 3), (3, 1), pair})
+    return lambda: equivalence_violations(EquivalenceRelation(_mod2_xmod(), pairs))
+
+
 def _component_with_bool():
     F = compute_presheaf(_mod2_xmod())
     components = list(functor_on_morphism(identity_xmod_morphism(F.xmod), F, F).components)
@@ -207,11 +213,26 @@ def _component_with_bool():
     return component_shape_violations(NaturalTransformation(source=F, target=F, components=tuple(components)))
 
 
-@pytest.mark.parametrize("report", [_relation_with_bool, _component_with_bool], ids=["relation", "component"])
+@pytest.mark.parametrize(
+    "report",
+    [_relation_with_bool, _component_with_bool, _relation_with(("x", 1)), _relation_with((None, 1)), _relation_with((0, 0, 0))],
+    ids=["relation", "component", "relation-str", "relation-none", "relation-triple"],
+)
 def test_bool_entry_is_reported_out_of_range(report):
-    # True == 1 is in range in both, so only a type check reports it.
+    # True == 1 is in range in both, so only a type check reports it; a
+    # pair that cannot be sorted with ints or unpacked is reported too.
     (reason,) = report()
     assert "out of range" in reason or "out-of-range" in reason
+
+
+def test_malformed_pairs_are_reported_by_their_repr():
+    assert _relation_with(("x", 1))() == ("pair ('x', 1) out of range",)
+    assert _relation_with((None, 1))() == ("pair (None, 1) out of range",)
+    assert _relation_with((0, 0, 0))() == ("pair (0, 0, 0) out of range",)
+    assert _relation_with((1.0, 0))() == ("pair (1.0, 0) out of range",)
+    # Int pairs: the least one out of range, as before.
+    pairs = frozenset({(0, 0), (9, 0), (10, 0), (-1, 5)})
+    assert equivalence_violations(EquivalenceRelation(_mod2_xmod(), pairs)) == ("pair (-1, 5) out of range",)
 
 
 def test_enumerate_natural_transformations_counts():

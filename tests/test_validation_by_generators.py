@@ -1,12 +1,15 @@
 """Validation by generators: the fast accept is exact, and it is the path taken.
 
-Each validator of outside data first checks its axioms on generating sets
-and accepts only when that check passes; otherwise it runs the full scan.
-The Hypothesis tests here require, on valid data and on data with one entry
-corrupted, that the generator check passes exactly when the full scan finds
-nothing, and that the public validator returns what the full scan returns.
-The GL(2,3) tests make every full scan raise, so valid data must be
-accepted without one.  The JSON-writer test pins the CLI's JSON writer
+Each axiom is one function that lists its failures over an index set it is
+given; each validator of outside data runs it on generating sets first
+and accepts when it finds nothing, and otherwise runs it over the whole
+range.  The Hypothesis tests here require, on valid data and on data with
+one entry corrupted, that each axiom function finds nothing on the
+generating set exactly when it finds nothing on the full range, and that
+the public validators return what the per-entry loops (the oracles below)
+return.  The GL(2,3) tests record the index sets every axiom function is
+run on, so valid data must be accepted without a run over a range larger
+than a generating set.  The JSON-writer test pins the CLI's JSON writer
 to json.dumps(indent=2).
 
 The checks compare whole rows in C and search entry by entry only the
@@ -153,15 +156,25 @@ def corrupted_group_tables(draw):
     return tuple(tuple(r) for r in draw(corrupted(square, len(square))))
 
 
+def _associativity_oracle(table):
+    """For each s, the least (x, s, y) with (xs)y != x(sy), by the full loops."""
+    n = len(table)
+    return [
+        next(((x, s, y) for x in range(n) for y in range(n) if table[table[x][s]][y] != table[x][table[s][y]]), None)
+        for s in range(n)
+    ]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(latin_squares(), corrupted_group_tables()))
 def test_light_test_accepts_exactly_when_the_full_scan_finds_nothing(table):
-    witness = groups._associativity_witness(table)
-    assert groups._associative(table, groups._generating_set(table)) == (witness is None)
-    if witness is not None:
+    full = groups._associativity_failures(table, range(len(table)))
+    assert (not groups._associativity_failures(table, groups._generating_set(table))) == (not full)
+    assert full == [w for w in _associativity_oracle(table) if w is not None]
+    if full:
         with pytest.raises(NotAssociativeError) as info:
             make_group(table)
-        assert str(info.value) == "G: (a, b, c) = (%d, %d, %d)" % witness
+        assert str(info.value) == "G: (a, b, c) = (%d, %d, %d)" % min(full)
 
 
 def test_generating_set_needs_no_group_structure():
@@ -198,9 +211,11 @@ def hom_images(draw):
 @given(hom_images())
 def test_hom_check_on_generators_is_exact(case):
     D, C, img = case
-    failures = list(groups._hom_failures(D, C, img))
-    assert groups._multiplicative(D, C, img) == (not failures)
-    assert hom_violation(D, C, img) == (failures[0] if failures else None)
+    full = groups._hom_failures(D, C, img, range(D.order))
+    assert (not groups._hom_failures(D, C, img, D._gens)) == (not full)
+    oracle = _hom_failures_oracle(D, C, img)
+    assert tuple(sorted(full)) == oracle
+    assert hom_violation(D, C, img) == (oracle[0] if oracle else None)
 
 
 @st.composite
@@ -216,14 +231,14 @@ def corrupted_xmod_data(draw):
     return A, boundary, action
 
 
-def _full_crossed_scan(group, base, boundary, action):
-    """crossed_module_violations for in-range data, from the full scans alone."""
-    rows = [tuple(r) for r in action]
-    return (
-        xmod._action_scan(base, group, rows)
-        + tuple(Violation("boundary-hom", w) for w in groups._hom_failures(group, base, boundary))
-        + tuple(xmod._structure_violations(group, base, boundary, action))
-    )
+def _assert_action_checks_exact(actor, space, rows):
+    """Composition and each row's product check: nothing on generators
+    exactly when nothing over the whole range."""
+    full = xmod._composition_failures(actor, rows, range(actor.order))
+    assert (not xmod._composition_failures(actor, rows, actor._gens)) == (not full)
+    for row in rows:
+        full = groups._hom_failures(space, space, row, range(space.order))
+        assert (not groups._hom_failures(space, space, row, space._gens)) == (not full)
 
 
 @settings(max_examples=300, deadline=None)
@@ -232,11 +247,11 @@ def test_crossed_module_checks_on_generators_are_exact(case):
     A, boundary, action = case
     M, P = A.group, A.base
     rows = [tuple(r) for r in action]
-    scan = xmod._action_scan(P, M, rows)
-    assert xmod._action_holds(P, M, rows) == (not scan)
-    assert action_violations(P, M, action) == scan
-    full = _full_crossed_scan(M, P, boundary, action)
-    assert crossed_module_violations(M, P, boundary, action) == full
+    _assert_action_checks_exact(P, M, rows)
+    full = groups._hom_failures(M, P, boundary, range(M.order))
+    assert (not groups._hom_failures(M, P, boundary, M._gens)) == (not full)
+    assert action_violations(P, M, action) == _action_violations_oracle(P, M, action)
+    assert crossed_module_violations(M, P, boundary, action) == _crossed_module_oracle(M, P, boundary, action)
 
 
 def _action_scan_oracle(actor, space, rows):
@@ -281,9 +296,8 @@ def permutation_actions(draw):
 @given(permutation_actions())
 def test_action_product_check_on_generators_is_exact(case):
     M, P, rows = case
-    scan = xmod._action_scan(P, M, rows)
-    assert xmod._action_holds(P, M, rows) == (not scan)
-    assert action_violations(P, M, rows) == scan
+    _assert_action_checks_exact(P, M, [tuple(r) for r in rows])
+    assert action_violations(P, M, rows) == _action_scan_oracle(P, M, rows)
 
 
 def _xmod_rows(case):
@@ -295,7 +309,10 @@ def _xmod_rows(case):
 @given(st.one_of(corrupted_xmod_data().map(_xmod_rows), permutation_actions()))
 def test_action_scan_matches_the_full_loops(case):
     M, P, rows = case
-    assert xmod._action_scan(P, M, rows) == _action_scan_oracle(P, M, rows)
+    expected = _action_scan_oracle(P, M, rows)
+    composition = [v.witness for v in expected if v.axiom == "action-composition"]
+    assert sorted(xmod._composition_failures(P, rows, range(P.order))) == composition
+    assert action_violations(P, M, rows) == expected
 
 
 def test_action_scan_of_a_corrupted_gl23_action_matches_the_full_loops():
@@ -364,9 +381,28 @@ def corrupted_maps(draw):
 @given(corrupted_maps())
 def test_morphism_checks_on_generators_are_exact(case):
     A, B, mapping = case
-    scan = xmod._morphism_scan(A, B, mapping)
-    assert xmod._morphism_holds(A, B, mapping) == (not scan)
-    assert morphism_violations(A, B, mapping) == scan
+    M, P = A.group, A.base
+    full = groups._hom_failures(M, B.group, mapping, range(M.order))
+    assert (not groups._hom_failures(M, B.group, mapping, M._gens)) == (not full)
+    if not full:
+        # The boundary and equivariance checks close under products only
+        # for a homomorphism.
+        full = xmod._morphism_failures(A, B, mapping, range(P.order), range(M.order))
+        assert (not xmod._morphism_failures(A, B, mapping, P._gens, M._gens)) == (not full)
+    assert morphism_violations(A, B, mapping) == _morphism_oracle(A, B, mapping)
+
+
+def _morphism_oracle(A, B, mapping):
+    """morphism_violations for an in-range map, from the full loops."""
+    out = [Violation("map-hom", w) for w in _hom_failures_oracle(A.group, B.group, mapping)]
+    for m in range(A.group.order):
+        if B.boundary.image[mapping[m]] != A.boundary.image[m]:
+            out.append(Violation("map-boundary", (m,)))
+    for p in range(A.base.order):
+        for m in range(A.group.order):
+            if mapping[A.act(p, m)] != B.act(p, mapping[m]):
+                out.append(Violation("map-equivariant", (p, m)))
+    return tuple(out)
 
 
 @st.composite
@@ -422,21 +458,40 @@ def _raise(*args, **kwargs):
     raise AssertionError("full scan run on valid data")
 
 
+# Each axiom function with the number of index sets it ends with, and the
+# two full scans, which take none.
+AXIOM_FUNCTIONS = [
+    (groups, "_associativity_failures", 1),
+    (groups, "_hom_failures", 1),
+    (xmod, "_hom_failures", 1),
+    (xmod, "_composition_failures", 1),
+    (xmod, "_morphism_failures", 2),
+    (xmod, "_structure_violations", 0),
+    (limits, "_equivalence_scan", 0),
+]
+
+
 @pytest.fixture
-def no_full_scans(monkeypatch):
-    for module, name in [
-        (groups, "_associativity_witness"),
-        (groups, "_hom_failures"),
-        (xmod, "_hom_failures"),
-        (xmod, "_action_scan"),
-        (xmod, "_structure_violations"),
-        (xmod, "_morphism_scan"),
-        (limits, "_equivalence_scan"),
-    ]:
-        monkeypatch.setattr(module, name, _raise)
+def index_sets(monkeypatch):
+    """Every call of an axiom function as (name, its index sets as tuples),
+    with None for a full scan; each call runs the function itself."""
+    calls = []
+
+    def recorder(module, name, k):
+        run = getattr(module, name)
+
+        def record(*args):
+            calls.append((name, tuple(tuple(s) for s in args[len(args) - k:]) if k else None))
+            return run(*args)
+
+        return record
+
+    for module, name, k in AXIOM_FUNCTIONS:
+        monkeypatch.setattr(module, name, recorder(module, name, k))
+    return calls
 
 
-def test_order_96_table_and_gl23_xmod_validate_without_full_scans(no_full_scans):
+def test_order_96_table_and_gl23_xmod_validate_without_full_scans(index_sets):
     gl, special = _matrix_group_gl23()
     n = len(gl)
     product = [
@@ -454,11 +509,15 @@ def test_order_96_table_and_gl23_xmod_validate_without_full_scans(no_full_scans)
     assert B.action == A.action
     make_xmod_morphism(A, B, list(range(24)))
     assert equivalence_violations(kernel_pair_relation(identity_xmod_morphism(A))) == ()
+    generating_sets = {G._gens, GL._gens, A.group._gens}
+    assert {name for name, _ in index_sets} == {name for _, name, k in AXIOM_FUNCTIONS if k}
+    assert [(name, sets) for name, sets in index_sets if sets is None or not set(sets) <= generating_sets] == []
 
 
-def test_rejections_still_run_the_full_scan(no_full_scans):
-    with pytest.raises(AssertionError, match="full scan"):
+def test_rejections_still_run_the_full_scan(index_sets):
+    with pytest.raises(NotAssociativeError):
         make_group([[1, 0], [0, 0]])
+    assert ("_associativity_failures", ((0, 1),)) in index_sets
 
 
 json_values = st.recursive(

@@ -131,6 +131,9 @@ def test_fiber():
     A = _mod2_xmod()
     assert fiber(A, 0) == (0, 2)
     assert fiber(A, 1) == (1, 3)
+    # True == 1, but a bool is not an element index.
+    assert fiber(A, True) == ()
+    assert fiber(A, 2) == fiber(A, -1) == ()
 
 
 def test_conjugation_construction():
