@@ -26,6 +26,14 @@ Validation by rows: the checks compare whole rows or columns, as tuples
 gathered in C (_gather, _column, _indices), and only a row that differs
 is searched entry by entry, by _differences, for its witnesses in index
 order.
+
+One search engine: _search assigns variables in index order under
+product and move conditions, each filed under its largest variable.  A
+step that one earlier condition fixes (forward checking) tries that one
+value instead of scanning its candidates, and still charges the Work
+meter with the number of candidates it holds, so forcing changes no
+node, output or charge.  The hom search files a domain's table entries
+once per Group (Group._steps) rather than once per call.
 """
 
 from __future__ import annotations
@@ -101,6 +109,13 @@ class Group:
     def _columns(self) -> tuple[tuple[int, ...], ...]:
         """The columns of the table, _columns[b][a] == table[a][b]."""
         return tuple(zip(*self.table))
+
+    @cached_property
+    def _steps(self) -> tuple[tuple[tuple | None, tuple], ...]:
+        """The hom search's product conditions, filed once per group: each
+        entry (a, b, ab) as (a, b, ab, 0), table 0 being the codomain's,
+        filed by _file under its largest index, the forcing entry first."""
+        return _file(self.order, [(a, b, c, 0) for a, row in enumerate(self.table) for b, c in enumerate(row)], 2)
 
     def inv(self, a: int) -> int:
         return self.inverse[a]
@@ -440,17 +455,63 @@ def _search(
     out in the lexicographic order of those candidate orders.  Each
     condition is filed under its largest variable and checked once, at the
     step that assigns it, so a partial assignment is cut as soon as it
-    breaks one and every condition holds at the leaves.  Each node charges
-    work with the number of candidates it tries; what names the search in
-    the refusal.
+    breaks one and every condition holds at the leaves.  A step k is
+    forced when a product (a, b, k, T) with a, b < k or a move (x, k, t)
+    with x < k is filed under it: that condition fixes the one value img[k]
+    can take, which is tried once per occurrence in candidates[k] against
+    the step's other conditions, with no scan of the candidates.  Each node
+    charges work with the number of candidates it holds, forced or not;
+    what names the search in the refusal.
     """
+    products = list(products)
     n = len(candidates)
-    by_product: list[list[tuple]] = [[] for _ in range(n)]
-    for a, b, c, T in products:
-        by_product[max(a, b, c)].append((a, b, c, T))
-    by_move: list[list[tuple]] = [[] for _ in range(n)]
-    for x, y, t in moves:
-        by_move[max(x, y)].append((x, y, t))
+    by_product = _file(n, [(a, b, c, j) for j, (a, b, c, _) in enumerate(products)], 2)
+    return _descend(candidates, by_product, _file(n, moves, 1), [T for *_, T in products], work, what)
+
+
+def _file(n: int, conditions: Iterable[tuple], target: int) -> tuple[tuple[tuple | None, tuple], ...]:
+    """Conditions filed under their largest variable, for n variables.
+
+    A condition's variables are its target cond[target] and its sources,
+    cond[0] and cond[target - 1] (one source for a move, two for a
+    product).  Step k is (force, rest): force is the first condition whose
+    target is k and whose sources are all below k, so that it fixes
+    img[k], or None; rest are the other conditions filed under k.  The
+    largest variable is found by comparisons, as a max() call per
+    condition would double the cost of filing.
+    """
+    forcing: list[list[tuple]] = [[] for _ in range(n)]
+    rest: list[list[tuple]] = [[] for _ in range(n)]
+    for cond in conditions:
+        k, a, b = cond[target], cond[0], cond[target - 1]
+        top = a if a > b else b
+        if top < k:
+            forcing[k].append(cond)
+        else:
+            rest[top if top > k else k].append(cond)
+    return tuple((f[0], (*f[1:], *r)) if f else (None, tuple(r)) for f, r in zip(forcing, rest))
+
+
+def _descend(
+    candidates: Sequence[Sequence[int]],
+    by_product: Sequence[tuple[tuple | None, tuple]],
+    by_move: Sequence[tuple[tuple | None, tuple]],
+    tables: Sequence[Sequence[Sequence[int]]],
+    work: Work,
+    what: str,
+) -> list[tuple[int, ...]]:
+    """The recursion of _search, on conditions _file has filed.
+
+    A product here is (a, b, c, j), read through tables[j].  When a step
+    has both a forcing product and a forcing move, the product fixes the
+    value and the move is checked with the rest.
+    """
+    steps = []
+    for (pf, products), (mf, moves) in zip(by_product, by_move):
+        if pf and mf:
+            moves, mf = (mf, *moves), None
+        steps.append((pf, mf, products, moves))
+    n = len(candidates)
     img = [0] * n
     out: list[tuple[int, ...]] = []
 
@@ -458,11 +519,21 @@ def _search(
         if k == n:
             out.append(tuple(img))
             return
-        work.charge(len(candidates[k]), what)
-        for v in candidates[k]:
+        options = candidates[k]
+        work.charge(len(options), what)
+        pf, mf, products, moves = steps[k]
+        if pf:
+            a, b, _, j = pf
+            v = tables[j][img[a]][img[b]]
+            options = (v,) * options.count(v)
+        elif mf:
+            x, _, t = mf
+            v = t[img[x]]
+            options = (v,) * options.count(v)
+        for v in options:
             img[k] = v
-            if all(T[img[a]][img[b]] == img[c] for a, b, c, T in by_product[k]) and all(
-                img[y] == t[img[x]] for x, y, t in by_move[k]
+            if all(tables[j][img[a]][img[b]] == img[c] for a, b, c, j in products) and all(
+                img[y] == t[img[x]] for x, y, t in moves
             ):
                 assign(k + 1)
 
@@ -482,14 +553,12 @@ def _search_homs(
     img[s[x]] == t[img[x]] for each (s, t) in actions, by _search.
 
     The conditions are one product (a, b, ab) per entry of the domain
-    table, read through the codomain table, and one move (x, s[x]) per
-    action pair and element; ascending candidates give the tuples in
-    lexicographic order.
+    table, read through the codomain table and filed once per domain
+    (Group._steps), and one move (x, s[x]) per action pair and element;
+    ascending candidates give the tuples in lexicographic order.
     """
-    tab = codomain.table
-    products = [(a, b, c, tab) for a, row in enumerate(domain.table) for b, c in enumerate(row)]
     moves = [(x, y, t) for s, t in actions for x, y in enumerate(s)]
-    return _search(candidates, products, moves, work, what)
+    return _descend(candidates, domain._steps, _file(domain.order, moves, 1), (codomain.table,), work, what)
 
 
 def enumerate_homs(domain: Group, codomain: Group) -> tuple[GroupHom, ...]:

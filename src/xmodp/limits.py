@@ -327,33 +327,34 @@ def _equivalence_scan(E: EquivalenceRelation) -> tuple[str, ...]:
     """Every reason E fails, for pairs in range."""
     A = E.carrier
     n = A.group.order
+    pairs = sorted(E.pairs)
     out = []
-    for (a, b) in sorted(E.pairs):
+    for (a, b) in pairs:
         if A.boundary.image[a] != A.boundary.image[b]:
             out.append(f"pair ({a}, {b}) has unequal boundaries")
     e = A.group.identity
     if (e, e) not in E.pairs:
         out.append("identity pair missing")
-    for (a, b) in sorted(E.pairs):
+    for (a, b) in pairs:
         if (A.group.inverse[a], A.group.inverse[b]) not in E.pairs:
             out.append(f"inverse of ({a}, {b}) missing")
-        for (c, d) in sorted(E.pairs):
+        for (c, d) in pairs:
             if (A.group.table[a][c], A.group.table[b][d]) not in E.pairs:
                 out.append(f"product of ({a}, {b}) and ({c}, {d}) missing")
                 break
     for p in range(A.base.order):
-        for (a, b) in sorted(E.pairs):
+        for (a, b) in pairs:
             if (A.act(p, a), A.act(p, b)) not in E.pairs:
                 out.append(f"action of {p} leaves the set at ({a}, {b})")
                 break
     for a in range(n):
         if (a, a) not in E.pairs:
             out.append(f"not reflexive at {a}")
-    for (a, b) in sorted(E.pairs):
+    for (a, b) in pairs:
         if (b, a) not in E.pairs:
             out.append(f"not symmetric at ({a}, {b})")
-    for (a, b) in sorted(E.pairs):
-        for (b2, c) in sorted(E.pairs):
+    for (a, b) in pairs:
+        for (b2, c) in pairs:
             if b2 == b and (a, c) not in E.pairs:
                 out.append(f"not transitive at ({a}, {b}, {c})")
                 break
@@ -482,24 +483,28 @@ def _sweep(
     are the maps between the catalogue object and the apex whose composites
     with the legs give back the test cone, so they are counted from one
     Counter of leg composites per catalogue object.  Exactly one mediator
-    must exist for a commuting test cone and none for any other.  One meter
-    is charged by every morphism search and by one unit per test cone.
+    must exist for a commuting test cone and none for any other.  An end
+    that occurs twice, as in a kernel pair, is searched once per catalogue
+    object.  One meter is charged by every morphism search and by one unit
+    per test cone.
     """
     work = _meter(budget)
     colimit = isinstance(cone, Cocone)
     legs = [leg.mapping for leg in cone.legs]
     failures = []
     checked = commuting = 0
+    distinct = list(dict.fromkeys(ends))
+    which = [distinct.index(X) for X in ends]
     for T in cat:
         if colimit:
-            tests = [enumerate_morphisms(X, T, budget=work) for X in ends]
+            searched = [enumerate_morphisms(X, T, budget=work) for X in distinct]
             through = enumerate_morphisms(cone.apex, T, budget=work)
             found = Counter(tuple(_after(h.mapping, leg) for leg in legs) for h in through)
         else:
-            tests = [enumerate_morphisms(T, X, budget=work) for X in ends]
+            searched = [enumerate_morphisms(T, X, budget=work) for X in distinct]
             through = enumerate_morphisms(T, cone.apex, budget=work)
             found = Counter(tuple(_after(leg, h.mapping) for leg in legs) for h in through)
-        for test in itertools.product(*tests):
+        for test in itertools.product(*(searched[i] for i in which)):
             work.charge(1, f"{kind} sweep test cone")
             maps = tuple(t.mapping for t in test)
             checked += 1

@@ -313,8 +313,8 @@ def enumerate_natural_transformations(
     coordinatewise one, so the search misses nothing.  Only the two
     presheaves are read, never the crossed-module morphisms, so
     verify_full_faithful compares two independently computed sets.  Every
-    candidate the search tries is charged to the budget, or to the Work
-    meter of an enclosing call.
+    candidate a node of the search holds is charged to the budget, or to
+    the Work meter of an enclosing call.
     """
     site = F.site
     n = site.base.order

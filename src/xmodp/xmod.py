@@ -558,8 +558,8 @@ def enumerate_morphisms(A: CrossedModule, B: CrossedModule, budget: int = DEFAUL
 
     Each element a may only go to the target boundary fiber of its own
     boundary, and the search cuts a partial map as soon as it breaks a
-    product or the P-action.  Every candidate the search tries is charged
-    to the budget, or to the Work meter of an enclosing call.
+    product or the P-action.  Every candidate a node of the search holds
+    is charged to the budget, or to the Work meter of an enclosing call.
     """
     _require_same_base(A, B)
     fibers, _ = _fibers(B)

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from xmodp import limits
 from xmodp.errors import (
     BaseMismatchError,
     DiagramMismatchError,
@@ -300,6 +301,58 @@ def test_kernel_pair_relation_is_equivalence():
     assert len(E.pairs) == 8
     assert is_equivalence_relation(E)
     assert is_effective(E)
+
+
+def _equivalence_scan_sorting_every_loop(E):
+    """limits._equivalence_scan as it was when each loop sorted the pairs
+    again: the oracle for its reasons and their order."""
+    A = E.carrier
+    out = []
+    for (a, b) in sorted(E.pairs):
+        if A.boundary.image[a] != A.boundary.image[b]:
+            out.append(f"pair ({a}, {b}) has unequal boundaries")
+    e = A.group.identity
+    if (e, e) not in E.pairs:
+        out.append("identity pair missing")
+    for (a, b) in sorted(E.pairs):
+        if (A.group.inverse[a], A.group.inverse[b]) not in E.pairs:
+            out.append(f"inverse of ({a}, {b}) missing")
+        for (c, d) in sorted(E.pairs):
+            if (A.group.table[a][c], A.group.table[b][d]) not in E.pairs:
+                out.append(f"product of ({a}, {b}) and ({c}, {d}) missing")
+                break
+    for p in range(A.base.order):
+        for (a, b) in sorted(E.pairs):
+            if (A.act(p, a), A.act(p, b)) not in E.pairs:
+                out.append(f"action of {p} leaves the set at ({a}, {b})")
+                break
+    for a in range(A.group.order):
+        if (a, a) not in E.pairs:
+            out.append(f"not reflexive at {a}")
+    for (a, b) in sorted(E.pairs):
+        if (b, a) not in E.pairs:
+            out.append(f"not symmetric at ({a}, {b})")
+    for (a, b) in sorted(E.pairs):
+        for (b2, c) in sorted(E.pairs):
+            if b2 == b and (a, c) not in E.pairs:
+                out.append(f"not transitive at ({a}, {b}, {c})")
+                break
+    return tuple(out)
+
+
+def test_equivalence_scan_sorts_once_and_keeps_its_reasons():
+    # Every kernel-pair relation of the base-C2 catalogue, whole and with
+    # each pair in turn left out.
+    catalogue = default_catalogue(C2, 4)
+    failing = 0
+    for A, B in itertools.product(catalogue, repeat=2):
+        for f in enumerate_morphisms(A, B):
+            pairs = kernel_pair_relation(f).pairs
+            for E in [EquivalenceRelation(A, pairs - {p}) for p in sorted(pairs)] + [kernel_pair_relation(f)]:
+                reasons = limits._equivalence_scan(E)
+                assert reasons == _equivalence_scan_sorting_every_loop(E)
+                failing += bool(reasons)
+    assert failing > 100
 
 
 def test_relation_violations():

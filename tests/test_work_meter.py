@@ -1,7 +1,7 @@
 """The work meter: one budget per command, charged where the search works.
 
 groups._search charges a Work meter once per node, by the number of
-candidates that node tries, and a sweep charges one unit per test cone.
+candidates that node holds, and a sweep charges one unit per test cone.
 A public call charges the meter of its caller when handed one, so the
 budget bounds what a whole command does, not each search on its own.
 """
