@@ -149,10 +149,13 @@ def _indices(row: Sequence[object], n: int) -> bool:
 def _gather(keys: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
     """The map seq -> tuple(seq[k] for k in keys), one C-level itemgetter
     call per seq (itemgetter of one key returns a scalar and of none
-    raises, so those are gathered in Python)."""
+    raises, so those two are tuples made directly)."""
     if len(keys) > 1:
         return itemgetter(*keys)
-    return lambda seq: tuple(seq[k] for k in keys)
+    if keys:
+        (k,) = keys
+        return lambda seq: (seq[k],)
+    return lambda seq: ()
 
 
 def _column(table: Sequence[Sequence[int]], x: int) -> tuple[int, ...]:
@@ -554,10 +557,15 @@ def _search_homs(
 
     The conditions are one product (a, b, ab) per entry of the domain
     table, read through the codomain table and filed once per domain
-    (Group._steps), and one move (x, s[x]) per action pair and element;
-    ascending candidates give the tuples in lexicographic order.
+    (Group._steps), and one move (x, s[x]) per element and distinct
+    action pair; ascending candidates give the tuples in lexicographic
+    order.  A pair whose two rows are both identities gives the moves
+    (x, x, id), which always hold, so it is skipped: such a move can
+    never force a step (its source is its target) nor cut a node, so the
+    nodes, outputs and charges are those of the search that files it.
     """
-    moves = [(x, y, t) for s, t in actions for x, y in enumerate(s)]
+    ids = tuple(range(domain.order)), tuple(range(codomain.order))
+    moves = [(x, y, t) for s, t in dict.fromkeys(actions) if (s, t) != ids for x, y in enumerate(s)]
     return _descend(candidates, domain._steps, _file(domain.order, moves, 1), (codomain.table,), work, what)
 
 

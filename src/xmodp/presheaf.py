@@ -4,11 +4,11 @@ A crossed module A becomes the functor sending each site object to the set
 of fiber-respecting assignments into A (a product of boundary fibers) and
 each generating morphism to precomposition.  A presheaf stores the fibers,
 not the assignments: set sizes, generator actions and transformation
-components are tuples indexed by site position, never by object or name,
-and an assignment is read off the fibers by its mixed-radix index.  A
+components are indexed by site position, never by object or name, and an
+assignment is read off the fibers by its mixed-radix index.  A
 generator's index map is read off fiber positions by the closed form of
-its family; an arbitrary site morphism, such as a composite of
-generators, acts by evaluating its words.
+its family, the first time it is read; an arbitrary site morphism, such
+as a composite of generators, acts by evaluating its words.
 Morphisms become postcomposition families, also read off fiber positions:
 an assignment's index is the mixed-radix number of its entries' positions
 in their fibers.
@@ -21,9 +21,22 @@ components; the search checks the squares of the moves m[p,x] and of the
 multiplications sigma[x,y].  Identity squares hold by definition, and the
 inc1/inc2 squares by construction, since every pair component is built
 coordinatewise from the single components (as naturality forces).
-Exactness is checked by comparing constructions objectwise.  Both searches
-charge the candidates they try to one Work meter, so the budget bounds
-their sum.
+Both searches charge the candidates they try to one Work meter, so the
+budget bounds their sum.
+
+Exactness is checked by comparing constructions objectwise, and
+verify-exact reads generators and single objects only.  Its comparison
+maps U(f) are natural when their move squares hold at the generators of P
+and their sigma squares at the generators of M (_natural_on_generators:
+the p and the b whose squares hold are closed under products), so only
+those maps of the presheaves are built.  Each comparison is checked at
+the n single objects, and when all of them pass, each pair row is written
+from the set sizes: every comparison acts on pair(x, y) as the product of
+its actions on x and on y, and a product of bijections is a bijection
+(the rules and their empty cases are proved in _comparison).  Only a
+failure, of a single object or of the fast accept, makes the comparison
+build pair components and check every object and every square, so that
+its report lists every failure.
 """
 
 from __future__ import annotations
@@ -31,8 +44,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from collections.abc import Callable, Iterator, Sequence
 from operator import add
-from typing import Callable, Sequence
 
 from .errors import (
     BaseMismatchError,
@@ -83,6 +96,40 @@ __all__ = [
 Assignment = tuple[int, ...]
 
 
+class _Actions(Sequence):
+    """The generator index maps of a presheaf, map k built the first time
+    index k is read.
+
+    build(ks) yields the maps of the positions ks in one loop, and _maps[k]
+    holds map k once it is built, None before.  A slice builds the missing
+    maps it covers in one call of build, so reading many maps, or
+    iterating over all of them, costs the one loop that built them
+    eagerly.
+    """
+
+    def __init__(self, build: Callable[[Sequence[int]], Iterator[tuple[int, ...]]], count: int):
+        self._build = build
+        self._maps: list[tuple[int, ...] | None] = [None] * count
+
+    def __len__(self) -> int:
+        return len(self._maps)
+
+    def __getitem__(self, k: int | slice):
+        maps = self._maps
+        if isinstance(k, slice):
+            missing = [j for j in range(len(maps))[k] if maps[j] is None]
+            for j, image in zip(missing, self._build(missing)):
+                maps[j] = image
+            return maps[k]
+        image = maps[k]
+        if image is None:
+            image = maps[k] = next(self._build((k,)))
+        return image
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return iter(self[:])
+
+
 @dataclass(eq=False)
 class Presheaf:
     """Boundary fibers and set sizes per site object, with generator actions
@@ -93,7 +140,9 @@ class Presheaf:
     in lexicographic order, of size sizes[i]: assignment (a,) of single(x)
     has index pos[a], and (a, b) of pair(x, y) has index
     pos[a] * |fibers[y]| + pos[b].  actions[k][j] = i means generator k, a
-    site morphism o -> o', carries assignment j of o' to assignment i of o.
+    site morphism o -> o', carries assignment j of o' to assignment i of o;
+    actions is a read-only sequence that builds map k when index k is
+    first read.
     """
 
     site: Site
@@ -101,7 +150,7 @@ class Presheaf:
     fibers: list[list[int]]
     pos: list[int]
     sizes: tuple[int, ...]
-    actions: tuple[tuple[int, ...], ...]
+    actions: Sequence[tuple[int, ...]]
 
     @cached_property
     def sets(self) -> tuple[tuple[Assignment, ...], ...]:
@@ -155,12 +204,15 @@ def compute_presheaf(A: CrossedModule, site: Site | None = None) -> Presheaf:
     its fibers, in the lexicographic order hom_set gives; only its size is
     stored, in site order (single(x) at x, then pair(x, y) at n + x n + y),
     and the tuples are built only if F.sets is read.  Each generator's
-    index map is read off fiber positions by the closed form of its
-    family: on target assignment (a) or (a, b), m[p,x] gives the position
-    of p.a, sigma[x,y] that of ab, inc1 that of a and inc2 that of b.
-    Identity, inc1 and inc2 maps depend only on the set sizes, so they are
-    made from ranges and repetition; identity maps of equal length share
-    one tuple.
+    index map is built when it is first read, off fiber positions by the
+    closed form of its family: on target assignment (a) or (a, b), m[p,x]
+    gives the position of p.a, sigma[x,y] that of ab, inc1 that of a and
+    inc2 that of b.  Identity, inc1 and inc2 maps depend only on the set
+    sizes, so they are made from ranges and repetition; identity maps of
+    equal length share one tuple.  verify-exact reads only the maps of the
+    generators of P and of M (see _natural_on_generators), so on a large
+    base it builds a few of the |P| + 5|P|^2 maps; embed reads them all,
+    in one loop.
     """
     site = site if site is not None else build_site(A.base)
     if site.base != A.base:
@@ -169,31 +221,34 @@ def compute_presheaf(A: CrossedModule, site: Site | None = None) -> Presheaf:
     lens = [len(f) for f in fibers]
     sizes = (*lens, *(i * j for i in lens for j in lens))
     act, tab = A.action.table, A.group.table
+    families, sources = site.families, site.sources
     identities: dict[int, tuple[int, ...]] = {}
-    actions = []
-    for (family, *args), source in zip(site.families, site.sources):
-        if family == "id":
-            k = sizes[source]
-            if k not in identities:
-                identities[k] = tuple(range(k))
-            image = identities[k]
-        elif family == "m":
-            p, x = args
-            row = act[p]
-            image = tuple(pos[row[a]] for a in fibers[x])
-        else:
-            x, y = args
-            fx, fy = fibers[x], fibers[y]
-            if family == "sigma":
-                image = tuple(pos[tab[a][b]] for a in fx for b in fy)
-            elif family == "inc1":
-                image = tuple(itertools.chain.from_iterable(
-                    map(itertools.repeat, range(len(fx)), itertools.repeat(len(fy)))
-                ))
+
+    def build(ks: Sequence[int]) -> Iterator[tuple[int, ...]]:
+        for k in ks:
+            family, *args = families[k]
+            if family == "id":
+                size = sizes[sources[k]]
+                if size not in identities:
+                    identities[size] = tuple(range(size))
+                yield identities[size]
+            elif family == "m":
+                p, x = args
+                row = act[p]
+                yield tuple(pos[row[a]] for a in fibers[x])
             else:
-                image = tuple(range(len(fy))) * len(fx)
-        actions.append(image)
-    return Presheaf(site, A, fibers, pos, sizes, tuple(actions))
+                x, y = args
+                fx, fy = fibers[x], fibers[y]
+                if family == "sigma":
+                    yield tuple(pos[tab[a][b]] for a in fx for b in fy)
+                elif family == "inc1":
+                    yield tuple(itertools.chain.from_iterable(
+                        map(itertools.repeat, range(len(fx)), itertools.repeat(len(fy)))
+                    ))
+                else:
+                    yield tuple(range(len(fy))) * len(fx)
+
+    return Presheaf(site, A, fibers, pos, sizes, _Actions(build, len(families)))
 
 
 def presheaf_composition_violations(F: Presheaf) -> tuple[tuple[str, str], ...]:
@@ -272,6 +327,65 @@ def check_naturality(phi: NaturalTransformation) -> tuple[tuple[str, int], ...]:
     return tuple((phi.source.site.name(k), j) for k, j in _failed_squares(phi))
 
 
+def _move(site: Site, p: int, x: int) -> int:
+    """The position of generator m[p,x] in site order (see words.Site)."""
+    return len(site.objects) + p * site.base.order + x
+
+
+def _sigma(site: Site, x: int, y: int) -> int:
+    """The position of generator sigma[x,y]; inc1[x,y] and inc2[x,y] follow."""
+    n = site.base.order
+    return len(site.objects) + n * n + 3 * (x * n + y)
+
+
+def _natural_on_generators(F: Presheaf, G: Presheaf, singles: Sequence[tuple[int, ...]]) -> bool:
+    """Whether the transformation F -> G with the single components
+    singles, acting on pairs coordinatewise, is natural.
+
+    Write c for the element map of the singles, c(a) the element of G's
+    fiber over x = boundary(a) at position singles[x][pos a].  Identity
+    squares hold by definition, and inc squares by the coordinatewise
+    rule (see enumerate_natural_transformations).  The square of m[p,x]
+    at a over x says c(p.a) == p.c(a), and that of sigma[x,y] at (a, b)
+    says c(ab) == c(a)c(b), as fiber positions name elements.  Both are
+    checked on generators only, which is exact:
+    - the p whose move squares hold for every a are closed under
+      products, as m[qp,x] is m[q,.] after m[p,x]: c(qp.a) = q.c(p.a) =
+      q.p.c(a) = qp.c(a).  They hold for the p of base._gens, so for
+      every p of P;
+    - the b whose sigma squares hold for every a are closed under
+      products: c(abb') = c(ab)c(b') = c(a)c(b)c(b') = c(a)c(bb'), the
+      last step being the square at (b, b').  They hold for the b of
+      M._gens, so for every b of M: _generating_set never returns an
+      empty set, so even the identity is a product of generators.
+    Squares over an empty fiber hold vacuously and are skipped.  Each
+    check compares two gathered tuples: a move square over all of F_x at
+    once, and a sigma square at b over the a of F_x, through the columns
+    act_F[pos b::|F_y|] and act_G[c(b)::|G_y|] of the two sigma maps.
+    So only the maps of those generators are read, and built.
+    """
+    site = F.site
+    base = site.base
+    n = base.order
+    for p in base._gens:
+        for x in range(n):
+            if F.sizes[x]:
+                k = _move(site, p, x)
+                if _gather(F.actions[k])(singles[site.sources[k]]) != _gather(singles[x])(G.actions[k]):
+                    return False
+    boundary = F.xmod.boundary.image
+    for b in F.xmod.group._gens:
+        y, ib = boundary[b], F.pos[b]
+        ic, nf, ng = singles[y][ib], F.sizes[y], G.sizes[y]
+        for x in range(n):
+            if F.sizes[x]:
+                k = _sigma(site, x, y)
+                left = _gather(F.actions[k][ib::nf])(singles[site.sources[k]])
+                if left != _gather(singles[x])(G.actions[k][ic::ng]):
+                    return False
+    return True
+
+
 def _with_pairs(singles: Sequence[tuple[int, ...]], G: Presheaf) -> tuple[tuple[int, ...], ...]:
     """The components of the transformation into G that has the single
     components singles and acts on pairs coordinatewise.
@@ -297,7 +411,8 @@ def enumerate_natural_transformations(
     they are assigned in site order, so the transformations come out in
     lexicographic order of their single components.  The pair components
     are built from them coordinatewise by _with_pairs, and the search
-    checks the squares that can fail:
+    checks the squares that can fail, reading only the maps of the moves
+    and multiplications, as two slices by position:
     - m[p,x], from single(s) to single(t), carries entry j of F_t to
       entry act_F[j] of F_s, so its square at j is the move
       (start[t] + j, start[s] + act_F[j], act_G);
@@ -321,20 +436,19 @@ def enumerate_natural_transformations(
     what = f"natural transformation search {F.xmod.name} -> {G.xmod.name}"
     start = list(itertools.accumulate(F.sizes[:n], initial=0))
     candidates = [range(G.sizes[x]) for x in range(n) for _ in range(F.sizes[x])]
-    products = []
+    grid = list(itertools.product(range(n), repeat=2))
+    at = slice(_move(site, 0, 0), _move(site, n - 1, n - 1) + 1)
     moves = []
-    for (family, *args), s, t, act_F, act_G in zip(
-        site.families, site.sources, site.targets, F.actions, G.actions
-    ):
-        if family == "m":
-            moves += [(start[t] + j, start[s] + i, act_G) for j, i in enumerate(act_F)]
-        elif family == "sigma":
-            x, y = args
-            nf, ng = F.sizes[y], G.sizes[y]
-            rows = [act_G[u * ng : (u + 1) * ng] for u in range(G.sizes[x])]
-            products += [
-                (start[x] + j // nf, start[y] + j % nf, start[s] + i, rows) for j, i in enumerate(act_F)
-            ]
+    for (_, x), s, act_F, act_G in zip(grid, site.sources[at], F.actions[at], G.actions[at]):
+        moves += [(start[x] + j, start[s] + i, act_G) for j, i in enumerate(act_F)]
+    at = slice(_sigma(site, 0, 0), _sigma(site, n - 1, n - 1) + 1, 3)
+    products = []
+    for (x, y), s, act_F, act_G in zip(grid, site.sources[at], F.actions[at], G.actions[at]):
+        nf, ng = F.sizes[y], G.sizes[y]
+        rows = [act_G[u * ng : (u + 1) * ng] for u in range(G.sizes[x])]
+        products += [
+            (start[x] + j // nf, start[y] + j % nf, start[s] + i, rows) for j, i in enumerate(act_F)
+        ]
     return tuple(
         NaturalTransformation(F, G, _with_pairs([img[start[x] : start[x + 1]] for x in range(n)], G))
         for img in _search(candidates, products, moves, _meter(budget), what)
@@ -353,6 +467,12 @@ def functor_on_morphism(f: XModMorphism, F: Presheaf, G: Presheaf) -> NaturalTra
     checked once over f.mapping, so a map that does not respect them
     raises instead of giving wrong components.
     """
+    return NaturalTransformation(F, G, _with_pairs(_single_components(f, F, G), G))
+
+
+def _single_components(f: XModMorphism, F: Presheaf, G: Presheaf) -> list[tuple[int, ...]]:
+    """The single components of U(f), after the checks of
+    functor_on_morphism."""
     A, B = f.source, f.target
     if F.xmod != A or G.xmod != B:
         raise ShapeMismatchError(
@@ -361,8 +481,7 @@ def functor_on_morphism(f: XModMorphism, F: Presheaf, G: Presheaf) -> NaturalTra
         )
     if [B.boundary.image[b] for b in f.mapping] != list(A.boundary.image):
         raise FiberMismatchError(f"map {A.name} -> {B.name} does not respect the boundaries")
-    singles = [tuple([G.pos[f.mapping[a]] for a in F.fibers[x]]) for x in range(A.base.order)]
-    return NaturalTransformation(F, G, _with_pairs(singles, G))
+    return [tuple([G.pos[f.mapping[a]] for a in F.fibers[x]]) for x in range(A.base.order)]
 
 
 def _reconstruct(phi: NaturalTransformation) -> XModMorphism:
@@ -479,34 +598,89 @@ def _comparison(
     kind: str,
     apex: CrossedModule,
     site: Site,
-    check_object: Callable[[int], tuple[int, int, dict | None]],
-    phis: Sequence[NaturalTransformation],
+    maps: Sequence[tuple[XModMorphism, Presheaf, Presheaf]],
+    check_object: Callable[[int, Sequence[Sequence[tuple[int, ...]]]], tuple[int, int, dict | None]],
+    pair_sides: Callable[[int], tuple[int, int]],
     square_failure: Callable[[str, SiteObject, int], dict],
+    squared: int | None = None,
 ) -> dict:
-    """Report of an exactness comparison: one check per site object, then squares.
+    """Report of an exactness comparison: one row per site object, then squares.
 
-    check_object(i) returns the two sizes it compared at the object at
-    position i and, when the comparison there fails, the failure fields
-    after "object".  The squares are the naturality squares of the
-    comparison maps phis, all out of one presheaf; each failure is reported
-    by square_failure(generator name, its source object, index).  The phis
-    are images U(f), so their shapes need no check.
+    The legs are the images U(f) of the maps (f, F, G), so their shapes
+    need no check.  check_object(o, comps) returns the two sizes it
+    compared at the object at position o and, when the comparison there
+    fails, the failure fields after "object"; comps[i] holds the
+    components of leg i, indexed by position.  The squares are the
+    naturality squares of the first squared legs (all by default), all out
+    of one presheaf; each failure is reported by square_failure(generator
+    name, its source object, index).
+
+    Only the n single objects are checked.  When all of them pass, the
+    row of pair(x, y) is (*pair_sides(o), ok), with no pair component
+    built, for every comparison acts on a pair as the product of its
+    actions on x and on y:
+    - product: the pairing at pair(x, y) is h_x x h_y, with h_x: X_x ->
+      A_x x B_x the pairing at x, up to the reordering (A_x x A_y) x
+      (B_x x B_y) = (A_x x B_x) x (A_y x B_y).  A product of two maps f x g
+      is a bijection iff both factors are or both product sets are empty;
+      here both singles pass, so both factors are bijections and so is h_x
+      x h_y, and the row is (|X_o|, |A_o| |B_o|).  Empty case: when X_x
+      is empty, so is A_x x B_x, as h_x is a bijection, and the row is (0,
+      0), which the check passes with no cell to hit;
+    - equaliser: the agreeing pairs are the products of agreeing singles,
+      and the inclusion at pair(x, y) is the product of the inclusions at
+      x and y, bijections onto the agreeing singles; so it is a bijection
+      onto the agreeing pairs, and both sides are |E_o|.  Empty case:
+      when E_x is empty so is the agreeing set at x, and both sides are 0;
+    - coequaliser: the relation at an object is generated by the pairs
+      (k1 z, k2 z) over the kernel pair's assignments z, and at pair(x, y)
+      it is R_x x R_y, as the kernel pair's set there is K_x x K_y and its
+      legs act coordinatewise.  The kernel pair contains the diagonal, so
+      R_x and R_y are reflexive, and then the equivalence closure of R_x x
+      R_y is the product of the closures: one coordinate moves along R_x
+      while the other stays put by reflexivity.  So the classes at pair(x,
+      y) are the products of classes at x and y, and the projection, which
+      acts coordinatewise, is well defined, injective and onto on them
+      when it is so at x and at y; both sides are |Q_o|.  Empty case: when
+      B_x is empty there are no classes at x, so Q_x is empty, as the
+      projection is onto it, and both sides are 0.
+    The converse does not hold (a pair with an empty factor passes even
+    when its other single fails), so when any single fails, every pair
+    is checked by check_object on components built by _with_pairs, and
+    the rows are those of a check of every object.
+
+    The squares are accepted by _natural_on_generators, which reads only
+    generators' maps; only when it rejects a leg are the pair components
+    built and every square read, by _failed_squares, to list the failures
+    in generator order, then by index.
     """
+    n = site.base.order
+    legs = [(F, G, _single_components(f, F, G)) for f, F, G in maps]
+    singles = [comps for *_, comps in legs]
+    rows = [check_object(o, singles) for o in range(n)]
+    pairs = range(n, len(site.objects))
+    if all(failure is None for *_, failure in rows):
+        rows += [(*pair_sides(o), None) for o in pairs]
+    else:
+        whole = [_with_pairs(comps, G) for _, G, comps in legs]
+        rows += [check_object(o, whole) for o in pairs]
     objects = []
     failures = []
-    for i, o in enumerate(site.objects):
-        lhs, rhs, failure = check_object(i)
+    for o, (lhs, rhs, failure) in zip(site.objects, rows):
         objects.append({"object": o.describe(), "lhs_size": lhs, "rhs_size": rhs, "ok": failure is None})
         if failure is not None:
             failures.append({"object": o.describe(), **failure})
-    for k, j in sorted(set().union(*map(_failed_squares, phis))):
-        failures.append(square_failure(site.name(k), site.objects[site.sources[k]], j))
+    natural = legs[:squared]
+    if not all(_natural_on_generators(*leg) for leg in natural):
+        phis = [NaturalTransformation(F, G, _with_pairs(comps, G)) for F, G, comps in natural]
+        for k, j in sorted(set().union(*map(_failed_squares, phis))):
+            failures.append(square_failure(site.name(k), site.objects[site.sources[k]], j))
     return {
         "kind": kind,
         "pass": not failures,
         "apex": apex.name,
         "objects": objects,
-        "squares_checked": sum(map(len, phis[0].source.actions)),
+        "squares_checked": sum(map(legs[0][0].sizes.__getitem__, site.targets)),
         "failures": failures,
     }
 
@@ -520,42 +694,45 @@ def _verify_product_preserved(A: CrossedModule, B: CrossedModule, site: Site) ->
     FX = compute_presheaf(cone.apex, site)
     FA = compute_presheaf(A, site)
     FB = compute_presheaf(B, site)
-    pA = functor_on_morphism(cone.legs[0], FX, FA)
-    pB = functor_on_morphism(cone.legs[1], FX, FB)
 
-    def pairing(o: int) -> tuple[int, int, dict | None]:
+    def pairing(o: int, comps: Sequence[Sequence[tuple[int, ...]]]) -> tuple[int, int, dict | None]:
         # Mark each (a, b) cell hit: a set of pair tuples would be the
         # largest allocation of the whole comparison.
         size, nb = FX.sizes[o], FB.sizes[o]
         full = FA.sizes[o] * nb
         hit = bytearray(full)
-        for a, b in zip(pA.components[o], pB.components[o]):
+        for a, b in zip(comps[0][o], comps[1][o]):
             hit[a * nb + b] = 1
         ok = size == full and all(hit)
         return size, full, None if ok else {"reason": "pairing is not a bijection"}
 
-    return _comparison("product", cone.apex, site, pairing, [pA, pB], _square_at_source)
+    return _comparison(
+        "product", cone.apex, site, [(cone.legs[0], FX, FA), (cone.legs[1], FX, FB)], pairing,
+        lambda o: (FX.sizes[o], FA.sizes[o] * FB.sizes[o]), _square_at_source,
+    )
 
 
 def _verify_equaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) -> dict:
     cone = equaliser(f, g)
     FE = compute_presheaf(cone.apex, site)
     FC = compute_presheaf(f.source, site)
-    phi = functor_on_morphism(cone.legs[0], FE, FC)
 
     # The agreeing assignments of an object are the product of the agreeing
     # elements of its fibers; each is numbered by its fiber positions.
     good = [[j for j, a in enumerate(fiber) if f.mapping[a] == g.mapping[a]] for fiber in FC.fibers]
 
-    def inclusion(o: int) -> tuple[int, int, dict | None]:
+    def inclusion(o: int, comps: Sequence[Sequence[tuple[int, ...]]]) -> tuple[int, int, dict | None]:
         agree = [0]
         for x in site.objects[o].xs:
             agree = [i * len(FC.fibers[x]) + j for i in agree for j in good[x]]
-        mapped = phi.components[o]
+        mapped = comps[0][o]
         ok = sorted(mapped) == agree and len(set(mapped)) == len(mapped)
         return len(mapped), len(agree), None if ok else {"reason": "comparison is not a bijection"}
 
-    return _comparison("equaliser", cone.apex, site, inclusion, [phi], _square_at_source)
+    return _comparison(
+        "equaliser", cone.apex, site, [(cone.legs[0], FE, FC)], inclusion,
+        lambda o: (FE.sizes[o], FE.sizes[o]), _square_at_source,
+    )
 
 
 def _verify_coequaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) -> dict:
@@ -566,17 +743,17 @@ def _verify_coequaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) 
     the kernel pair induces and matches it against U(apex): same classes,
     objectwise surjective, and the projection natural.  Those three imply
     that the actions descend to the classes, so descent needs no check of
-    its own.
+    its own.  The legs are the projection, whose squares are checked, and
+    the kernel pair's two legs.
     """
     cocone = coequaliser(f, g)
     kp = kernel_pair(cocone.legs[0])
     FB = compute_presheaf(f.target, site)
     FQ = compute_presheaf(cocone.apex, site)
     FK = compute_presheaf(kp.apex, site)
-    proj = functor_on_morphism(cocone.legs[0], FB, FQ)
-    pair = [functor_on_morphism(leg, FK, FB) for leg in kp.legs]
 
-    def classes(o: int) -> tuple[int, int, dict | None]:
+    def classes(o: int, comps: Sequence[Sequence[tuple[int, ...]]]) -> tuple[int, int, dict | None]:
+        proj, pair = comps[0][o], comps[1:]
         parent = list(range(FB.sizes[o]))
 
         def find(a: int) -> int:
@@ -585,16 +762,16 @@ def _verify_coequaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) 
                 a = parent[a]
             return a
 
-        for ia, ib in zip(pair[0].components[o], pair[1].components[o]):
+        for ia, ib in zip(pair[0][o], pair[1][o]):
             ra, rb = find(ia), find(ib)
             if ra != rb:
                 parent[rb] = ra
         by_class: dict[int, set[int]] = {}
-        for j, q in enumerate(proj.components[o]):
+        for j, q in enumerate(proj):
             by_class.setdefault(find(j), set()).add(q)
         well_defined = all(len(v) == 1 for v in by_class.values())
         injective = len({next(iter(v)) for v in by_class.values()}) == len(by_class) if well_defined else False
-        surjective = len(set(proj.components[o])) == FQ.sizes[o]
+        surjective = len(set(proj)) == FQ.sizes[o]
         if well_defined and injective and surjective and len(by_class) == FQ.sizes[o]:
             return len(by_class), FQ.sizes[o], None
         return len(by_class), FQ.sizes[o], {
@@ -603,9 +780,11 @@ def _verify_coequaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) 
             "surjective": surjective,
         }
 
+    maps = [(cocone.legs[0], FB, FQ), *((leg, FK, FB) for leg in kp.legs)]
     return _comparison(
-        "coequaliser", cocone.apex, site, classes, [proj],
+        "coequaliser", cocone.apex, site, maps, classes, lambda o: (FQ.sizes[o], FQ.sizes[o]),
         lambda name, source, j: {"generator": name, "index": j, "reason": "projection square"},
+        squared=1,
     )
 
 

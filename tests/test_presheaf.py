@@ -404,8 +404,10 @@ def test_coequaliser_comparison_catches_wrong_cocone(monkeypatch):
     ],
 )
 def test_comparisons_report_failed_squares(monkeypatch, kind, square_keys):
-    # Every comparison map reports one failed square, generator 0 at index
-    # 0, so each comparison must read its squares and fail on them.
+    # The fast accept rejects and every comparison map reports one failed
+    # square, generator 0 at index 0, so each comparison must read its
+    # squares and fail on them.
+    monkeypatch.setattr(presheaf, "_natural_on_generators", lambda F, G, singles: False)
     monkeypatch.setattr(presheaf, "_failed_squares", lambda phi: [(0, 0)])
     f = make_xmod_morphism(_mod2_xmod(), _id_xmod(), [0, 1, 0, 1])
     if kind == "product":
