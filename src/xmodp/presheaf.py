@@ -12,31 +12,38 @@ as a composite of generators, acts by evaluating its words.
 Morphisms become postcomposition families, also read off fiber positions:
 an assignment's index is the mixed-radix number of its entries' positions
 in their fibers.
+
+The inc squares force every natural transformation to act on pair(x, y)
+coordinatewise, so inside this module a transformation is its n single
+components.  Pair components are built from them, by _with_pairs, only at
+the public edge (enumerate_natural_transformations, functor_on_morphism)
+and when a failing comparison must check every object.  One function,
+_square_failures, checks the squares that can fail, the moves m[p,x] and
+the multiplications sigma[x,y]: run on the generators of P and of M it
+accepts exactly the natural maps, and run on all of P and M it lists
+every failed square.  check_naturality, which takes arbitrary pair
+components, scans every square of every generator (_failed_squares).
+
 Fullness and faithfulness are checked by comparing the crossed-module
 morphisms with the natural transformations, each set found by a complete
 search of groups._search on its own constraints: the morphisms from the
 group tables and actions, the transformations from the two presheaves
-alone.  The transformation variables are the entries of the single
-components; the search checks the squares of the moves m[p,x] and of the
-multiplications sigma[x,y].  Identity squares hold by definition, and the
-inc1/inc2 squares by construction, since every pair component is built
-coordinatewise from the single components (as naturality forces).
-Both searches charge the candidates they try to one Work meter, so the
-budget bounds their sum.
+alone (_natural_singles, whose variables are the entries of the single
+components).  Both searches charge the candidates they try to one Work
+meter, so the budget bounds their sum.
 
 Exactness is checked by comparing constructions objectwise, and
 verify-exact reads generators and single objects only.  Its comparison
-maps U(f) are natural when their move squares hold at the generators of P
-and their sigma squares at the generators of M (_natural_on_generators:
-the p and the b whose squares hold are closed under products), so only
-those maps of the presheaves are built.  Each comparison is checked at
-the n single objects, and when all of them pass, each pair row is written
-from the set sizes: every comparison acts on pair(x, y) as the product of
-its actions on x and on y, and a product of bijections is a bijection
-(the rules and their empty cases are proved in _comparison).  Only a
-failure, of a single object or of the fast accept, makes the comparison
-build pair components and check every object and every square, so that
-its report lists every failure.
+maps U(f) are single components, accepted by _square_failures on the
+generators of P and M, so only those maps of the presheaves are built.
+Each comparison is checked at the n single objects, and when all of them
+pass, each pair row is the product of the rows of its two singles: every
+comparison acts on pair(x, y) as the product of its actions on x and on
+y, and a product of bijections is a bijection (the rules and their empty
+cases are proved in _comparison).  Only a failure, of a single object or
+of the squares at the generators, makes the comparison check every object
+on pair components, or every square, so that its report lists every
+failure.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from operator import add
 
 from .errors import (
@@ -56,7 +63,7 @@ from .errors import (
     ReconstructionInvalidError,
     ShapeMismatchError,
 )
-from .groups import DEFAULT_BUDGET, _differences, _gather, _meter, _search
+from .groups import DEFAULT_BUDGET, Work, _differences, _gather, _meter, _search
 from .limits import coequaliser, equaliser, kernel_pair, product_over_P
 from .words import (
     Site,
@@ -210,9 +217,9 @@ def compute_presheaf(A: CrossedModule, site: Site | None = None) -> Presheaf:
     inc2 that of b.  Identity, inc1 and inc2 maps depend only on the set
     sizes, so they are made from ranges and repetition; identity maps of
     equal length share one tuple.  verify-exact reads only the maps of the
-    generators of P and of M (see _natural_on_generators), so on a large
-    base it builds a few of the |P| + 5|P|^2 maps; embed reads them all,
-    in one loop.
+    generators of P and of M (see _square_failures), so on a large base it
+    builds a few of the |P| + 5|P|^2 maps; embed reads them all, in one
+    loop.
     """
     site = site if site is not None else build_site(A.base)
     if site.base != A.base:
@@ -327,63 +334,64 @@ def check_naturality(phi: NaturalTransformation) -> tuple[tuple[str, int], ...]:
     return tuple((phi.source.site.name(k), j) for k, j in _failed_squares(phi))
 
 
-def _move(site: Site, p: int, x: int) -> int:
-    """The position of generator m[p,x] in site order (see words.Site)."""
-    return len(site.objects) + p * site.base.order + x
-
-
-def _sigma(site: Site, x: int, y: int) -> int:
-    """The position of generator sigma[x,y]; inc1[x,y] and inc2[x,y] follow."""
-    n = site.base.order
-    return len(site.objects) + n * n + 3 * (x * n + y)
-
-
-def _natural_on_generators(F: Presheaf, G: Presheaf, singles: Sequence[tuple[int, ...]]) -> bool:
-    """Whether the transformation F -> G with the single components
-    singles, acting on pairs coordinatewise, is natural.
+def _square_failures(
+    F: Presheaf, G: Presheaf, singles: Sequence[tuple[int, ...]], ps: Iterable[int], bs: Iterable[int]
+) -> list[tuple[int, int]]:
+    """Failed squares, as (generator, target-set index), of the move
+    squares m[p,x] for p in ps and the sigma squares at (a, b) for b in bs
+    of the transformation F -> G with the single components singles,
+    acting on pairs coordinatewise.
 
     Write c for the element map of the singles, c(a) the element of G's
     fiber over x = boundary(a) at position singles[x][pos a].  Identity
     squares hold by definition, and inc squares by the coordinatewise
-    rule (see enumerate_natural_transformations).  The square of m[p,x]
-    at a over x says c(p.a) == p.c(a), and that of sigma[x,y] at (a, b)
-    says c(ab) == c(a)c(b), as fiber positions name elements.  Both are
-    checked on generators only, which is exact:
+    rule (see enumerate_natural_transformations), so these are the only
+    squares that can fail.  The square of m[p,x] at a over x says c(p.a)
+    == p.c(a), and that of sigma[x,y] at (a, b) says c(ab) == c(a)c(b), as
+    fiber positions name elements.  Run on ps = range(|P|) and bs =
+    range(|M|) it lists every failed square, each once: every b of a
+    nonempty fiber over y is some b.  Run on ps = base._gens and bs =
+    M._gens it finds nothing exactly when that list is empty:
     - the p whose move squares hold for every a are closed under
       products, as m[qp,x] is m[q,.] after m[p,x]: c(qp.a) = q.c(p.a) =
-      q.p.c(a) = qp.c(a).  They hold for the p of base._gens, so for
-      every p of P;
+      q.p.c(a) = qp.c(a).  So when they hold for the p of base._gens,
+      they hold for every p of P;
     - the b whose sigma squares hold for every a are closed under
       products: c(abb') = c(ab)c(b') = c(a)c(b)c(b') = c(a)c(bb'), the
-      last step being the square at (b, b').  They hold for the b of
-      M._gens, so for every b of M: _generating_set never returns an
-      empty set, so even the identity is a product of generators.
+      last step being the square at (b, b').  So when they hold for the b
+      of M._gens, they hold for every b of M: _generating_set never
+      returns an empty set, so even the identity is a product of
+      generators.
     Squares over an empty fiber hold vacuously and are skipped.  Each
     check compares two gathered tuples: a move square over all of F_x at
     once, and a sigma square at b over the a of F_x, through the columns
-    act_F[pos b::|F_y|] and act_G[c(b)::|G_y|] of the two sigma maps.
-    So only the maps of those generators are read, and built.
+    act_F[pos b::|F_y|] and act_G[c(b)::|G_y|] of the two sigma maps.  So
+    only the maps of those generators are read, and built, and only where
+    the two tuples differ are their entries compared.
     """
     site = F.site
-    base = site.base
-    n = base.order
-    for p in base._gens:
+    n = site.base.order
+    bad = []
+    for p in ps:
         for x in range(n):
             if F.sizes[x]:
-                k = _move(site, p, x)
-                if _gather(F.actions[k])(singles[site.sources[k]]) != _gather(singles[x])(G.actions[k]):
-                    return False
+                k = site.move(p, x)
+                left = _gather(F.actions[k])(singles[site.sources[k]])
+                right = _gather(singles[x])(G.actions[k])
+                if left != right:
+                    bad.extend((k, j) for j in _differences(left, right))
     boundary = F.xmod.boundary.image
-    for b in F.xmod.group._gens:
+    for b in bs:
         y, ib = boundary[b], F.pos[b]
         ic, nf, ng = singles[y][ib], F.sizes[y], G.sizes[y]
         for x in range(n):
             if F.sizes[x]:
-                k = _sigma(site, x, y)
+                k = site.sigma(x, y)
                 left = _gather(F.actions[k][ib::nf])(singles[site.sources[k]])
-                if left != _gather(singles[x])(G.actions[k][ic::ng]):
-                    return False
-    return True
+                right = _gather(singles[x])(G.actions[k][ic::ng])
+                if left != right:
+                    bad.extend((k, ia * nf + ib) for ia in _differences(left, right))
+    return bad
 
 
 def _with_pairs(singles: Sequence[tuple[int, ...]], G: Presheaf) -> tuple[tuple[int, ...], ...]:
@@ -404,15 +412,25 @@ def _with_pairs(singles: Sequence[tuple[int, ...]], G: Presheaf) -> tuple[tuple[
 def enumerate_natural_transformations(
     F: Presheaf, G: Presheaf, budget: int = DEFAULT_BUDGET
 ) -> tuple[NaturalTransformation, ...]:
-    """All natural maps F -> G, found by groups._search.
+    """All natural maps F -> G, in lexicographic order of their single
+    components: those _natural_singles finds, with the pair components
+    _with_pairs builds from them.  Every candidate a node of the search
+    holds is charged to the budget, or to the Work meter of an enclosing
+    call."""
+    return tuple(NaturalTransformation(F, G, _with_pairs(s, G)) for s in _natural_singles(F, G, _meter(budget)))
+
+
+def _natural_singles(F: Presheaf, G: Presheaf, work: Work) -> list[list[tuple[int, ...]]]:
+    """The single components of every natural map F -> G, found by
+    groups._search; a natural map is fixed by them.
 
     The variables are the entries of the single components, entry i of
     single(x) being variable start[x] + i, with candidates range(|G_x|):
     they are assigned in site order, so the transformations come out in
-    lexicographic order of their single components.  The pair components
-    are built from them coordinatewise by _with_pairs, and the search
-    checks the squares that can fail, reading only the maps of the moves
-    and multiplications, as two slices by position:
+    lexicographic order of their single components.  Each acts on pairs
+    coordinatewise, and the search checks the squares that can fail,
+    reading only the maps of the moves and multiplications, as two slices
+    by position:
     - m[p,x], from single(s) to single(t), carries entry j of F_t to
       entry act_F[j] of F_s, so its square at j is the move
       (start[t] + j, start[s] + act_F[j], act_G);
@@ -428,8 +446,7 @@ def enumerate_natural_transformations(
     coordinatewise one, so the search misses nothing.  Only the two
     presheaves are read, never the crossed-module morphisms, so
     verify_full_faithful compares two independently computed sets.  Every
-    candidate a node of the search holds is charged to the budget, or to
-    the Work meter of an enclosing call.
+    candidate a node of the search holds is charged to work.
     """
     site = F.site
     n = site.base.order
@@ -437,11 +454,11 @@ def enumerate_natural_transformations(
     start = list(itertools.accumulate(F.sizes[:n], initial=0))
     candidates = [range(G.sizes[x]) for x in range(n) for _ in range(F.sizes[x])]
     grid = list(itertools.product(range(n), repeat=2))
-    at = slice(_move(site, 0, 0), _move(site, n - 1, n - 1) + 1)
+    at = slice(site.move(0, 0), site.move(n - 1, n - 1) + 1)
     moves = []
     for (_, x), s, act_F, act_G in zip(grid, site.sources[at], F.actions[at], G.actions[at]):
         moves += [(start[x] + j, start[s] + i, act_G) for j, i in enumerate(act_F)]
-    at = slice(_sigma(site, 0, 0), _sigma(site, n - 1, n - 1) + 1, 3)
+    at = slice(site.sigma(0, 0), site.sigma(n - 1, n - 1) + 1, 3)
     products = []
     for (x, y), s, act_F, act_G in zip(grid, site.sources[at], F.actions[at], G.actions[at]):
         nf, ng = F.sizes[y], G.sizes[y]
@@ -449,10 +466,9 @@ def enumerate_natural_transformations(
         products += [
             (start[x] + j // nf, start[y] + j % nf, start[s] + i, rows) for j, i in enumerate(act_F)
         ]
-    return tuple(
-        NaturalTransformation(F, G, _with_pairs([img[start[x] : start[x + 1]] for x in range(n)], G))
-        for img in _search(candidates, products, moves, _meter(budget), what)
-    )
+    return [
+        [img[start[x] : start[x + 1]] for x in range(n)] for img in _search(candidates, products, moves, work, what)
+    ]
 
 
 def functor_on_morphism(f: XModMorphism, F: Presheaf, G: Presheaf) -> NaturalTransformation:
@@ -462,7 +478,8 @@ def functor_on_morphism(f: XModMorphism, F: Presheaf, G: Presheaf) -> NaturalTra
     for its source and target.  f respects boundaries, so it carries the
     single assignment (a,) of x to (f(a),), whose index in G is G.pos[f(a)],
     and the pair assignment (a, b) to (f(a), f(b)): U(f) acts on pairs
-    coordinatewise, and _with_pairs builds its pair components.  No
+    coordinatewise, and _with_pairs builds its pair components from
+    _single_components; the library's own checks read the singles only.  No
     assignment tuple is built and no index is read.  The boundaries are
     checked once over f.mapping, so a map that does not respect them
     raises instead of giving wrong components.
@@ -484,14 +501,13 @@ def _single_components(f: XModMorphism, F: Presheaf, G: Presheaf) -> list[tuple[
     return [tuple([G.pos[f.mapping[a]] for a in F.fibers[x]]) for x in range(A.base.order)]
 
 
-def _reconstruct(phi: NaturalTransformation) -> XModMorphism:
-    """The element map of phi's single components, validated as a morphism;
-    phi's naturality is the caller's to know."""
-    F, G = phi.source, phi.target
+def _reconstruct(F: Presheaf, G: Presheaf, singles: Sequence[tuple[int, ...]]) -> XModMorphism:
+    """The element map of the single components singles of a map F -> G,
+    validated as a morphism; its naturality is the caller's to know."""
     A, B = F.xmod, G.xmod
     mapping = [0] * A.group.order
     for x in range(A.base.order):
-        for a, j in zip(F.fibers[x], phi.components[x]):
+        for a, j in zip(F.fibers[x], singles[x]):
             mapping[a] = G.fibers[x][j]
     violations = validate_morphism(A, B, mapping)
     if violations:
@@ -511,7 +527,7 @@ def reconstruct_morphism(phi: NaturalTransformation) -> XModMorphism:
     bad = check_naturality(phi)
     if bad:
         raise NotNaturalError(f"{len(bad)} naturality squares fail, first at {bad[0]}")
-    return _reconstruct(phi)
+    return _reconstruct(phi.source, phi.target, phi.components)
 
 
 def verify_full_faithful(
@@ -527,20 +543,19 @@ def verify_full_faithful(
     round trips must be identities, and distinct morphisms must stay
     distinct, each separated by a single-label assignment.
 
-    Both sides are read back through _reconstruct, which validates the
-    element map but does not re-check naturality: the search checked the
-    move and sigma squares of every transformation it returns, and the
-    identity and inc squares hold by construction (see
-    enumerate_natural_transformations), and no image U(f) needs a check
-    of its own.  When the report passes, the counts are
-    equal, U is injective on the homs, and every natural transformation
-    reconstructs to a valid morphism that U carries back to it, so the
-    transformations lie in U(homs) and, the two sets having the same size,
-    U(homs) is exactly the set of natural transformations.  Every
-    transformation compared here, searched or U(f), has its pair
-    components built coordinatewise from its single components by
-    _with_pairs, so round trips and injectivity are compared on the single
-    components.  Both searches charge one meter, so the budget bounds
+    A transformation is its single components here, for the inc squares
+    force it to act on pairs coordinatewise: the searched ones come from
+    _natural_singles, the images U(f) from _single_components, and no pair
+    component is built.  Both sides are read back through _reconstruct,
+    which validates the element map but does not re-check naturality: the
+    search checked the move and sigma squares of every transformation it
+    returns, and the identity and inc squares hold by construction (see
+    _natural_singles), and no image U(f) needs a check of its own.  When
+    the report passes, the counts are equal, U is injective on the homs,
+    and every natural transformation reconstructs to a valid morphism that
+    U carries back to it, so the transformations lie in U(homs) and, the
+    two sets having the same size, U(homs) is exactly the set of natural
+    transformations.  Both searches charge one meter, so the budget bounds
     their sum.  When B is A, one presheaf serves as both F and G.
     """
     site = site if site is not None else build_site(A.base)
@@ -548,18 +563,11 @@ def verify_full_faithful(
     G = F if B is A else compute_presheaf(B, site)
     work = _meter(budget)
     homs = enumerate_morphisms(A, B, budget=work)
-    nats = enumerate_natural_transformations(F, G, budget=work)
-    images = [functor_on_morphism(f, F, G) for f in homs]
-
-    def single_components(phi: NaturalTransformation) -> tuple[tuple[int, ...], ...]:
-        return phi.components[: A.base.order]
-
-    round_trip_hom = all(_reconstruct(phi).mapping == f.mapping for f, phi in zip(homs, images))
-    round_trip_nat = all(
-        single_components(functor_on_morphism(_reconstruct(phi), F, G)) == single_components(phi)
-        for phi in nats
-    )
-    image_keys = {single_components(phi) for phi in images}
+    nats = _natural_singles(F, G, work)
+    images = [_single_components(f, F, G) for f in homs]
+    round_trip_hom = all(_reconstruct(F, G, s).mapping == f.mapping for f, s in zip(homs, images))
+    round_trip_nat = all(_single_components(_reconstruct(F, G, s), F, G) == s for s in nats)
+    image_keys = set(map(tuple, images))
     separated = 0
     for i in range(len(homs)):
         for j in range(i + 1, len(homs)):
@@ -570,7 +578,7 @@ def verify_full_faithful(
             if a is None:
                 continue
             x = A.boundary.image[a]
-            if images[i].components[x][F.pos[a]] != images[j].components[x][F.pos[a]]:
+            if images[i][x][F.pos[a]] != images[j][x][F.pos[a]]:
                 separated += 1
     expected_separations = len(homs) * (len(homs) - 1) // 2
     ok = (
@@ -600,37 +608,36 @@ def _comparison(
     site: Site,
     maps: Sequence[tuple[XModMorphism, Presheaf, Presheaf]],
     check_object: Callable[[int, Sequence[Sequence[tuple[int, ...]]]], tuple[int, int, dict | None]],
-    pair_sides: Callable[[int], tuple[int, int]],
     square_failure: Callable[[str, SiteObject, int], dict],
     squared: int | None = None,
 ) -> dict:
     """Report of an exactness comparison: one row per site object, then squares.
 
-    The legs are the images U(f) of the maps (f, F, G), so their shapes
-    need no check.  check_object(o, comps) returns the two sizes it
-    compared at the object at position o and, when the comparison there
-    fails, the failure fields after "object"; comps[i] holds the
-    components of leg i, indexed by position.  The squares are the
-    naturality squares of the first squared legs (all by default), all out
-    of one presheaf; each failure is reported by square_failure(generator
-    name, its source object, index).
+    The legs are the images U(f) of the maps (f, F, G), held as their
+    single components, so their shapes need no check.  check_object(o,
+    comps) returns the two sizes it compared at the object at position o
+    and, when the comparison there fails, the failure fields after
+    "object"; comps[i] holds the components of leg i, indexed by position.
+    The squares are the naturality squares of the first squared legs (all
+    by default), all out of one presheaf; each failure is reported by
+    square_failure(generator name, its source object, index).
 
     Only the n single objects are checked.  When all of them pass, the
-    row of pair(x, y) is (*pair_sides(o), ok), with no pair component
-    built, for every comparison acts on a pair as the product of its
-    actions on x and on y:
+    row of pair(x, y) is (lhs_x lhs_y, rhs_x rhs_y, ok), with no pair
+    component built.  Every comparison acts on a pair as the product of
+    its actions on x and on y, and compares sets whose sizes are products
+    of the sizes at x and y; a product of bijections is a bijection:
     - product: the pairing at pair(x, y) is h_x x h_y, with h_x: X_x ->
       A_x x B_x the pairing at x, up to the reordering (A_x x A_y) x
-      (B_x x B_y) = (A_x x B_x) x (A_y x B_y).  A product of two maps f x g
-      is a bijection iff both factors are or both product sets are empty;
-      here both singles pass, so both factors are bijections and so is h_x
-      x h_y, and the row is (|X_o|, |A_o| |B_o|).  Empty case: when X_x
-      is empty, so is A_x x B_x, as h_x is a bijection, and the row is (0,
-      0), which the check passes with no cell to hit;
+      (B_x x B_y) = (A_x x B_x) x (A_y x B_y).  So the sides are |X_x| |X_y|
+      and |A_x| |B_x| |A_y| |B_y|, and h_x x h_y is a bijection, as both
+      factors are.  Empty case: when X_x is empty, so is A_x x B_x, as h_x
+      is a bijection, and the row is (0, 0), which the check passes with
+      no cell to hit;
     - equaliser: the agreeing pairs are the products of agreeing singles,
       and the inclusion at pair(x, y) is the product of the inclusions at
       x and y, bijections onto the agreeing singles; so it is a bijection
-      onto the agreeing pairs, and both sides are |E_o|.  Empty case:
+      onto the agreeing pairs, and both sides are |E_x| |E_y|.  Empty case:
       when E_x is empty so is the agreeing set at x, and both sides are 0;
     - coequaliser: the relation at an object is generated by the pairs
       (k1 z, k2 z) over the kernel pair's assignments z, and at pair(x, y)
@@ -641,29 +648,28 @@ def _comparison(
       while the other stays put by reflexivity.  So the classes at pair(x,
       y) are the products of classes at x and y, and the projection, which
       acts coordinatewise, is well defined, injective and onto on them
-      when it is so at x and at y; both sides are |Q_o|.  Empty case: when
-      B_x is empty there are no classes at x, so Q_x is empty, as the
-      projection is onto it, and both sides are 0.
+      when it is so at x and at y; both sides are |Q_x| |Q_y|.  Empty
+      case: when B_x is empty there are no classes at x, so Q_x is empty,
+      as the projection is onto it, and both sides are 0.
     The converse does not hold (a pair with an empty factor passes even
     when its other single fails), so when any single fails, every pair
     is checked by check_object on components built by _with_pairs, and
     the rows are those of a check of every object.
 
-    The squares are accepted by _natural_on_generators, which reads only
-    generators' maps; only when it rejects a leg are the pair components
-    built and every square read, by _failed_squares, to list the failures
-    in generator order, then by index.
+    The squares are accepted when _square_failures finds none at the
+    generators of P and of M, the source's group; only when it finds one
+    does it run on all of P and M, which lists every failure, in generator
+    order, then by index.
     """
     n = site.base.order
     legs = [(F, G, _single_components(f, F, G)) for f, F, G in maps]
     singles = [comps for *_, comps in legs]
     rows = [check_object(o, singles) for o in range(n)]
-    pairs = range(n, len(site.objects))
     if all(failure is None for *_, failure in rows):
-        rows += [(*pair_sides(o), None) for o in pairs]
+        rows += [(lx * ly, rx * ry, None) for (lx, rx, _), (ly, ry, _) in itertools.product(rows, repeat=2)]
     else:
         whole = [_with_pairs(comps, G) for _, G, comps in legs]
-        rows += [check_object(o, whole) for o in pairs]
+        rows += [check_object(o, whole) for o in range(n, len(site.objects))]
     objects = []
     failures = []
     for o, (lhs, rhs, failure) in zip(site.objects, rows):
@@ -671,9 +677,9 @@ def _comparison(
         if failure is not None:
             failures.append({"object": o.describe(), **failure})
     natural = legs[:squared]
-    if not all(_natural_on_generators(*leg) for leg in natural):
-        phis = [NaturalTransformation(F, G, _with_pairs(comps, G)) for F, G, comps in natural]
-        for k, j in sorted(set().union(*map(_failed_squares, phis))):
+    if any(_square_failures(F, G, comps, site.base._gens, F.xmod.group._gens) for F, G, comps in natural):
+        every = (_square_failures(F, G, comps, range(n), range(F.xmod.group.order)) for F, G, comps in natural)
+        for k, j in sorted(set().union(*every)):
             failures.append(square_failure(site.name(k), site.objects[site.sources[k]], j))
     return {
         "kind": kind,
@@ -707,8 +713,7 @@ def _verify_product_preserved(A: CrossedModule, B: CrossedModule, site: Site) ->
         return size, full, None if ok else {"reason": "pairing is not a bijection"}
 
     return _comparison(
-        "product", cone.apex, site, [(cone.legs[0], FX, FA), (cone.legs[1], FX, FB)], pairing,
-        lambda o: (FX.sizes[o], FA.sizes[o] * FB.sizes[o]), _square_at_source,
+        "product", cone.apex, site, [(cone.legs[0], FX, FA), (cone.legs[1], FX, FB)], pairing, _square_at_source
     )
 
 
@@ -730,8 +735,7 @@ def _verify_equaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) ->
         return len(mapped), len(agree), None if ok else {"reason": "comparison is not a bijection"}
 
     return _comparison(
-        "equaliser", cone.apex, site, [(cone.legs[0], FE, FC)], inclusion,
-        lambda o: (FE.sizes[o], FE.sizes[o]), _square_at_source,
+        "equaliser", cone.apex, site, [(cone.legs[0], FE, FC)], inclusion, _square_at_source
     )
 
 
@@ -782,7 +786,7 @@ def _verify_coequaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) 
 
     maps = [(cocone.legs[0], FB, FQ), *((leg, FK, FB) for leg in kp.legs)]
     return _comparison(
-        "coequaliser", cocone.apex, site, maps, classes, lambda o: (FQ.sizes[o], FQ.sizes[o]),
+        "coequaliser", cocone.apex, site, maps, classes,
         lambda name, source, j: {"generator": name, "index": j, "reason": "projection square"},
         squared=1,
     )

@@ -311,7 +311,9 @@ class Site:
     single(xy) -> pair(x,y) with word g0 * g1 and the injections inc1 and
     inc2 with words g0 and g1.  Generator k is the record families[k], one
     of ("id",), ("m", p, x), ("sigma", x, y), ("inc1", x, y) or
-    ("inc2", x, y), with the object positions sources[k] and targets[k].
+    ("inc2", x, y), with the object positions sources[k] and targets[k];
+    position(o), move(p, x) and sigma(x, y) compute positions from this
+    layout, so no other module re-derives it.
 
     Names, free objects, words and SiteMorphisms are made from a record
     only when asked for: name(k), free(i), morphism(k), and the views
@@ -343,6 +345,15 @@ class Site:
         if 0 <= i < len(self.objects) and self.objects[i] == o:
             return i
         raise IndexOutOfRangeError(f"object {o.describe()} is not in the site")
+
+    def move(self, p: int, x: int) -> int:
+        """The position of generator m[p,x]."""
+        return len(self.objects) + p * self.base.order + x
+
+    def sigma(self, x: int, y: int) -> int:
+        """The position of generator sigma[x,y]; inc1[x,y] and inc2[x,y] follow."""
+        n = self.base.order
+        return len(self.objects) + n * n + 3 * (x * n + y)
 
     def free(self, i: int) -> FreeObject:
         xs = self.objects[i].xs

@@ -4,8 +4,10 @@ A presheaf builds each generator map the first time it is read, and
 iterating it builds the rest in one loop; the lazy maps are compared
 here with a copy of the eager loop they replaced.  The comparison maps
 U(f) are accepted by their move squares at the generators of P and their
-sigma squares at the generators of M (presheaf._natural_on_generators),
-which must accept exactly when the scan of every square finds nothing.
+sigma squares at the generators of M (presheaf._square_failures run on
+the generators), which must find nothing exactly when the scan of every
+square (presheaf._failed_squares, the oracle) finds nothing; run on all
+of P and M it must list what the scan lists.
 When every single object passes, each pair row of a comparison is
 written from the set sizes; those rows must equal the per-object check,
 written out below from the assignment tuples, on every catalogue pair
@@ -26,10 +28,8 @@ from xmodp.limits import Cone, coequaliser, default_catalogue, equaliser, kernel
 from xmodp.presheaf import (
     NaturalTransformation,
     _failed_squares,
-    _move,
-    _natural_on_generators,
-    _sigma,
     _single_components,
+    _square_failures,
     _with_pairs,
     compute_presheaf,
     functor_on_morphism,
@@ -106,8 +106,8 @@ def test_generator_positions_follow_the_site_layout():
         site = build_site(base)
         n = base.order
         for p, x in itertools.product(range(n), repeat=2):
-            assert site.families[_move(site, p, x)] == ("m", p, x)
-            k = _sigma(site, p, x)
+            assert site.families[site.move(p, x)] == ("m", p, x)
+            k = site.sigma(p, x)
             assert site.families[k : k + 3] == (("sigma", p, x), ("inc1", p, x), ("inc2", p, x))
 
 
@@ -138,12 +138,22 @@ def _perturbed_case(data):
     return F, G, singles
 
 
+def _agrees_with_the_scan(F, G, singles):
+    """Assert that _square_failures lists, over all of P and M, each square
+    the scan of every square finds, once, and finds nothing on the
+    generators exactly when the scan finds nothing; return the scan's
+    list."""
+    bad = _failed_squares(NaturalTransformation(F, G, _with_pairs(singles, G)))
+    every = _square_failures(F, G, singles, range(F.site.base.order), range(F.xmod.group.order))
+    assert sorted(every) == sorted(set(every)) == sorted(bad)
+    assert (not _square_failures(F, G, singles, F.site.base._gens, F.xmod.group._gens)) == (not bad)
+    return bad
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_fast_accept_holds_exactly_when_no_square_fails(data):
-    F, G, singles = _perturbed_case(data)
-    phi = NaturalTransformation(F, G, _with_pairs(singles, G))
-    assert _natural_on_generators(F, G, singles) == (not _failed_squares(phi))
+    _agrees_with_the_scan(*_perturbed_case(data))
 
 
 def test_fast_accept_is_exact_on_every_one_entry_perturbation_over_s3():
@@ -159,8 +169,7 @@ def test_fast_accept_is_exact_on_every_one_entry_perturbation_over_s3():
             for x in range(S3.order):
                 for i, v in itertools.product(range(F.sizes[x]), range(G.sizes[x])):
                     moved = [*singles[:x], (*singles[x][:i], v, *singles[x][i + 1 :]), *singles[x + 1 :]]
-                    bad = _failed_squares(NaturalTransformation(F, G, _with_pairs(moved, G)))
-                    assert _natural_on_generators(F, G, moved) == (not bad)
+                    bad = _agrees_with_the_scan(F, G, moved)
                     checked += 1
                     rejected += bool(bad)
     assert checked > 1000 and 0 < rejected < checked

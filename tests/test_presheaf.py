@@ -404,11 +404,10 @@ def test_coequaliser_comparison_catches_wrong_cocone(monkeypatch):
     ],
 )
 def test_comparisons_report_failed_squares(monkeypatch, kind, square_keys):
-    # The fast accept rejects and every comparison map reports one failed
-    # square, generator 0 at index 0, so each comparison must read its
-    # squares and fail on them.
-    monkeypatch.setattr(presheaf, "_natural_on_generators", lambda F, G, singles: False)
-    monkeypatch.setattr(presheaf, "_failed_squares", lambda phi: [(0, 0)])
+    # The square check reports one failed square, generator 0 at index 0,
+    # for every comparison map, on the generators and on the whole range
+    # alike, so each comparison must read its squares and fail on them.
+    monkeypatch.setattr(presheaf, "_square_failures", lambda F, G, singles, ps, bs: [(0, 0)])
     f = make_xmod_morphism(_mod2_xmod(), _id_xmod(), [0, 1, 0, 1])
     if kind == "product":
         report = verify_exactness_preservation("product", A=f.source, B=f.target)

@@ -242,13 +242,14 @@ def _swapped_identity(F):
 def test_private_reconstruction_still_validates_the_morphism():
     F = compute_presheaf(_mod2_xmod())
     with pytest.raises(ReconstructionInvalidError):
-        presheaf._reconstruct(_swapped_identity(F))
+        presheaf._reconstruct(F, F, _swapped_identity(F).components[: F.site.base.order])
 
 
 def test_verify_full_faithful_validates_what_it_reconstructs(monkeypatch):
     A = _mod2_xmod()
     F = compute_presheaf(A)
-    monkeypatch.setattr(presheaf, "enumerate_natural_transformations", lambda *args, **kw: (_swapped_identity(F),))
+    singles = list(_swapped_identity(F).components[: A.base.order])
+    monkeypatch.setattr(presheaf, "_natural_singles", lambda *args: [singles])
     with pytest.raises(ReconstructionInvalidError):
         verify_full_faithful(A, A, site=F.site)
 
