@@ -130,6 +130,9 @@ class _Actions(Sequence):
             return maps[k]
         image = maps[k]
         if image is None:
+            # maps[k] has raised IndexError for any k out of range, and the
+            # build reads a position, so a negative k counts from the end.
+            k %= len(maps)
             image = maps[k] = next(self._build((k,)))
         return image
 
@@ -182,8 +185,8 @@ def presheaf_action(F: Presheaf, m: SiteMorphism) -> tuple[int, ...]:
     """
     A, site = F.xmod, F.site
     source, target = site.position(m.source), site.position(m.target)
-    omega = site.objects[target].xs
-    xs = site.objects[source].xs
+    omega = site.object(target).xs
+    xs = site.object(source).xs
     if len(m.words) != len(xs):
         raise ShapeMismatchError(f"{m.name}: wrong number of words")
     for w, x in zip(m.words, xs):
@@ -211,14 +214,16 @@ def compute_presheaf(A: CrossedModule, site: Site | None = None) -> Presheaf:
     its fibers, in the lexicographic order hom_set gives; only its size is
     stored, in site order (single(x) at x, then pair(x, y) at n + x n + y),
     and the tuples are built only if F.sets is read.  Each generator's
-    index map is built when it is first read, off fiber positions by the
-    closed form of its family: on target assignment (a) or (a, b), m[p,x]
-    gives the position of p.a, sigma[x,y] that of ab, inc1 that of a and
-    inc2 that of b.  Identity, inc1 and inc2 maps depend only on the set
-    sizes, so they are made from ranges and repetition; identity maps of
-    equal length share one tuple.  verify-exact reads only the maps of the
-    generators of P and of M (see _square_failures), so on a large base it
-    builds a few of the |P| + 5|P|^2 maps; embed reads them all, in one
+    index map is built when it is first read, by one kernel: it decodes
+    the generator's family and indices from its position (Site.decode) and
+    reads the map off fiber positions by the closed form of the family: on
+    target assignment (a) or (a, b), m[p,x] gives the position of p.a,
+    sigma[x,y] that of ab, inc1 that of a and inc2 that of b.  Identity,
+    inc1 and inc2 maps depend only on set sizes, so each is made once from
+    ranges and repetition and shared: identity maps per set size, inc1 and
+    inc2 maps per pair of fiber sizes.  verify-exact reads only the maps of
+    the generators of P and of M (see _square_failures), so on a large base
+    it builds a few of the |P| + 5|P|^2 maps; embed reads them all, in one
     loop.
     """
     site = site if site is not None else build_site(A.base)
@@ -228,34 +233,37 @@ def compute_presheaf(A: CrossedModule, site: Site | None = None) -> Presheaf:
     lens = [len(f) for f in fibers]
     sizes = (*lens, *(i * j for i in lens for j in lens))
     act, tab = A.action.table, A.group.table
-    families, sources = site.families, site.sources
-    identities: dict[int, tuple[int, ...]] = {}
+    shared: dict[tuple[str, int, int], tuple[int, ...]] = {}
 
     def build(ks: Sequence[int]) -> Iterator[tuple[int, ...]]:
-        for k in ks:
-            family, *args = families[k]
-            if family == "id":
-                size = sizes[sources[k]]
-                if size not in identities:
-                    identities[size] = tuple(range(size))
-                yield identities[size]
-            elif family == "m":
-                p, x = args
-                row = act[p]
-                yield tuple(pos[row[a]] for a in fibers[x])
+        for family, a, b in site.decode(ks):
+            if family == "m":
+                row = act[a]
+                yield tuple([pos[row[e]] for e in fibers[b]])
+            elif family == "sigma":
+                yield tuple([pos[row[e]] for row in map(tab.__getitem__, fibers[a]) for e in fibers[b]])
             else:
-                x, y = args
-                fx, fy = fibers[x], fibers[y]
-                if family == "sigma":
-                    yield tuple(pos[tab[a][b]] for a in fx for b in fy)
-                elif family == "inc1":
-                    yield tuple(itertools.chain.from_iterable(
-                        map(itertools.repeat, range(len(fx)), itertools.repeat(len(fy)))
-                    ))
-                else:
-                    yield tuple(range(len(fy))) * len(fx)
+                # Set sizes alone fix these: the identity on object a's set,
+                # or the projection of a pair of fibers of sizes lens[a] and
+                # lens[b] onto one of them.
+                key = ("id", sizes[a], 0) if family == "id" else (family, lens[a], lens[b])
+                image = shared.get(key)
+                if image is None:
+                    image = shared[key] = _size_map(*key)
+                yield image
 
-    return Presheaf(site, A, fibers, pos, sizes, _Actions(build, len(families)))
+    return Presheaf(site, A, fibers, pos, sizes, _Actions(build, site.generator_count))
+
+
+def _size_map(family: str, i: int, j: int) -> tuple[int, ...]:
+    """The index map of an identity on a set of size i, or of inc1 or
+    inc2 out of fibers of sizes i and j: entry ia * j + ib goes to ia, or
+    to ib."""
+    if family == "id":
+        return tuple(range(i))
+    if family == "inc1":
+        return tuple(itertools.chain.from_iterable(map(itertools.repeat, range(i), itertools.repeat(j))))
+    return tuple(range(j)) * i
 
 
 def presheaf_composition_violations(F: Presheaf) -> tuple[tuple[str, str], ...]:
@@ -367,16 +375,19 @@ def _square_failures(
     once, and a sigma square at b over the a of F_x, through the columns
     act_F[pos b::|F_y|] and act_G[c(b)::|G_y|] of the two sigma maps.  So
     only the maps of those generators are read, and built, and only where
-    the two tuples differ are their entries compared.
+    the two tuples differ are their entries compared; their sources are
+    read off the base, as p x p^-1 and xy, so no per-generator tuple of the
+    site is built.
     """
     site = F.site
-    n = site.base.order
+    base = site.base
+    n = base.order
     bad = []
     for p in ps:
         for x in range(n):
             if F.sizes[x]:
                 k = site.move(p, x)
-                left = _gather(F.actions[k])(singles[site.sources[k]])
+                left = _gather(F.actions[k])(singles[base.conj(p, x)])
                 right = _gather(singles[x])(G.actions[k])
                 if left != right:
                     bad.extend((k, j) for j in _differences(left, right))
@@ -387,7 +398,7 @@ def _square_failures(
         for x in range(n):
             if F.sizes[x]:
                 k = site.sigma(x, y)
-                left = _gather(F.actions[k][ib::nf])(singles[site.sources[k]])
+                left = _gather(F.actions[k][ib::nf])(singles[base.table[x][y]])
                 right = _gather(singles[x])(G.actions[k][ic::ng])
                 if left != right:
                     bad.extend((k, ia * nf + ib) for ia in _differences(left, right))
@@ -430,7 +441,8 @@ def _natural_singles(F: Presheaf, G: Presheaf, work: Work) -> list[list[tuple[in
     lexicographic order of their single components.  Each acts on pairs
     coordinatewise, and the search checks the squares that can fail,
     reading only the maps of the moves and multiplications, as two slices
-    by position:
+    by position, and their sources off the base (s = p x p^-1 for m[p,x]
+    and s = xy for sigma[x,y]):
     - m[p,x], from single(s) to single(t), carries entry j of F_t to
       entry act_F[j] of F_s, so its square at j is the move
       (start[t] + j, start[s] + act_F[j], act_G);
@@ -449,19 +461,21 @@ def _natural_singles(F: Presheaf, G: Presheaf, work: Work) -> list[list[tuple[in
     candidate a node of the search holds is charged to work.
     """
     site = F.site
-    n = site.base.order
+    base = site.base
+    n = base.order
     what = f"natural transformation search {F.xmod.name} -> {G.xmod.name}"
     start = list(itertools.accumulate(F.sizes[:n], initial=0))
     candidates = [range(G.sizes[x]) for x in range(n) for _ in range(F.sizes[x])]
     grid = list(itertools.product(range(n), repeat=2))
     at = slice(site.move(0, 0), site.move(n - 1, n - 1) + 1)
     moves = []
-    for (_, x), s, act_F, act_G in zip(grid, site.sources[at], F.actions[at], G.actions[at]):
+    for (p, x), act_F, act_G in zip(grid, F.actions[at], G.actions[at]):
+        s = base.conj(p, x)
         moves += [(start[x] + j, start[s] + i, act_G) for j, i in enumerate(act_F)]
     at = slice(site.sigma(0, 0), site.sigma(n - 1, n - 1) + 1, 3)
     products = []
-    for (x, y), s, act_F, act_G in zip(grid, site.sources[at], F.actions[at], G.actions[at]):
-        nf, ng = F.sizes[y], G.sizes[y]
+    for (x, y), act_F, act_G in zip(grid, F.actions[at], G.actions[at]):
+        s, nf, ng = base.table[x][y], F.sizes[y], G.sizes[y]
         rows = [act_G[u * ng : (u + 1) * ng] for u in range(G.sizes[x])]
         products += [
             (start[x] + j // nf, start[y] + j % nf, start[s] + i, rows) for j, i in enumerate(act_F)
@@ -669,24 +683,28 @@ def _comparison(
         rows += [(lx * ly, rx * ry, None) for (lx, rx, _), (ly, ry, _) in itertools.product(rows, repeat=2)]
     else:
         whole = [_with_pairs(comps, G) for _, G, comps in legs]
-        rows += [check_object(o, whole) for o in range(n, len(site.objects))]
+        rows += [check_object(o, whole) for o in range(n, site.object_count)]
     objects = []
     failures = []
-    for o, (lhs, rhs, failure) in zip(site.objects, rows):
-        objects.append({"object": o.describe(), "lhs_size": lhs, "rhs_size": rhs, "ok": failure is None})
+    for o, (lhs, rhs, failure) in zip(site.descriptions, rows):
+        objects.append({"object": o, "lhs_size": lhs, "rhs_size": rhs, "ok": failure is None})
         if failure is not None:
-            failures.append({"object": o.describe(), **failure})
+            failures.append({"object": o, **failure})
     natural = legs[:squared]
     if any(_square_failures(F, G, comps, site.base._gens, F.xmod.group._gens) for F, G, comps in natural):
         every = (_square_failures(F, G, comps, range(n), range(F.xmod.group.order)) for F, G, comps in natural)
         for k, j in sorted(set().union(*every)):
-            failures.append(square_failure(site.name(k), site.objects[site.sources[k]], j))
+            failures.append(square_failure(site.name(k), site.object(site.sources[k]), j))
+    # One square per generator and element of its target: each object's
+    # identity, n moves into each single, and sigma, inc1 and inc2 into
+    # each pair.
+    sizes = legs[0][0].sizes
     return {
         "kind": kind,
         "pass": not failures,
         "apex": apex.name,
         "objects": objects,
-        "squares_checked": sum(map(legs[0][0].sizes.__getitem__, site.targets)),
+        "squares_checked": sum(sizes) + n * sum(sizes[:n]) + 3 * sum(sizes[n:]),
         "failures": failures,
     }
 
@@ -728,7 +746,7 @@ def _verify_equaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) ->
 
     def inclusion(o: int, comps: Sequence[Sequence[tuple[int, ...]]]) -> tuple[int, int, dict | None]:
         agree = [0]
-        for x in site.objects[o].xs:
+        for x in site.object(o).xs:
             agree = [i * len(FC.fibers[x]) + j for i in agree for j in good[x]]
         mapped = comps[0][o]
         ok = sorted(mapped) == agree and len(set(mapped)) == len(mapped)

@@ -362,32 +362,38 @@ _ACTION = '{\n  "generator": %s,\n  "source": %s,\n  "target": %s,\n  "map": %s\
 def _embed(session: Session, objs: Sequence, budget: int, max_order: int) -> dict:
     """The presheaf of A, each object and generator record rendered once.
 
-    The records are written straight from the fibers: an object's
-    assignments are the product of its fibers' element texts, each made
-    once, and each object name is encoded once for every record that
-    names it.
+    The records are written straight from the fibers and the maps of
+    compute_presheaf: an object's assignments are the product of its
+    fibers' element texts, each made once; the object descriptions and
+    generator names are the site's bulk texts, each object's encoded once
+    for every record that names it; and the text of each distinct map is
+    written once, so the identity and inc maps, which the presheaf shares
+    between generators, are written once per size.
     """
     (A,) = objs
     site = build_site(session.base)
     F = compute_presheaf(A, site)
-    names = [_ENCODE_STR(o.describe()) for o in site.objects]
+    names = list(map(_ENCODE_STR, site.descriptions))
     # The text of every int the records print: elements of M and set indices.
     digits = list(map(str, range(max(A.group.order, *F.sizes))))
     elements = [[digits[a] for a in fiber] for fiber in F.fibers]
+    # The fibers of each object in site order: single(x), then pair(x, y).
+    factors = [*((e,) for e in elements), *itertools.product(elements, repeat=2)]
     objects = []
-    for name, o, size in zip(names, site.objects, F.sizes):
+    for name, size, fibers in zip(names, F.sizes, factors):
         assignments = "[]"
         if size:
-            tuples = map(",\n      ".join, itertools.product(*(elements[x] for x in o.xs)))
+            tuples = map(",\n      ".join, itertools.product(*fibers))
             assignments = "[\n    [\n      " + "\n    ],\n    [\n      ".join(tuples) + "\n    ]\n  ]"
         objects.append(_OBJECT % (name, size, assignments))
-    actions = [
-        _ACTION % (
-            _ENCODE_STR(site.name(k)), names[s], names[t],
-            "[\n    " + ",\n    ".join(map(digits.__getitem__, image)) + "\n  ]" if image else "[]",
-        )
-        for k, (s, t, image) in enumerate(zip(site.sources, site.targets, F.actions))
-    ]
+    maps: dict[tuple[int, ...], str] = {}
+    actions = []
+    for name, s, t, image in zip(site.names, site.sources, site.targets, F.actions):
+        text = maps.get(image)
+        if text is None:
+            entries = ",\n    ".join(map(digits.__getitem__, image))
+            text = maps[image] = "[\n    " + entries + "\n  ]" if image else "[]"
+        actions.append(_ACTION % (_ENCODE_STR(name), names[s], names[t], text))
     return {"pass": True, "xmod": A.name, "objects": _ItemTexts(objects), "actions": _ItemTexts(actions)}
 
 

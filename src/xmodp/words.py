@@ -14,10 +14,11 @@ the one choice making the symbolic boundary equivariant.
 The site has one object per base element (single) and one per ordered pair
 (pair); its generating morphisms are conjugation moves between singles, the
 multiplication map from a single into a pair, and the two injections.  An
-object or generator is identified by its position in site order alone:
-the site stores each generator as a family record with source and target
-positions, and makes names, free objects, words and SiteMorphisms from
-the record only for the word calculus and the report edge.
+object or generator is identified by its position in site order alone,
+and the layout is a formula: the site stores nothing per object or
+generator, decodes a generator's family from its position, and makes
+names, free objects, words and SiteMorphisms only for the word calculus
+and the report edge.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BaseMismatchError,
@@ -301,83 +302,156 @@ class SiteMorphism:
     words: tuple[Word, ...]
 
 
+_PAIR_FAMILIES = ("sigma", "inc1", "inc2")
+
+
 class Site:
     """The finite index category for a base group of order n, keyed by position.
 
-    Objects: single(x) at position x and pair(x, y) at position n + x n + y.
-    Generating morphisms, in this order: the identity of every object, the
-    conjugation moves m[p,x]: single(p x p^-1) -> single(x) with word
-    p . g0, then per pair (x, y) the multiplication map sigma[x,y]:
-    single(xy) -> pair(x,y) with word g0 * g1 and the injections inc1 and
-    inc2 with words g0 and g1.  Generator k is the record families[k], one
-    of ("id",), ("m", p, x), ("sigma", x, y), ("inc1", x, y) or
-    ("inc2", x, y), with the object positions sources[k] and targets[k];
-    position(o), move(p, x) and sigma(x, y) compute positions from this
-    layout, so no other module re-derives it.
+    Objects: single(x) at position x and pair(x, y) at position n + x n + y,
+    object_count = n + n^2 in all.  Generating morphisms, in this order: the
+    identity of every object, the conjugation moves m[p,x]: single(p x p^-1)
+    -> single(x) with word p . g0 at position move(p, x), then per pair
+    (x, y) the multiplication map sigma[x,y]: single(xy) -> pair(x,y) with
+    word g0 * g1 at position sigma(x, y) and the injections inc1 and inc2
+    with words g0 and g1 right after it; generator_count = n + 5n^2 in all.
 
-    Names, free objects, words and SiteMorphisms are made from a record
-    only when asked for: name(k), free(i), morphism(k), and the views
-    generators and by_name for the word calculus.  The base is a valid
-    group and every index comes from its range, so they are built without
-    the checks of make_free_object and make_word.
+    The layout is a formula, so building a site stores no entry per object
+    or generator: object(i), move and sigma compute positions, and
+    decode(ks) reads generator positions back into (family, a, b), which
+    is how the presheaf's map kernel and name(k) learn what a generator is.
+    The per-generator tuples families (records ("id",), ("m", p, x),
+    ("sigma", x, y), ("inc1", x, y), ("inc2", x, y)), sources and targets,
+    and the per-object tuple objects, are built the first time they are
+    read.  descriptions and names, the report texts of every object and
+    generator, are written a family at a time on first read, for embed.
+
+    Free objects, words and SiteMorphisms are made only when asked for:
+    free(i), morphism(k), and the views generators and by_name for the word
+    calculus.  The base is a valid group and every index comes from its
+    range, so they are built without the checks of make_free_object and
+    make_word.
     """
 
     def __init__(self, base: Group):
         self.base = base
         n = base.order
-        grid = list(itertools.product(range(n), repeat=2))
-        self.objects: tuple[SiteObject, ...] = tuple(
-            [SiteObject("single", (x,)) for x in range(n)] + [SiteObject("pair", xy) for xy in grid]
-        )
-        ids = range(len(self.objects))
-        self.families: tuple[tuple, ...] = (("id",),) * len(ids) + tuple(
-            [("m", p, x) for p, x in grid] + [(f, x, y) for x, y in grid for f in ("sigma", "inc1", "inc2")]
-        )
-        self.sources: tuple[int, ...] = (
-            *ids, *(base.conj(p, x) for p, x in grid), *(s for x, y in grid for s in (base.table[x][y], x, y))
-        )
-        self.targets: tuple[int, ...] = (*ids, *(x for _, x in grid), *(t for t in ids[n:] for _ in range(3)))
+        self.object_count = n + n * n
+        self.generator_count = n + 5 * n * n
+
+    def object(self, i: int) -> SiteObject:
+        """The object at position i, which must be in range(object_count)."""
+        if not is_index(i, self.object_count):
+            raise IndexOutOfRangeError(f"object {i!r} is not in the site over {self.base.name}")
+        n = self.base.order
+        return SiteObject("single", (i,)) if i < n else SiteObject("pair", divmod(i - n, n))
 
     def position(self, o: SiteObject) -> int:
         """Where o is in site order; o is a SiteObject at the API edge."""
         n, xs = self.base.order, o.xs
         i = xs[0] if len(xs) == 1 else n + xs[0] * n + xs[1] if len(xs) == 2 else -1
-        if 0 <= i < len(self.objects) and self.objects[i] == o:
+        if is_index(i, self.object_count) and self.object(i) == o:
             return i
         raise IndexOutOfRangeError(f"object {o.describe()} is not in the site")
 
     def move(self, p: int, x: int) -> int:
         """The position of generator m[p,x]."""
-        return len(self.objects) + p * self.base.order + x
+        return self.object_count + p * self.base.order + x
 
     def sigma(self, x: int, y: int) -> int:
         """The position of generator sigma[x,y]; inc1[x,y] and inc2[x,y] follow."""
         n = self.base.order
-        return len(self.objects) + n * n + 3 * (x * n + y)
+        return self.object_count + n * n + 3 * (x * n + y)
+
+    def decode(self, ks: Iterable[int]) -> Iterator[tuple[str, int, int]]:
+        """(family, a, b) of each generator position in ks, each in
+        range(generator_count): ("id", i, i) for the identity of object i,
+        ("m", p, x) for m[p,x], and (family, x, y) for sigma, inc1 and inc2
+        at (x, y)."""
+        n = self.base.order
+        moves = self.object_count
+        pairs = moves + n * n
+        for k in ks:
+            if k < moves:
+                yield "id", k, k
+            elif k < pairs:
+                yield ("m", *divmod(k - moves, n))
+            else:
+                xy, f = divmod(k - pairs, 3)
+                yield (_PAIR_FAMILIES[f], *divmod(xy, n))
+
+    def _generator(self, k: int) -> tuple[str, int, int]:
+        if not is_index(k, self.generator_count):
+            raise IndexOutOfRangeError(f"generator {k!r} is not in the site over {self.base.name}")
+        return next(self.decode((k,)))
+
+    @cached_property
+    def objects(self) -> tuple[SiteObject, ...]:
+        return tuple(map(self.object, range(self.object_count)))
+
+    @cached_property
+    def families(self) -> tuple[tuple, ...]:
+        return tuple(("id",) if f == "id" else (f, a, b) for f, a, b in self.decode(range(self.generator_count)))
+
+    @cached_property
+    def sources(self) -> tuple[int, ...]:
+        base, n = self.base, self.base.order
+        grid = list(itertools.product(range(n), repeat=2))
+        return (
+            *range(self.object_count),
+            *(base.conj(p, x) for p, x in grid),
+            *(s for x, y in grid for s in (base.table[x][y], x, y)),
+        )
+
+    @cached_property
+    def targets(self) -> tuple[int, ...]:
+        n = self.base.order
+        pairs = range(n, self.object_count)
+        moves = (x for _ in range(n) for x in range(n))
+        return (*range(self.object_count), *moves, *(t for t in pairs for _ in range(3)))
+
+    @cached_property
+    def descriptions(self) -> tuple[str, ...]:
+        """describe() of every object, in site order."""
+        digits = list(map(str, range(self.base.order)))
+        return (*(f"single({x})" for x in digits), *(f"pair({x},{y})" for x in digits for y in digits))
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        """name(k) of every generator, in site order."""
+        digits = list(map(str, range(self.base.order)))
+        grid = [f"{x},{y}" for x in digits for y in digits]
+        return (
+            *(f"id[{o}]" for o in self.descriptions),
+            *(f"m[{px}]" for px in grid),
+            *(f"{f}[{xy}]" for xy in grid for f in _PAIR_FAMILIES),
+        )
 
     def free(self, i: int) -> FreeObject:
-        xs = self.objects[i].xs
+        xs = self.object(i).xs
         return FreeObject(self.base, ("g0", "g1")[: len(xs)], xs)
 
     def name(self, k: int) -> str:
-        family, *args = self.families[k]
+        """The name of generator k, in range(generator_count)."""
+        family, a, b = self._generator(k)
         if family == "id":
-            return f"id[{self.objects[k].describe()}]"
-        return f"{family}[{','.join(map(str, args))}]"
+            return f"id[{self.object(a).describe()}]"
+        return f"{family}[{a},{b}]"
 
     def morphism(self, k: int) -> SiteMorphism:
-        family, *args = self.families[k]
+        """Generator k, in range(generator_count), as words."""
+        family, a, _ = self._generator(k)
         source, target = self.sources[k], self.targets[k]
         free = self.free(target)
-        u = args[0] if family == "m" else self.base.identity
+        u = a if family == "m" else self.base.identity
         # The labels of each word; m and inc1 have the one word g0.
         labels = {"id": [(g,) for g in free.labels], "sigma": [("g0", "g1")], "inc2": [("g1",)]}
         words = tuple(Word(free, tuple(Symbol(u, g, 1) for g in w)) for w in labels.get(family, [("g0",)]))
-        return SiteMorphism(self.name(k), self.objects[source], self.objects[target], words)
+        return SiteMorphism(self.name(k), self.object(source), self.object(target), words)
 
     @cached_property
     def generators(self) -> tuple[SiteMorphism, ...]:
-        return tuple(map(self.morphism, range(len(self.families))))
+        return tuple(map(self.morphism, range(self.generator_count)))
 
     @cached_property
     def by_name(self) -> dict[str, SiteMorphism]:

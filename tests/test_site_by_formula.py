@@ -1,0 +1,164 @@
+"""The site by formula against the site built as tuples, and its edges.
+
+words.Site stores nothing when it is built: its records, sources, targets
+and objects are tuples made the first time they are read, its positions
+and names are closed forms, and its report texts are written a family at
+a time.  Here every one of them is compared with the tuple construction
+the site used before (kept below as the oracle) on C1, C2, V4, S3 and S4
+and on relabelled bases; name(k) and morphism(k) must take exactly the
+positions 0..generator_count-1, and object(i) and free(i) exactly
+0..object_count-1; embed and the passing exactness
+comparisons must build no per-generator tuple of their site; and the
+lazy map sequence of a presheaf must index from the end like a tuple.
+"""
+
+import itertools
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from test_exact_on_generators import _symmetric
+from test_presheaf_from_fibers import E48, SMALL_XMODS, _labels, _relabel_group
+from xmodp import session
+from xmodp.errors import IndexOutOfRangeError
+from xmodp.groups import cyclic_group, klein_four_group, symmetric_group_3
+from xmodp.presheaf import compute_presheaf, verify_exactness_preservation
+from xmodp.session import parse_session, run_command
+from xmodp.words import SiteObject, build_site
+from xmodp.xmod import conjugation_xmod, enumerate_morphisms, trivial_xmod
+
+C2 = cyclic_group(2)
+BASES = [cyclic_group(1), C2, klein_four_group(), symmetric_group_3(), E48.base]
+S3_SESSION = parse_session((Path(__file__).parent / "golden" / "s3.json").read_text())
+PER_GENERATOR = ("families", "sources", "targets", "names", "generators", "by_name")
+
+
+def _eager(base):
+    """objects, families, sources, targets and names as the site built
+    them up front, before it was a formula."""
+    n = base.order
+    grid = list(itertools.product(range(n), repeat=2))
+    objects = tuple([SiteObject("single", (x,)) for x in range(n)] + [SiteObject("pair", xy) for xy in grid])
+    ids = range(len(objects))
+    families = (("id",),) * len(ids) + tuple(
+        [("m", p, x) for p, x in grid] + [(f, x, y) for x, y in grid for f in ("sigma", "inc1", "inc2")]
+    )
+    sources = (
+        *ids, *(base.conj(p, x) for p, x in grid), *(s for x, y in grid for s in (base.table[x][y], x, y))
+    )
+    targets = (*ids, *(x for _, x in grid), *(t for t in ids[n:] for _ in range(3)))
+    names = tuple(
+        f"id[{objects[k].describe()}]" if family == "id" else f"{family}[{','.join(map(str, args))}]"
+        for k, (family, *args) in enumerate(families)
+    )
+    return objects, families, sources, targets, names
+
+
+def _check_against_eager(base):
+    objects, families, sources, targets, names = _eager(base)
+    site = build_site(base)
+    assert vars(site).keys() == {"base", "object_count", "generator_count"}
+    assert (site.object_count, site.generator_count) == (len(objects), len(families))
+    assert site.objects == objects and site.families == families
+    assert site.sources == sources and site.targets == targets
+    assert site.descriptions == tuple(o.describe() for o in objects)
+    assert site.names == names == tuple(map(site.name, range(len(families))))
+    assert [site.position(o) for o in objects] == list(range(len(objects)))
+    assert list(site.decode(range(len(families)))) == [
+        ("id", k, k) if family == ("id",) else family for k, family in enumerate(families)
+    ]
+    n = base.order
+    for p, x in itertools.product(range(n), repeat=2):
+        assert families[site.move(p, x)] == ("m", p, x)
+        k = site.sigma(p, x)
+        assert families[k : k + 3] == (("sigma", p, x), ("inc1", p, x), ("inc2", p, x))
+
+
+@pytest.mark.parametrize("base", BASES, ids=lambda G: f"order{G.order}")
+def test_lazy_site_equals_the_eager_tuples(base):
+    _check_against_eager(base)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_lazy_site_equals_the_eager_tuples_on_relabelled_bases(data):
+    base = data.draw(st.sampled_from(BASES[1:]))
+    _check_against_eager(_relabel_group(base, _labels(data.draw, base)))
+
+
+def test_positions_are_taken_exactly_in_range():
+    site = build_site(C2)
+    count = site.generator_count
+    assert count == 22 and site.name(count - 1) == "inc2[1,1]" and site.name(count - 17) == "id[pair(1,1)]"
+    assert [site.morphism(k).name for k in range(count)] == list(site.names)
+    # -1 and -17 once read the tuples from the end; -17 still raised a bare
+    # IndexError from the objects tuple.
+    for k in (-1, -17, -count, count, count + 5, True, 1.0, "0"):
+        with pytest.raises(IndexOutOfRangeError):
+            site.name(k)
+        with pytest.raises(IndexOutOfRangeError):
+            site.morphism(k)
+    # Objects likewise: free(-1) once read the last object from the end.
+    assert [site.free(i).omega for i in range(site.object_count)] == [o.xs for o in site.objects]
+    for i in (-1, -6, 6, True, 1.0):
+        with pytest.raises(IndexOutOfRangeError):
+            site.object(i)
+        with pytest.raises(IndexOutOfRangeError):
+            site.free(i)
+
+
+def test_embed_builds_no_generator_records(monkeypatch):
+    sites = []
+
+    def recording(base, _real=build_site):
+        sites.append(_real(base))
+        return sites[-1]
+
+    monkeypatch.setattr(session, "build_site", recording)
+    report, code = run_command(S3_SESSION, "embed", ["E"])
+    (site,) = sites
+    assert code == 0 and len(report["actions"]) == site.generator_count == 186
+    assert "families" not in vars(site) and "objects" not in vars(site)
+
+
+def _assert_no_per_generator_tuple(site):
+    assert not set(PER_GENERATOR) & vars(site).keys()
+
+
+def test_passing_comparisons_build_no_per_generator_tuple():
+    E, T = S3_SESSION.xmods["E"], S3_SESSION.xmods["T"]
+    f, g = enumerate_morphisms(E, E, budget=10**15)[:2]
+    cases = {"product": {"A": T, "B": E}, "equaliser": {"f": f, "g": g}, "coequaliser": {"f": f, "g": g}}
+    for kind, args in cases.items():
+        site = build_site(E.base)
+        assert verify_exactness_preservation(kind, site=site, **args)["pass"]
+        _assert_no_per_generator_tuple(site)
+    S5 = _symmetric(5)
+    site = build_site(S5)
+    Z, I = trivial_xmod(C2, S5, name="Z"), conjugation_xmod(S5, range(S5.order), name="I")
+    report = verify_exactness_preservation("product", A=Z, B=I, site=site)
+    assert report["pass"] and report["squares_checked"] == 258
+    _assert_no_per_generator_tuple(site)
+
+
+def _check_negative_indices(A):
+    site = build_site(A.base)
+    eager = list(compute_presheaf(A, site).actions)
+    count = len(eager)
+    # Each read on a fresh presheaf, so that the negative index builds its map.
+    for k in range(1, count + 1):
+        assert compute_presheaf(A, site).actions[-k] == eager[count - k]
+    F = compute_presheaf(A, site)
+    assert [F.actions[-k] for k in range(1, count + 1)] == eager[::-1]
+    for k in (count, -count - 1):
+        with pytest.raises(IndexError):
+            compute_presheaf(A, site).actions[k]
+
+
+def test_negative_indices_into_the_lazy_maps():
+    _check_negative_indices(S3_SESSION.xmods["E"])
+    wide = [A for A in SMALL_XMODS if max(map(len, compute_presheaf(A).fibers)) >= 2]
+    assert len(wide) >= 10
+    for A in wide:
+        _check_negative_indices(A)
