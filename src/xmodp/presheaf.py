@@ -206,29 +206,29 @@ def presheaf_action(F: Presheaf, m: SiteMorphism) -> tuple[int, ...]:
     return tuple(out)
 
 
-def compute_presheaf(A: CrossedModule, site: Site | None = None) -> Presheaf:
-    """The presheaf of A, built from the boundary fibers of A.
+def compute_presheaf(A: CrossedModule) -> Presheaf:
+    """The presheaf of A on the site of its base, built from the boundary
+    fibers of A.
 
-    _fibers lists every fiber and each element's position in its fiber,
-    and the presheaf keeps both.  The set of an object is the product of
-    its fibers, in the lexicographic order hom_set gives; only its size is
-    stored, in site order (single(x) at x, then pair(x, y) at n + x n + y),
-    and the tuples are built only if F.sets is read.  Each generator's
-    index map is built when it is first read, by one kernel: it decodes
-    the generator's family and indices from its position (Site.decode) and
-    reads the map off fiber positions by the closed form of the family: on
-    target assignment (a) or (a, b), m[p,x] gives the position of p.a,
-    sigma[x,y] that of ab, inc1 that of a and inc2 that of b.  Identity,
-    inc1 and inc2 maps depend only on set sizes, so each is made once from
-    ranges and repetition and shared: identity maps per set size, inc1 and
-    inc2 maps per pair of fiber sizes.  verify-exact reads only the maps of
-    the generators of P and of M (see _square_failures), so on a large base
-    it builds a few of the |P| + 5|P|^2 maps; embed reads them all, in one
-    loop.
+    The site is build_site(A.base), a formula in the base that stores three
+    integers, so each presheaf builds its own.  _fibers lists every fiber
+    and each element's position in its fiber, and the presheaf keeps both.
+    The set of an object is the product of its fibers, in the lexicographic
+    order hom_set gives; only its size is stored, in site order (single(x)
+    at x, then pair(x, y) at n + x n + y), and the tuples are built only if
+    F.sets is read.  Each generator's index map is built when it is first
+    read, by one kernel: it decodes the generator's family and indices from
+    its position (Site.decode) and reads the map off fiber positions by the
+    closed form of the family: on target assignment (a) or (a, b), m[p,x]
+    gives the position of p.a, sigma[x,y] that of ab, inc1 that of a and
+    inc2 that of b.  Identity, inc1 and inc2 maps depend only on set sizes,
+    so each is made once from ranges and repetition and shared: identity
+    maps per set size, inc1 and inc2 maps per pair of fiber sizes.
+    verify-exact reads only the maps of the generators of P and of M (see
+    _square_failures), so on a large base it builds a few of the
+    |P| + 5|P|^2 maps; embed reads them all, in one loop.
     """
-    site = site if site is not None else build_site(A.base)
-    if site.base != A.base:
-        raise BaseMismatchError(f"site over {site.base.name} cannot embed {A.name}")
+    site = build_site(A.base)
     fibers, pos = _fibers(A)
     lens = [len(f) for f in fibers]
     sizes = (*lens, *(i * j for i in lens for j in lens))
@@ -269,10 +269,11 @@ def _size_map(family: str, i: int, j: int) -> tuple[int, ...]:
 def presheaf_composition_violations(F: Presheaf) -> tuple[tuple[str, str], ...]:
     """Generator pairs whose composite action is not the composite of actions."""
     site = F.site
+    ends = list(site.ends())
     bad = []
-    for k, f in enumerate(site.generators):
-        for l, g in enumerate(site.generators):
-            if site.targets[l] != site.sources[k]:
+    for k, (f, (source, _)) in enumerate(zip(site.generators, ends)):
+        for l, (g, (_, target)) in enumerate(zip(site.generators, ends)):
+            if target != source:
                 continue
             direct = presheaf_action(F, compose_site_morphisms(f, g))
             chained = tuple(F.actions[l][i] for i in F.actions[k])
@@ -318,11 +319,12 @@ def _failed_squares(phi: NaturalTransformation) -> list[tuple[int, int]]:
     act_G[comp_tgt[j]], so k's squares are the entries of two gathers, one
     over its action and one over its component; only when the two tuples
     differ are their entries compared one by one, so the witnesses are
-    listed in generator order, then by j.
+    listed in generator order, then by j.  The ends s and t of each
+    generator come from Site.ends, one at a time.
     """
     F, G, comps = phi.source, phi.target, phi.components
     bad = []
-    for k, (s, t, act_F, act_G) in enumerate(zip(F.site.sources, F.site.targets, F.actions, G.actions)):
+    for k, ((s, t), act_F, act_G) in enumerate(zip(F.site.ends(), F.actions, G.actions)):
         left = _gather(act_F)(comps[s])
         right = _gather(comps[t])(act_G)
         if left != right:
@@ -547,7 +549,7 @@ def reconstruct_morphism(phi: NaturalTransformation) -> XModMorphism:
 def verify_full_faithful(
     A: CrossedModule,
     B: CrossedModule,
-    site: Site | None = None,
+    *,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
     """Compare the morphism set with the natural transformation set.
@@ -570,11 +572,11 @@ def verify_full_faithful(
     U carries back to it, so the transformations lie in U(homs) and, the
     two sets having the same size, U(homs) is exactly the set of natural
     transformations.  Both searches charge one meter, so the budget bounds
-    their sum.  When B is A, one presheaf serves as both F and G.
+    their sum, and it is keyword-only.  When B is A, one presheaf serves as
+    both F and G; each presheaf builds the site of its base.
     """
-    site = site if site is not None else build_site(A.base)
-    F = compute_presheaf(A, site)
-    G = F if B is A else compute_presheaf(B, site)
+    F = compute_presheaf(A)
+    G = F if B is A else compute_presheaf(B)
     work = _meter(budget)
     homs = enumerate_morphisms(A, B, budget=work)
     nats = _natural_singles(F, G, work)
@@ -619,7 +621,6 @@ def verify_full_faithful(
 def _comparison(
     kind: str,
     apex: CrossedModule,
-    site: Site,
     maps: Sequence[tuple[XModMorphism, Presheaf, Presheaf]],
     check_object: Callable[[int, Sequence[Sequence[tuple[int, ...]]]], tuple[int, int, dict | None]],
     square_failure: Callable[[str, SiteObject, int], dict],
@@ -634,7 +635,10 @@ def _comparison(
     "object"; comps[i] holds the components of leg i, indexed by position.
     The squares are the naturality squares of the first squared legs (all
     by default), all out of one presheaf; each failure is reported by
-    square_failure(generator name, its source object, index).
+    square_failure(generator name, its source object, index), the source
+    read off the failed generator's family and indices.  Every presheaf
+    of the legs is on the site of the one base, so the site is that of
+    the first leg's source presheaf.
 
     Only the n single objects are checked.  When all of them pass, the
     row of pair(x, y) is (lhs_x lhs_y, rhs_x rhs_y, ok), with no pair
@@ -675,6 +679,7 @@ def _comparison(
     does it run on all of P and M, which lists every failure, in generator
     order, then by index.
     """
+    site = maps[0][1].site
     n = site.base.order
     legs = [(F, G, _single_components(f, F, G)) for f, F, G in maps]
     singles = [comps for *_, comps in legs]
@@ -694,7 +699,7 @@ def _comparison(
     if any(_square_failures(F, G, comps, site.base._gens, F.xmod.group._gens) for F, G, comps in natural):
         every = (_square_failures(F, G, comps, range(n), range(F.xmod.group.order)) for F, G, comps in natural)
         for k, j in sorted(set().union(*every)):
-            failures.append(square_failure(site.name(k), site.object(site.sources[k]), j))
+            failures.append(square_failure(site.name(k), site.object(site._generator(k)[3]), j))
     # One square per generator and element of its target: each object's
     # identity, n moves into each single, and sigma, inc1 and inc2 into
     # each pair.
@@ -713,11 +718,11 @@ def _square_at_source(name: str, source: SiteObject, j: int) -> dict:
     return {"object": source.describe(), "generator": name, "index": j}
 
 
-def _verify_product_preserved(A: CrossedModule, B: CrossedModule, site: Site) -> dict:
+def _verify_product_preserved(A: CrossedModule, B: CrossedModule) -> dict:
     cone = product_over_P(A, B)
-    FX = compute_presheaf(cone.apex, site)
-    FA = compute_presheaf(A, site)
-    FB = compute_presheaf(B, site)
+    FX = compute_presheaf(cone.apex)
+    FA = compute_presheaf(A)
+    FB = compute_presheaf(B)
 
     def pairing(o: int, comps: Sequence[Sequence[tuple[int, ...]]]) -> tuple[int, int, dict | None]:
         # Mark each (a, b) cell hit: a set of pair tuples would be the
@@ -731,14 +736,14 @@ def _verify_product_preserved(A: CrossedModule, B: CrossedModule, site: Site) ->
         return size, full, None if ok else {"reason": "pairing is not a bijection"}
 
     return _comparison(
-        "product", cone.apex, site, [(cone.legs[0], FX, FA), (cone.legs[1], FX, FB)], pairing, _square_at_source
+        "product", cone.apex, [(cone.legs[0], FX, FA), (cone.legs[1], FX, FB)], pairing, _square_at_source
     )
 
 
-def _verify_equaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) -> dict:
+def _verify_equaliser_preserved(f: XModMorphism, g: XModMorphism) -> dict:
     cone = equaliser(f, g)
-    FE = compute_presheaf(cone.apex, site)
-    FC = compute_presheaf(f.source, site)
+    FE = compute_presheaf(cone.apex)
+    FC = compute_presheaf(f.source)
 
     # The agreeing assignments of an object are the product of the agreeing
     # elements of its fibers; each is numbered by its fiber positions.
@@ -746,18 +751,18 @@ def _verify_equaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) ->
 
     def inclusion(o: int, comps: Sequence[Sequence[tuple[int, ...]]]) -> tuple[int, int, dict | None]:
         agree = [0]
-        for x in site.object(o).xs:
+        for x in FC.site.object(o).xs:
             agree = [i * len(FC.fibers[x]) + j for i in agree for j in good[x]]
         mapped = comps[0][o]
         ok = sorted(mapped) == agree and len(set(mapped)) == len(mapped)
         return len(mapped), len(agree), None if ok else {"reason": "comparison is not a bijection"}
 
     return _comparison(
-        "equaliser", cone.apex, site, [(cone.legs[0], FE, FC)], inclusion, _square_at_source
+        "equaliser", cone.apex, [(cone.legs[0], FE, FC)], inclusion, _square_at_source
     )
 
 
-def _verify_coequaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) -> dict:
+def _verify_coequaliser_preserved(f: XModMorphism, g: XModMorphism) -> dict:
     """Check the coequaliser's exact fork survives the embedding.
 
     The projection p is the coequaliser of its own kernel pair, so the
@@ -770,9 +775,9 @@ def _verify_coequaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) 
     """
     cocone = coequaliser(f, g)
     kp = kernel_pair(cocone.legs[0])
-    FB = compute_presheaf(f.target, site)
-    FQ = compute_presheaf(cocone.apex, site)
-    FK = compute_presheaf(kp.apex, site)
+    FB = compute_presheaf(f.target)
+    FQ = compute_presheaf(cocone.apex)
+    FK = compute_presheaf(kp.apex)
 
     def classes(o: int, comps: Sequence[Sequence[tuple[int, ...]]]) -> tuple[int, int, dict | None]:
         proj, pair = comps[0][o], comps[1:]
@@ -804,7 +809,7 @@ def _verify_coequaliser_preserved(f: XModMorphism, g: XModMorphism, site: Site) 
 
     maps = [(cocone.legs[0], FB, FQ), *((leg, FK, FB) for leg in kp.legs)]
     return _comparison(
-        "coequaliser", cocone.apex, site, maps, classes,
+        "coequaliser", cocone.apex, maps, classes,
         lambda name, source, j: {"generator": name, "index": j, "reason": "projection square"},
         squared=1,
     )
@@ -816,7 +821,6 @@ def verify_exactness_preservation(
     B: CrossedModule | None = None,
     f: XModMorphism | None = None,
     g: XModMorphism | None = None,
-    site: Site | None = None,
 ) -> dict:
     """Objectwise comparison of a construction before and after embedding.
 
@@ -827,13 +831,13 @@ def verify_exactness_preservation(
     if kind == "product":
         if A is None or B is None:
             raise ShapeMismatchError("product comparison needs two objects")
-        return _verify_product_preserved(A, B, site if site is not None else build_site(A.base))
+        return _verify_product_preserved(A, B)
     on_pair = {"equaliser": _verify_equaliser_preserved, "coequaliser": _verify_coequaliser_preserved}
     if kind not in on_pair:
         raise ShapeMismatchError(f"unknown comparison kind {kind!r}")
     if f is None or g is None:
         raise ShapeMismatchError(f"{kind} comparison needs a parallel pair")
-    return on_pair[kind](f, g, site if site is not None else build_site(f.source.base))
+    return on_pair[kind](f, g)
 
 
 def generator_witness(m: XModMorphism) -> dict:

@@ -35,7 +35,7 @@ from .presheaf import (
     verify_exactness_preservation,
     verify_full_faithful,
 )
-from .words import build_site, hom_set, hom_set_size, make_free_object
+from .words import hom_set, hom_set_size, make_free_object
 from .xmod import (
     DEFAULT_BUDGET,
     CrossedModule,
@@ -363,16 +363,17 @@ def _embed(session: Session, objs: Sequence, budget: int, max_order: int) -> dic
     """The presheaf of A, each object and generator record rendered once.
 
     The records are written straight from the fibers and the maps of
-    compute_presheaf: an object's assignments are the product of its
-    fibers' element texts, each made once; the object descriptions and
-    generator names are the site's bulk texts, each object's encoded once
-    for every record that names it; and the text of each distinct map is
-    written once, so the identity and inc maps, which the presheaf shares
-    between generators, are written once per size.
+    compute_presheaf, on the site the presheaf built (F.site): an object's
+    assignments are the product of its fibers' element texts, each made
+    once; the object descriptions and generator names are the site's bulk
+    texts, each object's encoded once for every record that names it, and
+    each generator's ends come from Site.ends; and the text of each
+    distinct map is written once, so the identity and inc maps, which the
+    presheaf shares between generators, are written once per size.
     """
     (A,) = objs
-    site = build_site(session.base)
-    F = compute_presheaf(A, site)
+    F = compute_presheaf(A)
+    site = F.site
     names = list(map(_ENCODE_STR, site.descriptions))
     # The text of every int the records print: elements of M and set indices.
     digits = list(map(str, range(max(A.group.order, *F.sizes))))
@@ -388,7 +389,7 @@ def _embed(session: Session, objs: Sequence, budget: int, max_order: int) -> dic
         objects.append(_OBJECT % (name, size, assignments))
     maps: dict[tuple[int, ...], str] = {}
     actions = []
-    for name, s, t, image in zip(site.names, site.sources, site.targets, F.actions):
+    for name, (s, t), image in zip(site.names, site.ends(), F.actions):
         text = maps.get(image)
         if text is None:
             entries = ",\n    ".join(map(digits.__getitem__, image))
@@ -398,7 +399,7 @@ def _embed(session: Session, objs: Sequence, budget: int, max_order: int) -> dic
 
 
 def _verify_embedding(session: Session, objs: Sequence, budget: int, max_order: int) -> dict:
-    return verify_full_faithful(*objs, build_site(session.base), budget=budget)
+    return verify_full_faithful(*objs, budget=budget)
 
 
 def _verify_exact(session: Session, args: Sequence[str], budget: int, max_order: int) -> dict:
@@ -407,13 +408,12 @@ def _verify_exact(session: Session, args: Sequence[str], budget: int, max_order:
             "expected verify-exact product <xmod> <xmod> | equaliser <m> <m> | coequaliser <m> <m>"
         )
     kind, rest = args[0], args[1:]
-    site = build_site(session.base)
     if kind == "product":
         A, B = _resolve(session, "verify-exact product", ("xmod", "xmod"), rest)
-        return verify_exactness_preservation("product", A=A, B=B, site=site)
+        return verify_exactness_preservation("product", A=A, B=B)
     if kind in ("equaliser", "coequaliser"):
         f, g = _resolve(session, f"verify-exact {kind}", ("morphism", "morphism"), rest)
-        return verify_exactness_preservation(kind, f=f, g=g, site=site)
+        return verify_exactness_preservation(kind, f=f, g=g)
     raise UnknownCommandError(f"verify-exact: unknown kind {kind!r}")
 
 

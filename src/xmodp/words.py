@@ -316,15 +316,16 @@ class Site:
     word g0 * g1 at position sigma(x, y) and the injections inc1 and inc2
     with words g0 and g1 right after it; generator_count = n + 5n^2 in all.
 
-    The layout is a formula, so building a site stores no entry per object
-    or generator: object(i), move and sigma compute positions, and
-    decode(ks) reads generator positions back into (family, a, b), which
-    is how the presheaf's map kernel and name(k) learn what a generator is.
-    The per-generator tuples families (records ("id",), ("m", p, x),
-    ("sigma", x, y), ("inc1", x, y), ("inc2", x, y)), sources and targets,
-    and the per-object tuple objects, are built the first time they are
-    read.  descriptions and names, the report texts of every object and
-    generator, are written a family at a time on first read, for embed.
+    The layout is a formula in the base, so building a site stores no entry
+    per object or generator: object(i), move and sigma compute positions,
+    and decode(ks) reads generator positions back into (family, a, b),
+    which is how the presheaf's map kernel, name(k) and morphism(k) learn
+    what a generator is; the ends of a generator follow from its family
+    and indices.  ends() yields the (source, target) of every generator a
+    family at a time and keeps none of them.  The per-object tuple objects
+    is built the first time it is read, and descriptions and names, the
+    report texts of every object and generator, are written a family at a
+    time on first read, for embed.
 
     Free objects, words and SiteMorphisms are made only when asked for:
     free(i), morphism(k), and the views generators and by_name for the word
@@ -347,11 +348,13 @@ class Site:
         return SiteObject("single", (i,)) if i < n else SiteObject("pair", divmod(i - n, n))
 
     def position(self, o: SiteObject) -> int:
-        """Where o is in site order; o is a SiteObject at the API edge."""
+        """Where o is in site order; o is a SiteObject at the API edge, and
+        each of its coordinates must be an index of the base (no bool)."""
         n, xs = self.base.order, o.xs
-        i = xs[0] if len(xs) == 1 else n + xs[0] * n + xs[1] if len(xs) == 2 else -1
-        if is_index(i, self.object_count) and self.object(i) == o:
-            return i
+        if len(xs) in (1, 2) and all(is_index(x, n) for x in xs):
+            i = xs[0] if len(xs) == 1 else n + xs[0] * n + xs[1]
+            if self.object(i) == o:
+                return i
         raise IndexOutOfRangeError(f"object {o.describe()} is not in the site")
 
     def move(self, p: int, x: int) -> int:
@@ -380,35 +383,37 @@ class Site:
                 xy, f = divmod(k - pairs, 3)
                 yield (_PAIR_FAMILIES[f], *divmod(xy, n))
 
-    def _generator(self, k: int) -> tuple[str, int, int]:
+    def _generator(self, k: int) -> tuple[str, int, int, int, int]:
+        """(family, a, b) of generator k, in range(generator_count), then
+        its source and target positions."""
         if not is_index(k, self.generator_count):
             raise IndexOutOfRangeError(f"generator {k!r} is not in the site over {self.base.name}")
-        return next(self.decode((k,)))
+        family, a, b = next(self.decode((k,)))
+        base, n = self.base, self.base.order
+        if family == "id":
+            return family, a, b, a, a
+        if family == "m":
+            return family, a, b, base.conj(a, b), b
+        return family, a, b, (base.table[a][b], a, b)[_PAIR_FAMILIES.index(family)], n + a * n + b
+
+    def ends(self) -> Iterator[tuple[int, int]]:
+        """(source, target) of every generator, in site order, a family at
+        a time: i -> i for the identity of object i, p x p^-1 -> x for
+        m[p,x], and xy, x and y -> pair(x, y) for sigma, inc1 and inc2 at
+        (x, y).  The pairs are zipped from iterators over the base's
+        table, so none of them is kept."""
+        base, n = self.base, self.base.order
+        grid = list(itertools.product(range(n), repeat=2))
+        ids, xs, ys = range(self.object_count), [x for x, _ in grid], [y for _, y in grid]
+        moves = zip(itertools.starmap(base.conj, grid), ys)
+        sources = itertools.chain.from_iterable(zip(itertools.chain.from_iterable(base.table), xs, ys))
+        pairs = ids[n:]
+        targets = itertools.chain.from_iterable(zip(pairs, pairs, pairs))
+        return itertools.chain(zip(ids, ids), moves, zip(sources, targets))
 
     @cached_property
     def objects(self) -> tuple[SiteObject, ...]:
         return tuple(map(self.object, range(self.object_count)))
-
-    @cached_property
-    def families(self) -> tuple[tuple, ...]:
-        return tuple(("id",) if f == "id" else (f, a, b) for f, a, b in self.decode(range(self.generator_count)))
-
-    @cached_property
-    def sources(self) -> tuple[int, ...]:
-        base, n = self.base, self.base.order
-        grid = list(itertools.product(range(n), repeat=2))
-        return (
-            *range(self.object_count),
-            *(base.conj(p, x) for p, x in grid),
-            *(s for x, y in grid for s in (base.table[x][y], x, y)),
-        )
-
-    @cached_property
-    def targets(self) -> tuple[int, ...]:
-        n = self.base.order
-        pairs = range(n, self.object_count)
-        moves = (x for _ in range(n) for x in range(n))
-        return (*range(self.object_count), *moves, *(t for t in pairs for _ in range(3)))
 
     @cached_property
     def descriptions(self) -> tuple[str, ...]:
@@ -433,15 +438,14 @@ class Site:
 
     def name(self, k: int) -> str:
         """The name of generator k, in range(generator_count)."""
-        family, a, b = self._generator(k)
+        family, a, b, _, _ = self._generator(k)
         if family == "id":
             return f"id[{self.object(a).describe()}]"
         return f"{family}[{a},{b}]"
 
     def morphism(self, k: int) -> SiteMorphism:
         """Generator k, in range(generator_count), as words."""
-        family, a, _ = self._generator(k)
-        source, target = self.sources[k], self.targets[k]
+        family, a, _, source, target = self._generator(k)
         free = self.free(target)
         u = a if family == "m" else self.base.identity
         # The labels of each word; m and inc1 have the one word g0.

@@ -43,7 +43,6 @@ from xmodp.limits import (
 from xmodp.presheaf import verify_exactness_preservation, verify_full_faithful
 from xmodp.words import (
     apply_peiffer_move,
-    build_site,
     evaluate_word,
     hom_set,
     hom_set_size,
@@ -344,13 +343,12 @@ def test_criterion_6_embedding_is_full_and_faithful():
         [1, 2, 2, 1],
         [1, 0, 0, 1],
     ]
-    site = build_site(C2)
     ok = True
     counts = []
     for i, A in enumerate(objects):
         row = []
         for j, B in enumerate(objects):
-            report = verify_full_faithful(A, B, site=site)
+            report = verify_full_faithful(A, B)
             row.append(report["hom_count"])
             if not (
                 report["pass"]

@@ -7,7 +7,8 @@ U(f) are accepted by their move squares at the generators of P and their
 sigma squares at the generators of M (presheaf._square_failures run on
 the generators), which must find nothing exactly when the scan of every
 square (presheaf._failed_squares, the oracle) finds nothing; run on all
-of P and M it must list what the scan lists.
+of P and M it must list what the scan lists, also where a sigma
+square's source xy and the product yx carry different components.
 When every single object passes, each pair row of a comparison is
 written from the set sizes; those rows must equal the per-object check,
 written out below from the assignment tuples, on every catalogue pair
@@ -21,7 +22,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_presheaf_from_fibers import _labels, _relabel_xmod
+from test_presheaf_from_fibers import S3_SESSION, _labels, _relabel_xmod
 from xmodp import groups, presheaf
 from xmodp.groups import _gather, cyclic_group, klein_four_group, make_group, symmetric_group_3
 from xmodp.limits import Cone, coequaliser, default_catalogue, equaliser, kernel_pair, product_over_P
@@ -58,7 +59,7 @@ def _eager_actions(F):
     fibers, pos, sizes, site = F.fibers, F.pos, F.sizes, F.site
     act, tab = F.xmod.action.table, F.xmod.group.table
     out = []
-    for (family, *args), source in zip(site.families, site.sources):
+    for (family, *args), (source, _) in zip(site.decode(range(site.generator_count)), site.ends()):
         if family == "id":
             image = tuple(range(sizes[source]))
         elif family == "m":
@@ -85,17 +86,16 @@ def _built(F):
 def test_lazy_maps_equal_the_eager_loop_on_every_catalogue_object():
     for P, catalogue in CATALOGUES.items():
         for A in catalogue:
-            site = build_site(A.base)
-            eager = _eager_actions(compute_presheaf(A, site))
-            assert list(compute_presheaf(A, site).actions) == eager
+            eager = _eager_actions(compute_presheaf(A))
+            assert list(compute_presheaf(A).actions) == eager
             # Read backwards by index, then all at once, then again: each
             # map is cached under its own position and built once.
-            F = compute_presheaf(A, site)
+            F = compute_presheaf(A)
             assert _built(F) == 0 and len(F.actions) == len(eager)
             assert [F.actions[k] for k in reversed(range(len(eager)))] == eager[::-1]
             assert F.actions[-1] == eager[-1] and list(F.actions) == eager == list(F.actions)
             # Some built by index, some by a slice, the rest by iteration.
-            F = compute_presheaf(A, site)
+            F = compute_presheaf(A)
             assert [F.actions[k] for k in range(1, len(eager), 4)] == eager[1::4]
             assert F.actions[2::3] == eager[2::3] and F.actions[-3:] == eager[-3:]
             assert list(F.actions) == eager and _built(F) == len(eager)
@@ -106,9 +106,9 @@ def test_generator_positions_follow_the_site_layout():
         site = build_site(base)
         n = base.order
         for p, x in itertools.product(range(n), repeat=2):
-            assert site.families[site.move(p, x)] == ("m", p, x)
+            assert list(site.decode((site.move(p, x),))) == [("m", p, x)]
             k = site.sigma(p, x)
-            assert site.families[k : k + 3] == (("sigma", p, x), ("inc1", p, x), ("inc2", p, x))
+            assert list(site.decode(range(k, k + 3))) == [("sigma", p, x), ("inc1", p, x), ("inc2", p, x)]
 
 
 def _relabelled_s3():
@@ -127,8 +127,7 @@ def _perturbed_case(data):
         base_perm = _labels(data.draw, A.base)
         A = _relabel_xmod(A, _labels(data.draw, A.group), base_perm)
         B = _relabel_xmod(B, _labels(data.draw, B.group), base_perm)
-    site = build_site(A.base)
-    F, G = compute_presheaf(A, site), compute_presheaf(B, site)
+    F, G = compute_presheaf(A), compute_presheaf(B)
     singles = _single_components(data.draw(st.sampled_from(_homs(A, B))), F, G)
     if data.draw(st.booleans()):
         x = data.draw(st.sampled_from([x for x in range(A.base.order) if F.sizes[x]]))
@@ -161,9 +160,8 @@ def test_fast_accept_is_exact_on_every_one_entry_perturbation_over_s3():
     # set to each value of its fiber in turn.
     checked = rejected = 0
     catalogue = CATALOGUES["S3"]
-    site = build_site(S3)
     for A, B in itertools.product(catalogue, repeat=2):
-        F, G = compute_presheaf(A, site), compute_presheaf(B, site)
+        F, G = compute_presheaf(A), compute_presheaf(B)
         for f in _homs(A, B)[:2]:
             singles = _single_components(f, F, G)
             for x in range(S3.order):
@@ -175,6 +173,24 @@ def test_fast_accept_is_exact_on_every_one_entry_perturbation_over_s3():
     assert checked > 1000 and 0 < rejected < checked
 
 
+def test_sigma_squares_read_their_source_at_xy():
+    # E, of order 12 over S3, has fibers of size 2 over every element.
+    # Moving one entry of U(id) at the single xy of a non-commuting pair x,
+    # y makes the single components at xy and yx differ, so the squares
+    # listed depend on sigma[x,y] reading its source at xy and not at yx.
+    E = S3_SESSION.xmods["E"]
+    F = compute_presheaf(E)
+    identity = _single_components(identity_xmod_morphism(E), F, F)
+    base, n = E.base, E.base.order
+    grid = itertools.product(range(n), repeat=2)
+    products = {base.table[x][y] for x, y in grid if base.table[x][y] != base.table[y][x]}
+    assert products == set(range(n)) - {base.identity} and all(F.sizes[s] == 2 for s in products)
+    for s, i in itertools.product(sorted(products), range(2)):
+        moved = [*identity[:s], (*identity[s][:i], 1 - identity[s][i], *identity[s][i + 1 :]), *identity[s + 1 :]]
+        bad = _agrees_with_the_scan(F, F, moved)
+        assert "sigma" in {family for family, _, _ in F.site.decode(k for k, _ in bad)}
+
+
 # Per-object rows of each comparison, written from the assignment tuples.
 
 
@@ -183,7 +199,7 @@ def _row(site, o, lhs, rhs, ok):
 
 
 def _product_rows(cone, A, B, site):
-    FX, FA, FB = (compute_presheaf(X, site) for X in (cone.apex, A, B))
+    FX, FA, FB = (compute_presheaf(X) for X in (cone.apex, A, B))
     pA, pB = (functor_on_morphism(leg, FX, G) for leg, G in zip(cone.legs, (FA, FB)))
     rows = []
     for o in range(len(site.objects)):
@@ -194,7 +210,7 @@ def _product_rows(cone, A, B, site):
 
 
 def _equaliser_rows(cone, f, g, site):
-    FE, FC = compute_presheaf(cone.apex, site), compute_presheaf(f.source, site)
+    FE, FC = compute_presheaf(cone.apex), compute_presheaf(f.source)
     phi = functor_on_morphism(cone.legs[0], FE, FC)
     rows = []
     for o, elems in enumerate(FC.sets):
@@ -206,7 +222,7 @@ def _equaliser_rows(cone, f, g, site):
 
 def _coequaliser_rows(cocone, f, site):
     kp = kernel_pair(cocone.legs[0])
-    FB, FQ, FK = (compute_presheaf(X, site) for X in (f.target, cocone.apex, kp.apex))
+    FB, FQ, FK = (compute_presheaf(X) for X in (f.target, cocone.apex, kp.apex))
     proj = functor_on_morphism(cocone.legs[0], FB, FQ)
     k1, k2 = (functor_on_morphism(leg, FK, FB) for leg in kp.legs)
     rows = []
@@ -230,12 +246,12 @@ def test_pair_rows_by_formula_equal_the_per_object_check_on_catalogue_pairs():
         catalogue = CATALOGUES[P]
         site = build_site(catalogue[0].base)
         for A, B in itertools.product(catalogue, repeat=2):
-            report = verify_exactness_preservation("product", A, B, site=site)
+            report = verify_exactness_preservation("product", A, B)
             assert report["pass"] and report["objects"] == _product_rows(product_over_P(A, B), A, B, site)
             for f, g in itertools.combinations_with_replacement(_homs(A, B)[:3], 2):
-                report = verify_exactness_preservation("equaliser", f=f, g=g, site=site)
+                report = verify_exactness_preservation("equaliser", f=f, g=g)
                 assert report["pass"] and report["objects"] == _equaliser_rows(equaliser(f, g), f, g, site)
-                report = verify_exactness_preservation("coequaliser", f=f, g=g, site=site)
+                report = verify_exactness_preservation("coequaliser", f=f, g=g)
                 assert report["pass"] and report["objects"] == _coequaliser_rows(coequaliser(f, g), f, site)
                 compared += 2
             compared += 1
@@ -253,13 +269,13 @@ def test_a_failing_single_beside_an_empty_fiber_gets_every_row_checked(monkeypat
     expected = [False, True, False, True, True, True]
     diagonal = Cone(kind="product", apex=A, legs=(ident, ident), elements=((0, 0), (1, 1)))
     monkeypatch.setattr(presheaf, "product_over_P", lambda X, Y: diagonal)
-    report = verify_exactness_preservation("product", A=A, B=A, site=site)
+    report = verify_exactness_preservation("product", A=A, B=A)
     assert report["objects"] == _product_rows(diagonal, A, A, site)
     assert [row["ok"] for row in report["objects"]] == expected
     one = trivial_xmod(groups.trivial_group(), C2)
     too_small = Cone(kind="equaliser", apex=one, legs=(make_xmod_morphism(one, A, [0]),), elements=(0,))
     monkeypatch.setattr(presheaf, "equaliser", lambda u, v: too_small)
-    report = verify_exactness_preservation("equaliser", f=ident, g=ident, site=site)
+    report = verify_exactness_preservation("equaliser", f=ident, g=ident)
     assert report["objects"] == _equaliser_rows(too_small, ident, ident, site)
     assert [row["ok"] for row in report["objects"]] == expected
 
@@ -274,7 +290,6 @@ def test_base_s5_product_reads_generators_and_singles_only(monkeypatch):
     S5 = _symmetric(5)
     Z = trivial_xmod(C2, S5, name="Z")
     I = conjugation_xmod(S5, range(S5.order), name="I")
-    site = build_site(S5)
     built = []
 
     def recording(*args, _real=compute_presheaf, **kwargs):
@@ -282,7 +297,7 @@ def test_base_s5_product_reads_generators_and_singles_only(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(presheaf, "compute_presheaf", recording)
-    report = verify_exactness_preservation("product", A=Z, B=I, site=site)
+    report = verify_exactness_preservation("product", A=Z, B=I)
     assert report["pass"] and report["squares_checked"] == 258
     assert len(report["objects"]) == 14_520 and all(row["ok"] for row in report["objects"])
     (FX,) = [F for F in built if F.xmod.name == report["apex"]]

@@ -20,7 +20,6 @@ from xmodp import presheaf
 from xmodp.groups import cyclic_group, klein_four_group, trivial_group
 from xmodp.limits import Cocone, Cone, unique_to_terminal, terminal_object
 from xmodp.presheaf import verify_exactness_preservation
-from xmodp.words import build_site
 from xmodp.xmod import (
     XModMorphism,
     conjugation_xmod,
@@ -162,7 +161,7 @@ EXPECTED = {
 @pytest.mark.parametrize("kind", list(EXPECTED))
 def test_failing_report_is_pinned(monkeypatch, kind):
     comparison, args = _case(kind, monkeypatch)
-    report = verify_exactness_preservation(comparison, site=build_site(C2), **args)
+    report = verify_exactness_preservation(comparison, **args)
     objects, failures = EXPECTED[kind]
     assert report["pass"] is False
     assert report["objects"] == objects

@@ -18,6 +18,7 @@ from xmodp import presheaf
 from xmodp.limits import Cocone, Cone, EquivalenceRelation, equivalence_violations, terminal_object
 from xmodp.presheaf import (
     NaturalTransformation,
+    Presheaf,
     check_naturality,
     component_shape_violations,
     compute_presheaf,
@@ -30,7 +31,7 @@ from xmodp.presheaf import (
     verify_exactness_preservation,
     verify_full_faithful,
 )
-from xmodp.words import SiteObject, build_site, pair_object, symbol_word
+from xmodp.words import SiteObject, pair_object, symbol_word
 from xmodp.xmod import (
     compose_xmod_morphisms,
     conjugation_xmod,
@@ -107,6 +108,30 @@ def test_presheaf_respects_composition():
     for A in [_mod2_xmod(), trivial_xmod(C3, C2, action=[[0, 1, 2], [0, 2, 1]])]:
         F = compute_presheaf(A)
         assert presheaf_composition_violations(F) == ()
+
+
+def test_composition_violations_list_the_pairs_through_a_corrupted_map():
+    # m[1,1] of A2 acts as the identity on the fiber {1, 3}; set to the
+    # swap, it breaks every composite through it once, while m[1,1] after
+    # itself still composes to the identity.
+    F = compute_presheaf(_mod2_xmod())
+    k = F.site.names.index("m[1,1]")
+    actions = list(F.actions)
+    assert actions[k] == (0, 1)
+    actions[k] = (1, 0)
+    corrupted = Presheaf(F.site, F.xmod, F.fibers, F.pos, F.sizes, tuple(actions))
+    assert presheaf_composition_violations(corrupted) == (
+        ("id[single(1)]", "m[1,1]"),
+        ("m[0,1]", "m[1,1]"),
+        ("m[1,1]", "id[single(1)]"),
+        ("m[1,1]", "m[0,1]"),
+        ("sigma[0,1]", "m[1,1]"),
+        ("inc2[0,1]", "m[1,1]"),
+        ("sigma[1,0]", "m[1,1]"),
+        ("inc1[1,0]", "m[1,1]"),
+        ("inc1[1,1]", "m[1,1]"),
+        ("inc2[1,1]", "m[1,1]"),
+    )
 
 
 def test_presheaf_action_on_composite_morphism():
@@ -258,7 +283,6 @@ def test_reconstruct_round_trips():
 
 def test_verify_full_faithful_matrix():
     A2, A1, A3 = _mod2_xmod(), _id_xmod(), _flat_xmod()
-    site = build_site(C2)
     expected = {
         ("A1", "A1"): 1, ("A1", "A2"): 0, ("A1", "A3"): 0,
         ("A2", "A1"): 1, ("A2", "A2"): 2, ("A2", "A3"): 0,
@@ -268,7 +292,7 @@ def test_verify_full_faithful_matrix():
     }
     named = {"A1": A1, "A2": A2, "A3": A3, "T6": trivial_xmod(cyclic_group(6), C2)}
     for (sa, sb), count in expected.items():
-        report = verify_full_faithful(named[sa], named[sb], site=site)
+        report = verify_full_faithful(named[sa], named[sb])
         assert report["pass"], (sa, sb, report)
         assert report["hom_count"] == count == report["nat_count"]
         assert report["round_trip_hom"] and report["round_trip_nat"]

@@ -109,7 +109,7 @@ def relabelled(draw, xmods):
 def _check_against_words(A):
     assert A.base.identity != 0 or A.base.order == 1
     site = build_site(A.base)
-    F = compute_presheaf(A, site)
+    F = compute_presheaf(A)
     n = A.base.order
     assert (F.fibers, F.pos) == _fibers(A)
     assert len(F.sets) == len(F.sizes) == len(site.objects) == n + n * n
@@ -119,21 +119,22 @@ def _check_against_words(A):
         assert free == make_free_object(A.base, free.labels, o.xs)
         assert F.sets[i] == hom_set(free, A)
         assert F.sizes[i] == len(F.sets[i]) == hom_set_size(free, A)
-    assert len(F.actions) == len(site.families) == len(site.sources) == len(site.targets)
-    for k, (family, *args) in enumerate(site.families):
+    ends = list(site.ends())
+    assert len(F.actions) == site.generator_count == len(ends)
+    for k, ((family, *args), (s, t)) in enumerate(zip(site.decode(range(site.generator_count)), ends)):
         g = site.morphism(k)
-        assert site.objects[site.sources[k]] == g.source and site.objects[site.targets[k]] == g.target
+        assert site.objects[s] == g.source and site.objects[t] == g.target
         assert g.name == site.name(k)
         assert F.actions[k] == presheaf_action(F, g)
-        images = [tuple(evaluate_word(w, A, nu) for w in g.words) for nu in F.sets[site.targets[k]]]
-        assert [F.sets[site.sources[k]][i] for i in F.actions[k]] == images
+        images = [tuple(evaluate_word(w, A, nu) for w in g.words) for nu in F.sets[t]]
+        assert [F.sets[s][i] for i in F.actions[k]] == images
         if family != "id":
             assert g.name == f"{family}[{','.join(map(str, args))}]"
         else:
-            assert site.sources[k] == site.targets[k] == k
+            assert s == t == k
         for w in g.words:
             rebuilt = make_free_object(w.free.base, w.free.labels, w.free.omega)
-            assert w.free == rebuilt == site.free(site.targets[k])
+            assert w.free == rebuilt == site.free(t)
             assert w == make_word(rebuilt, [tuple(s) for s in w.syms])
 
 
@@ -146,7 +147,7 @@ def test_presheaf_from_fibers_matches_word_evaluation(A):
 @settings(max_examples=5, deadline=None)
 @given(relabelled([E48]))
 def test_presheaf_from_fibers_matches_word_evaluation_over_s4(A):
-    assert (A.group.order, A.base.order, len(build_site(A.base).families)) == (48, 24, 2904)
+    assert (A.group.order, A.base.order, build_site(A.base).generator_count) == (48, 24, 2904)
     _check_against_words(A)
 
 
@@ -164,12 +165,12 @@ def test_embedding_builds_no_words(monkeypatch):
     E, T = S3_SESSION.xmods["E"], S3_SESSION.xmods["T"]
     site = build_site(E.base)
     report, code = run_command(S3_SESSION, "embed", ["E"])
-    assert code == 0 and len(report["actions"]) == len(site.families)
-    assert verify_full_faithful(T, E, site)["pass"]
+    assert code == 0 and len(report["actions"]) == site.generator_count
+    assert verify_full_faithful(T, E)["pass"]
     f, g = enumerate_morphisms(E, E, budget=10**15)[:2]
     pairs = {"product": {"A": T, "B": E}, "equaliser": {"f": f, "g": g}, "coequaliser": {"f": f, "g": g}}
     for kind, args in pairs.items():
-        assert verify_exactness_preservation(kind, site=site, **args)["pass"]
+        assert verify_exactness_preservation(kind, **args)["pass"]
     assert made == []
     # The counter sees constructions: the identity of single(0) makes one of each.
     site.morphism(0)
@@ -192,21 +193,21 @@ def test_searches_and_comparisons_build_no_assignment_tuples(monkeypatch):
     E, T = S3_SESSION.xmods["E"], S3_SESSION.xmods["T"]
     site = build_site(E.base)
     for A, B in itertools.product([E, T], repeat=2):
-        assert verify_full_faithful(A, B, site)["pass"]
-        assert verify_exactness_preservation("product", A, B, site=site)["pass"]
+        assert verify_full_faithful(A, B)["pass"]
+        assert verify_exactness_preservation("product", A, B)["pass"]
     assert len(built) == 2 * 2 + 2 * 1 + 4 * 3
     report, code = run_command(S3_SESSION, "verify-embedding", ["E", "E"])
     assert code == 0 and report["pass"] and len(built) == 19
     pairs = [fg for X in (E, T) for fg in itertools.combinations(enumerate_morphisms(X, X), 2)]
     for f, g in pairs:
-        assert verify_exactness_preservation("coequaliser", f=f, g=g, site=site)["pass"]
+        assert verify_exactness_preservation("coequaliser", f=f, g=g)["pass"]
     assert len(pairs) == 6 + 3 and len(built) == 19 + 3 * len(pairs)
     for f, g in pairs:
-        assert verify_exactness_preservation("equaliser", f=f, g=g, site=site)["pass"]
+        assert verify_exactness_preservation("equaliser", f=f, g=g)["pass"]
     assert len(built) == 19 + 5 * len(pairs)
     report, code = run_command(S3_SESSION, "embed", ["E"])
     assert code == 0 and len(report["objects"]) == len(site.objects) and len(built) == 65
-    F = presheaf.compute_presheaf(E, site)
+    F = presheaf.compute_presheaf(E)
     assert presheaf_action(F, site.morphism(len(site.objects))) == F.actions[len(site.objects)]
     assert len(built) == 66
     assert all("sets" not in vars(F) for F in built)
@@ -223,14 +224,14 @@ def _embed_records_from_sets(F):
     ]
     actions = [
         {"generator": site.name(k), "source": names[s], "target": names[t], "map": list(image)}
-        for k, (s, t, image) in enumerate(zip(site.sources, site.targets, F.actions))
+        for k, ((s, t), image) in enumerate(zip(site.ends(), F.actions))
     ]
     return objects, actions
 
 
 def _check_embed_writer(A):
     report, code = run_command(Session(base=A.base, xmods={A.name: A}), "embed", [A.name])
-    objects, actions = _embed_records_from_sets(compute_presheaf(A, build_site(A.base)))
+    objects, actions = _embed_records_from_sets(compute_presheaf(A))
     oracle = {**report, "objects": objects, "actions": actions}
     assert code == 0 and list(oracle) == ["command", "options", "pass", "xmod", "objects", "actions"]
     assert _json_text(report) == json.dumps(oracle, indent=2)

@@ -224,8 +224,8 @@ def _natural_transformations_oracle(F, G):
 def relabelled_presheaf_pairs(draw):
     A, B = draw(st.sampled_from(NAT_PAIRS))
     return (
-        compute_presheaf(_relabel_xmod(A, _labels(draw, A.group)), SITE),
-        compute_presheaf(_relabel_xmod(B, _labels(draw, B.group)), SITE),
+        compute_presheaf(_relabel_xmod(A, _labels(draw, A.group))),
+        compute_presheaf(_relabel_xmod(B, _labels(draw, B.group))),
     )
 
 
@@ -284,11 +284,11 @@ def _assert_postcomposition(f, F, G):
 @given(relabelled_xmod_pairs())
 def test_functor_on_morphism_relabelled_matches_postcomposition_oracle(pair):
     A, B = pair
-    FA, FB = compute_presheaf(A, SITE), compute_presheaf(B, SITE)
+    FA, FB = compute_presheaf(A), compute_presheaf(B)
     for f in enumerate_morphisms(A, B):
         _assert_postcomposition(f, FA, FB)
     cone = product_over_P(A, B)
-    FX = compute_presheaf(cone.apex, SITE)
+    FX = compute_presheaf(cone.apex)
     for leg, target in zip(cone.legs, (FA, FB)):
         _assert_postcomposition(leg, FX, target)
 
@@ -297,8 +297,7 @@ def test_functor_on_morphism_on_s3_modules_matches_postcomposition_oracle():
     session = parse_session((Path(__file__).parent / "golden" / "s3.json").read_text())
     E, T = session.xmods["E"], session.xmods["T"]
     assert E.base.identity != 0
-    site = build_site(E.base)
-    presheaves = {A.name: compute_presheaf(A, site) for A in (E, T)}
+    presheaves = {A.name: compute_presheaf(A) for A in (E, T)}
     checked = 0
     for A, B in itertools.product((E, T), repeat=2):
         FA, FB = presheaves[A.name], presheaves[B.name]
@@ -306,12 +305,12 @@ def test_functor_on_morphism_on_s3_modules_matches_postcomposition_oracle():
         for f in enumerate_morphisms(A, B, budget=10**15):
             _assert_postcomposition(f, FA, FB)
             cone = kernel_pair(f)
-            FK = compute_presheaf(cone.apex, site)
+            FK = compute_presheaf(cone.apex)
             for leg in cone.legs:
                 _assert_postcomposition(leg, FK, FA)
             checked += 1
         cone = product_over_P(A, B)
-        FX = compute_presheaf(cone.apex, site)
+        FX = compute_presheaf(cone.apex)
         for leg, target in zip(cone.legs, (FA, FB)):
             _assert_postcomposition(leg, FX, target)
     assert checked == 8

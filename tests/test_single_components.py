@@ -29,7 +29,6 @@ from xmodp.presheaf import (
     verify_exactness_preservation,
     verify_full_faithful,
 )
-from xmodp.words import build_site
 from xmodp.xmod import enumerate_morphisms
 
 UNGATED = 10**15
@@ -41,8 +40,7 @@ PAIRS = [pair for catalogue in CATALOGUES for pair in itertools.product(catalogu
 def _public_report(A, B):
     """The report of verify_full_faithful, built from the public functions,
     with every transformation compared on all its components."""
-    site = build_site(A.base)
-    F, G = compute_presheaf(A, site), compute_presheaf(B, site)
+    F, G = compute_presheaf(A), compute_presheaf(B)
     work = Work(UNGATED)
     homs = enumerate_morphisms(A, B, budget=work)
     nats = enumerate_natural_transformations(F, G, budget=work)
@@ -74,8 +72,7 @@ def _public_report(A, B):
 
 def _check_pair(A, B):
     assert verify_full_faithful(A, B, budget=UNGATED) == _public_report(A, B)
-    site = build_site(A.base)
-    F, G = compute_presheaf(A, site), compute_presheaf(B, site)
+    F, G = compute_presheaf(A), compute_presheaf(B)
     public = [phi.components for phi in enumerate_natural_transformations(F, G, budget=UNGATED)]
     assert public == [_with_pairs(s, G) for s in _natural_singles(F, G, Work(UNGATED))]
 
@@ -105,20 +102,19 @@ def test_pair_components_are_built_only_at_the_public_edge(monkeypatch):
 
     monkeypatch.setattr(presheaf, "_with_pairs", counting)
     catalogue = CATALOGUES[2]
-    site = build_site(catalogue[0].base)
     for A, B in itertools.product(catalogue[:8], repeat=2):
-        assert verify_full_faithful(A, B, site=site, budget=UNGATED)["pass"]
+        assert verify_full_faithful(A, B, budget=UNGATED)["pass"]
         for f in enumerate_morphisms(A, B, budget=UNGATED)[:2]:
             for kind in ("equaliser", "coequaliser"):
-                assert verify_exactness_preservation(kind, f=f, g=f, site=site)["pass"]
-        assert verify_exactness_preservation("product", A=A, B=B, site=site)["pass"]
+                assert verify_exactness_preservation(kind, f=f, g=f)["pass"]
+        assert verify_exactness_preservation("product", A=A, B=B)["pass"]
     assert calls == []
     # The counter sees the public edge and a comparison failing at a single.
-    F = compute_presheaf(catalogue[1], site)
+    F = compute_presheaf(catalogue[1])
     enumerate_natural_transformations(F, F)
     assert calls
     calls.clear()
     with monkeypatch.context() as patched:
         kind, args = _case("product-beside-empty-fiber", patched)
-        assert not verify_exactness_preservation(kind, site=build_site(C2), **args)["pass"]
+        assert not verify_exactness_preservation(kind, **args)["pass"]
     assert calls == [2, 2]

@@ -33,7 +33,7 @@ from xmodp.presheaf import (
     verify_full_faithful,
 )
 from xmodp.session import parse_session
-from xmodp.words import build_site, evaluate_word
+from xmodp.words import evaluate_word
 from xmodp.xmod import (
     XModMorphism,
     compose_xmod_morphisms,
@@ -67,9 +67,8 @@ def _s4():
 def _transformations():
     """Natural transformations with their presheaves: images of morphisms and
     searched transformations, over S3 (relabelled), C2 and S4."""
-    s3_site = build_site(E.base)
     terminal = terminal_object(E.base)
-    s3 = {A.name: compute_presheaf(A, s3_site) for A in (E, T, terminal)}
+    s3 = {A.name: compute_presheaf(A) for A in (E, T, terminal)}
     cases = []
     for a, b in [("E", "E"), ("T", "E"), ("E", terminal.name), (terminal.name, terminal.name), ("T", "T")]:
         F, G = s3[a], s3[b]
@@ -251,7 +250,7 @@ def test_verify_full_faithful_validates_what_it_reconstructs(monkeypatch):
     singles = list(_swapped_identity(F).components[: A.base.order])
     monkeypatch.setattr(presheaf, "_natural_singles", lambda *args: [singles])
     with pytest.raises(ReconstructionInvalidError):
-        verify_full_faithful(A, A, site=F.site)
+        verify_full_faithful(A, A)
 
 
 def test_verify_full_faithful_trusts_its_own_transformations(monkeypatch):
@@ -295,10 +294,10 @@ def test_presheaf_action_indexes_images_by_fiber_position():
     # number of its entries' fiber positions, with no lookup table.
     F = compute_presheaf(E)
     site = F.site
-    for k in range(len(site.families)):
+    for k, (s, t) in enumerate(site.ends()):
         g = site.morphism(k)
-        source = {nu: i for i, nu in enumerate(F.sets[site.sources[k]])}
+        source = {nu: i for i, nu in enumerate(F.sets[s])}
         expected = tuple(
-            source[tuple(evaluate_word(w, E, nu) for w in g.words)] for nu in F.sets[site.targets[k]]
+            source[tuple(evaluate_word(w, E, nu) for w in g.words)] for nu in F.sets[t]
         )
         assert presheaf_action(F, g) == expected == F.actions[k]

@@ -36,7 +36,7 @@ from xmodp.words import (
     translate_word,
     word_boundary,
 )
-from xmodp.xmod import make_crossed_module, trivial_action
+from xmodp.xmod import conjugation_xmod, make_crossed_module, trivial_action
 
 C2 = cyclic_group(2)
 C4 = cyclic_group(4)
@@ -202,11 +202,13 @@ def test_apply_peiffer_move_rewrites():
 def test_site_shape_over_c2():
     site = build_site(C2)
     assert len(site.objects) == 6
-    assert len(site.generators) == len(site.families) == 22
+    assert len(site.generators) == site.generator_count == 22
     assert site.by_name["m[1,0]"].source.describe() == "single(0)"
     assert site.by_name["sigma[1,1]"].source == site.objects[0]
     assert [site.position(o) for o in site.objects] == list(range(6))
     outside = [("single", (9,)), ("single", (-1,)), ("single", ()), ("pair", (-1, 3)), ("pair", (0, 2))]
+    # A bool or a float equal to an index is no coordinate, in a pair as in a single.
+    outside += [("pair", (0, True)), ("pair", (True, 0)), ("pair", (0, 1.0)), ("single", (True,))]
     for kind, xs in outside + [("triple", (0, 0, 0))]:
         with pytest.raises(IndexOutOfRangeError):
             site.position(SiteObject(kind, xs))
@@ -277,6 +279,21 @@ def test_substitute_preserves_boundary_relation():
     w = symbol_word(site.free(site.position(m.source)), "g0", u=4)
     pushed = substitute_word(w, m)
     assert word_boundary(pushed) == S3.conj(4, word_boundary(m.words[0]))
+
+
+def test_substitute_inverts_an_inverted_symbol():
+    # An inverted symbol goes through sigma[1,3] as the inverse of the
+    # translated word g0 * g1, and the pushed word evaluates as the word
+    # does on the values the map's word takes.
+    site = build_site(S3)
+    sigma = site.by_name["sigma[1,3]"]
+    w = make_word(site.free(site.position(sigma.source)), [(2, "g0", -1), (S3.identity, "g0", 1)])
+    pushed = substitute_word(w, sigma)
+    u = S3.table[2][S3.identity]
+    assert [tuple(s) for s in pushed.syms] == [(u, "g1", -1), (u, "g0", -1), *map(tuple, sigma.words[0].syms)]
+    A = conjugation_xmod(S3, range(S3.order))
+    for nu in hom_set(PAIR, A):
+        assert evaluate_word(pushed, A, nu) == evaluate_word(w, A, (evaluate_word(sigma.words[0], A, nu),))
 
 
 @given(_words, _words)
