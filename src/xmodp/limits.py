@@ -3,10 +3,11 @@
 Every construction returns its apex together with the structure maps, and
 each has a companion verifier that sweeps a catalogue of test objects and
 counts mediating morphisms by exhaustive search: exactly one for every
-commuting test cone or cocone, zero for every non-commuting one.  The
-default catalogue is every crossed module structure on the groups of order
-at most DEFAULT_CATALOGUE_ORDER over the session base, plus the diagram's
-own objects.
+commuting test cone or cocone, zero for every non-commuting one.  Each
+verifier is one _sweep call, given its kind, its ends, its diagram and
+when a test cone commutes; _sweep builds the catalogue: every crossed
+module structure over the base on the groups of order at most max_order
+(DEFAULT_CATALOGUE_ORDER unless set), plus the diagram's own objects.
 
 Apexes and structure maps are built componentwise from valid crossed
 modules and morphisms, so they are packaged without re-validation.  Pair
@@ -237,22 +238,17 @@ def terminal_object(P: Group) -> CrossedModule:
     return _trusted_xmod(f"terminal({P.name})", P, P, range(P.order), conjugation_action(P).table)
 
 
-def unique_to_terminal(A: CrossedModule, T: CrossedModule | None = None) -> XModMorphism:
+def unique_to_terminal(A: CrossedModule) -> XModMorphism:
     """The boundary of A, viewed as the only morphism into the terminal object."""
-    T = T if T is not None else terminal_object(A.base)
-    return XModMorphism(A, T, A.boundary.image)
+    return XModMorphism(A, terminal_object(A.base), A.boundary.image)
 
 
 def product_over_P(A: CrossedModule, B: CrossedModule) -> Cone:
     """Binary product, realised as the pullback over the terminal object;
     A and B must share their base."""
     _require_same_base(A, B)
-    T = terminal_object(A.base)
     return pullback(
-        unique_to_terminal(A, T),
-        unique_to_terminal(B, T),
-        name=f"prod({A.name},{B.name})",
-        kind="product",
+        unique_to_terminal(A), unique_to_terminal(B), name=f"prod({A.name},{B.name})", kind="product"
     )
 
 
@@ -470,24 +466,27 @@ def extend_catalogue(catalogue: Sequence[CrossedModule], extra: Iterable[Crossed
 
 def _sweep(
     kind: str,
-    cat: Sequence[CrossedModule],
     cone: Cone | Cocone,
     ends: Sequence[CrossedModule],
+    diagram: Iterable[CrossedModule],
     commutes: Callable[..., bool],
+    max_order: int,
     budget: int,
 ) -> dict:
     """Count mediators through the apex for every test cone over the catalogue.
 
-    A test cone is one map per end: into it from a catalogue object for a
-    limit, out of it to one for a colimit (cone is a Cocone).  Its mediators
-    are the maps between the catalogue object and the apex whose composites
-    with the legs give back the test cone, so they are counted from one
-    Counter of leg composites per catalogue object.  Exactly one mediator
-    must exist for a commuting test cone and none for any other.  An end
-    that occurs twice, as in a kernel pair, is searched once per catalogue
-    object.  One meter is charged by every morphism search and by one unit
-    per test cone.
+    The catalogue is the default one of order <= max_order over the ends'
+    base, extended by the diagram's objects.  A test cone is one map per
+    end: into it from a catalogue object for a limit, out of it to one for
+    a colimit (cone is a Cocone).  Its mediators are the maps between the
+    catalogue object and the apex whose composites with the legs give back
+    the test cone, so they are counted from one Counter of leg composites
+    per catalogue object.  Exactly one mediator must exist for a commuting
+    test cone and none for any other.  An end that occurs twice, as in a
+    kernel pair, is searched once per catalogue object.  One meter is
+    charged by every morphism search and by one unit per test cone.
     """
+    cat = extend_catalogue(default_catalogue(ends[0].base, max_order), diagram)
     work = _meter(budget)
     colimit = isinstance(cone, Cocone)
     legs = [leg.mapping for leg in cone.legs]
@@ -532,11 +531,10 @@ def verify_equaliser(
     max_order: int = DEFAULT_CATALOGUE_ORDER,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
-    """Count mediators through the apex for every test map into the source."""
-    cat = extend_catalogue(default_catalogue(f.source.base, max_order), (f.source, f.target))
+    """Sweep the test maps t into the source; t commutes when f t = g t."""
     return _sweep(
-        "equaliser", cat, cone, (f.source,),
-        lambda t: _after(f.mapping, t) == _after(g.mapping, t), budget,
+        "equaliser", cone, (f.source,), (f.source, f.target),
+        lambda t: _after(f.mapping, t) == _after(g.mapping, t), max_order, budget,
     )
 
 
@@ -547,11 +545,10 @@ def verify_coequaliser(
     max_order: int = DEFAULT_CATALOGUE_ORDER,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
-    """Count mediators out of the apex for every test map out of the target."""
-    cat = extend_catalogue(default_catalogue(f.target.base, max_order), (f.source, f.target))
+    """Sweep the test maps q out of the target; q commutes when q f = q g."""
     return _sweep(
-        "coequaliser", cat, cocone, (f.target,),
-        lambda q: _after(q, f.mapping) == _after(q, g.mapping), budget,
+        "coequaliser", cocone, (f.target,), (f.source, f.target),
+        lambda q: _after(q, f.mapping) == _after(q, g.mapping), max_order, budget,
     )
 
 
@@ -562,11 +559,11 @@ def verify_pullback(
     max_order: int = DEFAULT_CATALOGUE_ORDER,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
-    """Count mediators for every pair of test maps into the two sources."""
-    cat = extend_catalogue(default_catalogue(f.source.base, max_order), (f.source, g.source, f.target))
+    """Sweep the pairs of test maps into the two sources, under the cone's
+    kind; (tC, tD) commutes when f tC = g tD."""
     return _sweep(
-        cone.kind, cat, cone, (f.source, g.source),
-        lambda tC, tD: _after(f.mapping, tC) == _after(g.mapping, tD), budget,
+        cone.kind, cone, (f.source, g.source), (f.source, g.source, f.target),
+        lambda tC, tD: _after(f.mapping, tC) == _after(g.mapping, tD), max_order, budget,
     )
 
 
@@ -577,14 +574,13 @@ def verify_product(
     max_order: int = DEFAULT_CATALOGUE_ORDER,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
-    """Product universal property via its pullback presentation over the terminal."""
-    T = terminal_object(A.base)
-    report = verify_pullback(
-        unique_to_terminal(A, T), unique_to_terminal(B, T), cone,
-        max_order=max_order, budget=budget,
+    """Sweep the pairs of test maps into A and B, with the terminal object
+    in the diagram; (tA, tB) commutes when the boundaries of A and B agree
+    after them, as they do for every pair of morphisms over the base."""
+    return _sweep(
+        "product", cone, (A, B), (A, B, terminal_object(A.base)),
+        lambda tA, tB: _after(A.boundary.image, tA) == _after(B.boundary.image, tB), max_order, budget,
     )
-    report["kind"] = "product"
-    return report
 
 
 def verify_kernel_pair(
@@ -593,9 +589,11 @@ def verify_kernel_pair(
     max_order: int = DEFAULT_CATALOGUE_ORDER,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
-    report = verify_pullback(f, f, cone, max_order=max_order, budget=budget)
-    report["kind"] = "kernel-pair"
-    return report
+    """Sweep the pairs of test maps into the source; (s, t) commutes when f s = f t."""
+    return _sweep(
+        "kernel-pair", cone, (f.source, f.source), (f.source, f.target),
+        lambda s, t: _after(f.mapping, s) == _after(f.mapping, t), max_order, budget,
+    )
 
 
 def verify_quotient(
@@ -605,13 +603,14 @@ def verify_quotient(
     max_order: int = DEFAULT_CATALOGUE_ORDER,
     budget: int = DEFAULT_BUDGET,
 ) -> dict:
-    """Quotient as the coequaliser of the relation's projections, plus
+    """Sweep the test maps q out of A, as for the coequaliser of the
+    relation's projections u, v (q commutes when q u = q v), plus
     effectiveness; E must be a relation on A."""
     _require_carrier(A, E)
-    _, u, v = relation_xmod(E)
-    report = verify_coequaliser(u, v, cocone, max_order=max_order, budget=budget)
-    report["kind"] = "quotient"
+    R, u, v = relation_xmod(E)
+    report = _sweep(
+        "quotient", cocone, (A,), (R, A),
+        lambda q: _after(q, u.mapping) == _after(q, v.mapping), max_order, budget,
+    )
     effective = _is_kernel_pair_of(E, cocone.legs[0])
-    report["effective"] = effective
-    report["pass"] = report["pass"] and effective
-    return report
+    return {**report, "effective": effective, "pass": report["pass"] and effective}

@@ -110,6 +110,9 @@ def _rows(record: dict, key: str, where: str) -> list:
 
 
 def _check_options(catalogue_order: int, budget: int) -> None:
+    for key, value in (("catalogue_order", catalogue_order), ("budget", budget)):
+        if type(value) is not int:
+            raise ParseError(f"{key} must be int, got {value!r}")
     if not 1 <= catalogue_order <= MAX_CATALOGUE_ORDER:
         raise ParseError(
             f"catalogue_order must be between 1 and {MAX_CATALOGUE_ORDER}, got {catalogue_order}"
@@ -402,19 +405,28 @@ def _verify_embedding(session: Session, objs: Sequence, budget: int, max_order: 
     return verify_full_faithful(*objs, budget=budget)
 
 
+_MORPHISM_PAIR = ("morphism", "morphism")
+
+# Each verify-exact kind: the keywords verify_exactness_preservation takes
+# its objects by, and the kind of session object each one names.
+_EXACT_KINDS = {
+    "product": (("A", "B"), ("xmod", "xmod")),
+    "equaliser": (("f", "g"), _MORPHISM_PAIR),
+    "coequaliser": (("f", "g"), _MORPHISM_PAIR),
+}
+
+
 def _verify_exact(session: Session, args: Sequence[str], budget: int, max_order: int) -> dict:
     if not args:
         raise MissingArgumentError(
             "expected verify-exact product <xmod> <xmod> | equaliser <m> <m> | coequaliser <m> <m>"
         )
     kind, rest = args[0], args[1:]
-    if kind == "product":
-        A, B = _resolve(session, "verify-exact product", ("xmod", "xmod"), rest)
-        return verify_exactness_preservation("product", A=A, B=B)
-    if kind in ("equaliser", "coequaliser"):
-        f, g = _resolve(session, f"verify-exact {kind}", ("morphism", "morphism"), rest)
-        return verify_exactness_preservation(kind, f=f, g=g)
-    raise UnknownCommandError(f"verify-exact: unknown kind {kind!r}")
+    if kind not in _EXACT_KINDS:
+        raise UnknownCommandError(f"verify-exact: unknown kind {kind!r}")
+    keywords, kinds = _EXACT_KINDS[kind]
+    objs = _resolve(session, f"verify-exact {kind}", kinds, rest)
+    return verify_exactness_preservation(kind, **dict(zip(keywords, objs)))
 
 
 def _witness_generators(session: Session, objs: Sequence, budget: int, max_order: int) -> dict:
@@ -434,8 +446,6 @@ class Command(NamedTuple):
     kinds: tuple[str, ...] | None
     help: str
 
-
-_MORPHISM_PAIR = ("morphism", "morphism")
 
 COMMAND_TABLE: dict[str, Command] = {
     "validate": Command(

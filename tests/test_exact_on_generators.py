@@ -84,7 +84,7 @@ def _built(F):
 
 
 def test_lazy_maps_equal_the_eager_loop_on_every_catalogue_object():
-    for P, catalogue in CATALOGUES.items():
+    for catalogue in CATALOGUES.values():
         for A in catalogue:
             eager = _eager_actions(compute_presheaf(A))
             assert list(compute_presheaf(A).actions) == eager

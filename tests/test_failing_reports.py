@@ -44,7 +44,7 @@ def _product(leg):
     leg's source."""
     X = leg.source
     T = terminal_object(X.base)
-    return Cone("product", X, (leg, unique_to_terminal(X, T)), tuple(range(X.group.order))), (leg.target, T)
+    return Cone("product", X, (leg, unique_to_terminal(X)), tuple(range(X.group.order))), (leg.target, T)
 
 
 def _case(kind, monkeypatch):

@@ -12,6 +12,8 @@ changed report is either a bug or a change of the report format, which
 needs its own review.
 """
 
+import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -79,3 +81,27 @@ def test_golden_cases_cover_every_command():
     assert kinds == {"product", "equaliser", "coequaliser"}
     assert {c["exit"] for c in CASES} == {0, 1, 2}
     assert any("--no-json" in c["argv"] for c in CASES)
+
+
+def test_base_s4_reports(tmp_path, capsys):
+    # Base S4 has no golden file: the session is the benchmark's
+    # (bench/sessions.py), and the embed digests were recorded from the
+    # tuple-built site, before the site became a formula.
+    spec = importlib.util.spec_from_file_location("sessions", Path(__file__).parent.parent / "bench" / "sessions.py")
+    sessions = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sessions)
+    session = tmp_path / "base_s4.json"
+    session.write_text(json.dumps(sessions.base_s4()))
+    digests = {
+        "E96": "6ab588f4b84b8cc05e7a42453af23b769bc6e030e76eb4679d8bbcfd67d4902a",
+        "Z2": "c56aeda1d6c9fc83e8dc3de834c103708ca09b466eb79d4610cc41127ffe9d74",
+    }
+    for name, digest in digests.items():
+        assert main(["embed", name, "--input", str(session)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert main(["verify-exact", "product", "E96", "E96", "--input", str(session)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True and report["squares_checked"] == 599424
+    assert main(["verify-embedding", "E96", "E96", "--input", str(session)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["pass"] is True and report["nat_count"] == 16

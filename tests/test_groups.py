@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xmodp.errors import (
-    BudgetExceededError,
     IndexOutOfRangeError,
     NoIdentityError,
     NoInverseError,

@@ -158,7 +158,7 @@ def test_pullback_of_mod2_with_itself():
         (0, 0), (0, 2), (1, 1), (1, 3), (2, 0), (2, 2), (3, 1), (3, 3),
     )
     assert cone.apex.group.order == 8
-    for i, (c, d) in enumerate(cone.elements):
+    for i, (c, _) in enumerate(cone.elements):
         assert cone.apex.boundary.image[i] == f.source.boundary.image[c]
     assert validate_crossed_module(cone.apex) == ()
 
@@ -178,7 +178,7 @@ def test_terminal_object_receives_exactly_one_morphism():
         arrows = enumerate_morphisms(A, T)
         assert len(arrows) == 1
         assert arrows[0].mapping == A.boundary.image
-        assert arrows[0].mapping == unique_to_terminal(A, T).mapping
+        assert arrows[0].mapping == unique_to_terminal(A).mapping
 
 
 def test_product_orders():

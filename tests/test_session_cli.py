@@ -497,6 +497,18 @@ def test_cli_option_out_of_bounds_exits_2(tmp_path, capsys, option, value):
     assert err.startswith(f"error: ParseError: {option} must be ")
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("catalogue_order", True), ("catalogue_order", 4.5), ("budget", 1e7), ("budget", True), ("budget", "10")],
+)
+def test_run_command_rejects_an_option_that_is_not_an_int(option, value):
+    # parse_session rejects these in a session file; a library override must not slip past.
+    session = parse_session(json.dumps(_doc()))
+    with pytest.raises(ParseError) as raised:
+        run_command(session, "product", ["A2", "A1"], **{option: value})
+    assert str(raised.value) == f"{option} must be int, got {value!r}"
+
+
 def test_cli_option_bounds_are_inclusive(tmp_path, capsys):
     doc = _doc()
     doc["options"] = {"catalogue_order": 6, "budget": 1}

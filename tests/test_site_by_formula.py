@@ -178,7 +178,7 @@ def test_base_s5_morphism_and_comparisons_keep_nothing_per_generator(monkeypatch
     fixed = trivial_xmod(V4, S5, name="fixed")
     swap = trivial_xmod(V4, S5, [[0, 2, 1, 3] if i % 2 else [0, 1, 2, 3] for i in inversions], name="swap")
     T = terminal_object(S5)
-    legs = (XModMorphism(fixed, swap, (0, 1, 2, 3)), unique_to_terminal(fixed, T))
+    legs = (XModMorphism(fixed, swap, (0, 1, 2, 3)), unique_to_terminal(fixed))
     cone = Cone("product", fixed, legs, (0, 1, 2, 3))
     monkeypatch.setattr(presheaf, "product_over_P", lambda X, Y: cone)
     report = verify_exactness_preservation("product", A=swap, B=T)

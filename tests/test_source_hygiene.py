@@ -3,9 +3,10 @@
 Every name a module imports is used there or re-exported through its
 __all__, and every private function or method is referenced somewhere in
 the package.  Every local name a function assigns, other than _, is read
-in that function.  __init__.py imports only to re-export, so it is not
-checked for unused imports.  The site's types are constructed only in
-words.py, so the trusted construction of the site stays in one module.
+in that function.  The import and local checks cover the test files too.
+__init__.py imports only to re-export, so it is not checked for unused
+imports.  The site's types are constructed only in words.py, so the
+trusted construction of the site stays in one module.
 """
 
 import ast
@@ -15,6 +16,10 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "xmodp"
 TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))}
+TEST_TREES = {
+    f"tests/{path.name}": ast.parse(path.read_text(), filename=str(path))
+    for path in sorted(Path(__file__).resolve().parent.glob("*.py"))
+}
 
 
 def _exported(tree):
@@ -49,9 +54,9 @@ def test_package_modules_are_found():
     assert {"__init__.py", "groups.py", "xmod.py", "limits.py", "cli.py"} <= set(TREES)
 
 
-@pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__.py"}))
+@pytest.mark.parametrize("module", sorted(set(TREES) - {"__init__.py"}) + sorted(TEST_TREES))
 def test_no_unused_imports(module):
-    tree = TREES[module]
+    tree = {**TREES, **TEST_TREES}[module]
     used = _referenced(tree) | _exported(tree)
     assert [name for name in _imported(tree) if name not in used] == []
 
@@ -105,7 +110,7 @@ def test_every_assigned_local_is_read():
     # A nested function may read its enclosing function's locals, so reads
     # are collected over the whole function, nested scopes included.
     unread = []
-    for module, tree in TREES.items():
+    for module, tree in {**TREES, **TEST_TREES}.items():
         for function in ast.walk(tree):
             if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue

@@ -84,7 +84,7 @@ def test_a_meter_passed_in_is_charged_and_not_replaced():
 
 
 def test_verify_full_faithful_charges_both_searches_to_one_meter():
-    V, PV = _v_and_pv()
+    _, PV = _v_and_pv()
     F = compute_presheaf(PV)
     homs, nats = Work(DEFAULT_BUDGET), Work(DEFAULT_BUDGET)
     enumerate_morphisms(PV, PV, budget=homs)
