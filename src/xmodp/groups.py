@@ -27,6 +27,12 @@ gathered in C (_gather, _column, _indices), and only a row that differs
 is searched entry by entry, by _differences, for its witnesses in index
 order.
 
+Conjugation: Group._conjugation is the table of p x p^-1, row p being
+column p^-1 read at row p, gathered in C once per group.  is_normal,
+normal_closure, conjugacy_class and quotient_group's witness read its
+rows, as do the bulk readers in xmod.py, words.py and presheaf.py;
+Group.conj is the point read, three lookups that build no table.
+
 One search engine: _search assigns variables in index order under
 product and move conditions, each filed under its largest variable.  A
 step that one earlier condition fixes (forward checking) tries that one
@@ -111,6 +117,13 @@ class Group:
         return tuple(zip(*self.table))
 
     @cached_property
+    def _conjugation(self) -> tuple[tuple[int, ...], ...]:
+        """The conjugation table, _conjugation[p][x] == conj(p, x): row p
+        is column p^-1 of the table read at row p, gathered in C.  Every
+        bulk reader of conjugation reads it, so it is built once per group."""
+        return tuple(_gather(row)(self._columns[q]) for row, q in zip(self.table, self.inverse))
+
+    @cached_property
     def _steps(self) -> tuple[tuple[tuple | None, tuple], ...]:
         """The hom search's product conditions, filed once per group: each
         entry (a, b, ab) as (a, b, ab, 0), table 0 being the codomain's,
@@ -121,7 +134,8 @@ class Group:
         return self.inverse[a]
 
     def conj(self, p: int, a: int) -> int:
-        """Return p a p^-1."""
+        """Return p a p^-1 by three lookups, building no table; code that
+        reads many entries reads _conjugation instead."""
         return self.table[self.table[p][a]][self.inverse[p]]
 
     def is_abelian(self) -> bool:
@@ -305,6 +319,8 @@ def trivial_group(name: str = "1") -> Group:
 
 def cyclic_group(n: int, name: str | None = None) -> Group:
     """Cyclic group of order n, written additively on 0..n-1."""
+    if type(n) is not int:
+        raise IndexOutOfRangeError(f"cyclic order must be int, got {n!r}")
     if n < 1:
         raise IndexOutOfRangeError(f"cyclic order must be positive, got {n}")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
@@ -604,7 +620,8 @@ def is_subgroup(G: Group, elems: Iterable[int]) -> bool:
 
 def is_normal(G: Group, elems: Iterable[int]) -> bool:
     s = set(elems)
-    return all(G.conj(g, a) in s for g in range(G.order) for a in s)
+    conjugates = _gather(tuple(s))
+    return all(s.issuperset(conjugates(row)) for row in G._conjugation)
 
 
 def all_subgroups(G: Group) -> tuple[tuple[int, ...], ...]:
@@ -631,7 +648,7 @@ def normal_closure(G: Group, seed: Iterable[int]) -> tuple[int, ...]:
     """Smallest normal subgroup containing the seed: the subgroup generated
     by the conjugates of the subgroup the seed generates."""
     H = subgroup_closure(G, seed)
-    return subgroup_closure(G, {G.conj(g, h) for g in range(G.order) for h in H})
+    return subgroup_closure(G, set().union(*map(_gather(H), G._conjugation)))
 
 
 def subgroup_group(G: Group, elems: Iterable[int], name: str | None = None) -> tuple[Group, GroupHom]:
@@ -657,12 +674,7 @@ def quotient_group(G: Group, normal: Iterable[int], name: str | None = None) -> 
     if not is_subgroup(G, N):
         raise NotSubgroupError(f"{G.name}: {N} is not a subgroup")
     if not is_normal(G, N):
-        bad = next(
-            (g, a)
-            for g in range(G.order)
-            for a in N
-            if G.conj(g, a) not in set(N)
-        )
+        bad = next((g, a) for g, row in enumerate(G._conjugation) for a in N if row[a] not in N)
         raise NotNormalError(f"{G.name}: conjugate of {bad[1]} by {bad[0]} leaves {N}")
     coset_of = {}
     reps = []
@@ -691,7 +703,7 @@ def center(G: Group) -> tuple[int, ...]:
 
 
 def conjugacy_class(G: Group, x: int) -> tuple[int, ...]:
-    return tuple(sorted({G.conj(p, x) for p in range(G.order)}))
+    return tuple(sorted(set(_column(G._conjugation, x))))
 
 
 def element_order(G: Group, a: int) -> int:

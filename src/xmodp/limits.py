@@ -12,6 +12,13 @@ module structure over the base on the groups of order at most max_order
 Apexes and structure maps are built componentwise from valid crossed
 modules and morphisms, so they are packaged without re-validation.  Pair
 sets are not validated on entry, so they are checked before use.
+
+The pullback, the product and the kernel pair are one _pullback over two
+element maps into a common target.  The product is the pullback over the
+terminal object, whose maps from A and B are their boundaries, so it pairs
+the elements with equal boundaries and builds no terminal object.  The
+terminal object, the base acting on itself by conjugation, takes the
+base's conjugation table (Group._conjugation) as its action table.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .groups import (
     _meter,
     _trusted_group,
     cyclic_group,
+    identity_hom,
     is_index,
     klein_four_group,
     normal_closure,
@@ -216,26 +224,29 @@ def _pair_apex(
     return apex, p1, p2
 
 
-def pullback(f: XModMorphism, g: XModMorphism, name: str | None = None, kind: str = "pullback") -> Cone:
+def _pullback(kind: str, name: str, C: CrossedModule, D: CrossedModule, f: Sequence[int], g: Sequence[int]) -> Cone:
+    """The pairs (c, d) with f[c] == g[d], for element maps f of C and g
+    of D into one common target, with componentwise structure, as a cone
+    of the given kind."""
+    pairs = [(c, d) for c in range(C.group.order) for d in range(D.group.order) if f[c] == g[d]]
+    apex, p1, p2 = _pair_apex(C, D, pairs, name)
+    return Cone(kind=kind, apex=apex, legs=(p1, p2), elements=tuple(pairs))
+
+
+def pullback(f: XModMorphism, g: XModMorphism) -> Cone:
     """Pairs (c, d) with f(c) = g(d), with componentwise structure."""
     if f.target != g.target:
         raise DiagramMismatchError(
             f"pullback needs a common target: {f.target.name} vs {g.target.name}"
         )
     C, D = f.source, g.source
-    pairs = [
-        (c, d)
-        for c in range(C.group.order)
-        for d in range(D.group.order)
-        if f.mapping[c] == g.mapping[d]
-    ]
-    apex, p1, p2 = _pair_apex(C, D, pairs, name or f"pb({C.name},{D.name})")
-    return Cone(kind=kind, apex=apex, legs=(p1, p2), elements=tuple(pairs))
+    return _pullback("pullback", f"pb({C.name},{D.name})", C, D, f.mapping, g.mapping)
 
 
 def terminal_object(P: Group) -> CrossedModule:
-    """The base over itself with identity boundary and conjugation action."""
-    return _trusted_xmod(f"terminal({P.name})", P, P, range(P.order), conjugation_action(P).table)
+    """The base over itself with identity boundary and conjugation action,
+    whose table is the base's own conjugation table."""
+    return CrossedModule(f"terminal({P.name})", P, P, identity_hom(P), conjugation_action(P))
 
 
 def unique_to_terminal(A: CrossedModule) -> XModMorphism:
@@ -244,17 +255,16 @@ def unique_to_terminal(A: CrossedModule) -> XModMorphism:
 
 
 def product_over_P(A: CrossedModule, B: CrossedModule) -> Cone:
-    """Binary product, realised as the pullback over the terminal object;
-    A and B must share their base."""
+    """Binary product, realised as the pullback over the terminal object:
+    the pairs of elements with equal boundaries, as the maps into the
+    terminal object are the boundaries; A and B must share their base."""
     _require_same_base(A, B)
-    return pullback(
-        unique_to_terminal(A), unique_to_terminal(B), name=f"prod({A.name},{B.name})", kind="product"
-    )
+    return _pullback("product", f"prod({A.name},{B.name})", A, B, A.boundary.image, B.boundary.image)
 
 
 def kernel_pair(f: XModMorphism) -> Cone:
     """Pairs of source elements identified by f, as a pullback of f with itself."""
-    return pullback(f, f, name=f"kp({f.source.name})", kind="kernel-pair")
+    return _pullback("kernel-pair", f"kp({f.source.name})", f.source, f.source, f.mapping, f.mapping)
 
 
 @dataclass(frozen=True)

@@ -378,8 +378,8 @@ def _square_failures(
     act_F[pos b::|F_y|] and act_G[c(b)::|G_y|] of the two sigma maps.  So
     only the maps of those generators are read, and built, and only where
     the two tuples differ are their entries compared; their sources are
-    read off the base, as p x p^-1 and xy, so no per-generator tuple of the
-    site is built.
+    read off the base's conjugation and multiplication tables, as p x p^-1
+    and xy, so no per-generator tuple of the site is built.
     """
     site = F.site
     base = site.base
@@ -389,7 +389,7 @@ def _square_failures(
         for x in range(n):
             if F.sizes[x]:
                 k = site.move(p, x)
-                left = _gather(F.actions[k])(singles[base.conj(p, x)])
+                left = _gather(F.actions[k])(singles[base._conjugation[p][x]])
                 right = _gather(singles[x])(G.actions[k])
                 if left != right:
                     bad.extend((k, j) for j in _differences(left, right))
@@ -443,8 +443,9 @@ def _natural_singles(F: Presheaf, G: Presheaf, work: Work) -> list[list[tuple[in
     lexicographic order of their single components.  Each acts on pairs
     coordinatewise, and the search checks the squares that can fail,
     reading only the maps of the moves and multiplications, as two slices
-    by position, and their sources off the base (s = p x p^-1 for m[p,x]
-    and s = xy for sigma[x,y]):
+    by position, and their sources off the base's conjugation and
+    multiplication tables (s = p x p^-1 for m[p,x] and s = xy for
+    sigma[x,y]):
     - m[p,x], from single(s) to single(t), carries entry j of F_t to
       entry act_F[j] of F_s, so its square at j is the move
       (start[t] + j, start[s] + act_F[j], act_G);
@@ -471,8 +472,8 @@ def _natural_singles(F: Presheaf, G: Presheaf, work: Work) -> list[list[tuple[in
     grid = list(itertools.product(range(n), repeat=2))
     at = slice(site.move(0, 0), site.move(n - 1, n - 1) + 1)
     moves = []
-    for (p, x), act_F, act_G in zip(grid, F.actions[at], G.actions[at]):
-        s = base.conj(p, x)
+    conj = itertools.chain.from_iterable(base._conjugation)
+    for (_, x), s, act_F, act_G in zip(grid, conj, F.actions[at], G.actions[at]):
         moves += [(start[x] + j, start[s] + i, act_G) for j, i in enumerate(act_F)]
     at = slice(site.sigma(0, 0), site.sigma(n - 1, n - 1) + 1, 3)
     products = []

@@ -198,6 +198,9 @@ def parse_session(text: str) -> Session:
     opts = doc.get("options", {})
     if not isinstance(opts, dict):
         raise ParseError("options must be an object")
+    unknown = [key for key in opts if key not in ("catalogue_order", "budget")]
+    if unknown:
+        raise ParseError(f"options: unknown key {unknown[0]!r}")
     options = SessionOptions()
     if "catalogue_order" in opts:
         options.catalogue_order = _need(opts, "catalogue_order", int, "options")

@@ -401,11 +401,11 @@ class Site:
         a time: i -> i for the identity of object i, p x p^-1 -> x for
         m[p,x], and xy, x and y -> pair(x, y) for sigma, inc1 and inc2 at
         (x, y).  The pairs are zipped from iterators over the base's
-        table, so none of them is kept."""
+        multiplication and conjugation tables, so none of them is kept."""
         base, n = self.base, self.base.order
         grid = list(itertools.product(range(n), repeat=2))
         ids, xs, ys = range(self.object_count), [x for x, _ in grid], [y for _, y in grid]
-        moves = zip(itertools.starmap(base.conj, grid), ys)
+        moves = zip(itertools.chain.from_iterable(base._conjugation), ys)
         sources = itertools.chain.from_iterable(zip(itertools.chain.from_iterable(base.table), xs, ys))
         pairs = ids[n:]
         targets = itertools.chain.from_iterable(zip(pairs, pairs, pairs))

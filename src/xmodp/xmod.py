@@ -13,7 +13,9 @@ the boundaries and with the action.
 
 Data from outside is validated once, by the make_* constructors.  What
 xmodp builds from valid crossed modules and morphisms (catalogue entries,
-the terminal object, limit apexes) is packaged unchecked by _trusted_xmod.
+limit apexes) is packaged unchecked by _trusted_xmod; the terminal object
+of limits.py is put together unchecked from its parts, so that its action
+table stays the base's conjugation table itself.
 
 One check per axiom: each axiom is written once, as a function that lists
 its failures while one variable ranges over an index set it is given.  The
@@ -47,6 +49,13 @@ base-S4 parses.
 The action and CM1/CM2 checks compare whole rows, gathered as tuples in
 C, and search entry by entry only the rows that differ; the map-boundary
 and map-equivariant checks go entry by entry.
+
+Conjugation in bulk is read from one table per group, Group._conjugation,
+built once in C: conjugation_action returns it as its table, so the
+terminal object of limits.py shares the base's, and the CM1/CM2 row scan,
+conjugation_xmod, automorphism_xmod (whose boundary sends m to the
+position of its row) and central_extension_xmod read its rows.  Only
+_crossed_holds, which reads a few entries on generators, calls Group.conj.
 """
 
 from __future__ import annotations
@@ -199,8 +208,8 @@ def trivial_action(actor: Group, space: Group) -> Action:
 
 
 def conjugation_action(G: Group) -> Action:
-    table = tuple(tuple(G.conj(p, m) for m in range(G.order)) for p in range(G.order))
-    return Action(actor=G, space=G, table=table)
+    """G acting on itself by conjugation; its table is G._conjugation."""
+    return Action(actor=G, space=G, table=G._conjugation)
 
 
 @dataclass(frozen=True)
@@ -280,26 +289,22 @@ def _structure_violations(
 
     Row first: for each p, the row m -> boundary(p.m) is compared with
     m -> p boundary(m) p^-1, and for each m, the row n -> boundary(m).n
-    with n -> m n m^-1, each side built as a tuple in C.  Only a row that
+    with n -> m n m^-1, each side a tuple gathered in C or a row of a
+    conjugation table (Group._conjugation).  Only a row that
     differs is searched entry by entry, by ascending m or n.  With p, and
     then m, ascending, the failures come in the order of the full loops
     over every pair.
     """
     rows = [tuple(r) for r in action]
     at_boundary = _gather(boundary)
-    for p in range(base.order):
-        left, right = _gather(rows[p])(boundary), at_boundary(_conjugation_row(base, p))
+    for p, conj_p in enumerate(base._conjugation):
+        left, right = _gather(rows[p])(boundary), at_boundary(conj_p)
         if left != right:
             yield from (Violation("cm1", (p, m)) for m in _differences(left, right))
-    for m in range(group.order):
-        left, right = rows[boundary[m]], _conjugation_row(group, m)
+    for m, right in enumerate(group._conjugation):
+        left = rows[boundary[m]]
         if left != right:
             yield from (Violation("cm2", (m, n)) for n in _differences(left, right))
-
-
-def _conjugation_row(G: Group, p: int) -> tuple[int, ...]:
-    """x -> p x p^-1 on G: column p^-1 of the table, read at row p."""
-    return _gather(G.table[p])(G._columns[G.inverse[p]])
 
 
 def validate_crossed_module(A: CrossedModule) -> tuple[Violation, ...]:
@@ -368,7 +373,7 @@ def conjugation_xmod(G: Group, normal_elems: Sequence[int], name: str | None = N
         raise PreconditionFailedError(f"conjugation: {sub} is not normal in {G.name}")
     N, incl = subgroup_group(G, sub, name=f"{G.name}|N{len(sub)}")
     pos = {g: i for i, g in enumerate(sub)}
-    action = [[pos[G.conj(p, g)] for g in sub] for p in range(G.order)]
+    action = [[pos[row[g]] for g in sub] for row in G._conjugation]
     return make_crossed_module(
         name or f"conj({G.name},{len(sub)})", N, G, incl.image, action
     )
@@ -378,7 +383,7 @@ def automorphism_xmod(M: Group, name: str | None = None) -> CrossedModule:
     """M over its automorphism group, boundary sending m to conjugation by m."""
     aut: AutGroup = automorphism_group(M)
     pos = {p: i for i, p in enumerate(aut.perms)}
-    boundary = [pos[tuple(M.conj(m, x) for x in range(M.order))] for m in range(M.order)]
+    boundary = [pos[row] for row in M._conjugation]
     action = [list(aut.perms[phi]) for phi in range(aut.group.order)]
     return make_crossed_module(name or f"aut({M.name})", M, aut.group, boundary, action)
 
@@ -420,7 +425,7 @@ def central_extension_xmod(mu: GroupHom, name: str | None = None) -> CrossedModu
         raise PreconditionFailedError(
             f"central extension: kernel element {outside[0]} is not central in {M.name}"
         )
-    action = [[M.conj(x0, m) for m in range(M.order)] for x0 in map(mu.image.index, range(P.order))]
+    action = [M._conjugation[x0] for x0 in map(mu.image.index, range(P.order))]
     return make_crossed_module(name or f"cext({M.name},{P.name})", M, P, mu.image, action)
 
 

@@ -1,6 +1,7 @@
 """Tests for the table-based group engine."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +158,13 @@ def test_make_group_bad_entries():
         make_group([[0, 2], [1, 0]])
     with pytest.raises(IndexOutOfRangeError):
         make_group([[0, 1], [1]])
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, "3", None, 3 + 0j], ids=repr)
+def test_cyclic_group_refuses_an_order_that_is_not_an_int(n):
+    # True once built "CTrue" of order 1; 2.0 and "3" raised a bare TypeError.
+    with pytest.raises(IndexOutOfRangeError, match=f"cyclic order must be int, got {re.escape(repr(n))}"):
+        cyclic_group(n)
 
 
 def test_make_hom_mod2():

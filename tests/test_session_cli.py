@@ -137,6 +137,17 @@ def test_parse_schema_errors():
         parse_session(json.dumps(doc))
 
 
+@pytest.mark.parametrize("options", [{"budjet": 5}, {"budget": 5, "catalogue-order": 2}, {"": 1}])
+def test_parse_session_refuses_an_unknown_option(options):
+    # An unknown key was ignored: {"budjet": 5} ran with the default budget.
+    doc = _doc()
+    doc["options"] = options
+    unknown = next(key for key in options if key not in ("budget", "catalogue_order"))
+    with pytest.raises(ParseError) as raised:
+        parse_session(json.dumps(doc))
+    assert str(raised.value) == f"options: unknown key {unknown!r}"
+
+
 def test_parse_wraps_group_validation():
     doc = _doc()
     doc["groups"][0]["table"] = [[0, 1], [1, 1]]
