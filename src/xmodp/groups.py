@@ -40,6 +40,15 @@ value instead of scanning its candidates, and still charges the Work
 meter with the number of candidates it holds, so forcing changes no
 node, output or charge.  The hom search files a domain's table entries
 once per Group (Group._steps) rather than once per call.
+
+What a Group caches lives as long as the Group: its generating set,
+columns, conjugation table, hom-search filing and automorphism group
+(Group._automorphisms, searched by the first automorphism_group call;
+a group above MAX_AUTOMORPHISM_ORDER is refused on every call and
+nothing is kept).  A group built from session data lives as long as its
+session, so none of this outlives the command that made it; the
+catalogue groups of limits.py, built once per process, keep theirs for
+every later catalogue.
 """
 
 from __future__ import annotations
@@ -122,6 +131,12 @@ class Group:
         is column p^-1 of the table read at row p, gathered in C.  Every
         bulk reader of conjugation reads it, so it is built once per group."""
         return tuple(_gather(row)(self._columns[q]) for row, q in zip(self.table, self.inverse))
+
+    @cached_property
+    def _automorphisms(self) -> AutGroup:
+        """automorphism_group(self), searched once per group; only
+        automorphism_group reads it, after its order bound."""
+        return _automorphism_search(self)
 
     @cached_property
     def _steps(self) -> tuple[tuple[tuple | None, tuple], ...]:
@@ -728,18 +743,25 @@ def automorphism_group(M: Group) -> AutGroup:
 
     perms[i] is the i-th automorphism as an image tuple, in lexicographic
     order, and group is the composition table (i * j applies j first).
-    Groups of order above MAX_AUTOMORPHISM_ORDER are refused.
-
-    An automorphism keeps element orders, so x's candidates are the
-    elements of x's order.  Conversely an endomorphism that keeps orders
-    sends only the identity to the identity, so it is injective and, M
-    being finite, bijective: every map the search finds is kept.  The
-    search runs within DEFAULT_BUDGET.
+    Groups of order above MAX_AUTOMORPHISM_ORDER are refused, on every
+    call.  The search runs once per Group instance: later calls return
+    the same AutGroup (Group._automorphisms).
     """
     if M.order > MAX_AUTOMORPHISM_ORDER:
         raise OrderTooLargeError(
             f"{M.name}: order {M.order} exceeds automorphism search bound {MAX_AUTOMORPHISM_ORDER}"
         )
+    return M._automorphisms
+
+
+def _automorphism_search(M: Group) -> AutGroup:
+    """The automorphisms of M by one hom search, within DEFAULT_BUDGET.
+
+    An automorphism keeps element orders, so x's candidates are the
+    elements of x's order.  Conversely an endomorphism that keeps orders
+    sends only the identity to the identity, so it is injective and, M
+    being finite, bijective: every map the search finds is kept.
+    """
     n = M.order
     orders = [element_order(M, a) for a in range(n)]
     candidates = [[b for b in range(n) if orders[b] == k] for k in orders]

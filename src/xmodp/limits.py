@@ -8,6 +8,16 @@ verifier is one _sweep call, given its kind, its ends, its diagram and
 when a test cone commutes; _sweep builds the catalogue: every crossed
 module structure over the base on the groups of order at most max_order
 (DEFAULT_CATALOGUE_ORDER unless set), plus the diagram's own objects.
+A catalogue object with no map to (or from) one of the ends has no test
+cone, so _sweep stops at that end and searches neither the other ends
+nor the apex for it.
+
+The eight catalogue groups depend on no input, so they are built once
+per process, on first use (_catalogue_groups), and with them what each
+Group caches: its generators, hom-search filing, conjugation table and
+automorphism group.  Everything else, the crossed modules over a base
+included, is built per call, so nothing derived from a session outlives
+the command that read it.
 
 Apexes and structure maps are built componentwise from valid crossed
 modules and morphisms, so they are packaged without re-validation.  Pair
@@ -23,13 +33,19 @@ base's conjugation table (Group._conjugation) as its action table.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
 from operator import add
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import DiagramMismatchError, NotEquivalenceRelationError, OrderTooLargeError
+from .errors import (
+    DiagramMismatchError,
+    IndexOutOfRangeError,
+    NotEquivalenceRelationError,
+    OrderTooLargeError,
+)
 from .groups import (
     DEFAULT_BUDGET,
     Group,
@@ -437,6 +453,15 @@ _CATALOGUE_GROUPS = (
 )
 
 
+@functools.cache
+def _catalogue_groups() -> tuple[Group, ...]:
+    """The groups _CATALOGUE_GROUPS builds, built once per process on
+    first use.  They depend on no input, so what is cached on them
+    (Group._gens, _steps, _conjugation and _automorphisms) serves every
+    later catalogue."""
+    return tuple(build() for build in _CATALOGUE_GROUPS)
+
+
 # _CATALOGUE_GROUPS holds every group of order at most this, up to isomorphism.
 MAX_CATALOGUE_ORDER = 6
 
@@ -448,15 +473,19 @@ def default_catalogue(P: Group, max_order: int = DEFAULT_CATALOGUE_ORDER) -> tup
     """Every crossed module structure over P on the groups of order <= max_order.
 
     Complete up to isomorphism for max_order <= MAX_CATALOGUE_ORDER; larger
-    bounds are refused rather than silently incomplete.
+    bounds are refused rather than silently incomplete, and so is a bound
+    that is not an int (bools included) or is below 1.
     """
+    if type(max_order) is not int:
+        raise IndexOutOfRangeError(f"catalogue bound must be int, got {max_order!r}")
+    if max_order < 1:
+        raise IndexOutOfRangeError(f"catalogue bound must be positive, got {max_order}")
     if max_order > MAX_CATALOGUE_ORDER:
         raise OrderTooLargeError(
             f"catalogue bound {max_order} exceeds the supported {MAX_CATALOGUE_ORDER}"
         )
     out: list[CrossedModule] = []
-    for build in _CATALOGUE_GROUPS:
-        M = build()
+    for M in _catalogue_groups():
         if M.order <= max_order:
             out.extend(all_crossed_modules(M, P, name_prefix="cat:"))
     return tuple(out)
@@ -493,7 +522,10 @@ def _sweep(
     the test cone, so they are counted from one Counter of leg composites
     per catalogue object.  Exactly one mediator must exist for a commuting
     test cone and none for any other.  An end that occurs twice, as in a
-    kernel pair, is searched once per catalogue object.  One meter is
+    kernel pair, is searched once per catalogue object.  The ends are
+    searched in turn up to the first with no map: a catalogue object
+    without one has no test cone, so its remaining ends and the apex are
+    not searched, as nothing found there would be compared.  One meter is
     charged by every morphism search and by one unit per test cone.
     """
     cat = extend_catalogue(default_catalogue(ends[0].base, max_order), diagram)
@@ -505,12 +537,17 @@ def _sweep(
     distinct = list(dict.fromkeys(ends))
     which = [distinct.index(X) for X in ends]
     for T in cat:
+        searched = []
+        for X in distinct:
+            searched.append(enumerate_morphisms(X, T, budget=work) if colimit else enumerate_morphisms(T, X, budget=work))
+            if not searched[-1]:
+                break
+        if not searched[-1]:
+            continue
         if colimit:
-            searched = [enumerate_morphisms(X, T, budget=work) for X in distinct]
             through = enumerate_morphisms(cone.apex, T, budget=work)
             found = Counter(tuple(_after(h.mapping, leg) for leg in legs) for h in through)
         else:
-            searched = [enumerate_morphisms(T, X, budget=work) for X in distinct]
             through = enumerate_morphisms(T, cone.apex, budget=work)
             found = Counter(tuple(_after(leg, h.mapping) for leg in legs) for h in through)
         for test in itertools.product(*(searched[i] for i in which)):

@@ -41,7 +41,12 @@ CM1 and CM2 keep two forms.  _crossed_holds checks entries on generators,
 and it is also the filter of all_crossed_modules, where a row form on
 generators costs about 8 us per (boundary, action) candidate against
 1.2 us (the 276 candidates of V4/V4, C4/V4 and S3/S3, Python 3.11 on a
-shared 2-CPU host).  _structure_violations is the full scan by rows: an
+shared 2-CPU host).  all_crossed_modules joins CM2 before it: a pair is
+built into action rows and checked only when the action hom sends the
+boundary of each generator of M to the index of that generator's inner
+automorphism, one gathered compare per pair (C2^3 over C2^3: 14,624 of
+376,832 pairs checked, 0.13 s against 0.64 s for the filter alone, same
+host).  _structure_violations is the full scan by rows: an
 entry-level full scan would bring back the per-entry loops that the row
 scan replaced, which took 0.088 s against 0.004 s over ten corrupted
 base-S4 parses.
@@ -587,12 +592,24 @@ def all_crossed_modules(M: Group, P: Group, name_prefix: str = "") -> tuple[Cros
     action axioms, so each combination is kept when CM1 and CM2 hold, and
     _crossed_holds, their proof on generators, decides that exactly.
     Order is deterministic in (boundary, action) enumeration order.
+
+    CM2 is joined first: it asks that the action send boundary(m) to the
+    inner automorphism of m, and on generators m of M that is one gathered
+    compare of the action hom's images at their boundaries against the
+    indices of their inner automorphisms.  As each action row is an
+    automorphism, it holds exactly when _crossed_holds's CM2 part does, so
+    only the pairs passing it are built into action rows and checked.
     """
     aut = automorphism_group(M)
     act_homs = enumerate_homs(P, aut.group)
+    index = {perm: i for i, perm in enumerate(aut.perms)}
+    inner = tuple(index[M._conjugation[m]] for m in M._gens)
     out = []
     for bnd in enumerate_homs(M, P):
+        at_boundaries = _gather([bnd.image[m] for m in M._gens])
         for act_hom in act_homs:
+            if at_boundaries(act_hom.image) != inner:
+                continue
             action = tuple(aut.perms[act_hom.image[p]] for p in range(P.order))
             if _crossed_holds(M, P, bnd.image, action):
                 out.append(_trusted_xmod(f"{name_prefix}{M.name}.{len(out)}", M, P, bnd.image, action))

@@ -7,9 +7,10 @@ product conditions from the filing each domain group keeps
 (Group._steps).  Neither may change a search: the nodes, the tuples,
 their order and every Work charge stay those of the engine that scanned
 every candidate, kept below as the oracle.  A universal-property sweep
-searches an end that occurs twice only once per catalogue object, so of
-all the meter readings only a sweep's drops, by the charges of the end
-searches it no longer repeats.
+searches an end that occurs twice only once per catalogue object, and
+stops at the first end with no map, searching no apex there; so of all
+the meter readings only a sweep's drops, by the charges of the searches
+it no longer makes.
 """
 
 import importlib.util
@@ -172,34 +173,67 @@ def test_full_faithful_charges_what_the_unforced_search_charged():
     assert work.used == 1840
 
 
-def _count_searches(monkeypatch):
+def count_searches(monkeypatch):
+    """Spy on the morphism searches of limits: each call as (A, B, found)."""
     calls = []
 
     def spy(A, B, budget):
-        calls.append((A, B))
-        return enumerate_morphisms(A, B, budget=budget)
+        found = enumerate_morphisms(A, B, budget=budget)
+        calls.append((A, B, found))
+        return found
 
     monkeypatch.setattr(limits, "enumerate_morphisms", spy)
     return calls
 
 
-def _assert_two_searches_per_object(report, calls, apex):
-    catalogue = len(report["catalogue"])
-    assert report["pass"] and report["commuting"] > 0
-    assert len(calls) == 2 * catalogue
-    assert sum(B is apex for _, B in calls) == catalogue
+def assert_searches_stop_at_an_empty_end(calls, report, ends, apex, colimit=False):
+    """The searches of one sweep follow its rule, and the number of
+    catalogue objects it stopped at an empty end is returned.
+
+    Per catalogue object, in the report's order: the distinct ends in
+    turn, each once, up to the first with no map, after which nothing is
+    searched; the apex exactly once, last, when every end has a map.
+    """
+    distinct = list(dict.fromkeys(ends))
+    runs = []
+    for A, B, found in calls:
+        T, other = (B, A) if colimit else (A, B)
+        if not runs or runs[-1][0] is not T:
+            runs.append((T, []))
+        runs[-1][1].append((other, found))
+    assert [T.name for T, _ in runs] == [entry["name"] for entry in report["catalogue"]]
+    stopped = 0
+    for _, searches in runs:
+        if searches[-1][0] is apex:
+            ends_searched = searches[:-1]
+            assert len(ends_searched) == len(distinct) and all(found for _, found in ends_searched)
+        else:
+            ends_searched = searches
+            stopped += 1
+            assert len(ends_searched) <= len(distinct) and not searches[-1][1]
+            assert all(found for _, found in searches[:-1])
+        assert all(X is Y for (X, _), Y in zip(ends_searched, distinct))
+    return stopped
 
 
 def test_product_sweep_over_a_square_searches_each_end_once(monkeypatch):
     V = C2_MODULES["cat:C4.2"]
     cone = product_over_P(V, V)
-    calls = _count_searches(monkeypatch)
-    _assert_two_searches_per_object(verify_product(V, V, cone), calls, cone.apex)
+    calls = count_searches(monkeypatch)
+    report = verify_product(V, V, cone)
+    assert report["pass"] and report["commuting"] > 0
+    # 4 of the 15 objects have no map into V, and stop after one search.
+    assert assert_searches_stop_at_an_empty_end(calls, report, (V, V), cone.apex) == 4
+    assert len(calls) == 4 + 2 * 11
 
 
 def test_kernel_pair_sweep_searches_each_end_once(monkeypatch):
     f = enumerate_morphisms(C2_MODULES["cat:C4.2"], C2_MODULES["cat:C2.1"])[-1]
     assert len(set(f.mapping)) == 2
     cone = kernel_pair(f)
-    calls = _count_searches(monkeypatch)
-    _assert_two_searches_per_object(verify_kernel_pair(f, cone), calls, cone.apex)
+    calls = count_searches(monkeypatch)
+    report = verify_kernel_pair(f, cone)
+    assert report["pass"] and report["commuting"] > 0
+    source = f.source
+    assert assert_searches_stop_at_an_empty_end(calls, report, (source, source), cone.apex) == 4
+    assert len(calls) == 4 + 2 * 11

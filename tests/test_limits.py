@@ -8,6 +8,7 @@ from xmodp import limits
 from xmodp.errors import (
     BaseMismatchError,
     DiagramMismatchError,
+    IndexOutOfRangeError,
     NotEquivalenceRelationError,
     OrderTooLargeError,
 )
@@ -436,6 +437,11 @@ def test_default_catalogue_sizes():
     assert len(default_catalogue(C1, max_order=6)) == 7
     with pytest.raises(OrderTooLargeError):
         default_catalogue(C2, max_order=7)
+    # A bound that is not an int, bools included, or is below 1 is refused
+    # as cyclic_group refuses such an order.
+    for bad in (0, -1, 2.5, True, "3", None):
+        with pytest.raises(IndexOutOfRangeError):
+            default_catalogue(C2, bad)
 
 
 def test_catalogue_entries_validate_and_dedupe():
