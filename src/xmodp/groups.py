@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
 from operator import itemgetter, ne
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -242,46 +242,30 @@ def make_group(table: Sequence[Sequence[int]], name: str = "G") -> Group:
     return G
 
 
-def _greedy_generators(elements: Sequence[Hashable], mul: Callable) -> tuple | None:
-    """Greedy generators of elements under right multiplication, or None.
-
-    elements are taken in the order given, except that the idempotent ones
-    (g * g == g, such as an identity) come last, and one not yet reached
-    becomes the next generator; the reached set is then closed again under
-    x -> mul(x, s) for every generator s.  So each element is a left-nested
-    product (..(s1*s2)*..)*sk of generators, an idempotent is a generator
-    only when no product of the others reaches it, and no associativity or
-    identity is assumed.  Returns None as soon as a product of reached
-    elements falls outside elements.
-    """
-    members = set(elements)
-    gens: list = []
-    reached: list = []
-    seen: set = set()
-    for g in sorted(elements, key=lambda g: mul(g, g) == g):
-        if g in seen:
-            continue
-        gens.append(g)
-        stack = [g] + [mul(x, g) for x in reached]
-        while stack:
-            y = stack.pop()
-            if y in seen:
-                continue
-            if y not in members:
-                return None
-            seen.add(y)
-            reached.append(y)
-            stack.extend(mul(y, s) for s in gens)
-    return tuple(gens)
-
-
 def _generating_set(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Indices whose closure under right multiplication is the whole table.
 
-    Greedy in index order, idempotents last; the table only needs entries
-    in range.
+    Greedy in index order, except that the idempotent indices (s * s == s,
+    such as an identity) come last: one not yet reached becomes the next
+    generator, and the reached set is then closed again under x -> x * s
+    for every generator s.  So each index is a left-nested product
+    (..(s1*s2)*..)*sk of generators, an idempotent is a generator only when
+    no product of the others reaches it, and no associativity or identity
+    is assumed: the table only needs entries in range.
     """
-    return _greedy_generators(range(len(table)), lambda x, s: table[x][s])
+    gens: list[int] = []
+    reached: set[int] = set()
+    for g in sorted(range(len(table)), key=lambda g: table[g][g] == g):
+        if g in reached:
+            continue
+        gens.append(g)
+        stack = [g] + [table[x][g] for x in reached]
+        while stack:
+            y = stack.pop()
+            if y not in reached:
+                reached.add(y)
+                stack.extend(table[y][s] for s in gens)
+    return tuple(gens)
 
 
 def _associativity_failures(t: tuple[tuple[int, ...], ...], over: Iterable[int]) -> list[tuple[int, int, int]]:
@@ -717,11 +701,18 @@ def center(G: Group) -> tuple[int, ...]:
     )
 
 
+def _require_element(G: Group, x: object) -> None:
+    if not is_index(x, G.order):
+        raise IndexOutOfRangeError(f"{G.name}: element {x!r} out of range")
+
+
 def conjugacy_class(G: Group, x: int) -> tuple[int, ...]:
+    _require_element(G, x)
     return tuple(sorted(set(_column(G._conjugation, x))))
 
 
 def element_order(G: Group, a: int) -> int:
+    _require_element(G, a)
     k, cur = 1, a
     while cur != G.identity:
         cur = G.table[cur][a]

@@ -49,12 +49,13 @@ from .errors import (
 from .groups import (
     DEFAULT_BUDGET,
     Group,
-    _greedy_generators,
     _meter,
     _trusted_group,
     cyclic_group,
     identity_hom,
     is_index,
+    is_normal,
+    is_subgroup,
     klein_four_group,
     normal_closure,
     quotient_group,
@@ -322,27 +323,32 @@ def _pair_order(x: object) -> tuple:
 
 
 def _equivalence_holds(E: EquivalenceRelation) -> bool:
-    """E is an equivalence sub-crossed-module, proved on generators; False if it may not be.
+    """E is an equivalence sub-crossed-module, read off its normal subgroup.
 
-    Equal boundaries and reflexivity are checked in full.  Growing E from
-    greedy generators under right multiplication without leaving E shows
-    that E is closed under products, so it is a subgroup of M x M.  The
-    pairs mapped back into E by an actor are then closed under products,
-    and the actors doing so for all of E too, so generators of P times
-    generators of E suffice.  A reflexive subgroup of M x M is symmetric and
-    transitive: (b, a) = (b, b)(a, b)^-1(a, a), (a, c) = (a, b)(b, b)^-1(b, c).
+    With N = {b : (1, b) in E}, E holds exactly when it has |M| |N| pairs,
+    each pair (a, b) has a^-1 b in N, N is a normal subgroup of M inside
+    ker d, and the generators of P keep N.
+
+    An equivalence sub-crossed-module contains (a^-1, a^-1)(a, b) =
+    (1, a^-1 b), so it is the congruence {(a, an) : n in N} of N, with N
+    normal (conjugate (1, n) by (g, g)), inside ker d (the pair (1, n) has
+    equal boundaries) and kept by P.  Conversely the first two conditions
+    make E that congruence, as E lies in it and has its size, and the
+    congruence of such an N is a reflexive, P-stable subgroup of M x M
+    inside the boundary fibers, so symmetric and transitive as well.  The
+    p that keep N are closed under products, so the generators of P
+    suffice.
     """
     A = E.carrier
+    M = A.group
     pairs = E.pairs
-    bnd, t = A.boundary.image, A.group.table
-    if any(bnd[a] != bnd[b] for a, b in pairs):
+    N = {b for a, b in pairs if a == M.identity}
+    if len(pairs) != M.order * len(N) or any(M.table[M.inverse[a]][b] not in N for a, b in pairs):
         return False
-    if any((a, a) not in pairs for a in range(A.group.order)):
+    if not (is_subgroup(M, N) and is_normal(M, N)):
         return False
-    gens = _greedy_generators(sorted(pairs), lambda x, s: (t[x[0]][s[0]], t[x[1]][s[1]]))
-    return gens is not None and all(
-        (A.act(p, a), A.act(p, b)) in pairs for p in A.base._gens for a, b in gens
-    )
+    bnd = A.boundary.image
+    return all(bnd[b] == bnd[M.identity] for b in N) and all(A.act(p, b) in N for p in A.base._gens for b in N)
 
 
 def _equivalence_scan(E: EquivalenceRelation) -> tuple[str, ...]:

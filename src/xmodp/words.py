@@ -35,7 +35,7 @@ from .errors import (
     IndexOutOfRangeError,
     PreconditionFailedError,
 )
-from .groups import Group, is_index
+from .groups import Group, _require_element, is_index
 from .xmod import CrossedModule, _fibers
 
 __all__ = [
@@ -251,6 +251,8 @@ def singly_generated_hom(P: Group, x: int, y: int) -> ConjugacyWitness | None:
     One exists exactly when x = p y p^-1 for some p; the least such p is
     returned along with the word p . g0 over the object at y.
     """
+    _require_element(P, x)
+    _require_element(P, y)
     for p in range(P.order):
         if P.conj(p, y) == x:
             return ConjugacyWitness(p=p, word=symbol_word(single_object(P, y), "g0", u=p))

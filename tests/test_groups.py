@@ -81,6 +81,13 @@ def test_s3_conjugacy_classes():
     assert conjugacy_class(S3, three_cycles[0]) == tuple(three_cycles)
 
 
+@pytest.mark.parametrize("read", [conjugacy_class, element_order])
+@pytest.mark.parametrize("x", [-1, 6, True])
+def test_element_readers_check_their_index(read, x):
+    with pytest.raises(IndexOutOfRangeError, match=f"S3: element {re.escape(repr(x))} out of range"):
+        read(symmetric_group_3(), x)
+
+
 def test_make_group_not_associative():
     with pytest.raises(NotAssociativeError) as err:
         make_group([[1, 0], [0, 0]])

@@ -11,13 +11,15 @@ _with_pairs are counted.
 """
 
 import itertools
+from dataclasses import replace
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from test_failing_reports import _case
 from test_presheaf_from_fibers import _labels, _relabel_xmod
 from xmodp import presheaf
-from xmodp.groups import Work, cyclic_group, klein_four_group, symmetric_group_3
+from xmodp.groups import DEFAULT_BUDGET, Work, cyclic_group, klein_four_group, symmetric_group_3
 from xmodp.limits import default_catalogue
 from xmodp.presheaf import (
     _natural_singles,
@@ -29,6 +31,7 @@ from xmodp.presheaf import (
     verify_exactness_preservation,
     verify_full_faithful,
 )
+from xmodp.session import parse_session
 from xmodp.xmod import enumerate_morphisms
 
 UNGATED = 10**15
@@ -118,3 +121,28 @@ def test_pair_components_are_built_only_at_the_public_edge(monkeypatch):
         kind, args = _case("product-beside-empty-fiber", patched)
         assert not verify_exactness_preservation(kind, **args)["pass"]
     assert calls == [2, 2]
+
+
+def test_a_non_injective_functor_fails_the_report(monkeypatch):
+    """U made to send inv to the image of the identity on point.json's X:
+    the report fails, and one of the three pairs of morphisms is no longer
+    separated."""
+    X = parse_session((Path(__file__).parent / "golden" / "point.json").read_text()).xmods["X"]
+    real = presheaf._single_components
+
+    def merged(f, F, G):
+        return real(replace(f, mapping=(0, 1, 2)) if f.mapping == (0, 2, 1) else f, F, G)
+
+    monkeypatch.setattr(presheaf, "_single_components", merged)
+    assert verify_full_faithful(X, X) == {
+        "pass": False,
+        "source": "X",
+        "target": "X",
+        "hom_count": 3,
+        "nat_count": 3,
+        "round_trip_hom": False,
+        "round_trip_nat": False,
+        "functor_injective": False,
+        "separating_pairs": 2,
+        "budget": DEFAULT_BUDGET,
+    }

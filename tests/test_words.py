@@ -178,6 +178,12 @@ def test_singly_generated_hom():
     assert singly_generated_hom(S3, x, three_cycle) is None
 
 
+@pytest.mark.parametrize("x, y", [(-1, 5), (0, -1), (0, 6), (6, 0), (True, 1), (1, True)])
+def test_singly_generated_hom_checks_its_elements(x, y):
+    with pytest.raises(IndexOutOfRangeError):
+        singly_generated_hom(S3, x, y)
+
+
 def test_apply_peiffer_move_requires_pattern():
     u = make_word(PAIR, [(2, "g0", 1)])
     v = make_word(PAIR, [(0, "g1", 1)])
