@@ -37,7 +37,6 @@ from .xmod import (  # noqa: F401
     identity_xmod_morphism,
     make_crossed_module,
     make_xmod_morphism,
-    standard_xmod,
     trivial_action,
     trivial_xmod,
     validate_crossed_module,
@@ -92,8 +91,10 @@ from .presheaf import (  # noqa: F401
     functor_on_morphism,
     generator_witness,
     reconstruct_morphism,
-    verify_exactness_preservation,
+    verify_coequaliser_preserved,
+    verify_equaliser_preserved,
     verify_full_faithful,
+    verify_product_preserved,
 )
 from .session import (  # noqa: F401
     Session,

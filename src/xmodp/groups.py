@@ -650,9 +650,18 @@ def normal_closure(G: Group, seed: Iterable[int]) -> tuple[int, ...]:
     return subgroup_closure(G, set().union(*map(_gather(H), G._conjugation)))
 
 
+def _elements(G: Group, elems: Iterable[int]) -> tuple[int, ...]:
+    """The distinct elems in index order, each checked to be an element of G
+    (a bool would otherwise merge with 0 or 1 in the set)."""
+    elems = list(elems)
+    for x in elems:
+        _require_element(G, x)
+    return tuple(sorted(set(elems)))
+
+
 def subgroup_group(G: Group, elems: Iterable[int], name: str | None = None) -> tuple[Group, GroupHom]:
     """Reindex a subgroup as a Group of its own, with the inclusion hom."""
-    sub = tuple(sorted(set(elems)))
+    sub = _elements(G, elems)
     if not is_subgroup(G, sub):
         raise NotSubgroupError(f"{G.name}: {sub} is not a subgroup")
     pos = {g: i for i, g in enumerate(sub)}
@@ -669,7 +678,7 @@ class Quotient(NamedTuple):
 
 def quotient_group(G: Group, normal: Iterable[int], name: str | None = None) -> Quotient:
     """Quotient by a normal subgroup; class i is named by its least element."""
-    N = tuple(sorted(set(normal)))
+    N = _elements(G, normal)
     if not is_subgroup(G, N):
         raise NotSubgroupError(f"{G.name}: {N} is not a subgroup")
     if not is_normal(G, N):

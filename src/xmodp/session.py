@@ -27,12 +27,11 @@ from .errors import (
     XmodError,
 )
 from .groups import Group, make_group
-from . import limits
+from . import limits, presheaf
 from .limits import DEFAULT_CATALOGUE_ORDER, MAX_CATALOGUE_ORDER, Cocone, Cone, EquivalenceRelation
 from .presheaf import (
     compute_presheaf,
     generator_witness,
-    verify_exactness_preservation,
     verify_full_faithful,
 )
 from .words import hom_set, hom_set_size, make_free_object
@@ -410,12 +409,13 @@ def _verify_embedding(session: Session, objs: Sequence, budget: int, max_order: 
 
 _MORPHISM_PAIR = ("morphism", "morphism")
 
-# Each verify-exact kind: the keywords verify_exactness_preservation takes
-# its objects by, and the kind of session object each one names.
+# Each verify-exact kind: the name of its comparison in presheaf, looked up
+# at call time as _universal looks up limits, and the kinds of session
+# object it takes.
 _EXACT_KINDS = {
-    "product": (("A", "B"), ("xmod", "xmod")),
-    "equaliser": (("f", "g"), _MORPHISM_PAIR),
-    "coequaliser": (("f", "g"), _MORPHISM_PAIR),
+    "product": ("verify_product_preserved", ("xmod", "xmod")),
+    "equaliser": ("verify_equaliser_preserved", _MORPHISM_PAIR),
+    "coequaliser": ("verify_coequaliser_preserved", _MORPHISM_PAIR),
 }
 
 
@@ -427,9 +427,8 @@ def _verify_exact(session: Session, args: Sequence[str], budget: int, max_order:
     kind, rest = args[0], args[1:]
     if kind not in _EXACT_KINDS:
         raise UnknownCommandError(f"verify-exact: unknown kind {kind!r}")
-    keywords, kinds = _EXACT_KINDS[kind]
-    objs = _resolve(session, f"verify-exact {kind}", kinds, rest)
-    return verify_exactness_preservation(kind, **dict(zip(keywords, objs)))
+    verify, kinds = _EXACT_KINDS[kind]
+    return getattr(presheaf, verify)(*_resolve(session, f"verify-exact {kind}", kinds, rest))
 
 
 def _witness_generators(session: Session, objs: Sequence, budget: int, max_order: int) -> dict:

@@ -38,18 +38,23 @@ full loops over every entry.  The axioms and their closure arguments:
   for a given p, and the p with it for all m.
 
 CM1 and CM2 keep two forms.  _crossed_holds checks entries on generators,
-and it is also the filter of all_crossed_modules, where a row form on
-generators costs about 8 us per (boundary, action) candidate against
-1.2 us (the 276 candidates of V4/V4, C4/V4 and S3/S3, Python 3.11 on a
-shared 2-CPU host).  all_crossed_modules joins CM2 before it: a pair is
-built into action rows and checked only when the action hom sends the
-boundary of each generator of M to the index of that generator's inner
-automorphism, one gathered compare per pair (C2^3 over C2^3: 14,624 of
-376,832 pairs checked, 0.13 s against 0.64 s for the filter alone, same
-host).  _structure_violations is the full scan by rows: an
-entry-level full scan would bring back the per-entry loops that the row
-scan replaced, which took 0.088 s against 0.004 s over ten corrupted
-base-S4 parses.
+and it is also the filter of all_crossed_modules.  A row form on
+generators costs the same per structure once the conjugation tables are
+built (1.05 us against 1.12 us over the 117 catalogue structures of
+order at most 6 over C2, V4 and S3, Python 3.11 on a shared 2-CPU host),
+but it reads whole rows of Group._conjugation, so accepting a session's
+crossed module would build the |M|^2 conjugation table of each of its
+groups: with _crossed_holds itself in row form, parsing six relabelled
+base-S4 sessions took 20.9-21.2 ms against 20.2-20.4 ms (best of 15,
+three alternating processes each, same host).  all_crossed_modules joins
+CM2 before it: a pair is built into action rows and checked only when
+the action hom sends the boundary of each generator of M to the index of
+that generator's inner automorphism, one gathered compare per pair (C2^3
+over C2^3: 14,624 of 376,832 pairs checked, 0.13 s against 0.64 s for
+the filter alone, same host).  _structure_violations is the full scan by
+rows: an entry-level full scan would bring back the per-entry loops that
+the row scan replaced, which took 0.088 s against 0.004 s over ten
+corrupted base-S4 parses.
 
 The action and CM1/CM2 checks compare whole rows, gathered as tuples in
 C, and search entry by entry only the rows that differ; the map-boundary
@@ -80,6 +85,7 @@ from .groups import (
     Group,
     GroupHom,
     _differences,
+    _elements,
     _gather,
     _hom_failures,
     _hom_witnesses,
@@ -112,7 +118,6 @@ __all__ = [
     "trivial_xmod",
     "central_extension_xmod",
     "central_image_xmod",
-    "standard_xmod",
     "morphism_violations",
     "validate_morphism",
     "make_xmod_morphism",
@@ -371,7 +376,7 @@ def fiber(A: CrossedModule, x: int) -> tuple[int, ...]:
 
 def conjugation_xmod(G: Group, normal_elems: Sequence[int], name: str | None = None) -> CrossedModule:
     """Inclusion of a normal subgroup with the conjugation action of G."""
-    sub = tuple(sorted(set(normal_elems)))
+    sub = _elements(G, normal_elems)
     if not is_subgroup(G, sub):
         raise PreconditionFailedError(f"conjugation: {sub} is not a subgroup of {G.name}")
     if not is_normal(G, sub):
@@ -450,24 +455,6 @@ def central_image_xmod(mu: GroupHom, name: str | None = None) -> CrossedModule:
     )
 
 
-_STANDARD_KINDS = {
-    "conjugation": conjugation_xmod,
-    "automorphism": automorphism_xmod,
-    "trivial": trivial_xmod,
-    "central-extension": central_extension_xmod,
-    "central-image": central_image_xmod,
-}
-
-
-def standard_xmod(kind: str, *args, **kwargs) -> CrossedModule:
-    """Dispatch to one of the five named constructions by kind string."""
-    if kind not in _STANDARD_KINDS:
-        raise PreconditionFailedError(
-            f"unknown construction {kind!r}; expected one of {sorted(_STANDARD_KINDS)}"
-        )
-    return _STANDARD_KINDS[kind](*args, **kwargs)
-
-
 # Morphisms over the shared base.
 
 @dataclass(frozen=True)
@@ -483,9 +470,6 @@ class XModMorphism:
 
     def is_injective(self) -> bool:
         return len(set(self.mapping)) == self.source.group.order
-
-    def is_surjective(self) -> bool:
-        return len(set(self.mapping)) == self.target.group.order
 
 
 def morphism_violations(A: CrossedModule, B: CrossedModule, mapping: Sequence[int]) -> tuple[Violation, ...]:

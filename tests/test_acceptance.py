@@ -40,7 +40,12 @@ from xmodp.limits import (
     verify_pullback,
     verify_quotient,
 )
-from xmodp.presheaf import verify_exactness_preservation, verify_full_faithful
+from xmodp.presheaf import (
+    verify_coequaliser_preserved,
+    verify_equaliser_preserved,
+    verify_full_faithful,
+    verify_product_preserved,
+)
 from xmodp.words import (
     apply_peiffer_move,
     evaluate_word,
@@ -381,12 +386,12 @@ def test_criterion_7_embedding_preserves_exactness():
     zero_flat = make_xmod_morphism(flat, flat, [0, 0])
 
     reports = [
-        verify_exactness_preservation("product", A=A2, B=A1),
-        verify_exactness_preservation("product", A=flat, B=flat),
-        verify_exactness_preservation("equaliser", f=f, g=f),
-        verify_exactness_preservation("equaliser", f=ident3, g=inv3),
-        verify_exactness_preservation("coequaliser", f=ident3, g=inv3),
-        verify_exactness_preservation("coequaliser", f=ident_flat, g=zero_flat),
+        verify_product_preserved(A2, A1),
+        verify_product_preserved(flat, flat),
+        verify_equaliser_preserved(f, f),
+        verify_equaliser_preserved(ident3, inv3),
+        verify_coequaliser_preserved(ident3, inv3),
+        verify_coequaliser_preserved(ident_flat, zero_flat),
     ]
     collapse = reports[4]
     one_point = all(

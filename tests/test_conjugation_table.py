@@ -40,7 +40,7 @@ from xmodp.limits import (
     terminal_object,
     unique_to_terminal,
 )
-from xmodp.presheaf import verify_exactness_preservation, verify_full_faithful
+from xmodp.presheaf import verify_full_faithful, verify_product_preserved
 from xmodp.xmod import conjugation_action, conjugation_xmod, enumerate_morphisms, trivial_xmod
 
 
@@ -124,7 +124,7 @@ def test_base_s5_comparisons_build_no_conjugation_through_conj(monkeypatch):
     S5 = _symmetric(5)
     Z = trivial_xmod(cyclic_group(2), S5, name="Z")
     calls = _counting_conj(monkeypatch)
-    assert verify_exactness_preservation("product", A=Z, B=Z)["pass"]
+    assert verify_product_preserved(Z, Z)["pass"]
     assert calls[0] <= S5.order
     calls[0] = 0
     assert verify_full_faithful(Z, Z)["pass"]

@@ -34,7 +34,9 @@ from xmodp.presheaf import (
     _with_pairs,
     compute_presheaf,
     functor_on_morphism,
-    verify_exactness_preservation,
+    verify_coequaliser_preserved,
+    verify_equaliser_preserved,
+    verify_product_preserved,
 )
 from xmodp.words import build_site
 from xmodp.xmod import (
@@ -246,12 +248,12 @@ def test_pair_rows_by_formula_equal_the_per_object_check_on_catalogue_pairs():
         catalogue = CATALOGUES[P]
         site = build_site(catalogue[0].base)
         for A, B in itertools.product(catalogue, repeat=2):
-            report = verify_exactness_preservation("product", A, B)
+            report = verify_product_preserved(A, B)
             assert report["pass"] and report["objects"] == _product_rows(product_over_P(A, B), A, B, site)
             for f, g in itertools.combinations_with_replacement(_homs(A, B)[:3], 2):
-                report = verify_exactness_preservation("equaliser", f=f, g=g)
+                report = verify_equaliser_preserved(f, g)
                 assert report["pass"] and report["objects"] == _equaliser_rows(equaliser(f, g), f, g, site)
-                report = verify_exactness_preservation("coequaliser", f=f, g=g)
+                report = verify_coequaliser_preserved(f, g)
                 assert report["pass"] and report["objects"] == _coequaliser_rows(coequaliser(f, g), f, site)
                 compared += 2
             compared += 1
@@ -269,13 +271,13 @@ def test_a_failing_single_beside_an_empty_fiber_gets_every_row_checked(monkeypat
     expected = [False, True, False, True, True, True]
     diagonal = Cone(kind="product", apex=A, legs=(ident, ident), elements=((0, 0), (1, 1)))
     monkeypatch.setattr(presheaf, "product_over_P", lambda X, Y: diagonal)
-    report = verify_exactness_preservation("product", A=A, B=A)
+    report = verify_product_preserved(A, A)
     assert report["objects"] == _product_rows(diagonal, A, A, site)
     assert [row["ok"] for row in report["objects"]] == expected
     one = trivial_xmod(groups.trivial_group(), C2)
     too_small = Cone(kind="equaliser", apex=one, legs=(make_xmod_morphism(one, A, [0]),), elements=(0,))
     monkeypatch.setattr(presheaf, "equaliser", lambda u, v: too_small)
-    report = verify_exactness_preservation("equaliser", f=ident, g=ident)
+    report = verify_equaliser_preserved(ident, ident)
     assert report["objects"] == _equaliser_rows(too_small, ident, ident, site)
     assert [row["ok"] for row in report["objects"]] == expected
 
@@ -297,7 +299,7 @@ def test_base_s5_product_reads_generators_and_singles_only(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(presheaf, "compute_presheaf", recording)
-    report = verify_exactness_preservation("product", A=Z, B=I)
+    report = verify_product_preserved(Z, I)
     assert report["pass"] and report["squares_checked"] == 258
     assert len(report["objects"]) == 14_520 and all(row["ok"] for row in report["objects"])
     (FX,) = [F for F in built if F.xmod.name == report["apex"]]

@@ -19,7 +19,7 @@ import pytest
 from xmodp import presheaf
 from xmodp.groups import cyclic_group, klein_four_group, trivial_group
 from xmodp.limits import Cocone, Cone, unique_to_terminal, terminal_object
-from xmodp.presheaf import verify_exactness_preservation
+from xmodp.presheaf import verify_coequaliser_preserved, verify_equaliser_preserved, verify_product_preserved
 from xmodp.xmod import (
     XModMorphism,
     conjugation_xmod,
@@ -48,52 +48,52 @@ def _product(leg):
 
 
 def _case(kind, monkeypatch):
-    """Patch the construction of one case; return the comparison's arguments."""
+    """Patch the construction of one case; return its verifier and arguments."""
     if kind in ("product-unequivariant", "product-unmultiplicative"):
         cone, (A, B) = _product(UNEQUIVARIANT if kind == "product-unequivariant" else UNMULTIPLICATIVE)
         monkeypatch.setattr(presheaf, "product_over_P", lambda X, Y: cone)
-        return "product", {"A": A, "B": B}
+        return verify_product_preserved, (A, B)
     if kind in ("equaliser-unequivariant", "equaliser-unmultiplicative"):
         leg = UNEQUIVARIANT if kind == "equaliser-unequivariant" else UNMULTIPLICATIVE
         ident = identity_xmod_morphism(leg.target)
         cone = Cone("equaliser", leg.source, (leg,), tuple(range(4)))
         monkeypatch.setattr(presheaf, "equaliser", lambda u, v: cone)
-        return "equaliser", {"f": ident, "g": ident}
+        return verify_equaliser_preserved, (ident, ident)
     if kind in ("coequaliser-unequivariant", "coequaliser-unmultiplicative"):
         leg = UNEQUIVARIANT if kind == "coequaliser-unequivariant" else UNMULTIPLICATIVE
         ident = identity_xmod_morphism(leg.source)
         cocone = Cocone("coequaliser", leg.target, (leg,), tuple((a,) for a in range(4)))
         monkeypatch.setattr(presheaf, "coequaliser", lambda u, v: cocone)
-        return "coequaliser", {"f": ident, "g": ident}
+        return verify_coequaliser_preserved, (ident, ident)
     if kind == "product-diagonal":
         ident = identity_xmod_morphism(A2)
         cone = Cone("product", A2, (ident, ident), tuple((a, a) for a in range(4)))
         monkeypatch.setattr(presheaf, "product_over_P", lambda X, Y: cone)
-        return "product", {"A": A2, "B": A2}
+        return verify_product_preserved, (A2, A2)
     if kind == "equaliser-too-small":
         f = make_xmod_morphism(A2, conjugation_xmod(C2, [0, 1]), [0, 1, 0, 1])
         incl = make_xmod_morphism(trivial_xmod(C2, C2), A2, [0, 2])
         cone = Cone("equaliser", incl.source, (incl,), (0, 2))
         monkeypatch.setattr(presheaf, "equaliser", lambda u, v: cone)
-        return "equaliser", {"f": f, "g": f}
+        return verify_equaliser_preserved, (f, f)
     if kind == "coequaliser-not-onto":
         flat = trivial_xmod(C2, C2)
         incl = make_xmod_morphism(flat, A2, [0, 2])
         cocone = Cocone("coequaliser", A2, (incl,), ((0,), (1,)))
         monkeypatch.setattr(presheaf, "coequaliser", lambda u, v: cocone)
         ident = identity_xmod_morphism(flat)
-        return "coequaliser", {"f": ident, "g": ident}
+        return verify_coequaliser_preserved, (ident, ident)
     # A C2 over C2 with an empty fiber over 1, beside which single(0) fails.
     A = trivial_xmod(C2, C2)
     ident = identity_xmod_morphism(A)
     if kind == "product-beside-empty-fiber":
         cone = Cone("product", A, (ident, ident), ((0, 0), (1, 1)))
         monkeypatch.setattr(presheaf, "product_over_P", lambda X, Y: cone)
-        return "product", {"A": A, "B": A}
+        return verify_product_preserved, (A, A)
     one = trivial_xmod(trivial_group(), C2)
     cone = Cone("equaliser", one, (make_xmod_morphism(one, A, [0]),), (0,))
     monkeypatch.setattr(presheaf, "equaliser", lambda u, v: cone)
-    return "equaliser", {"f": ident, "g": ident}
+    return verify_equaliser_preserved, (ident, ident)
 
 
 def _rows(*rows):
@@ -160,8 +160,8 @@ EXPECTED = {
 
 @pytest.mark.parametrize("kind", list(EXPECTED))
 def test_failing_report_is_pinned(monkeypatch, kind):
-    comparison, args = _case(kind, monkeypatch)
-    report = verify_exactness_preservation(comparison, **args)
+    verify, args = _case(kind, monkeypatch)
+    report = verify(*args)
     objects, failures = EXPECTED[kind]
     assert report["pass"] is False
     assert report["objects"] == objects

@@ -88,6 +88,31 @@ def test_element_readers_check_their_index(read, x):
         read(symmetric_group_3(), x)
 
 
+@pytest.mark.parametrize("build", [subgroup_group, quotient_group])
+@pytest.mark.parametrize("x", [-1, 4, True])
+def test_element_lists_check_their_indices(build, x):
+    # Read as an index, -1 would be element 3 and True element 1, which
+    # would make [0, True, 2, 3] the whole of C4.
+    with pytest.raises(IndexOutOfRangeError, match=f"C4: element {re.escape(repr(x))} out of range"):
+        build(cyclic_group(4), [0, x, 2, 3])
+
+
+def test_make_group_of_the_empty_table():
+    with pytest.raises(NoIdentityError, match="empty table has no identity"):
+        make_group([])
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_cyclic_group_refuses_an_order_below_1(n):
+    with pytest.raises(IndexOutOfRangeError, match=f"cyclic order must be positive, got {n}"):
+        cyclic_group(n)
+
+
+def test_make_hom_refuses_an_image_of_the_wrong_length():
+    with pytest.raises(IndexOutOfRangeError, match="hom image has length 1, expected 2"):
+        make_hom(cyclic_group(2), cyclic_group(2), [0])
+
+
 def test_make_group_not_associative():
     with pytest.raises(NotAssociativeError) as err:
         make_group([[1, 0], [0, 0]])

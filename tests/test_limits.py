@@ -172,6 +172,13 @@ def test_pullback_along_identity_is_the_other_source():
     assert sorted(cone.legs[0].mapping) == list(range(4))
 
 
+def test_pullback_rejects_maps_without_a_common_target():
+    f = _mod2_morphism()
+    incl = make_xmod_morphism(trivial_xmod(C2, C2), _mod2_xmod(), [0, 2])
+    with pytest.raises(DiagramMismatchError):
+        pullback(f, incl)
+
+
 def test_terminal_object_receives_exactly_one_morphism():
     T = terminal_object(C2)
     assert validate_crossed_module(T) == ()

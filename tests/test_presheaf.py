@@ -28,8 +28,10 @@ from xmodp.presheaf import (
     presheaf_action,
     presheaf_composition_violations,
     reconstruct_morphism,
-    verify_exactness_preservation,
+    verify_coequaliser_preserved,
+    verify_equaliser_preserved,
     verify_full_faithful,
+    verify_product_preserved,
 )
 from xmodp.words import SiteObject, pair_object, symbol_word
 from xmodp.xmod import (
@@ -300,7 +302,7 @@ def test_verify_full_faithful_matrix():
 
 
 def test_product_preservation():
-    report = verify_exactness_preservation("product", A=_mod2_xmod(), B=_id_xmod())
+    report = verify_product_preserved(_mod2_xmod(), _id_xmod())
     assert report["pass"]
     assert report["squares_checked"] > 0
     for entry in report["objects"]:
@@ -312,13 +314,13 @@ def test_product_preservation():
 def test_equaliser_preservation():
     A2, A1 = _mod2_xmod(), _id_xmod()
     f = make_xmod_morphism(A2, A1, [0, 1, 0, 1])
-    report = verify_exactness_preservation("equaliser", f=f, g=f)
+    report = verify_equaliser_preserved(f, f)
     assert report["pass"]
 
     B = trivial_xmod(C3, C1)
     ident = identity_xmod_morphism(B)
     inversion = make_xmod_morphism(B, B, [0, 2, 1])
-    report = verify_exactness_preservation("equaliser", f=ident, g=inversion)
+    report = verify_equaliser_preserved(ident, inversion)
     assert report["pass"]
     single = next(e for e in report["objects"] if e["object"] == "single(0)")
     assert single["lhs_size"] == 1
@@ -328,7 +330,7 @@ def test_coequaliser_preservation_collapses_to_a_point():
     B = trivial_xmod(C3, C1)
     ident = identity_xmod_morphism(B)
     inversion = make_xmod_morphism(B, B, [0, 2, 1])
-    report = verify_exactness_preservation("coequaliser", f=ident, g=inversion)
+    report = verify_coequaliser_preserved(ident, inversion)
     assert report["pass"]
     for entry in report["objects"]:
         assert entry["lhs_size"] == 1 and entry["rhs_size"] == 1
@@ -338,17 +340,10 @@ def test_coequaliser_preservation_with_empty_fibers():
     A3 = _flat_xmod()
     ident = identity_xmod_morphism(A3)
     zero = make_xmod_morphism(A3, A3, [0, 0])
-    report = verify_exactness_preservation("coequaliser", f=ident, g=zero)
+    report = verify_coequaliser_preserved(ident, zero)
     assert report["pass"]
     empty = next(e for e in report["objects"] if e["object"] == "single(1)")
     assert empty["lhs_size"] == 0 and empty["rhs_size"] == 0
-
-
-def test_verify_exactness_preservation_usage_errors():
-    with pytest.raises(ShapeMismatchError):
-        verify_exactness_preservation("product", A=_mod2_xmod())
-    with pytest.raises(ShapeMismatchError):
-        verify_exactness_preservation("pushout", A=_mod2_xmod(), B=_id_xmod())
 
 
 def test_generator_witness_empty_fiber():
@@ -395,7 +390,7 @@ def test_product_comparison_catches_wrong_cone(monkeypatch):
     ident = identity_xmod_morphism(A)
     diagonal = Cone(kind="product", apex=A, legs=(ident, ident), elements=tuple((a, a) for a in range(4)))
     monkeypatch.setattr(presheaf, "product_over_P", lambda X, Y: diagonal)
-    report = verify_exactness_preservation("product", A=A, B=A)
+    report = verify_product_preserved(A, A)
     _assert_comparison_fails(report, "product", {"object", "reason"})
 
 
@@ -404,7 +399,7 @@ def test_equaliser_comparison_catches_wrong_cone(monkeypatch):
     incl = make_xmod_morphism(_flat_xmod(), f.source, [0, 2])
     too_small = Cone(kind="equaliser", apex=incl.source, legs=(incl,), elements=(0, 2))
     monkeypatch.setattr(presheaf, "equaliser", lambda u, v: too_small)
-    report = verify_exactness_preservation("equaliser", f=f, g=f)
+    report = verify_equaliser_preserved(f, f)
     _assert_comparison_fails(report, "equaliser", {"object", "reason"})
 
 
@@ -414,29 +409,28 @@ def test_coequaliser_comparison_catches_wrong_cocone(monkeypatch):
     incl = make_xmod_morphism(B, _mod2_xmod(), [0, 2])
     not_onto = Cocone(kind="coequaliser", apex=incl.target, legs=(incl,), classes=((0,), (1,)))
     monkeypatch.setattr(presheaf, "coequaliser", lambda u, v: not_onto)
-    report = verify_exactness_preservation("coequaliser", f=ident, g=ident)
+    report = verify_coequaliser_preserved(ident, ident)
     _assert_comparison_fails(report, "coequaliser", {"object", "reason", "well_defined", "surjective"})
     assert any(not entry["surjective"] for entry in report["failures"])
 
 
 @pytest.mark.parametrize(
-    "kind, square_keys",
+    "verify, square_keys",
     [
-        ("product", {"object", "generator", "index"}),
-        ("equaliser", {"object", "generator", "index"}),
-        ("coequaliser", {"generator", "index", "reason"}),
+        (verify_product_preserved, {"object", "generator", "index"}),
+        (verify_equaliser_preserved, {"object", "generator", "index"}),
+        (verify_coequaliser_preserved, {"generator", "index", "reason"}),
     ],
+    # Each verifier is named by its construction: verify_<kind>_preserved.
+    ids=lambda v: v.__name__.split("_")[1] if callable(v) else None,
 )
-def test_comparisons_report_failed_squares(monkeypatch, kind, square_keys):
+def test_comparisons_report_failed_squares(monkeypatch, verify, square_keys):
     # The square check reports one failed square, generator 0 at index 0,
     # for every comparison map, on the generators and on the whole range
     # alike, so each comparison must read its squares and fail on them.
     monkeypatch.setattr(presheaf, "_square_failures", lambda F, G, singles, ps, bs: [(0, 0)])
     f = make_xmod_morphism(_mod2_xmod(), _id_xmod(), [0, 1, 0, 1])
-    if kind == "product":
-        report = verify_exactness_preservation("product", A=f.source, B=f.target)
-    else:
-        report = verify_exactness_preservation(kind, f=f, g=f)
+    report = verify(f.source, f.target) if verify is verify_product_preserved else verify(f, f)
     assert report["pass"] is False
     assert all(o["ok"] for o in report["objects"])
     assert len(report["failures"]) == 1

@@ -28,7 +28,14 @@ from xmodp.groups import cyclic_group, klein_four_group, make_group, make_hom, s
 from xmodp.limits import default_catalogue
 from xmodp import presheaf, session, words
 from xmodp.cli import _json_text
-from xmodp.presheaf import compute_presheaf, presheaf_action, verify_exactness_preservation, verify_full_faithful
+from xmodp.presheaf import (
+    compute_presheaf,
+    presheaf_action,
+    verify_coequaliser_preserved,
+    verify_equaliser_preserved,
+    verify_full_faithful,
+    verify_product_preserved,
+)
 from xmodp.session import Session, parse_session, run_command
 from xmodp.words import build_site, evaluate_word, hom_set, hom_set_size, make_free_object, make_word
 from xmodp.xmod import _fibers, central_extension_xmod, enumerate_morphisms, make_crossed_module
@@ -168,9 +175,13 @@ def test_embedding_builds_no_words(monkeypatch):
     assert code == 0 and len(report["actions"]) == site.generator_count
     assert verify_full_faithful(T, E)["pass"]
     f, g = enumerate_morphisms(E, E, budget=10**15)[:2]
-    pairs = {"product": {"A": T, "B": E}, "equaliser": {"f": f, "g": g}, "coequaliser": {"f": f, "g": g}}
-    for kind, args in pairs.items():
-        assert verify_exactness_preservation(kind, **args)["pass"]
+    cases = [
+        (verify_product_preserved, (T, E)),
+        (verify_equaliser_preserved, (f, g)),
+        (verify_coequaliser_preserved, (f, g)),
+    ]
+    for verify, args in cases:
+        assert verify(*args)["pass"]
     assert made == []
     # The counter sees constructions: the identity of single(0) makes one of each.
     site.morphism(0)
@@ -194,16 +205,16 @@ def test_searches_and_comparisons_build_no_assignment_tuples(monkeypatch):
     site = build_site(E.base)
     for A, B in itertools.product([E, T], repeat=2):
         assert verify_full_faithful(A, B)["pass"]
-        assert verify_exactness_preservation("product", A, B)["pass"]
+        assert verify_product_preserved(A, B)["pass"]
     assert len(built) == 2 * 2 + 2 * 1 + 4 * 3
     report, code = run_command(S3_SESSION, "verify-embedding", ["E", "E"])
     assert code == 0 and report["pass"] and len(built) == 19
     pairs = [fg for X in (E, T) for fg in itertools.combinations(enumerate_morphisms(X, X), 2)]
     for f, g in pairs:
-        assert verify_exactness_preservation("coequaliser", f=f, g=g)["pass"]
+        assert verify_coequaliser_preserved(f, g)["pass"]
     assert len(pairs) == 6 + 3 and len(built) == 19 + 3 * len(pairs)
     for f, g in pairs:
-        assert verify_exactness_preservation("equaliser", f=f, g=g)["pass"]
+        assert verify_equaliser_preserved(f, g)["pass"]
     assert len(built) == 19 + 5 * len(pairs)
     report, code = run_command(S3_SESSION, "embed", ["E"])
     assert code == 0 and len(report["objects"]) == len(site.objects) and len(built) == 65
@@ -239,6 +250,11 @@ def _check_embed_writer(A):
     assert _json_text({"nested": [report]}) == json.dumps({"nested": [oracle]}, indent=2)
     assert list(report["objects"]) == objects and list(report["actions"]) == actions
     assert report["objects"][1:3] == objects[1:3]
+
+
+def test_an_empty_item_list_is_written_as_json_dumps_writes_it():
+    for pad in ("", "    "):
+        assert _json_text(session._ItemTexts([]), pad) == "[]" == json.dumps([], indent=2)
 
 
 # A catalogue module whose boundary misses some base element, so that some

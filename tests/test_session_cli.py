@@ -2,6 +2,7 @@
 
 import argparse
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from xmodp.errors import (
 )
 from xmodp.session import COMMAND_TABLE, DATA_ERRORS, Session, parse_session, run_command, serialize_session
 
+C2_SESSION = Path(__file__).parent / "golden" / "c2.json"
 C4_TABLE = [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
 
 
@@ -114,6 +116,11 @@ def test_parse_schema_errors():
     doc = _doc()
     doc["groups"].append(doc["groups"][0])
     with pytest.raises(ParseError):
+        parse_session(json.dumps(doc))
+
+    doc = _doc()
+    doc["groups"][1]["order"] = 3
+    with pytest.raises(ParseError, match="group 'C4': order 3 does not match table size 4"):
         parse_session(json.dumps(doc))
 
     doc = _doc()
@@ -258,6 +265,31 @@ def test_run_verify_exact():
     assert code == 0 and report["pass"]
     with pytest.raises(UnknownCommandError):
         run_command(_session(), "verify-exact", ["pushout", "A2", "A1"])
+
+
+@pytest.mark.parametrize(
+    "args, stderr",
+    [
+        (
+            [],
+            "MissingArgumentError: expected verify-exact product <xmod> <xmod> | equaliser <m> <m>"
+            " | coequaliser <m> <m>",
+        ),
+        (["pushout", "A2", "A1"], "UnknownCommandError: verify-exact: unknown kind 'pushout'"),
+        (["product", "A2"], "MissingArgumentError: expected verify-exact product <xmod> <xmod>"),
+        (
+            ["equaliser", "id2", "neg", "extra"],
+            "UnknownNameError: unexpected extra arguments ['extra']; expected verify-exact equaliser"
+            " <morphism> <morphism>",
+        ),
+    ],
+    ids=["no-kind", "unknown-kind", "one-object", "extra-argument"],
+)
+def test_cli_verify_exact_usage_texts(capsys, args, stderr):
+    assert main(["verify-exact", "--input", str(C2_SESSION), *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {stderr}\n"
 
 
 def test_run_witness_generators():

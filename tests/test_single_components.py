@@ -28,8 +28,10 @@ from xmodp.presheaf import (
     enumerate_natural_transformations,
     functor_on_morphism,
     reconstruct_morphism,
-    verify_exactness_preservation,
+    verify_coequaliser_preserved,
+    verify_equaliser_preserved,
     verify_full_faithful,
+    verify_product_preserved,
 )
 from xmodp.session import parse_session
 from xmodp.xmod import enumerate_morphisms
@@ -108,9 +110,9 @@ def test_pair_components_are_built_only_at_the_public_edge(monkeypatch):
     for A, B in itertools.product(catalogue[:8], repeat=2):
         assert verify_full_faithful(A, B, budget=UNGATED)["pass"]
         for f in enumerate_morphisms(A, B, budget=UNGATED)[:2]:
-            for kind in ("equaliser", "coequaliser"):
-                assert verify_exactness_preservation(kind, f=f, g=f)["pass"]
-        assert verify_exactness_preservation("product", A=A, B=B)["pass"]
+            for verify in (verify_equaliser_preserved, verify_coequaliser_preserved):
+                assert verify(f, f)["pass"]
+        assert verify_product_preserved(A, B)["pass"]
     assert calls == []
     # The counter sees the public edge and a comparison failing at a single.
     F = compute_presheaf(catalogue[1])
@@ -118,8 +120,8 @@ def test_pair_components_are_built_only_at_the_public_edge(monkeypatch):
     assert calls
     calls.clear()
     with monkeypatch.context() as patched:
-        kind, args = _case("product-beside-empty-fiber", patched)
-        assert not verify_exactness_preservation(kind, **args)["pass"]
+        verify, args = _case("product-beside-empty-fiber", patched)
+        assert not verify(*args)["pass"]
     assert calls == [2, 2]
 
 

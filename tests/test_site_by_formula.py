@@ -26,7 +26,12 @@ from xmodp import presheaf
 from xmodp.errors import IndexOutOfRangeError
 from xmodp.groups import cyclic_group, klein_four_group, symmetric_group_3
 from xmodp.limits import Cone, terminal_object, unique_to_terminal
-from xmodp.presheaf import compute_presheaf, verify_exactness_preservation
+from xmodp.presheaf import (
+    compute_presheaf,
+    verify_coequaliser_preserved,
+    verify_equaliser_preserved,
+    verify_product_preserved,
+)
 from xmodp.session import parse_session, run_command
 from xmodp.words import SiteObject, build_site
 from xmodp.xmod import XModMorphism, conjugation_xmod, enumerate_morphisms, identity_xmod_morphism, trivial_xmod
@@ -143,9 +148,13 @@ def test_passing_comparisons_build_no_per_generator_tuple(monkeypatch):
     sites = _recorded_sites(monkeypatch)
     E, T = S3_SESSION.xmods["E"], S3_SESSION.xmods["T"]
     f, g = enumerate_morphisms(E, E, budget=10**15)[:2]
-    cases = {"product": {"A": T, "B": E}, "equaliser": {"f": f, "g": g}, "coequaliser": {"f": f, "g": g}}
-    for kind, args in cases.items():
-        assert verify_exactness_preservation(kind, **args)["pass"]
+    cases = [
+        (verify_product_preserved, (T, E)),
+        (verify_equaliser_preserved, (f, g)),
+        (verify_coequaliser_preserved, (f, g)),
+    ]
+    for verify, args in cases:
+        assert verify(*args)["pass"]
     # Each presheaf builds the site of its base: the product and the
     # coequaliser build three presheaves, the equaliser two.
     assert len(sites) == 8
@@ -153,7 +162,7 @@ def test_passing_comparisons_build_no_per_generator_tuple(monkeypatch):
     sites.clear()
     S5 = _symmetric(5)
     Z, I = trivial_xmod(C2, S5, name="Z"), conjugation_xmod(S5, range(S5.order), name="I")
-    report = verify_exactness_preservation("product", A=Z, B=I)
+    report = verify_product_preserved(Z, I)
     assert report["pass"] and report["squares_checked"] == 258
     _assert_no_per_generator_tuple(sites)
 
@@ -168,7 +177,7 @@ def test_base_s5_morphism_and_comparisons_keep_nothing_per_generator(monkeypatch
     assert vars(site).keys() == {"base", "object_count", "generator_count"}
     sites = _recorded_sites(monkeypatch)
     Z, I = trivial_xmod(C2, S5, name="Z"), conjugation_xmod(S5, range(S5.order), name="I")
-    assert verify_exactness_preservation("product", A=Z, B=I)["pass"]
+    assert verify_product_preserved(Z, I)["pass"]
     # The identity of V4 from S5 acting trivially to the odd permutations
     # swapping 1 and 2 respects the boundaries but not the action, so the
     # squares of m[p,0] fail at indices 1 and 2 for the 60 odd p.
@@ -181,14 +190,14 @@ def test_base_s5_morphism_and_comparisons_keep_nothing_per_generator(monkeypatch
     legs = (XModMorphism(fixed, swap, (0, 1, 2, 3)), unique_to_terminal(fixed))
     cone = Cone("product", fixed, legs, (0, 1, 2, 3))
     monkeypatch.setattr(presheaf, "product_over_P", lambda X, Y: cone)
-    report = verify_exactness_preservation("product", A=swap, B=T)
+    report = verify_product_preserved(swap, T)
     assert all(row["ok"] for row in report["objects"])
     assert len(report["failures"]) == 120 and {f["object"] for f in report["failures"]} == {"single(0)"}
     # The diagonal of Z is no product cone of Z with itself: it fails at
     # single(0), so every pair row is checked on pair components.
     diagonal = Cone("product", Z, (identity_xmod_morphism(Z),) * 2, ((0, 0), (1, 1)))
     monkeypatch.setattr(presheaf, "product_over_P", lambda X, Y: diagonal)
-    report = verify_exactness_preservation("product", A=Z, B=Z)
+    report = verify_product_preserved(Z, Z)
     assert [row["ok"] for row in report["objects"][:2]] == [False, True] and not report["pass"]
     assert len(sites) == 9
     for site in sites:

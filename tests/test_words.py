@@ -137,6 +137,22 @@ def test_evaluate_rejects_bad_assignments():
         evaluate_word(make_word(PAIR, []), A, ())
 
 
+def test_hom_set_needs_a_module_over_the_free_object_s_base():
+    # PAIR is over S3 and A over C2.
+    A = _mod2_xmod()
+    with pytest.raises(BaseMismatchError):
+        hom_set(PAIR, A)
+    with pytest.raises(BaseMismatchError):
+        hom_set_size(PAIR, A)
+
+
+def test_concat_words_needs_words_over_one_free_object():
+    with pytest.raises(PreconditionFailedError):
+        concat_words()
+    with pytest.raises(CompositionMismatchError):
+        concat_words(symbol_word(PAIR, "g0"), symbol_word(single_object(S3, 1), "g0"))
+
+
 def test_hom_set_examples():
     A = _mod2_xmod()
     assert hom_set(single_object(C2, 1), A) == ((1,), (3,))
@@ -285,6 +301,15 @@ def test_substitute_preserves_boundary_relation():
     w = symbol_word(site.free(site.position(m.source)), "g0", u=4)
     pushed = substitute_word(w, m)
     assert word_boundary(pushed) == S3.conj(4, word_boundary(m.words[0]))
+
+
+def test_substitute_the_empty_word():
+    # With no symbol to push, the result is the empty word over m's target.
+    site = build_site(S3)
+    m = site.by_name["sigma[1,3]"]
+    pushed = substitute_word(make_word(site.free(site.position(m.source)), []), m)
+    assert pushed.syms == ()
+    assert pushed.free == site.free(site.position(m.target)) == m.words[0].free
 
 
 def test_substitute_inverts_an_inverted_symbol():

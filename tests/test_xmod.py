@@ -1,6 +1,7 @@
 """Tests for crossed module validation, constructions, and morphisms."""
 
 import itertools
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from xmodp.errors import (
     BaseMismatchError,
     BudgetExceededError,
     CompositionMismatchError,
+    IndexOutOfRangeError,
     PreconditionFailedError,
     ValidationError,
 )
@@ -33,7 +35,7 @@ from xmodp.xmod import (
     identity_xmod_morphism,
     make_crossed_module,
     make_xmod_morphism,
-    standard_xmod,
+    morphism_violations,
     structure_key,
     trivial_action,
     trivial_xmod,
@@ -154,6 +156,15 @@ def test_conjugation_construction():
     )
     with pytest.raises(PreconditionFailedError):
         conjugation_xmod(S3, transposition_sub)
+    # C2 is abelian, so it acts on itself trivially.
+    A1 = make_crossed_module("A1", C2, C2, [0, 1], trivial_action(C2, C2).table)
+    assert structure_key(conjugation_xmod(C2, (0, 1))) == structure_key(A1)
+
+
+@pytest.mark.parametrize("x", [-1, 4, True])
+def test_conjugation_checks_its_element_indices(x):
+    with pytest.raises(IndexOutOfRangeError, match=f"C4: element {re.escape(repr(x))} out of range"):
+        conjugation_xmod(C4, [0, x, 2, 3])
 
 
 def test_automorphism_construction():
@@ -194,6 +205,7 @@ def test_central_extension_construction():
     for m in range(4):
         assert C4.conj(1, m) == m == C4.conj(3, m)
         assert A.act(1, m) == m
+    assert structure_key(A) == structure_key(_mod2_xmod())
 
     S3 = symmetric_group_3()
     B = central_extension_xmod(make_hom(S3, S3, tuple(range(6))))
@@ -220,15 +232,6 @@ def test_central_image_construction():
         central_image_xmod(make_hom(S3, S3, tuple(range(6))))
 
 
-def test_standard_dispatcher():
-    A = standard_xmod("conjugation", C2, (0, 1))
-    assert structure_key(A) == structure_key(_id_xmod())
-    B = standard_xmod("central-extension", make_hom(C4, C2, [0, 1, 0, 1]))
-    assert structure_key(B) == structure_key(_mod2_xmod())
-    with pytest.raises(PreconditionFailedError):
-        standard_xmod("colimit")
-
-
 def test_morphism_validation():
     A2 = _mod2_xmod()
     A1 = _id_xmod()
@@ -238,6 +241,9 @@ def test_morphism_validation():
     # Breaking the boundary square is reported with the right code.
     codes = {v.axiom for v in validate_morphism(A2, A1, (0, 0, 0, 0))}
     assert codes == {"map-boundary"}
+    # A map of the wrong length is reported by its length and |M_A| alone.
+    (shape,) = morphism_violations(A2, A1, (0, 1, 0))
+    assert (shape.axiom, shape.witness) == ("map-shape", (3, 4))
 
 
 def test_morphism_equivariance_violation():
