@@ -295,14 +295,12 @@ def _trusted_group(table: Sequence[Sequence[int]], name: str) -> Group:
 
     Only for tables built from groups that are already valid, such as a
     subgroup, a quotient or a product-closed set of pairs: the identity is
-    the row equal to 0..n-1 and each inverse is found in its element's row.
+    the row equal to 0..n-1 and each inverse is found in its element's row
+    (a table without them breaks that invariant, and index raises).
     Tables from outside go through make_group.
     """
     t = tuple(tuple(row) for row in table)
-    try:
-        identity = t.index(tuple(range(len(t))))
-    except ValueError:
-        raise NoIdentityError(f"{name}: no identity row") from None
+    identity = t.index(tuple(range(len(t))))
     return Group(
         name=name,
         order=len(t),
@@ -611,15 +609,18 @@ def subgroup_closure(G: Group, seed: Iterable[int]) -> tuple[int, ...]:
 
 
 def is_subgroup(G: Group, elems: Iterable[int]) -> bool:
-    s = set(elems)
+    """Whether elems, each an element of G, form a subgroup."""
+    s = set(_elements(G, elems))
     if G.identity not in s:
         return False
     return all(G.inverse[a] in s and G.table[a][b] in s for a in s for b in s)
 
 
 def is_normal(G: Group, elems: Iterable[int]) -> bool:
-    s = set(elems)
-    conjugates = _gather(tuple(s))
+    """Whether the set of elems, each an element of G, is closed under
+    conjugation."""
+    elems = _elements(G, elems)
+    s, conjugates = set(elems), _gather(elems)
     return all(s.issuperset(conjugates(row)) for row in G._conjugation)
 
 

@@ -17,12 +17,15 @@ The inc squares force every natural transformation to act on pair(x, y)
 coordinatewise, so inside this module a transformation is its n single
 components.  Pair components are built from them, by _with_pairs, only at
 the public edge (enumerate_natural_transformations, functor_on_morphism)
-and when a failing comparison must check every object.  One function,
-_square_failures, checks the squares that can fail, the moves m[p,x] and
-the multiplications sigma[x,y]: run on the generators of P and of M it
-accepts exactly the natural maps, and run on all of P and M it lists
-every failed square.  check_naturality, which takes arbitrary pair
-components, scans every square of every generator (_failed_squares).
+and when a failing comparison must check every object.  One enumerator,
+_squares, lists the squares that can fail, the moves m[p,x] and the
+multiplications sigma[x,y] over nonempty fibers, and both consumers read
+it: the transformation search (_natural_singles) takes its conditions
+from it over all of P and M, and the comparison check (_square_failures)
+compares gathered columns, which on the generators of P and of M accepts
+exactly the natural maps and on all of P and M lists every failed
+square.  check_naturality, which takes arbitrary pair components, scans
+every square of every generator (_failed_squares).
 
 Fullness and faithfulness are checked by comparing the crossed-module
 morphisms with the natural transformations, each set found by a complete
@@ -67,7 +70,7 @@ from .errors import (
     ReconstructionInvalidError,
     ShapeMismatchError,
 )
-from .groups import DEFAULT_BUDGET, Work, _differences, _gather, _meter, _search
+from .groups import DEFAULT_BUDGET, Work, _column, _differences, _gather, _meter, _search
 from .limits import coequaliser, equaliser, kernel_pair, product_over_P
 from .words import (
     Site,
@@ -114,10 +117,10 @@ class _Actions(Sequence):
     index k is read.
 
     build(ks) yields the maps of the positions ks in one loop, and _maps[k]
-    holds map k once it is built, None before.  A slice builds the missing
-    maps it covers in one call of build, so reading many maps, or
-    iterating over all of them, costs the one loop that built them
-    eagerly.
+    holds map k once it is built, None before.  read(ks) builds the missing
+    maps of ks in one call of build and returns the maps of ks in order; an
+    index or a slice is read through it, so reading many maps, or iterating
+    over all of them, costs the one loop that built them eagerly.
     """
 
     def __init__(self, build: Callable[[Sequence[int]], Iterator[tuple[int, ...]]], count: int):
@@ -127,20 +130,23 @@ class _Actions(Sequence):
     def __len__(self) -> int:
         return len(self._maps)
 
-    def __getitem__(self, k: int | slice):
+    def read(self, ks: Sequence[int]) -> list[tuple[int, ...]]:
+        """The maps at the positions ks, in order; a position that repeats
+        is built once."""
         maps = self._maps
-        if isinstance(k, slice):
-            missing = [j for j in range(len(maps))[k] if maps[j] is None]
-            for j, image in zip(missing, self._build(missing)):
-                maps[j] = image
-            return maps[k]
-        image = maps[k]
-        if image is None:
-            # maps[k] has raised IndexError for any k out of range, and the
-            # build reads a position, so a negative k counts from the end.
-            k %= len(maps)
-            image = maps[k] = next(self._build((k,)))
-        return image
+        got = list(map(maps.__getitem__, ks))
+        if None in got:
+            missing = list(dict.fromkeys(k for k, image in zip(ks, got) if image is None))
+            for k, image in zip(missing, self._build(missing)):
+                maps[k] = image
+            got = list(map(maps.__getitem__, ks))
+        return got
+
+    def __getitem__(self, k: int | slice):
+        # The range checks k and counts a negative k from the end, as a
+        # list index does; the build reads positions.
+        at = range(len(self._maps))[k]
+        return self.read(at) if isinstance(k, slice) else self.read((at,))[0]
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return iter(self[:])
@@ -230,8 +236,9 @@ def compute_presheaf(A: CrossedModule) -> Presheaf:
     inc2 that of b.  Identity, inc1 and inc2 maps depend only on set sizes,
     so each is made once from ranges and repetition and shared: identity
     maps per set size, inc1 and inc2 maps per pair of fiber sizes.
-    verify-exact reads only the maps of the generators of P and of M (see
-    _square_failures), so on a large base it builds a few of the
+    verify-exact reads only the maps of the generators of P and of M, and
+    the transformation search only the move and sigma maps over nonempty
+    fibers (see _squares), so on a large base they build a few of the
     |P| + 5|P|^2 maps; embed reads them all, in one loop.
     """
     site = build_site(A.base)
@@ -350,24 +357,24 @@ def check_naturality(phi: NaturalTransformation) -> tuple[tuple[str, int], ...]:
     return tuple((phi.source.site.name(k), j) for k, j in _failed_squares(phi))
 
 
-def _square_failures(
-    F: Presheaf, G: Presheaf, singles: Sequence[tuple[int, ...]], ps: Iterable[int], bs: Iterable[int]
-) -> list[tuple[int, int]]:
-    """Failed squares, as (generator, target-set index), of the move
-    squares m[p,x] for p in ps and the sigma squares at (a, b) for b in bs
-    of the transformation F -> G with the single components singles,
-    acting on pairs coordinatewise.
+def _squares(F: Presheaf, G: Presheaf, ps: Iterable[int], bs: Iterable[int]) -> Iterator[tuple]:
+    """The columns of the squares of a transformation F -> G that can fail:
+    the moves m[p,x] for p in ps, then the sigma squares at each b in bs,
+    each over every x whose fiber F_x is nonempty, in that order.
 
-    Write c for the element map of the singles, c(a) the element of G's
-    fiber over x = boundary(a) at position singles[x][pos a].  Identity
-    squares hold by definition, and inc squares by the coordinatewise
-    rule (see enumerate_natural_transformations), so these are the only
-    squares that can fail.  The square of m[p,x] at a over x says c(p.a)
-    == p.c(a), and that of sigma[x,y] at (a, b) says c(ab) == c(a)c(b), as
-    fiber positions name elements.  Run on ps = range(|P|) and bs =
-    range(|M|) it lists every failed square, each once: every b of a
-    nonempty fiber over y is some b.  Run on ps = base._gens and bs =
-    M._gens it finds nothing exactly when that list is empty:
+    Write c for the element map of the transformation's single components,
+    c(a) the element of G's fiber over x = boundary(a) at position
+    comps[x][pos a], and let it act on pairs coordinatewise.  Identity
+    squares hold by definition.  The inc squares hold by construction:
+    inc1[x,y] carries entry ia * |F_y| + ib of F_pair to entry ia of F_x,
+    and in G it sends c_x[ia] * |G_y| + c_y[ib] to c_x[ia], so both sides of
+    its square are c_x[ia]; inc2 likewise gives c_y[ib].  So these are the
+    only squares that can fail.  The square of m[p,x] at a over x says
+    c(p.a) == p.c(a), and that of sigma[x,y] at (a, b) says c(ab) ==
+    c(a)c(b), as fiber positions name elements.  Squares over an empty
+    fiber hold vacuously, and every b of a nonempty fiber over y is some b,
+    so ps = range(|P|) and bs = range(|M|) give every square that can fail,
+    each once.  ps = base._gens and bs = M._gens give as strong a check:
     - the p whose move squares hold for every a are closed under
       products, as m[qp,x] is m[q,.] after m[p,x]: c(qp.a) = q.c(p.a) =
       q.p.c(a) = qp.c(a).  So when they hold for the p of base._gens,
@@ -378,38 +385,64 @@ def _square_failures(
       of M._gens, they hold for every b of M: _generating_set never
       returns an empty set, so even the identity is a product of
       generators.
-    Squares over an empty fiber hold vacuously and are skipped.  Each
-    check compares two gathered tuples: a move square over all of F_x at
-    once, and a sigma square at b over the a of F_x, through the columns
-    act_F[pos b::|F_y|] and act_G[c(b)::|G_y|] of the two sigma maps.  So
-    only the maps of those generators are read, and built, and only where
-    the two tuples differ are their entries compared; their sources are
-    read off the base's conjugation and multiplication tables, as p x p^-1
-    and xy, so no per-generator tuple of the site is built.
+
+    Each column is (k, s, x, col, act_G, y, ib), k the generator's position
+    and s its source, read off the base's conjugation and multiplication
+    tables, so no per-generator tuple of the site is built:
+    - m[p,x], from single(s) to single(x) with s = p x p^-1: col is F's map
+      and y is None, ib 0; its square at j says comps[s][col[j]] ==
+      act_G[comps[x][j]];
+    - sigma[x,y] at b, from single(s) to pair(x, y) with s = xy and y =
+      boundary(b), ib = pos b: col is F's column act_F[ib::|F_y|]; its
+      square at entry j = ia * |F_y| + ib says comps[s][col[ia]] ==
+      act_G[comps[x][ia] * |G_y| + comps[y][ib]].
+    Only the maps of those generators are read, and built: the moves of
+    each p, and the sigma maps into the pairs over each y = boundary(b),
+    in one read per presheaf, the latter kept for every b over y.
     """
-    site = F.site
-    base = site.base
+    site, base = F.site, F.site.base
     n = base.order
-    bad = []
+    xs = [x for x in range(n) if F.sizes[x]]
+    at = _gather(xs)
+    # Positions are linear in x, so those of m[p,x], and of sigma[x,y] (3n
+    # apart, with inc1 and inc2 between), for x in xs are gathered from one
+    # range.
     for p in ps:
-        for x in range(n):
-            if F.sizes[x]:
-                k = site.move(p, x)
-                left = _gather(F.actions[k])(singles[base._conjugation[p][x]])
-                right = _gather(singles[x])(G.actions[k])
-                if left != right:
-                    bad.extend((k, j) for j in _differences(left, right))
-    boundary = F.xmod.boundary.image
+        ks = at(range(site.move(p, 0), site.move(p, n)))
+        for k, s, x, act_F, act_G in zip(ks, at(base._conjugation[p]), xs, F.actions.read(ks), G.actions.read(ks)):
+            yield k, s, x, act_F, act_G, None, 0
+    fiber: dict[int, tuple] = {}
     for b in bs:
-        y, ib = boundary[b], F.pos[b]
-        ic, nf, ng = singles[y][ib], F.sizes[y], G.sizes[y]
-        for x in range(n):
-            if F.sizes[x]:
-                k = site.sigma(x, y)
-                left = _gather(F.actions[k][ib::nf])(singles[base.table[x][y]])
-                right = _gather(singles[x])(G.actions[k][ic::ng])
-                if left != right:
-                    bad.extend((k, ia * nf + ib) for ia in _differences(left, right))
+        y, ib = F.xmod.boundary.image[b], F.pos[b]
+        if y not in fiber:
+            ks = at(range(site.sigma(0, y), site.sigma(n, y), 3 * n))
+            fiber[y] = ks, at(_column(base.table, y)), xs, F.actions.read(ks), G.actions.read(ks)
+        for k, s, x, act_F, act_G in zip(*fiber[y]):
+            yield k, s, x, act_F[ib :: F.sizes[y]], act_G, y, ib
+
+
+def _square_failures(
+    F: Presheaf, G: Presheaf, singles: Sequence[tuple[int, ...]], ps: Iterable[int], bs: Iterable[int]
+) -> list[tuple[int, int]]:
+    """Failed squares, as (generator, target-set index), of the columns
+    _squares(F, G, ps, bs) gives, for the transformation F -> G with the
+    single components singles, acting on pairs coordinatewise.
+
+    Run on ps = range(|P|) and bs = range(|M|) it lists every failed
+    square, each once; run on ps = base._gens and bs = M._gens it finds
+    nothing exactly when that list is empty (see _squares).  Each column
+    is checked by comparing two gathered tuples: a move over all of F_x at
+    once, and a sigma column at b over the a of F_x against G's column
+    act_G[c(b)::|G_y|]; only where the two tuples differ are their entries
+    compared.
+    """
+    bad = []
+    for k, s, x, col, act_G, y, ib in _squares(F, G, ps, bs):
+        nf, col_G = (1, act_G) if y is None else (F.sizes[y], act_G[singles[y][ib] :: G.sizes[y]])
+        left = _gather(col)(singles[s])
+        right = _gather(singles[x])(col_G)
+        if left != right:
+            bad.extend((k, ia * nf + ib) for ia in _differences(left, right))
     return bad
 
 
@@ -447,51 +480,51 @@ def _natural_singles(F: Presheaf, G: Presheaf, work: Work) -> list[list[tuple[in
     single(x) being variable start[x] + i, with candidates range(|G_x|):
     they are assigned in site order, so the transformations come out in
     lexicographic order of their single components.  Each acts on pairs
-    coordinatewise, and the search checks the squares that can fail,
-    reading only the maps of the moves and multiplications, as two slices
-    by position, and their sources off the base's conjugation and
-    multiplication tables (s = p x p^-1 for m[p,x] and s = xy for
-    sigma[x,y]):
-    - m[p,x], from single(s) to single(t), carries entry j of F_t to
-      entry act_F[j] of F_s, so its square at j is the move
-      (start[t] + j, start[s] + act_F[j], act_G);
-    - sigma[x,y], from single(s) to pair(x,y), has at j = ia * |F_y| + ib
-      the square comp_s[act_F[j]] == act_G[cx[ia] * |G_y| + cy[ib]], the
-      product (start[x] + ia, start[y] + ib, start[s] + act_F[j], rows)
-      with rows[u] = act_G[u * |G_y|:(u + 1) * |G_y|].
-    Identity squares hold by definition.  The injection squares hold by
-    construction: inc1[x,y] carries entry ia * |F_y| + ib of F_pair to
-    entry ia of F_x, and in G it sends cx[ia] * |G_y| + cy[ib] to cx[ia],
-    so both sides of its square are cx[ia]; inc2 likewise gives cy[ib].
-    Conversely those squares force every natural pair component to be the
-    coordinatewise one, so the search misses nothing.  Only the two
+    coordinatewise, and the search checks every square that can fail, the
+    columns of _squares over all of P and M, read as its move half and
+    its sigma half so that each feeds one flat comprehension; only the
+    maps of moves and multiplications over nonempty fibers are read:
+    - the move m[p,x] from single(s) gives at j the move
+      (start[x] + j, start[s] + col[j], act_G);
+    - the sigma column at b of sigma[x,y] from single(s) gives at ia the
+      product (start[x] + ia, start[y] + ib, start[s] + col[ia], rows),
+      rows[u] = act_G[u * |G_y|:(u + 1) * |G_y|] built once per generator
+      (_rows).
+    The conditions are listed in another order than site order, but
+    _search files each under its largest variable and checks them all
+    there, so the nodes, the charges and the output do not depend on it.
+    Identity and inc squares hold by construction (see _squares), and
+    conversely the inc squares force every natural pair component to be
+    the coordinatewise one, so the search misses nothing.  Only the two
     presheaves are read, never the crossed-module morphisms, so
     verify_full_faithful compares two independently computed sets.  Every
     candidate a node of the search holds is charged to work.
     """
-    site = F.site
-    base = site.base
-    n = base.order
+    n = F.site.base.order
     what = f"natural transformation search {F.xmod.name} -> {G.xmod.name}"
     start = list(itertools.accumulate(F.sizes[:n], initial=0))
     candidates = [range(G.sizes[x]) for x in range(n) for _ in range(F.sizes[x])]
-    grid = list(itertools.product(range(n), repeat=2))
-    at = slice(site.move(0, 0), site.move(n - 1, n - 1) + 1)
-    moves = []
-    conj = itertools.chain.from_iterable(base._conjugation)
-    for (_, x), s, act_F, act_G in zip(grid, conj, F.actions[at], G.actions[at]):
-        moves += [(start[x] + j, start[s] + i, act_G) for j, i in enumerate(act_F)]
-    at = slice(site.sigma(0, 0), site.sigma(n - 1, n - 1) + 1, 3)
-    products = []
-    for (x, y), act_F, act_G in zip(grid, F.actions[at], G.actions[at]):
-        s, nf, ng = base.table[x][y], F.sizes[y], G.sizes[y]
-        rows = [act_G[u * ng : (u + 1) * ng] for u in range(G.sizes[x])]
-        products += [
-            (start[x] + j // nf, start[y] + j % nf, start[s] + i, rows) for j, i in enumerate(act_F)
-        ]
+    rows: dict[int, list[tuple[int, ...]]] = {}
+    moves = [
+        (start[x] + j, start[s] + i, act_G)
+        for _, s, x, col, act_G, _, _ in _squares(F, G, range(n), ())
+        for j, i in enumerate(col)
+    ]
+    products = [
+        (start[x] + ia, start[y] + ib, start[s] + i, T)
+        for k, s, x, col, act_G, y, ib in _squares(F, G, (), range(F.xmod.group.order))
+        for T in (rows[k] if k in rows else rows.setdefault(k, _rows(act_G, G.sizes[x], G.sizes[y])),)
+        for ia, i in enumerate(col)
+    ]
     return [
         [img[start[x] : start[x + 1]] for x in range(n)] for img in _search(candidates, products, moves, work, what)
     ]
+
+
+def _rows(act: tuple[int, ...], nx: int, ny: int) -> list[tuple[int, ...]]:
+    """The nx rows of a map on a product of sets of sizes nx and ny: row u
+    holds the images of entries u * ny .. (u + 1) * ny - 1."""
+    return [act[u * ny : (u + 1) * ny] for u in range(nx)]
 
 
 def functor_on_morphism(f: XModMorphism, F: Presheaf, G: Presheaf) -> NaturalTransformation:
@@ -578,7 +611,7 @@ def verify_full_faithful(
     which validates the element map but does not re-check naturality: the
     search checked the move and sigma squares of every transformation it
     returns, and the identity and inc squares hold by construction (see
-    _natural_singles), and no image U(f) needs a check of its own.  When
+    _squares), and no image U(f) needs a check of its own.  When
     the report passes, the counts are equal, U is injective on the homs,
     and every natural transformation reconstructs to a valid morphism that
     U carries back to it, so the transformations lie in U(homs) and, the
@@ -599,12 +632,7 @@ def verify_full_faithful(
     counts = Counter(map(tuple, images))
     separated = h * (h - 1) // 2 - sum(c * (c - 1) // 2 for c in counts.values())
     injective = len(counts) == h
-    ok = (
-        len(homs) == len(nats)
-        and round_trip_hom
-        and round_trip_nat
-        and injective
-    )
+    ok = len(homs) == len(nats) and round_trip_hom and round_trip_nat and injective
     return {
         "pass": ok,
         "source": A.name,
@@ -690,8 +718,7 @@ def _comparison(
     else:
         whole = [_with_pairs(comps, G) for _, G, comps in legs]
         rows += [check_object(o, whole) for o in range(n, site.object_count)]
-    objects = []
-    failures = []
+    objects, failures = [], []
     for o, (lhs, rhs, failure) in zip(site.descriptions, rows):
         objects.append({"object": o, "lhs_size": lhs, "rhs_size": rhs, "ok": failure is None})
         if failure is not None:

@@ -253,6 +253,15 @@ def test_subgroup_closure_and_membership():
         subgroup_closure(S3, [9])
 
 
+@pytest.mark.parametrize("check", [is_subgroup, is_normal])
+@pytest.mark.parametrize("elems", [[0, 9], [0, 4], [0, -1], [0, True, 2, 3]])
+def test_subgroup_and_normality_checks_take_elements_only(check, elems):
+    # Out of range, negative and bool entries are refused, not read as an
+    # element (-1 as the last, True as 1) or left to raise IndexError.
+    with pytest.raises(IndexOutOfRangeError):
+        check(cyclic_group(4), elems)
+
+
 def test_all_subgroups_against_subset_oracle():
     for G in [cyclic_group(4), klein_four_group(), symmetric_group_3()]:
         fast = set(all_subgroups(G))

@@ -15,6 +15,7 @@ from xmodp.errors import (
 from xmodp.groups import cyclic_group, subgroup_closure, symmetric_group_3
 from xmodp.limits import terminal_object
 from xmodp.words import (
+    SiteMorphism,
     SiteObject,
     apply_peiffer_move,
     build_site,
@@ -310,6 +311,15 @@ def test_substitute_the_empty_word():
     pushed = substitute_word(make_word(site.free(site.position(m.source)), []), m)
     assert pushed.syms == ()
     assert pushed.free == site.free(site.position(m.target)) == m.words[0].free
+
+
+def test_substitute_the_empty_word_into_a_map_with_no_words():
+    # A map with no words names no target free object, so even the empty
+    # word has nowhere to go.
+    site = build_site(S3)
+    m = SiteMorphism("none", site.object(0), site.object(1), ())
+    with pytest.raises(CompositionMismatchError, match="no labels"):
+        substitute_word(make_word(site.free(0), []), m)
 
 
 def test_substitute_inverts_an_inverted_symbol():
