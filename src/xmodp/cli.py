@@ -3,11 +3,20 @@
 Every command reads a session file, runs one computation, and emits a JSON
 report with a top-level "pass" flag.  Exit codes: 0 pass, 1 failed
 verification or validation, 2 parse or usage error.
+
+The parser depends on no input, so main builds it once per process, on
+its first call, not at import (_parser), and renders its usage line then.
+It is all that lives across main calls: nothing derived from a session
+outlives the command that read it.  parse_intermixed_args restores the
+nargs, defaults, required flags and usage it changes, also when a call
+exits 2 or prints --help, so every call parses with the same parser.
+build_parser returns a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -54,6 +63,16 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="emit the full JSON report (default) or a one-line summary",
     )
+    return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads, built on its first call.  Its usage is set to
+    the text parse_intermixed_args would otherwise render, set and restore
+    on every call (format_usage() without its "usage: " prefix)."""
+    parser = build_parser()
+    parser.usage = parser.format_usage()[7:]
     return parser
 
 
@@ -123,8 +142,7 @@ def _emit(report: dict, output: str, as_json: bool) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_intermixed_args(argv)
+    ns = _parser().parse_intermixed_args(argv)
     try:
         text = Path(ns.input).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:

@@ -208,9 +208,11 @@ def _pair_apex(
     row of C's table (or action) and one of D's, so a row of the apex is
     the sum of two gathered rows, decoded through pos.  A table row needs
     the gathered rows of c1 and d1 only, and there are at most |C| and
-    |D| distinct ones.  pairs must be closed under the componentwise
-    product and action, as the pairs of a pullback are: a product outside
-    them would decode to -1, which is not checked.
+    |D| distinct ones.  Each row is decoded into a tuple, which
+    _trusted_group and _trusted_xmod keep without a copy.  pairs must be
+    closed under the componentwise product and action, as the pairs of a
+    pullback are: a product outside them would decode to -1, which is not
+    checked.
     """
     nd = D.group.order
     pos = [-1] * (C.group.order * nd)
@@ -225,8 +227,8 @@ def _pair_apex(
     def right(d_row: Sequence[int]) -> list[int]:
         return [d_row[d] for d in ds]
 
-    def decode(lefts: list[int], rights: list[int]) -> list[int]:
-        return list(map(pos.__getitem__, map(add, lefts, rights)))
+    def decode(lefts: list[int], rights: list[int]) -> tuple[int, ...]:
+        return tuple(map(pos.__getitem__, map(add, lefts, rights)))
 
     lefts = {c: left(C.group.table[c]) for c in set(cs)}
     rights = {d: right(D.group.table[d]) for d in set(ds)}

@@ -132,8 +132,13 @@ class _Actions(Sequence):
 
     def read(self, ks: Sequence[int]) -> list[tuple[int, ...]]:
         """The maps at the positions ks, in order; a position that repeats
-        is built once."""
+        is built once.  A position outside 0..len-1 raises IndexError
+        before anything is built."""
         maps = self._maps
+        # A position past the end raises in the gather; a negative one
+        # would count from the end there and be built from a wrong family.
+        if ks and min(ks) < 0:
+            raise IndexError(f"action position {min(ks)} out of range 0..{len(maps) - 1}")
         got = list(map(maps.__getitem__, ks))
         if None in got:
             missing = list(dict.fromkeys(k for k, image in zip(ks, got) if image is None))

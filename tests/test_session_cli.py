@@ -471,12 +471,20 @@ def test_cli_builds_one_parser_per_call(tmp_path, capsys, monkeypatch):
         built.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    # The parser is built on main's first call in the process and read by
+    # every later one, an argparse error among them; build_parser still
+    # returns a fresh parser.
     path = _write_session(tmp_path)
-    for argv in (["validate", "--input", path], ["product", "A2", "A1", "--input", path, "--no-json"]):
-        built.clear()
-        assert main(argv) == 0
-        assert len(built) == 1
+    assert main(["validate", "--input", path]) == 0
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["product", "A2", "A1", "--input", path, "--no-json"]) == 0
+    with pytest.raises(SystemExit) as exited:
+        main(["validate"])
+    assert exited.value.code == 2
+    assert main(["validate", "--input", path]) == 0
+    assert built == []
+    parser = cli.build_parser()
+    assert built == [parser] and parser is not cli._parser()
     capsys.readouterr()
 
 

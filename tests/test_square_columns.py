@@ -57,6 +57,21 @@ def test_read_builds_missing_maps_once_in_one_call():
         actions[8]
 
 
+def test_read_refuses_a_position_out_of_range_before_building():
+    # On C4 over C1 the last generator is inc2[0,0], which sends each
+    # assignment of pair(0, 0) to its second coordinate.  A negative
+    # position read as it stands would decode to an identity and be kept
+    # at the last index.
+    F = compute_presheaf(trivial_xmod(cyclic_group(4), cyclic_group(1)))
+    n = len(F.actions)
+    for ks in ([-1], [n], [0, -1]):
+        with pytest.raises(IndexError):
+            F.actions.read(ks)
+    assert _built(F) == 0
+    assert F.actions[-1] == (0, 1, 2, 3) * 4
+    assert F.actions.read([n - 1]) == [(0, 1, 2, 3) * 4]
+
+
 def test_both_consumers_read_the_one_enumeration(monkeypatch):
     A = conjugation_xmod(S3, range(6))
     F = compute_presheaf(A)
