@@ -83,7 +83,6 @@ __all__ = [
     "symmetric_group_3",
     "make_hom",
     "identity_hom",
-    "compose_homs",
     "enumerate_homs",
     "subgroup_closure",
     "is_subgroup",
@@ -421,15 +420,6 @@ def identity_hom(G: Group) -> GroupHom:
     return GroupHom(G, G, tuple(range(G.order)))
 
 
-def compose_homs(f: GroupHom, g: GroupHom) -> GroupHom:
-    """Return f after g."""
-    if g.codomain != f.domain:
-        raise NotHomomorphismError(
-            f"cannot compose: {g.codomain.name} is not {f.domain.name}"
-        )
-    return GroupHom(g.domain, f.codomain, tuple(f.image[g.image[a]] for a in range(g.domain.order)))
-
-
 DEFAULT_BUDGET = 10_000_000
 
 
@@ -452,8 +442,13 @@ class Work:
 
 
 def _meter(budget: int | Work) -> Work:
-    """The meter of an enclosing call, or a fresh one for a plain budget."""
-    return budget if isinstance(budget, Work) else Work(budget)
+    """The meter of an enclosing call, or a fresh one for a plain budget,
+    which must be an int (bools excluded) of at least 1."""
+    if isinstance(budget, Work):
+        return budget
+    if type(budget) is not int or budget < 1:
+        raise IndexOutOfRangeError(f"budget must be an int of at least 1, got {budget!r}")
+    return Work(budget)
 
 
 def _search(

@@ -85,7 +85,6 @@ __all__ = [
     "coequaliser",
     "pullback",
     "terminal_object",
-    "unique_to_terminal",
     "product_over_P",
     "kernel_pair",
     "kernel_pair_relation",
@@ -266,11 +265,6 @@ def terminal_object(P: Group) -> CrossedModule:
     """The base over itself with identity boundary and conjugation action,
     whose table is the base's own conjugation table."""
     return CrossedModule(f"terminal({P.name})", P, P, identity_hom(P), conjugation_action(P))
-
-
-def unique_to_terminal(A: CrossedModule) -> XModMorphism:
-    """The boundary of A, viewed as the only morphism into the terminal object."""
-    return XModMorphism(A, terminal_object(A.base), A.boundary.image)
 
 
 def product_over_P(A: CrossedModule, B: CrossedModule) -> Cone:
@@ -536,8 +530,8 @@ def _sweep(
     not searched, as nothing found there would be compared.  One meter is
     charged by every morphism search and by one unit per test cone.
     """
-    cat = extend_catalogue(default_catalogue(ends[0].base, max_order), diagram)
     work = _meter(budget)
+    cat = extend_catalogue(default_catalogue(ends[0].base, max_order), diagram)
     colimit = isinstance(cone, Cocone)
     legs = [leg.mapping for leg in cone.legs]
     failures = []

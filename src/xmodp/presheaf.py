@@ -57,7 +57,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from operator import add
 
@@ -78,7 +77,6 @@ from .words import (
     SiteObject,
     build_site,
     _word_images,
-    compose_site_morphisms,
     hom_set,
     single_object,
     word_boundary,
@@ -96,7 +94,6 @@ __all__ = [
     "NaturalTransformation",
     "compute_presheaf",
     "presheaf_action",
-    "presheaf_composition_violations",
     "functor_on_morphism",
     "component_shape_violations",
     "check_naturality",
@@ -108,8 +105,6 @@ __all__ = [
     "verify_coequaliser_preserved",
     "generator_witness",
 ]
-
-Assignment = tuple[int, ...]
 
 
 class _Actions(Sequence):
@@ -179,15 +174,6 @@ class Presheaf:
     sizes: tuple[int, ...]
     actions: Sequence[tuple[int, ...]]
 
-    @cached_property
-    def sets(self) -> tuple[tuple[Assignment, ...], ...]:
-        """The assignment tuples of every object, built on first read.
-
-        No code of the library reads them; they are the definition that
-        tests compare the fibers with.
-        """
-        return tuple(tuple(itertools.product(*(self.fibers[x] for x in o.xs))) for o in self.site.objects)
-
 
 def presheaf_action(F: Presheaf, m: SiteMorphism) -> tuple[int, ...]:
     """Index map of precomposition with an arbitrary site morphism.
@@ -231,9 +217,9 @@ def compute_presheaf(A: CrossedModule) -> Presheaf:
     integers, so each presheaf builds its own.  _fibers lists every fiber
     and each element's position in its fiber, and the presheaf keeps both.
     The set of an object is the product of its fibers, in the lexicographic
-    order hom_set gives; only its size is stored, in site order (single(x)
-    at x, then pair(x, y) at n + x n + y), and the tuples are built only if
-    F.sets is read.  Each generator's index map is built when it is first
+    order hom_set gives, hom_set(F.site.free(i), A) for the object at i;
+    only its size is stored, in site order (single(x) at x, then pair(x, y)
+    at n + x n + y).  Each generator's index map is built when it is first
     read, by one kernel: it decodes the generator's family and indices from
     its position (Site.decode) and reads the map off fiber positions by the
     closed form of the family: on target assignment (a) or (a, b), m[p,x]
@@ -284,22 +270,6 @@ def _size_map(family: str, i: int, j: int) -> tuple[int, ...]:
     return tuple(range(j)) * i
 
 
-def presheaf_composition_violations(F: Presheaf) -> tuple[tuple[str, str], ...]:
-    """Generator pairs whose composite action is not the composite of actions."""
-    site = F.site
-    ends = list(site.ends())
-    bad = []
-    for k, (f, (source, _)) in enumerate(zip(site.generators, ends)):
-        for l, (g, (_, target)) in enumerate(zip(site.generators, ends)):
-            if target != source:
-                continue
-            direct = presheaf_action(F, compose_site_morphisms(f, g))
-            chained = tuple(F.actions[l][i] for i in F.actions[k])
-            if direct != chained:
-                bad.append((f.name, g.name))
-    return tuple(bad)
-
-
 @dataclass(eq=False)
 class NaturalTransformation:
     """A family of functions between two presheaves on the same site;
@@ -308,9 +278,6 @@ class NaturalTransformation:
     source: Presheaf
     target: Presheaf
     components: tuple[tuple[int, ...], ...]
-
-    def same_components(self, other: "NaturalTransformation") -> bool:
-        return self.components == other.components
 
 
 def component_shape_violations(phi: NaturalTransformation) -> tuple[str, ...]:

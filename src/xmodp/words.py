@@ -44,7 +44,6 @@ __all__ = [
     "Word",
     "make_free_object",
     "single_object",
-    "pair_object",
     "make_word",
     "symbol_word",
     "concat_words",
@@ -57,8 +56,6 @@ __all__ = [
     "labelling",
     "ConjugacyWitness",
     "singly_generated_hom",
-    "apply_peiffer_move",
-    "peiffer_word",
     "SiteObject",
     "SiteMorphism",
     "Site",
@@ -115,10 +112,6 @@ def make_free_object(base: Group, labels: Sequence[str], omega: Sequence[int]) -
 
 def single_object(base: Group, x: int) -> FreeObject:
     return make_free_object(base, ("g0",), (x,))
-
-
-def pair_object(base: Group, x: int, y: int) -> FreeObject:
-    return make_free_object(base, ("g0", "g1"), (x, y))
 
 
 def make_word(free: FreeObject, syms: Sequence[tuple[int, str, int]]) -> Word:
@@ -259,32 +252,6 @@ def singly_generated_hom(P: Group, x: int, y: int) -> ConjugacyWitness | None:
     return None
 
 
-def apply_peiffer_move(w: Word, start: int, ulen: int, vlen: int) -> Word:
-    """Rewrite the subword u v u^-1 at start as the boundary-of-u translate of v.
-
-    The word must literally contain u followed by v followed by the formal
-    inverse of u.  Evaluation in any crossed module is unchanged, which is
-    the second structure axiom in symbolic form.
-    """
-    end = start + 2 * ulen + vlen
-    if start < 0 or ulen < 1 or vlen < 0 or end > len(w.syms):
-        raise PreconditionFailedError(
-            f"move (start={start}, ulen={ulen}, vlen={vlen}) does not fit length {len(w.syms)}"
-        )
-    u = Word(w.free, w.syms[start:start + ulen])
-    v = Word(w.free, w.syms[start + ulen:start + ulen + vlen])
-    actual_tail = w.syms[start + ulen + vlen:end]
-    if actual_tail != invert_word(u).syms:
-        raise PreconditionFailedError("word does not contain the formal inverse of u after v")
-    replacement = translate_word(v, word_boundary(u))
-    return Word(free=w.free, syms=w.syms[:start] + replacement.syms + w.syms[end:])
-
-
-def peiffer_word(u: Word, v: Word) -> Word:
-    """u v u^-1 times the inverse of the boundary translate; evaluates to 1."""
-    return concat_words(u, v, invert_word(u), invert_word(translate_word(v, word_boundary(u))))
-
-
 @dataclass(frozen=True)
 class SiteObject:
     kind: str
@@ -330,10 +297,11 @@ class Site:
     time on first read, for embed.
 
     Free objects, words and SiteMorphisms are made only when asked for:
-    free(i), morphism(k), and the views generators and by_name for the word
-    calculus.  The base is a valid group and every index comes from its
-    range, so they are built without the checks of make_free_object and
-    make_word.
+    free(i) and morphism(k).  The views generators and by_name are read
+    only by tests, as the word-level oracle that the closed-form maps of
+    the presheaf are compared with.  The base is a valid group and every
+    index comes from its range, so they are built without the checks of
+    make_free_object and make_word.
     """
 
     def __init__(self, base: Group):

@@ -112,7 +112,6 @@ __all__ = [
     "crossed_module_violations",
     "validate_crossed_module",
     "make_crossed_module",
-    "fiber",
     "conjugation_xmod",
     "automorphism_xmod",
     "trivial_xmod",
@@ -364,12 +363,6 @@ def _fibers(A: CrossedModule) -> tuple[list[list[int]], list[int]]:
         pos.append(len(fibers[x]))
         fibers[x].append(m)
     return fibers, pos
-
-
-def fiber(A: CrossedModule, x: int) -> tuple[int, ...]:
-    """Elements of M whose boundary is x, in index order."""
-    fibers, _ = _fibers(A)
-    return tuple(fibers[x]) if is_index(x, len(fibers)) else ()
 
 
 # The five standard constructions.

@@ -9,6 +9,7 @@ import itertools
 import random
 import time
 
+from oracles import apply_peiffer_move
 from xmodp.groups import (
     automorphism_group,
     center,
@@ -47,7 +48,6 @@ from xmodp.presheaf import (
     verify_product_preserved,
 )
 from xmodp.words import (
-    apply_peiffer_move,
     evaluate_word,
     hom_set,
     hom_set_size,

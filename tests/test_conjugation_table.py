@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import unique_to_terminal
 from test_exact_on_generators import _symmetric
 from test_presheaf_from_fibers import _relabel_group
 from xmodp import limits
@@ -38,7 +39,6 @@ from xmodp.limits import (
     product_over_P,
     pullback,
     terminal_object,
-    unique_to_terminal,
 )
 from xmodp.presheaf import verify_full_faithful, verify_product_preserved
 from xmodp.xmod import conjugation_action, conjugation_xmod, enumerate_morphisms, trivial_xmod

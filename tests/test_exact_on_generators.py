@@ -22,6 +22,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import assignment_sets
 from test_presheaf_from_fibers import S3_SESSION, _labels, _relabel_xmod
 from xmodp import groups, presheaf
 from xmodp.groups import _gather, cyclic_group, klein_four_group, make_group, symmetric_group_3
@@ -215,7 +216,7 @@ def _equaliser_rows(cone, f, g, site):
     FE, FC = compute_presheaf(cone.apex), compute_presheaf(f.source)
     phi = functor_on_morphism(cone.legs[0], FE, FC)
     rows = []
-    for o, elems in enumerate(FC.sets):
+    for o, elems in enumerate(assignment_sets(FC)):
         agree = [i for i, t in enumerate(elems) if all(f.mapping[a] == g.mapping[a] for a in t)]
         mapped = phi.components[o]
         rows.append(_row(site, o, len(mapped), len(agree), sorted(set(mapped)) == agree == sorted(mapped)))

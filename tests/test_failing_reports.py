@@ -16,9 +16,10 @@ so a change to how a comparison finds or lists its failures shows here.
 
 import pytest
 
+from oracles import unique_to_terminal
 from xmodp import presheaf
 from xmodp.groups import cyclic_group, klein_four_group, trivial_group
-from xmodp.limits import Cocone, Cone, unique_to_terminal, terminal_object
+from xmodp.limits import Cocone, Cone, terminal_object
 from xmodp.presheaf import verify_coequaliser_preserved, verify_equaliser_preserved, verify_product_preserved
 from xmodp.xmod import (
     XModMorphism,

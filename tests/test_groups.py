@@ -24,11 +24,9 @@ from xmodp.groups import (
     automorphism_group,
     center,
     conjugacy_class,
-    compose_homs,
     cyclic_group,
     element_order,
     enumerate_homs,
-    identity_hom,
     is_normal,
     is_subgroup,
     klein_four_group,
@@ -232,15 +230,6 @@ def test_enumerate_homs_against_filter_oracle():
         assert fast == slow
     assert len(enumerate_homs(symmetric_group_3(), cyclic_group(2))) == 2
     assert len(enumerate_homs(symmetric_group_3(), symmetric_group_3())) == 10
-
-
-def test_hom_composition():
-    C4, C2 = cyclic_group(4), cyclic_group(2)
-    f = make_hom(C4, C2, [0, 1, 0, 1])
-    assert compose_homs(f, identity_hom(C4)).image == f.image
-    assert compose_homs(identity_hom(C2), f).image == f.image
-    with pytest.raises(NotHomomorphismError):
-        compose_homs(f, f)
 
 
 def test_subgroup_closure_and_membership():

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from oracles import unique_to_terminal
 from xmodp import limits
 from xmodp.errors import (
     BaseMismatchError,
@@ -45,7 +46,6 @@ from xmodp.limits import (
     quotient_by_equivalence,
     relation_xmod,
     terminal_object,
-    unique_to_terminal,
     verify_coequaliser,
     verify_equaliser,
     verify_kernel_pair,

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from oracles import assignment_sets, presheaf_composition_violations
 from xmodp.errors import (
     BaseMismatchError,
     BudgetExceededError,
@@ -13,9 +14,9 @@ from xmodp.errors import (
     NotNaturalError,
     ShapeMismatchError,
 )
-from xmodp.groups import cyclic_group, klein_four_group, trivial_group
+from xmodp.groups import cyclic_group, klein_four_group, symmetric_group_3, trivial_group
 from xmodp import presheaf
-from xmodp.limits import Cocone, Cone, EquivalenceRelation, equivalence_violations, terminal_object
+from xmodp.limits import Cocone, Cone, EquivalenceRelation, default_catalogue, equivalence_violations, terminal_object
 from xmodp.presheaf import (
     NaturalTransformation,
     Presheaf,
@@ -26,14 +27,13 @@ from xmodp.presheaf import (
     functor_on_morphism,
     generator_witness,
     presheaf_action,
-    presheaf_composition_violations,
     reconstruct_morphism,
     verify_coequaliser_preserved,
     verify_equaliser_preserved,
     verify_full_faithful,
     verify_product_preserved,
 )
-from xmodp.words import SiteObject, pair_object, symbol_word
+from xmodp.words import SiteObject, hom_set, make_free_object, symbol_word
 from xmodp.xmod import (
     compose_xmod_morphisms,
     conjugation_xmod,
@@ -75,16 +75,17 @@ def _action(F, name):
 
 def test_presheaf_sets_are_fiber_products():
     F = compute_presheaf(_mod2_xmod())
-    assert F.sets[0] == ((0,), (2,))
-    assert F.sets[1] == ((1,), (3,))
-    assert F.sets[_pair(F, 1, 1)] == ((1, 1), (1, 3), (3, 1), (3, 3))
-    assert F.sets[_pair(F, 0, 1)] == ((0, 1), (0, 3), (2, 1), (2, 3))
+    sets = assignment_sets(F)
+    assert sets[0] == ((0,), (2,))
+    assert sets[1] == ((1,), (3,))
+    assert sets[_pair(F, 1, 1)] == ((1, 1), (1, 3), (3, 1), (3, 3))
+    assert sets[_pair(F, 0, 1)] == ((0, 1), (0, 3), (2, 1), (2, 3))
 
 
 def test_presheaf_identity_generators_act_as_identity():
     F = compute_presheaf(_mod2_xmod())
-    for i, o in enumerate(F.site.objects):
-        assert _action(F, f"id[{o.describe()}]") == F.actions[i] == tuple(range(len(F.sets[i])))
+    for i, (o, elems) in enumerate(zip(F.site.objects, assignment_sets(F))):
+        assert _action(F, f"id[{o.describe()}]") == F.actions[i] == tuple(range(len(elems)))
 
 
 def test_conjugation_move_acts_through_the_action():
@@ -107,7 +108,11 @@ def test_multiplication_move_multiplies_components():
 
 
 def test_presheaf_respects_composition():
-    for A in [_mod2_xmod(), trivial_xmod(C3, C2, action=[[0, 1, 2], [0, 2, 1]])]:
+    # Two objects over C2, then every catalogue object of order <= 4 over
+    # the non-abelian S3 and over V4.
+    over_s3, over_v4 = default_catalogue(symmetric_group_3(), 4), default_catalogue(klein_four_group(), 4)
+    assert (len(over_s3), len(over_v4)) == (18, 53)
+    for A in [_mod2_xmod(), trivial_xmod(C3, C2, action=[[0, 1, 2], [0, 2, 1]]), *over_s3, *over_v4]:
         F = compute_presheaf(A)
         assert presheaf_composition_violations(F) == ()
 
@@ -145,7 +150,7 @@ def test_presheaf_action_on_composite_morphism():
     direct = presheaf_action(F, comp)
     chained = tuple(
         _action(F, "m[1,1]")[_action(F, "inc1[1,1]")[j]]
-        for j in range(len(F.sets[_pair(F, 1, 1)]))
+        for j in range(len(hom_set(site.free(_pair(F, 1, 1)), F.xmod)))
     )
     assert direct == chained
 
@@ -158,9 +163,9 @@ def test_presheaf_action_rejects_malformed_morphisms():
     with pytest.raises(FiberMismatchError):
         presheaf_action(F, replace(sigma, words=F.site.by_name["sigma[0,1]"].words))
     with pytest.raises(BaseMismatchError):
-        presheaf_action(F, replace(sigma, words=(symbol_word(pair_object(C3, 1, 1), "g0"),)))
+        presheaf_action(F, replace(sigma, words=(symbol_word(make_free_object(C3, ("g0", "g1"), (1, 1)), "g0"),)))
     # inc1[0,1]'s word g0 lies over 0, not over the 1 of single(1): its
-    # images are not in F.sets[1], so no index map exists.
+    # images are not assignments of single(1), so no index map exists.
     with pytest.raises(FiberMismatchError):
         presheaf_action(F, replace(F.site.by_name["inc1[0,1]"], source=F.site.objects[1]))
 
@@ -175,7 +180,7 @@ def test_functor_on_morphism_is_natural():
 
     ident = functor_on_morphism(identity_xmod_morphism(A2), F, F)
     assert len(ident.components) == len(F.site.objects)
-    for comp, elems in zip(ident.components, F.sets):
+    for comp, elems in zip(ident.components, assignment_sets(F)):
         assert comp == tuple(range(len(elems)))
 
 
@@ -187,8 +192,8 @@ def test_functor_respects_composition():
     lhs = functor_on_morphism(compose_xmod_morphisms(f, g), F3, F1)
     uf = functor_on_morphism(f, F2, F1)
     ug = functor_on_morphism(g, F3, F2)
-    for o in range(len(F3.site.objects)):
-        chained = tuple(uf.components[o][ug.components[o][j]] for j in range(len(F3.sets[o])))
+    for o, elems in enumerate(assignment_sets(F3)):
+        chained = tuple(uf.components[o][ug.components[o][j]] for j in range(len(elems)))
         assert lhs.components[o] == chained
 
 
@@ -278,7 +283,7 @@ def test_reconstruct_round_trips():
     F = compute_presheaf(A2)
     for phi in enumerate_natural_transformations(F, F):
         f = reconstruct_morphism(phi)
-        assert functor_on_morphism(f, F, F).same_components(phi)
+        assert functor_on_morphism(f, F, F).components == phi.components
     with pytest.raises(NotNaturalError):
         reconstruct_morphism(_perturbed_identity(F))
 

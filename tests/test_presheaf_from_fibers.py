@@ -14,7 +14,7 @@ words, every position must follow single x = x and pair (x, y) =
 n + x n + y, and every word of the site must equal the word rebuilt
 through make_free_object and make_word.  The embed report, rendered from
 the fibers, must be the bytes json.dumps writes for the records built
-from the assignment tuples of F.sets, and its lists must index as those
+from the assignment tuples of hom_set, and its lists must index as those
 records.
 """
 
@@ -24,6 +24,7 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import assignment_sets
 from xmodp.groups import cyclic_group, klein_four_group, make_group, make_hom, symmetric_group_3
 from xmodp.limits import default_catalogue
 from xmodp import presheaf, session, words
@@ -119,13 +120,14 @@ def _check_against_words(A):
     F = compute_presheaf(A)
     n = A.base.order
     assert (F.fibers, F.pos) == _fibers(A)
-    assert len(F.sets) == len(F.sizes) == len(site.objects) == n + n * n
+    assert len(F.sizes) == len(site.objects) == n + n * n
+    sets = []
     for i, o in enumerate(site.objects):
         assert site.position(o) == i == (o.xs[0] if o.kind == "single" else n + o.xs[0] * n + o.xs[1])
         free = site.free(i)
         assert free == make_free_object(A.base, free.labels, o.xs)
-        assert F.sets[i] == hom_set(free, A)
-        assert F.sizes[i] == len(F.sets[i]) == hom_set_size(free, A)
+        sets.append(hom_set(free, A))
+        assert F.sizes[i] == len(sets[i]) == hom_set_size(free, A)
     ends = list(site.ends())
     assert len(F.actions) == site.generator_count == len(ends)
     for k, ((family, *args), (s, t)) in enumerate(zip(site.decode(range(site.generator_count)), ends)):
@@ -133,8 +135,8 @@ def _check_against_words(A):
         assert site.objects[s] == g.source and site.objects[t] == g.target
         assert g.name == site.name(k)
         assert F.actions[k] == presheaf_action(F, g)
-        images = [tuple(evaluate_word(w, A, nu) for w in g.words) for nu in F.sets[t]]
-        assert [F.sets[s][i] for i in F.actions[k]] == images
+        images = [tuple(evaluate_word(w, A, nu) for w in g.words) for nu in sets[t]]
+        assert [sets[s][i] for i in F.actions[k]] == images
         if family != "id":
             assert g.name == f"{family}[{','.join(map(str, args))}]"
         else:
@@ -190,17 +192,21 @@ def test_embedding_builds_no_words(monkeypatch):
 
 def test_searches_and_comparisons_build_no_assignment_tuples(monkeypatch):
     # embed, verify-embedding, presheaf_action and the three comparisons
-    # read set sizes and fibers only, so no presheaf they build fills its
-    # sets view; verify-embedding of an object with itself builds one
-    # presheaf.
+    # read set sizes and fibers only, so none of them lists a hom-set;
+    # verify-embedding of an object with itself builds one presheaf.
     built = []
 
     def recording(*args, _real=compute_presheaf, **kwargs):
         built.append(_real(*args, **kwargs))
         return built[-1]
 
+    def refuse(*args):
+        raise AssertionError("a hom-set was listed")
+
     monkeypatch.setattr(presheaf, "compute_presheaf", recording)
     monkeypatch.setattr(session, "compute_presheaf", recording)
+    monkeypatch.setattr(presheaf, "hom_set", refuse)
+    monkeypatch.setattr(session, "hom_set", refuse)
     E, T = S3_SESSION.xmods["E"], S3_SESSION.xmods["T"]
     site = build_site(E.base)
     for A, B in itertools.product([E, T], repeat=2):
@@ -221,17 +227,16 @@ def test_searches_and_comparisons_build_no_assignment_tuples(monkeypatch):
     F = presheaf.compute_presheaf(E)
     assert presheaf_action(F, site.morphism(len(site.objects))) == F.actions[len(site.objects)]
     assert len(built) == 66
-    assert all("sets" not in vars(F) for F in built)
 
 
 def _embed_records_from_sets(F):
     """The objects and actions of an embed report as dicts, built from the
-    assignment tuples of F.sets."""
+    assignment tuples of hom_set."""
     site = F.site
     names = [o.describe() for o in site.objects]
     objects = [
         {"object": name, "size": len(elems), "assignments": [list(t) for t in elems]}
-        for name, elems in zip(names, F.sets)
+        for name, elems in zip(names, assignment_sets(F))
     ]
     actions = [
         {"generator": site.name(k), "source": names[s], "target": names[t], "map": list(image)}

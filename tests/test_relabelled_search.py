@@ -18,6 +18,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import assignment_sets
 from xmodp import groups, limits, presheaf, words, xmod
 from xmodp.groups import (
     automorphism_group,
@@ -39,10 +40,10 @@ from xmodp.presheaf import (
 from xmodp.session import parse_session
 from xmodp.words import SiteObject, build_site
 from xmodp.xmod import (
+    _fibers,
     all_crossed_modules,
     crossed_module_violations,
     enumerate_morphisms,
-    fiber,
     make_crossed_module,
     structure_key,
     validate_morphism,
@@ -63,7 +64,8 @@ NAT_PAIRS = [
     (A, B)
     for A in XMODS
     for B in XMODS
-    if len(fiber(B, 0)) ** len(fiber(A, 0)) * len(fiber(B, 1)) ** len(fiber(A, 1)) <= MAX_NAT_SPACE
+    for (a0, a1), (b0, b1) in [(_fibers(A)[0], _fibers(B)[0])]
+    if len(b0) ** len(a0) * len(b1) ** len(a1) <= MAX_NAT_SPACE
 ]
 
 
@@ -191,13 +193,14 @@ def _natural_transformations_oracle(F, G):
     pairs and kept when every naturality square commutes, in lexicographic
     order of the single components."""
     site = F.site
+    sets_F, sets_G = assignment_sets(F), assignment_sets(G)
     singles = [i for i, o in enumerate(site.objects) if o.kind == "single"]
     choices = [
-        list(itertools.product(range(len(G.sets[o])), repeat=len(F.sets[o])))
+        list(itertools.product(range(len(sets_G[o])), repeat=len(sets_F[o])))
         for o in singles
     ]
-    index_F = [{nu: i for i, nu in enumerate(elems)} for elems in F.sets]
-    index_G = [{nu: i for i, nu in enumerate(elems)} for elems in G.sets]
+    index_F = [{nu: i for i, nu in enumerate(elems)} for elems in sets_F]
+    index_G = [{nu: i for i, nu in enumerate(elems)} for elems in sets_G]
     out = []
     for combo in itertools.product(*choices):
         components = dict(zip(singles, combo))
@@ -207,11 +210,11 @@ def _natural_transformations_oracle(F, G):
                 components[o] = tuple(
                     index_G[o][
                         (
-                            G.sets[ox][components[ox][index_F[ox][(a,)]]][0],
-                            G.sets[oy][components[oy][index_F[oy][(b,)]]][0],
+                            sets_G[ox][components[ox][index_F[ox][(a,)]]][0],
+                            sets_G[oy][components[oy][index_F[oy][(b,)]]][0],
                         )
                     ]
-                    for (a, b) in F.sets[o]
+                    for (a, b) in sets_F[o]
                 )
         components = tuple(components[o] for o in range(len(site.objects)))
         phi = NaturalTransformation(source=F, target=G, components=components)
@@ -270,7 +273,7 @@ def _postcomposition_oracle(f, F, G):
     """U(f) by its definition: each assignment of F composed with f, looked
     up in an index of G's set."""
     components = []
-    for elems, targets in zip(F.sets, G.sets, strict=True):
+    for elems, targets in zip(assignment_sets(F), assignment_sets(G), strict=True):
         index = {nu: i for i, nu in enumerate(targets)}
         components.append(tuple(index[tuple(f.mapping[a] for a in nu)] for nu in elems))
     return tuple(components)

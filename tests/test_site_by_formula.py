@@ -20,12 +20,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import unique_to_terminal
 from test_exact_on_generators import _symmetric
 from test_presheaf_from_fibers import E48, SMALL_XMODS, _labels, _relabel_group
 from xmodp import presheaf
 from xmodp.errors import IndexOutOfRangeError
 from xmodp.groups import cyclic_group, klein_four_group, symmetric_group_3
-from xmodp.limits import Cone, terminal_object, unique_to_terminal
+from xmodp.limits import Cone, terminal_object
 from xmodp.presheaf import (
     compute_presheaf,
     verify_coequaliser_preserved,

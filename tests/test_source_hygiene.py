@@ -2,8 +2,11 @@
 
 Every name a module imports is used there or re-exported through its
 __all__, and every private function or method is referenced somewhere in
-the package.  Every local name a function assigns, other than _, is read
-in that function.  The import and local checks cover the test files too.
+the package.  Every name in a module's __all__ that the package does not
+re-export is read somewhere in the package, outside its own definition
+and __all__, or is named, with its reason, in UNREAD_PUBLIC.  Every local
+name a function assigns, other than _, is read in that function.  The
+import and local checks cover the test files too.
 __init__.py imports only to re-export, so it is not checked for unused
 imports.  The site's types are constructed only in words.py, so the
 trusted construction of the site stays in one module.
@@ -73,6 +76,70 @@ def test_every_private_function_is_referenced():
         and node.name not in referenced
     ]
     assert unreferenced == []
+
+
+def _reexported():
+    """The names the package __init__ imports, a star import bringing its
+    module's whole __all__."""
+    out = set()
+    for node in TREES["__init__.py"].body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                out |= _exported(TREES[f"{node.module}.py"]) if alias.name == "*" else {alias.asname or alias.name}
+    return out
+
+
+def _reads(node):
+    """What a node reads: name loads, attributes, names imported from
+    another module, and string constants (session dispatches on names)."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+def _defines(node):
+    """The module-level names a statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
+
+
+# Public names with no reader in the package, each kept for a reason.  A
+# local variable of the same name reads as a use, so the gate can miss a
+# name, never flag a read one.
+UNREAD_PUBLIC = {
+    "normal_subgroups": "the candidates for enumerating the internal equivalence relations of XMod/P",
+    "conjugacy_class": "normal closures of conjugacy classes build those candidates on a large M",
+    "presheaf_action": "the word action of any site morphism, the oracle every closed-form map is compared with",
+}
+
+
+def test_every_public_name_not_reexported_is_read():
+    statements = [
+        (module, _defines(node), set(_reads(node)))
+        for module, tree in TREES.items()
+        for node in tree.body
+        if "__all__" not in _defines(node)
+    ]
+    reexported = _reexported()
+    unread = [
+        name
+        for module, tree in TREES.items()
+        for name in _exported(tree) - reexported
+        if not any(
+            name in reads and not (where == module and name in defined) for where, defined, reads in statements
+        )
+    ]
+    assert sorted(unread) == sorted(UNREAD_PUBLIC)
 
 
 SITE_TYPES = {"FreeObject", "Word", "Symbol", "SiteMorphism"}

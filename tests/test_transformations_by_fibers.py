@@ -12,12 +12,14 @@ trivial boundary over S4) and with one-element sets (the terminal
 object), on relabelled bases.
 """
 
+import functools
 import itertools
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import assignment_sets
 from xmodp import presheaf
 from xmodp.errors import FiberMismatchError, ReconstructionInvalidError, ShapeMismatchError
 from xmodp.groups import cyclic_group, is_index, klein_four_group, make_group
@@ -85,6 +87,8 @@ def _transformations():
 
 
 CASES = _transformations()
+# The assignments of each presheaf of CASES, built once per presheaf.
+_sets = functools.cache(assignment_sets)
 
 
 def _shape_oracle(phi):
@@ -96,10 +100,10 @@ def _shape_oracle(phi):
     out = []
     for i, o in enumerate(objects):
         comp = phi.components[i]
-        if len(comp) != len(F.sets[i]):
+        if len(comp) != len(_sets(F)[i]):
             out.append(f"component at {o.describe()} has length {len(comp)}")
             continue
-        if not all(is_index(v, len(G.sets[i])) for v in comp):
+        if not all(is_index(v, len(_sets(G)[i])) for v in comp):
             out.append(f"component at {o.describe()} has out-of-range values")
     return tuple(out)
 
@@ -130,7 +134,7 @@ def _outcome(check, phi):
 
 
 def test_cases_cover_empty_and_one_element_sets():
-    sizes = {len(elems) for phi in CASES for elems in phi.source.sets}
+    sizes = {len(elems) for phi in CASES for elems in _sets(phi.source)}
     assert {0, 1} <= sizes and max(sizes) > 1
     assert any(phi.source.site.base.order == 24 for phi in CASES)
     assert all(check_naturality(phi) == () for phi in CASES)
@@ -148,7 +152,7 @@ def test_check_naturality_matches_square_by_square_oracle(phi, kind, data):
     o = data.draw(st.sampled_from(objects if kind != "missing" else range(len(components))))
     comp = list(components[o])
     i = data.draw(st.integers(0, max(len(comp) - 1, 0)))
-    limit = len(G.sets[o])
+    limit = len(_sets(G)[o])
     if kind == "entry":
         comp[i] = (comp[i] + data.draw(st.integers(1, max(limit - 1, 1)))) % limit
     elif kind == "bool":
@@ -293,11 +297,11 @@ def test_presheaf_action_indexes_images_by_fiber_position():
     # On a relabelled base, an image's index in its set is the mixed-radix
     # number of its entries' fiber positions, with no lookup table.
     F = compute_presheaf(E)
-    site = F.site
+    site, sets = F.site, assignment_sets(F)
     for k, (s, t) in enumerate(site.ends()):
         g = site.morphism(k)
-        source = {nu: i for i, nu in enumerate(F.sets[s])}
+        source = {nu: i for i, nu in enumerate(sets[s])}
         expected = tuple(
-            source[tuple(evaluate_word(w, E, nu) for w in g.words)] for nu in F.sets[t]
+            source[tuple(evaluate_word(w, E, nu) for w in g.words)] for nu in sets[t]
         )
         assert presheaf_action(F, g) == expected == F.actions[k]

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import apply_peiffer_move, peiffer_word
 from xmodp.errors import (
     BaseMismatchError,
     CompositionMismatchError,
@@ -17,7 +18,6 @@ from xmodp.limits import terminal_object
 from xmodp.words import (
     SiteMorphism,
     SiteObject,
-    apply_peiffer_move,
     build_site,
     compose_site_morphisms,
     concat_words,
@@ -28,8 +28,6 @@ from xmodp.words import (
     labelling,
     make_free_object,
     make_word,
-    pair_object,
-    peiffer_word,
     single_object,
     singly_generated_hom,
     substitute_word,
@@ -42,7 +40,7 @@ from xmodp.xmod import conjugation_xmod, make_crossed_module, trivial_action
 C2 = cyclic_group(2)
 C4 = cyclic_group(4)
 S3 = symmetric_group_3()
-PAIR = pair_object(S3, 1, 3)
+PAIR = make_free_object(S3, ("g0", "g1"), (1, 3))
 
 _sym = st.tuples(
     st.integers(0, 5), st.sampled_from(["g0", "g1"]), st.sampled_from([1, -1])
@@ -157,7 +155,7 @@ def test_concat_words_needs_words_over_one_free_object():
 def test_hom_set_examples():
     A = _mod2_xmod()
     assert hom_set(single_object(C2, 1), A) == ((1,), (3,))
-    assert hom_set(pair_object(C2, 1, 1), A) == ((1, 1), (1, 3), (3, 1), (3, 3))
+    assert hom_set(make_free_object(C2, ("g0", "g1"), (1, 1)), A) == ((1, 1), (1, 3), (3, 1), (3, 3))
     empty = make_free_object(C2, (), ())
     assert hom_set(empty, A) == ((),)
     assert hom_set_size(empty, A) == 1
@@ -166,7 +164,7 @@ def test_hom_set_examples():
 def test_hom_set_matches_filter_oracle():
     A = _mod2_xmod()
     for omega in itertools.product(range(2), repeat=2):
-        free = pair_object(C2, *omega)
+        free = make_free_object(C2, ("g0", "g1"), omega)
         fast = set(hom_set(free, A))
         # Oracle: filter raw tuples by the fiber condition.
         slow = {

@@ -9,7 +9,7 @@ budget bounds what a whole command does, not each search on its own.
 import pytest
 
 from xmodp import limits
-from xmodp.errors import BudgetExceededError
+from xmodp.errors import BudgetExceededError, IndexOutOfRangeError
 from xmodp.groups import DEFAULT_BUDGET, Work, _search, cyclic_group, klein_four_group, make_hom
 from xmodp.limits import (
     equaliser,
@@ -124,6 +124,25 @@ def test_sweep_charges_one_unit_per_test_cone(monkeypatch):
     with pytest.raises(BudgetExceededError):
         verify_equaliser(f, g, cone, budget=sum(searched))
     assert verify_equaliser(f, g, cone, budget=work.used)["pass"]
+
+
+@pytest.mark.parametrize("budget", ["10", None, True, False, 1.5, 0, -1])
+@pytest.mark.parametrize(
+    "call", ["enumerate_morphisms", "enumerate_natural_transformations", "verify_full_faithful", "verify_product"]
+)
+def test_a_budget_that_is_not_a_positive_int_is_refused(call, budget):
+    # As default_catalogue refuses its bound: a str, None, a bool or a
+    # float is not an int budget, and a budget below 1 admits no work.
+    A2 = _mod2_xmod()
+    F2 = compute_presheaf(A2)
+    calls = {
+        "enumerate_morphisms": lambda: enumerate_morphisms(A2, A2, budget=budget),
+        "enumerate_natural_transformations": lambda: enumerate_natural_transformations(F2, F2, budget=budget),
+        "verify_full_faithful": lambda: verify_full_faithful(A2, A2, budget=budget),
+        "verify_product": lambda: verify_product(A2, A2, product_over_P(A2, A2), budget=budget),
+    }
+    with pytest.raises(IndexOutOfRangeError, match=f"budget must be an int of at least 1, got {budget!r}"):
+        calls[call]()
 
 
 def test_cheap_answers_fit_the_default_budget():

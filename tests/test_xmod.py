@@ -23,6 +23,7 @@ from xmodp.groups import (
     trivial_group,
 )
 from xmodp.xmod import (
+    _fibers,
     all_crossed_modules,
     automorphism_xmod,
     central_extension_xmod,
@@ -31,7 +32,6 @@ from xmodp.xmod import (
     conjugation_xmod,
     crossed_module_violations,
     enumerate_morphisms,
-    fiber,
     identity_xmod_morphism,
     make_crossed_module,
     make_xmod_morphism,
@@ -131,11 +131,10 @@ def test_make_crossed_module_raises_with_violations():
 
 def test_fiber():
     A = _mod2_xmod()
-    assert fiber(A, 0) == (0, 2)
-    assert fiber(A, 1) == (1, 3)
-    # True == 1, but a bool is not an element index.
-    assert fiber(A, True) == ()
-    assert fiber(A, 2) == fiber(A, -1) == ()
+    fibers, pos = _fibers(A)
+    assert fibers[0] == [0, 2]
+    assert fibers[1] == [1, 3]
+    assert pos == [0, 0, 1, 1]
 
 
 def test_conjugation_construction():
