@@ -44,8 +44,8 @@ once per Group (Group._steps) rather than once per call.
 What a Group caches lives as long as the Group: its generating set,
 columns, conjugation table, hom-search filing and automorphism group
 (Group._automorphisms, searched by the first automorphism_group call;
-a group above MAX_AUTOMORPHISM_ORDER is refused on every call and
-nothing is kept).  A group built from session data lives as long as its
+a group whose search or table passes the budget is refused on every call
+and nothing is kept).  A group built from session data lives as long as its
 session, so none of this outlives the command that made it; the
 catalogue groups of limits.py, built once per process, keep theirs for
 every later catalogue.
@@ -68,7 +68,6 @@ from .errors import (
     NotHomomorphismError,
     NotNormalError,
     NotSubgroupError,
-    OrderTooLargeError,
 )
 
 __all__ = [
@@ -96,7 +95,6 @@ __all__ = [
     "conjugacy_class",
     "element_order",
     "automorphism_group",
-    "MAX_AUTOMORPHISM_ORDER",
 ]
 
 
@@ -109,9 +107,6 @@ class Group:
     table: tuple[tuple[int, ...], ...]
     identity: int
     inverse: tuple[int, ...]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
 
     @cached_property
     def _gens(self) -> tuple[int, ...]:
@@ -134,7 +129,7 @@ class Group:
     @cached_property
     def _automorphisms(self) -> AutGroup:
         """automorphism_group(self), searched once per group; only
-        automorphism_group reads it, after its order bound."""
+        automorphism_group reads it."""
         return _automorphism_search(self)
 
     @cached_property
@@ -143,9 +138,6 @@ class Group:
         entry (a, b, ab) as (a, b, ab, 0), table 0 being the codomain's,
         filed by _file under its largest index, the forcing entry first."""
         return _file(self.order, [(a, b, c, 0) for a, row in enumerate(self.table) for b, c in enumerate(row)], 2)
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
 
     def conj(self, p: int, a: int) -> int:
         """Return p a p^-1 by three lookups, building no table; code that
@@ -594,8 +586,7 @@ def subgroup_closure(G: Group, seed: Iterable[int]) -> tuple[int, ...]:
     """
     gens = list(seed)
     for s in gens:
-        if not is_index(s, G.order):
-            raise IndexOutOfRangeError(f"{G.name}: seed element {s} out of range")
+        _require_element(G, s)
     cur = frontier = {G.identity}
     while frontier:
         frontier = {G.table[a][s] for a in frontier for s in gens} - cur
@@ -730,28 +721,22 @@ class AutGroup(NamedTuple):
     perms: tuple[tuple[int, ...], ...]
 
 
-# Larger groups are refused: the search assigns every element in turn.
-MAX_AUTOMORPHISM_ORDER = 12
-
-
 def automorphism_group(M: Group) -> AutGroup:
     """Automorphism group: the bijective endomorphisms of M.
 
     perms[i] is the i-th automorphism as an image tuple, in lexicographic
     order, and group is the composition table (i * j applies j first).
-    Groups of order above MAX_AUTOMORPHISM_ORDER are refused, on every
-    call.  The search runs once per Group instance: later calls return
-    the same AutGroup (Group._automorphisms).
+    The search and the table are charged to one meter of DEFAULT_BUDGET,
+    so a group whose search or table passes it is refused, on every call.
+    The search runs once per Group instance: later calls return the same
+    AutGroup (Group._automorphisms).
     """
-    if M.order > MAX_AUTOMORPHISM_ORDER:
-        raise OrderTooLargeError(
-            f"{M.name}: order {M.order} exceeds automorphism search bound {MAX_AUTOMORPHISM_ORDER}"
-        )
     return M._automorphisms
 
 
 def _automorphism_search(M: Group) -> AutGroup:
-    """The automorphisms of M by one hom search, within DEFAULT_BUDGET.
+    """The automorphisms of M by one hom search, and their composition
+    table charged at |Aut|^2, within DEFAULT_BUDGET.
 
     An automorphism keeps element orders, so x's candidates are the
     elements of x's order.  Conversely an endomorphism that keeps orders
@@ -761,7 +746,9 @@ def _automorphism_search(M: Group) -> AutGroup:
     n = M.order
     orders = [element_order(M, a) for a in range(n)]
     candidates = [[b for b in range(n) if orders[b] == k] for k in orders]
-    perms = _search_homs(M, M, candidates, Work(DEFAULT_BUDGET), f"automorphism search {M.name}")
+    work = Work(DEFAULT_BUDGET)
+    perms = _search_homs(M, M, candidates, work, f"automorphism search {M.name}")
+    work.charge(len(perms) ** 2, f"automorphism table {M.name}")
     pos = {p: i for i, p in enumerate(perms)}
     table = [
         [pos[tuple(p[q[x]] for x in range(n))] for q in perms]

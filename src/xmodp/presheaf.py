@@ -61,7 +61,6 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from operator import add
 
 from .errors import (
-    BaseMismatchError,
     FiberMismatchError,
     IsIsoError,
     NotMonoError,
@@ -69,13 +68,14 @@ from .errors import (
     ReconstructionInvalidError,
     ShapeMismatchError,
 )
-from .groups import DEFAULT_BUDGET, Work, _column, _differences, _gather, _meter, _search
+from .groups import DEFAULT_BUDGET, Work, _column, _differences, _gather, _indices, _meter, _search
 from .limits import coequaliser, equaliser, kernel_pair, product_over_P
 from .words import (
     Site,
     SiteMorphism,
     SiteObject,
     build_site,
+    _require_over,
     _word_images,
     hom_set,
     single_object,
@@ -193,8 +193,7 @@ def presheaf_action(F: Presheaf, m: SiteMorphism) -> tuple[int, ...]:
     if len(m.words) != len(xs):
         raise ShapeMismatchError(f"{m.name}: wrong number of words")
     for w, x in zip(m.words, xs):
-        if w.free.base != A.base:
-            raise BaseMismatchError(f"{A.name} is not over {w.free.base.name}")
+        _require_over(A, w.free.base)
         if w.free.omega != omega:
             raise FiberMismatchError(f"{m.name}: words are not over {m.target.describe()}")
         if word_boundary(w) != x:
@@ -282,18 +281,15 @@ class NaturalTransformation:
 
 def component_shape_violations(phi: NaturalTransformation) -> tuple[str, ...]:
     F, G = phi.source, phi.target
-    objects = F.site.objects
-    if len(phi.components) != len(objects):
-        return (f"{len(phi.components)} components for {len(objects)} objects",)
+    count = F.site.object_count
+    if len(phi.components) != count:
+        return (f"{len(phi.components)} components for {count} objects",)
     out = []
-    for o, comp, size, limit in zip(objects, phi.components, F.sizes, G.sizes):
+    for o, comp, size, limit in zip(F.site.descriptions, phi.components, F.sizes, G.sizes):
         if len(comp) != size:
-            out.append(f"component at {o.describe()} has length {len(comp)}")
-            continue
-        # One C-level pass each for the types and the bounds; bools are not
-        # indices, so their type is not int.
-        if comp and (set(map(type, comp)) != {int} or min(comp) < 0 or max(comp) >= limit):
-            out.append(f"component at {o.describe()} has out-of-range values")
+            out.append(f"component at {o} has length {len(comp)}")
+        elif comp and not _indices(comp, limit):
+            out.append(f"component at {o} has out-of-range values")
     return tuple(out)
 
 

@@ -105,8 +105,7 @@ def make_free_object(base: Group, labels: Sequence[str], omega: Sequence[int]) -
     if len(labels) != len(omega):
         raise IndexOutOfRangeError(f"{len(labels)} labels but {len(omega)} base elements")
     for x in omega:
-        if not is_index(x, base.order):
-            raise IndexOutOfRangeError(f"base element {x} out of range for {base.name}")
+        _require_element(base, x)
     return FreeObject(base=base, labels=labels, omega=omega)
 
 
@@ -117,8 +116,7 @@ def single_object(base: Group, x: int) -> FreeObject:
 def make_word(free: FreeObject, syms: Sequence[tuple[int, str, int]]) -> Word:
     checked = []
     for (u, label, exp) in syms:
-        if not is_index(u, free.base.order):
-            raise IndexOutOfRangeError(f"translate {u} out of range for {free.base.name}")
+        _require_element(free.base, u)
         free.index_of(label)
         if exp not in (1, -1):
             raise IndexOutOfRangeError(f"exponent {exp} must be +1 or -1")
@@ -148,6 +146,7 @@ def invert_word(w: Word) -> Word:
 def translate_word(w: Word, v: int) -> Word:
     """Left translate every symbol: v . (u . label) = (vu) . label."""
     P = w.free.base
+    _require_element(P, v)
     return Word(free=w.free, syms=tuple(Symbol(P.table[v][s.u], s.label, s.exp) for s in w.syms))
 
 
@@ -163,9 +162,13 @@ def word_boundary(w: Word) -> int:
     return out
 
 
+def _require_over(A: CrossedModule, base: Group) -> None:
+    if A.base != base:
+        raise BaseMismatchError(f"{A.name} is not over {base.name}")
+
+
 def _check_assignment(free: FreeObject, A: CrossedModule, assignment: Sequence[int]) -> None:
-    if A.base != free.base:
-        raise BaseMismatchError(f"{A.name} is not over {free.base.name}")
+    _require_over(A, free.base)
     if len(assignment) != len(free.labels):
         raise FiberMismatchError(
             f"assignment has {len(assignment)} entries for {len(free.labels)} labels"
@@ -209,15 +212,13 @@ def _word_images(w: Word, A: CrossedModule, assignments: Sequence[Sequence[int]]
 
 def hom_set(free: FreeObject, A: CrossedModule) -> tuple[tuple[int, ...], ...]:
     """All fiber-respecting assignments, in lexicographic element order."""
-    if A.base != free.base:
-        raise BaseMismatchError(f"{A.name} is not over {free.base.name}")
+    _require_over(A, free.base)
     fibers, _ = _fibers(A)
     return tuple(itertools.product(*(fibers[x] for x in free.omega)))
 
 
 def hom_set_size(free: FreeObject, A: CrossedModule) -> int:
-    if A.base != free.base:
-        raise BaseMismatchError(f"{A.name} is not over {free.base.name}")
+    _require_over(A, free.base)
     fibers, _ = _fibers(A)
     size = 1
     for x in free.omega:
@@ -227,8 +228,7 @@ def hom_set_size(free: FreeObject, A: CrossedModule) -> int:
 
 def labelling(A: CrossedModule, a: int) -> tuple[FreeObject, tuple[int, ...]]:
     """The single-label assignment naming the element a."""
-    if not is_index(a, A.group.order):
-        raise IndexOutOfRangeError(f"element {a} out of range for {A.name}")
+    _require_element(A.group, a)
     free = single_object(A.base, A.boundary.image[a])
     return free, (a,)
 
@@ -291,17 +291,16 @@ class Site:
     which is how the presheaf's map kernel, name(k) and morphism(k) learn
     what a generator is; the ends of a generator follow from its family
     and indices.  ends() yields the (source, target) of every generator a
-    family at a time and keeps none of them.  The per-object tuple objects
-    is built the first time it is read, and descriptions and names, the
+    family at a time and keeps none of them.  descriptions and names, the
     report texts of every object and generator, are written a family at a
     time on first read, for embed.
 
     Free objects, words and SiteMorphisms are made only when asked for:
-    free(i) and morphism(k).  The views generators and by_name are read
-    only by tests, as the word-level oracle that the closed-form maps of
-    the presheaf are compared with.  The base is a valid group and every
-    index comes from its range, so they are built without the checks of
-    make_free_object and make_word.
+    free(i) and morphism(k), one at a time; the tests read morphism(k) as
+    the word-level oracle that the closed-form maps of the presheaf are
+    compared with.  The base is a valid group and every index comes from
+    its range, so they are built without the checks of make_free_object
+    and make_word.
     """
 
     def __init__(self, base: Group):
@@ -382,10 +381,6 @@ class Site:
         return itertools.chain(zip(ids, ids), moves, zip(sources, targets))
 
     @cached_property
-    def objects(self) -> tuple[SiteObject, ...]:
-        return tuple(map(self.object, range(self.object_count)))
-
-    @cached_property
     def descriptions(self) -> tuple[str, ...]:
         """describe() of every object, in site order."""
         digits = list(map(str, range(self.base.order)))
@@ -422,14 +417,6 @@ class Site:
         labels = {"id": [(g,) for g in free.labels], "sigma": [("g0", "g1")], "inc2": [("g1",)]}
         words = tuple(Word(free, tuple(Symbol(u, g, 1) for g in w)) for w in labels.get(family, [("g0",)]))
         return SiteMorphism(self.name(k), self.object(source), self.object(target), words)
-
-    @cached_property
-    def generators(self) -> tuple[SiteMorphism, ...]:
-        return tuple(map(self.morphism, range(self.generator_count)))
-
-    @cached_property
-    def by_name(self) -> dict[str, SiteMorphism]:
-        return {g.name: g for g in self.generators}
 
 
 def build_site(base: Group) -> Site:

@@ -38,9 +38,10 @@ def presheaf_composition_violations(F):
     act as the composite of the two generators' index maps."""
     site = F.site
     ends = list(site.ends())
+    generators = list(map(site.morphism, range(site.generator_count)))
     bad = []
-    for k, (f, (source, _)) in enumerate(zip(site.generators, ends)):
-        for l, (g, (_, target)) in enumerate(zip(site.generators, ends)):
+    for k, (f, (source, _)) in enumerate(zip(generators, ends)):
+        for l, (g, (_, target)) in enumerate(zip(generators, ends)):
             if target != source:
                 continue
             direct = presheaf_action(F, compose_site_morphisms(f, g))
@@ -48,6 +49,11 @@ def presheaf_composition_violations(F):
             if direct != chained:
                 bad.append((f.name, g.name))
     return tuple(bad)
+
+
+def morphism_named(site, name):
+    """The generator of the site with the given name, as words."""
+    return site.morphism(next(k for k in range(site.generator_count) if site.name(k) == name))
 
 
 def apply_peiffer_move(w, start, ulen, vlen):

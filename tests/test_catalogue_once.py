@@ -6,7 +6,7 @@ first use (not at import) and keeps them, with what is cached on each
 Group: its generators, hom-search filing, conjugation table and
 automorphism group.  So a sweep after the first, on another session,
 builds no catalogue table and searches no automorphisms.  An automorphism
-search above MAX_AUTOMORPHISM_ORDER is refused on every call, and the
+search or table that passes the budget is refused on every call, and the
 refusal is not kept.
 """
 
@@ -22,8 +22,8 @@ import pytest
 from test_forced_search import _sessions
 from xmodp import groups, session
 from xmodp.cli import main
-from xmodp.errors import OrderTooLargeError
-from xmodp.groups import automorphism_group, cyclic_group
+from xmodp.errors import BudgetExceededError
+from xmodp.groups import automorphism_group, cyclic_group, make_group
 from xmodp.limits import _CATALOGUE_GROUPS, _catalogue_groups
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,8 +93,9 @@ def test_automorphism_group_is_searched_once_per_group():
 
 
 def test_an_automorphism_search_above_the_bound_is_refused_every_time():
-    M = cyclic_group(13)
+    # C2^4 has 20,160 automorphisms, so its |Aut|^2 table passes the budget.
+    M = make_group([[a ^ b for b in range(16)] for a in range(16)], "C2^4")
     for _ in range(3):
-        with pytest.raises(OrderTooLargeError):
+        with pytest.raises(BudgetExceededError, match="^automorphism table C2\\^4 passes the budget"):
             automorphism_group(M)
     assert "_automorphisms" not in vars(M)

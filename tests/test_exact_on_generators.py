@@ -198,14 +198,14 @@ def test_sigma_squares_read_their_source_at_xy():
 
 
 def _row(site, o, lhs, rhs, ok):
-    return {"object": site.objects[o].describe(), "lhs_size": lhs, "rhs_size": rhs, "ok": ok}
+    return {"object": site.object(o).describe(), "lhs_size": lhs, "rhs_size": rhs, "ok": ok}
 
 
 def _product_rows(cone, A, B, site):
     FX, FA, FB = (compute_presheaf(X) for X in (cone.apex, A, B))
     pA, pB = (functor_on_morphism(leg, FX, G) for leg, G in zip(cone.legs, (FA, FB)))
     rows = []
-    for o in range(len(site.objects)):
+    for o in range(site.object_count):
         cells = set(zip(pA.components[o], pB.components[o]))
         full = FA.sizes[o] * FB.sizes[o]
         rows.append(_row(site, o, FX.sizes[o], full, FX.sizes[o] == full == len(cells)))
@@ -229,7 +229,7 @@ def _coequaliser_rows(cocone, f, site):
     proj = functor_on_morphism(cocone.legs[0], FB, FQ)
     k1, k2 = (functor_on_morphism(leg, FK, FB) for leg in kp.legs)
     rows = []
-    for o in range(len(site.objects)):
+    for o in range(site.object_count):
         # Classes of the equivalence generated by the kernel pair's pairs.
         label = list(range(FB.sizes[o]))
         for a, b in zip(k1.components[o], k2.components[o]):

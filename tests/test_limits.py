@@ -145,7 +145,7 @@ def test_coequaliser_generators_stay_in_closure():
     B = f.source
     class_of = cocone.legs[0].mapping
     for c in range(kp.apex.group.order):
-        relator = B.group.mul(u.mapping[c], B.group.inv(v.mapping[c]))
+        relator = B.group.table[u.mapping[c]][B.group.inverse[v.mapping[c]]]
         assert class_of[relator] == 0
     for p in range(B.base.order):
         for b in range(B.group.order):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from oracles import assignment_sets, presheaf_composition_violations
+from oracles import assignment_sets, morphism_named, presheaf_composition_violations
 from xmodp.errors import (
     BaseMismatchError,
     BudgetExceededError,
@@ -84,7 +84,7 @@ def test_presheaf_sets_are_fiber_products():
 
 def test_presheaf_identity_generators_act_as_identity():
     F = compute_presheaf(_mod2_xmod())
-    for i, (o, elems) in enumerate(zip(F.site.objects, assignment_sets(F))):
+    for i, (o, elems) in enumerate(zip(map(F.site.object, range(F.site.object_count)), assignment_sets(F))):
         assert _action(F, f"id[{o.describe()}]") == F.actions[i] == tuple(range(len(elems)))
 
 
@@ -146,7 +146,7 @@ def test_presheaf_action_on_composite_morphism():
 
     F = compute_presheaf(_mod2_xmod())
     site = F.site
-    comp = compose_site_morphisms(site.by_name["inc1[1,1]"], site.by_name["m[1,1]"])
+    comp = compose_site_morphisms(morphism_named(site, "inc1[1,1]"), morphism_named(site, "m[1,1]"))
     direct = presheaf_action(F, comp)
     chained = tuple(
         _action(F, "m[1,1]")[_action(F, "inc1[1,1]")[j]]
@@ -157,17 +157,17 @@ def test_presheaf_action_on_composite_morphism():
 
 def test_presheaf_action_rejects_malformed_morphisms():
     F = compute_presheaf(_mod2_xmod())
-    sigma = F.site.by_name["sigma[1,1]"]
+    sigma = morphism_named(F.site, "sigma[1,1]")
     with pytest.raises(ShapeMismatchError):
         presheaf_action(F, replace(sigma, words=sigma.words * 2))
     with pytest.raises(FiberMismatchError):
-        presheaf_action(F, replace(sigma, words=F.site.by_name["sigma[0,1]"].words))
+        presheaf_action(F, replace(sigma, words=morphism_named(F.site, "sigma[0,1]").words))
     with pytest.raises(BaseMismatchError):
         presheaf_action(F, replace(sigma, words=(symbol_word(make_free_object(C3, ("g0", "g1"), (1, 1)), "g0"),)))
     # inc1[0,1]'s word g0 lies over 0, not over the 1 of single(1): its
     # images are not assignments of single(1), so no index map exists.
     with pytest.raises(FiberMismatchError):
-        presheaf_action(F, replace(F.site.by_name["inc1[0,1]"], source=F.site.objects[1]))
+        presheaf_action(F, replace(morphism_named(F.site, "inc1[0,1]"), source=F.site.object(1)))
 
 
 def test_functor_on_morphism_is_natural():
@@ -179,7 +179,7 @@ def test_functor_on_morphism_is_natural():
     assert phi.components[0] == (0, 0)
 
     ident = functor_on_morphism(identity_xmod_morphism(A2), F, F)
-    assert len(ident.components) == len(F.site.objects)
+    assert len(ident.components) == F.site.object_count
     for comp, elems in zip(ident.components, assignment_sets(F)):
         assert comp == tuple(range(len(elems)))
 

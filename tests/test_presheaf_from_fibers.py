@@ -120,9 +120,9 @@ def _check_against_words(A):
     F = compute_presheaf(A)
     n = A.base.order
     assert (F.fibers, F.pos) == _fibers(A)
-    assert len(F.sizes) == len(site.objects) == n + n * n
+    assert len(F.sizes) == site.object_count == n + n * n
     sets = []
-    for i, o in enumerate(site.objects):
+    for i, o in enumerate(map(site.object, range(site.object_count))):
         assert site.position(o) == i == (o.xs[0] if o.kind == "single" else n + o.xs[0] * n + o.xs[1])
         free = site.free(i)
         assert free == make_free_object(A.base, free.labels, o.xs)
@@ -132,7 +132,7 @@ def _check_against_words(A):
     assert len(F.actions) == site.generator_count == len(ends)
     for k, ((family, *args), (s, t)) in enumerate(zip(site.decode(range(site.generator_count)), ends)):
         g = site.morphism(k)
-        assert site.objects[s] == g.source and site.objects[t] == g.target
+        assert site.object(s) == g.source and site.object(t) == g.target
         assert g.name == site.name(k)
         assert F.actions[k] == presheaf_action(F, g)
         images = [tuple(evaluate_word(w, A, nu) for w in g.words) for nu in sets[t]]
@@ -223,9 +223,9 @@ def test_searches_and_comparisons_build_no_assignment_tuples(monkeypatch):
         assert verify_equaliser_preserved(f, g)["pass"]
     assert len(built) == 19 + 5 * len(pairs)
     report, code = run_command(S3_SESSION, "embed", ["E"])
-    assert code == 0 and len(report["objects"]) == len(site.objects) and len(built) == 65
+    assert code == 0 and len(report["objects"]) == site.object_count and len(built) == 65
     F = presheaf.compute_presheaf(E)
-    assert presheaf_action(F, site.morphism(len(site.objects))) == F.actions[len(site.objects)]
+    assert presheaf_action(F, site.morphism(site.object_count)) == F.actions[site.object_count]
     assert len(built) == 66
 
 
@@ -233,7 +233,7 @@ def _embed_records_from_sets(F):
     """The objects and actions of an embed report as dicts, built from the
     assignment tuples of hom_set."""
     site = F.site
-    names = [o.describe() for o in site.objects]
+    names = [site.object(i).describe() for i in range(site.object_count)]
     objects = [
         {"object": name, "size": len(elems), "assignments": [list(t) for t in elems]}
         for name, elems in zip(names, assignment_sets(F))

@@ -4,7 +4,9 @@ Every name a module imports is used there or re-exported through its
 __all__, and every private function or method is referenced somewhere in
 the package.  Every name in a module's __all__ that the package does not
 re-export is read somewhere in the package, outside its own definition
-and __all__, or is named, with its reason, in UNREAD_PUBLIC.  Every local
+and __all__, or is named, with its reason, in UNREAD_PUBLIC.  Every public
+method or property of a package class is read as an attribute somewhere in
+the package, or is named, with its reason, in UNREAD_METHODS.  Every local
 name a function assigns, other than _, is read in that function.  The
 import and local checks cover the test files too.
 __init__.py imports only to re-export, so it is not checked for unused
@@ -140,6 +142,35 @@ def test_every_public_name_not_reexported_is_read():
         )
     ]
     assert sorted(unread) == sorted(UNREAD_PUBLIC)
+
+
+# Public methods and properties with no attribute read in the package,
+# each kept for a reason.
+UNREAD_METHODS = {
+    "Site.morphism": "the word form of generator k, which presheaf_action takes as input",
+}
+
+
+def test_every_public_method_is_read_as_an_attribute():
+    # Only attribute reads count, so a local variable named like a method
+    # does not hide it; dunders start with _ and are exempt.
+    reads = {
+        node.attr
+        for tree in TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{cls.name}.{node.name}"
+        for tree in TREES.values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in reads
+    ]
+    assert sorted(unread) == sorted(UNREAD_METHODS)
 
 
 SITE_TYPES = {"FreeObject", "Word", "Symbol", "SiteMorphism"}

@@ -94,7 +94,7 @@ _sets = functools.cache(assignment_sets)
 def _shape_oracle(phi):
     """The definition of a component's shape, entry by entry."""
     F, G = phi.source, phi.target
-    objects = F.site.objects
+    objects = list(map(F.site.object, range(F.site.object_count)))
     if len(phi.components) != len(objects):
         return (f"{len(phi.components)} components for {len(objects)} objects",)
     out = []
@@ -116,7 +116,7 @@ def _naturality_oracle(phi):
     F, G = phi.source, phi.target
     site = F.site
     bad = []
-    for k, g in enumerate(site.generators):
+    for k, g in enumerate(map(site.morphism, range(site.generator_count))):
         act_F, act_G = F.actions[k], G.actions[k]
         comp_src = phi.components[site.position(g.source)]
         comp_tgt = phi.components[site.position(g.target)]

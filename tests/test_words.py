@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import apply_peiffer_move, peiffer_word
+from oracles import apply_peiffer_move, morphism_named, peiffer_word
 from xmodp.errors import (
     BaseMismatchError,
     CompositionMismatchError,
@@ -35,7 +35,7 @@ from xmodp.words import (
     translate_word,
     word_boundary,
 )
-from xmodp.xmod import conjugation_xmod, make_crossed_module, trivial_action
+from xmodp.xmod import conjugation_xmod, make_crossed_module, trivial_action, trivial_xmod
 
 C2 = cyclic_group(2)
 C4 = cyclic_group(4)
@@ -96,7 +96,7 @@ def test_word_boundary_single_symbol():
     for u in range(6):
         w = symbol_word(free, "g0", u=u)
         assert word_boundary(w) == S3.conj(u, 1)
-        assert word_boundary(invert_word(w)) == S3.inv(S3.conj(u, 1))
+        assert word_boundary(invert_word(w)) == S3.inverse[S3.conj(u, 1)]
 
 
 def test_word_boundary_empty_word():
@@ -180,7 +180,7 @@ def test_singly_generated_hom():
     assert singly_generated_hom(C4, 1, 1).p == 0
     assert singly_generated_hom(C4, 1, 3) is None
 
-    transpositions = [g for g in range(1, 6) if S3.mul(g, g) == 0]
+    transpositions = [g for g in range(1, 6) if S3.table[g][g] == 0]
     x, y = transpositions[0], transpositions[1]
     witness = singly_generated_hom(S3, x, y)
     assert witness is not None
@@ -222,11 +222,11 @@ def test_apply_peiffer_move_rewrites():
 
 def test_site_shape_over_c2():
     site = build_site(C2)
-    assert len(site.objects) == 6
-    assert len(site.generators) == site.generator_count == 22
-    assert site.by_name["m[1,0]"].source.describe() == "single(0)"
-    assert site.by_name["sigma[1,1]"].source == site.objects[0]
-    assert [site.position(o) for o in site.objects] == list(range(6))
+    assert site.object_count == 6
+    assert len(set(map(site.name, range(site.generator_count)))) == site.generator_count == 22
+    assert morphism_named(site, "m[1,0]").source.describe() == "single(0)"
+    assert morphism_named(site, "sigma[1,1]").source == site.object(0)
+    assert [site.position(site.object(i)) for i in range(site.object_count)] == list(range(6))
     outside = [("single", (9,)), ("single", (-1,)), ("single", ()), ("pair", (-1, 3)), ("pair", (0, 2))]
     # A bool or a float equal to an index is no coordinate, in a pair as in a single.
     outside += [("pair", (0, True)), ("pair", (True, 0)), ("pair", (0, 1.0)), ("single", (True,))]
@@ -237,19 +237,19 @@ def test_site_shape_over_c2():
 
 def test_site_shape_over_s3():
     site = build_site(S3)
-    assert len(site.objects) == 42
-    assert len(site.generators) == 186
+    assert site.object_count == 42
+    assert len(set(map(site.name, range(site.generator_count)))) == 186
 
 
 def test_identity_translation_move_matches_identity():
     site = build_site(C2)
     for x in range(2):
-        assert site.by_name[f"m[0,{x}]"].words == site.morphism(x).words == site.by_name[f"id[single({x})]"].words
+        assert morphism_named(site, f"m[0,{x}]").words == site.morphism(x).words == morphism_named(site, f"id[single({x})]").words
 
 
 def test_compose_injection_after_move():
     site = build_site(C2)
-    composite = compose_site_morphisms(site.by_name["inc1[1,1]"], site.by_name["m[1,1]"])
+    composite = compose_site_morphisms(morphism_named(site, "inc1[1,1]"), morphism_named(site, "m[1,1]"))
     assert composite.source.describe() == "single(1)"
     assert composite.target.describe() == "pair(1,1)"
     assert [tuple(s) for s in composite.words[0].syms] == [(1, "g0", 1)]
@@ -258,10 +258,10 @@ def test_compose_injection_after_move():
 def test_compose_multiplication_after_move():
     site = build_site(S3)
     x, y = 1, 3
-    xy = S3.mul(x, y)
+    xy = S3.table[x][y]
     p = 3
-    m = site.by_name[f"m[{p},{xy}]"]
-    sigma = site.by_name[f"sigma[{x},{y}]"]
+    m = morphism_named(site, f"m[{p},{xy}]")
+    sigma = morphism_named(site, f"sigma[{x},{y}]")
     composite = compose_site_morphisms(sigma, m)
     assert composite.source.describe() == f"single({S3.conj(p, xy)})"
     assert [tuple(s) for s in composite.words[0].syms] == [(p, "g0", 1), (p, "g1", 1)]
@@ -269,7 +269,7 @@ def test_compose_multiplication_after_move():
 
 def test_compose_with_identity_is_neutral():
     site = build_site(C2)
-    f = site.by_name["sigma[0,1]"]
+    f = morphism_named(site, "sigma[0,1]")
     left = compose_site_morphisms(site.morphism(site.position(f.target)), f)
     right = compose_site_morphisms(f, site.morphism(site.position(f.source)))
     assert left.words == f.words == right.words
@@ -277,9 +277,9 @@ def test_compose_with_identity_is_neutral():
 
 def test_compose_associative_on_sample():
     site = build_site(C2)
-    a = site.by_name["inc1[0,1]"]
-    b = site.by_name["m[1,0]"]
-    c = site.by_name["m[1,0]"]
+    a = morphism_named(site, "inc1[0,1]")
+    b = morphism_named(site, "m[1,0]")
+    c = morphism_named(site, "m[1,0]")
     one = compose_site_morphisms(compose_site_morphisms(a, b), c)
     two = compose_site_morphisms(a, compose_site_morphisms(b, c))
     assert one.words == two.words
@@ -288,7 +288,7 @@ def test_compose_associative_on_sample():
 def test_compose_mismatch():
     site = build_site(C2)
     with pytest.raises(CompositionMismatchError):
-        compose_site_morphisms(site.by_name["inc1[0,1]"], site.by_name["inc2[0,1]"])
+        compose_site_morphisms(morphism_named(site, "inc1[0,1]"), morphism_named(site, "inc2[0,1]"))
 
 
 def test_substitute_preserves_boundary_relation():
@@ -296,7 +296,7 @@ def test_substitute_preserves_boundary_relation():
     # first taking the boundary and applying the map on base elements; for
     # the conjugation move that is conjugation by p.
     site = build_site(S3)
-    m = site.by_name["m[2,1]"]
+    m = morphism_named(site, "m[2,1]")
     w = symbol_word(site.free(site.position(m.source)), "g0", u=4)
     pushed = substitute_word(w, m)
     assert word_boundary(pushed) == S3.conj(4, word_boundary(m.words[0]))
@@ -305,7 +305,7 @@ def test_substitute_preserves_boundary_relation():
 def test_substitute_the_empty_word():
     # With no symbol to push, the result is the empty word over m's target.
     site = build_site(S3)
-    m = site.by_name["sigma[1,3]"]
+    m = morphism_named(site, "sigma[1,3]")
     pushed = substitute_word(make_word(site.free(site.position(m.source)), []), m)
     assert pushed.syms == ()
     assert pushed.free == site.free(site.position(m.target)) == m.words[0].free
@@ -325,7 +325,7 @@ def test_substitute_inverts_an_inverted_symbol():
     # translated word g0 * g1, and the pushed word evaluates as the word
     # does on the values the map's word takes.
     site = build_site(S3)
-    sigma = site.by_name["sigma[1,3]"]
+    sigma = morphism_named(site, "sigma[1,3]")
     w = make_word(site.free(site.position(sigma.source)), [(2, "g0", -1), (S3.identity, "g0", 1)])
     pushed = substitute_word(w, sigma)
     u = S3.table[2][S3.identity]
@@ -338,12 +338,12 @@ def test_substitute_inverts_an_inverted_symbol():
 @given(_words, _words)
 def test_boundary_is_multiplicative(w1, w2):
     got = word_boundary(concat_words(w1, w2))
-    assert got == S3.mul(word_boundary(w1), word_boundary(w2))
+    assert got == S3.table[word_boundary(w1)][word_boundary(w2)]
 
 
 @given(_words)
 def test_boundary_of_inverse(w):
-    assert word_boundary(invert_word(w)) == S3.inv(word_boundary(w))
+    assert word_boundary(invert_word(w)) == S3.inverse[word_boundary(w)]
 
 
 @given(_words, st.integers(0, 5))
@@ -354,7 +354,7 @@ def test_boundary_of_translate(w, v):
 @given(_words, st.integers(0, 5), st.integers(0, 5))
 def test_translate_composes_by_left_multiplication(w, u, v):
     twice = translate_word(translate_word(w, u), v)
-    assert twice.syms == translate_word(w, S3.mul(v, u)).syms
+    assert twice.syms == translate_word(w, S3.table[v][u]).syms
 
 
 @given(_words, _words)
@@ -374,3 +374,23 @@ def test_peiffer_move_preserves_evaluation(prefix, u, v, suffix):
     T = terminal_object(S3)
     assert evaluate_word(moved, T, PAIR.omega) == evaluate_word(w, T, PAIR.omega)
     assert word_boundary(moved) == word_boundary(w)
+
+
+C3 = cyclic_group(3)
+C3_FREE = make_free_object(C3, ("g0",), (0,))
+# Each call takes one element x of C3 as input.
+ELEMENT_CHECKS = {
+    "translate_word": lambda x: translate_word(symbol_word(C3_FREE, "g0"), x),
+    "subgroup_closure": lambda x: subgroup_closure(C3, [x]),
+    "make_free_object": lambda x: make_free_object(C3, ("g0",), (x,)),
+    "make_word": lambda x: make_word(C3_FREE, [(x, "g0", 1)]),
+    "labelling": lambda x: labelling(trivial_xmod(C3, C3), x),
+}
+
+
+@pytest.mark.parametrize("x", [-1, 3, True])
+@pytest.mark.parametrize("call", sorted(ELEMENT_CHECKS))
+def test_element_inputs_outside_the_group_are_refused(call, x):
+    # -1 once read the last element and True element 1 in translate_word.
+    with pytest.raises(IndexOutOfRangeError, match=f"^C3: element {x!r} out of range$"):
+        ELEMENT_CHECKS[call](x)

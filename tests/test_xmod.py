@@ -146,12 +146,12 @@ def test_conjugation_construction():
     assert validate_crossed_module(A) == ()
     # A transposition inverts the rotation subgroup.
     transposition = next(g for g in range(6) if g not in a3)
-    assert A.act(transposition, 1) == A.group.inv(1)
+    assert A.act(transposition, 1) == A.group.inverse[1]
 
     with pytest.raises(PreconditionFailedError):
         conjugation_xmod(C4, [0, 1])
     transposition_sub = next(
-        (0, g) for g in range(1, 6) if S3.mul(g, g) == 0
+        (0, g) for g in range(1, 6) if S3.table[g][g] == 0
     )
     with pytest.raises(PreconditionFailedError):
         conjugation_xmod(S3, transposition_sub)
@@ -224,7 +224,7 @@ def test_central_image_construction():
     assert validate_crossed_module(A) == ()
 
     S3 = symmetric_group_3()
-    transposition = next(g for g in range(1, 6) if S3.mul(g, g) == 0)
+    transposition = next(g for g in range(1, 6) if S3.table[g][g] == 0)
     with pytest.raises(PreconditionFailedError):
         central_image_xmod(make_hom(C2, S3, [0, transposition]))
     with pytest.raises(PreconditionFailedError):
