@@ -39,7 +39,10 @@ step that one earlier condition fixes (forward checking) tries that one
 value instead of scanning its candidates, and still charges the Work
 meter with the number of candidates it holds, so forcing changes no
 node, output or charge.  The hom search files a domain's table entries
-once per Group (Group._steps) rather than once per call.
+once per Group (Group._steps) rather than once per call, and _merge
+joins them with filed moves into the steps _descend runs; the morphism
+search of xmod.py keeps that merge once per crossed module
+(CrossedModule._plan), so a search there files nothing.
 
 What a Group caches lives as long as the Group: its generating set,
 columns, conjugation table, hom-search filing and automorphism group
@@ -466,10 +469,12 @@ def _search(
     charges work with the number of candidates it holds, forced or not;
     what names the search in the refusal.
     """
-    products = list(products)
-    n = len(candidates)
-    by_product = _file(n, [(a, b, c, j) for j, (a, b, c, _) in enumerate(products)], 2)
-    return _descend(candidates, by_product, _file(n, moves, 1), [T for *_, T in products], work, what)
+    products, moves = list(products), list(moves)
+    n, j = len(candidates), len(products)
+    by_product = _file(n, [(a, b, c, i) for i, (a, b, c, _) in enumerate(products)], 2)
+    by_move = _file(n, [(x, y, j + i) for i, (x, y, _) in enumerate(moves)], 1)
+    tables = [T for *_, T in products] + [t for *_, t in moves]
+    return _descend(candidates, _merge(by_product, by_move), tables, work, what)
 
 
 def _file(n: int, conditions: Iterable[tuple], target: int) -> tuple[tuple[tuple | None, tuple], ...]:
@@ -495,25 +500,36 @@ def _file(n: int, conditions: Iterable[tuple], target: int) -> tuple[tuple[tuple
     return tuple((f[0], (*f[1:], *r)) if f else (None, tuple(r)) for f, r in zip(forcing, rest))
 
 
-def _descend(
-    candidates: Sequence[Sequence[int]],
-    by_product: Sequence[tuple[tuple | None, tuple]],
-    by_move: Sequence[tuple[tuple | None, tuple]],
-    tables: Sequence[Sequence[Sequence[int]]],
-    work: Work,
-    what: str,
-) -> list[tuple[int, ...]]:
-    """The recursion of _search, on conditions _file has filed.
-
-    A product here is (a, b, c, j), read through tables[j].  When a step
+def _merge(
+    by_product: Sequence[tuple[tuple | None, tuple]], by_move: Sequence[tuple[tuple | None, tuple]]
+) -> tuple[tuple[tuple | None, tuple | None, tuple, tuple], ...]:
+    """The steps _descend runs, (product force, move force, products,
+    moves) per variable, from filed products and filed moves.  When a step
     has both a forcing product and a forcing move, the product fixes the
-    value and the move is checked with the rest.
-    """
+    value and the move is checked with the rest."""
     steps = []
     for (pf, products), (mf, moves) in zip(by_product, by_move):
         if pf and mf:
             moves, mf = (mf, *moves), None
         steps.append((pf, mf, products, moves))
+    return tuple(steps)
+
+
+def _descend(
+    candidates: Sequence[Sequence[int]],
+    steps: Sequence[tuple[tuple | None, tuple | None, tuple, tuple]],
+    tables: Sequence[Sequence],
+    work: Work,
+    what: str,
+) -> list[tuple[int, ...]]:
+    """The recursion of _search, on the steps _merge has built.
+
+    A product here is (a, b, c, j), asking img[c] == tables[j][img[a]][img[b]],
+    and a move (x, y, i), asking img[y] == tables[i][img[x]]; the indices
+    let a filing made once serve the tables of every search that runs it.
+    Each value of a step is checked against the step's products, then its
+    moves, by plain loops that stop at the first failure.
+    """
     n = len(candidates)
     img = [0] * n
     out: list[tuple[int, ...]] = []
@@ -530,15 +546,20 @@ def _descend(
             v = tables[j][img[a]][img[b]]
             options = (v,) * options.count(v)
         elif mf:
-            x, _, t = mf
-            v = t[img[x]]
+            x, _, i = mf
+            v = tables[i][img[x]]
             options = (v,) * options.count(v)
         for v in options:
             img[k] = v
-            if all(tables[j][img[a]][img[b]] == img[c] for a, b, c, j in products) and all(
-                img[y] == t[img[x]] for x, y, t in moves
-            ):
-                assign(k + 1)
+            for a, b, c, j in products:
+                if tables[j][img[a]][img[b]] != img[c]:
+                    break
+            else:
+                for x, y, i in moves:
+                    if tables[i][img[x]] != img[y]:
+                        break
+                else:
+                    assign(k + 1)
 
     assign(0)
     return out
@@ -550,23 +571,17 @@ def _search_homs(
     candidates: Sequence[Sequence[int]],
     work: Work,
     what: str,
-    actions: Iterable[tuple[Sequence[int], Sequence[int]]] = (),
 ) -> list[tuple[int, ...]]:
-    """Every multiplicative image tuple img with img[x] in candidates[x] and
-    img[s[x]] == t[img[x]] for each (s, t) in actions, by _search.
+    """Every multiplicative image tuple img with img[x] in candidates[x],
+    by _descend.
 
     The conditions are one product (a, b, ab) per entry of the domain
     table, read through the codomain table and filed once per domain
-    (Group._steps), and one move (x, s[x]) per element and distinct
-    action pair; ascending candidates give the tuples in lexicographic
-    order.  A pair whose two rows are both identities gives the moves
-    (x, x, id), which always hold, so it is skipped: such a move can
-    never force a step (its source is its target) nor cut a node, so the
-    nodes, outputs and charges are those of the search that files it.
+    (Group._steps); ascending candidates give the tuples in lexicographic
+    order.  A search that must also commute with an action runs the plan
+    of its source crossed module instead (xmod.CrossedModule._plan).
     """
-    ids = tuple(range(domain.order)), tuple(range(codomain.order))
-    moves = [(x, y, t) for s, t in dict.fromkeys(actions) if (s, t) != ids for x, y in enumerate(s)]
-    return _descend(candidates, domain._steps, _file(domain.order, moves, 1), (codomain.table,), work, what)
+    return _descend(candidates, _merge(domain._steps, [(None, ())] * domain.order), (codomain.table,), work, what)
 
 
 def enumerate_homs(domain: Group, codomain: Group) -> tuple[GroupHom, ...]:

@@ -17,7 +17,9 @@ per process, on first use (_catalogue_groups), and with them what each
 Group caches: its generators, hom-search filing, conjugation table and
 automorphism group.  Everything else, the crossed modules over a base
 included, is built per call, so nothing derived from a session outlives
-the command that read it.
+the command that read it: each catalogue object keeps its fibers and its
+morphism-search plan (CrossedModule._fibers and _plan) for the searches
+of one sweep, and they go with it.
 
 Apexes and structure maps are built componentwise from valid crossed
 modules and morphisms, so they are packaged without re-validation.  Pair
@@ -49,6 +51,7 @@ from .errors import (
 from .groups import (
     DEFAULT_BUDGET,
     Group,
+    _gather,
     _meter,
     _trusted_group,
     cyclic_group,
@@ -130,7 +133,9 @@ class Cocone:
 
 
 def _after(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
-    return tuple(outer[x] for x in inner)
+    """outer after inner, (outer[inner[0]], outer[inner[1]], ...), by one
+    C-level gather."""
+    return _gather(inner)(outer)
 
 
 def _sub_xmod(A: CrossedModule, elems: Iterable[int], name: str) -> tuple[CrossedModule, XModMorphism]:
@@ -459,8 +464,9 @@ _CATALOGUE_GROUPS = (
 def _catalogue_groups() -> tuple[Group, ...]:
     """The groups _CATALOGUE_GROUPS builds, built once per process on
     first use.  They depend on no input, so what is cached on them
-    (Group._gens, _steps, _conjugation and _automorphisms) serves every
-    later catalogue."""
+    (Group._gens, _steps, _conjugation and _automorphisms)
+    serves every later catalogue; the crossed modules built on them are
+    new in each catalogue, with their own fibers and plans."""
     return tuple(build() for build in _CATALOGUE_GROUPS)
 
 

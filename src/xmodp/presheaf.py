@@ -84,7 +84,6 @@ from .words import (
 from .xmod import (
     CrossedModule,
     XModMorphism,
-    _fibers,
     enumerate_morphisms,
     validate_morphism,
 )
@@ -157,7 +156,7 @@ class Presheaf:
     """Boundary fibers and set sizes per site object, with generator actions
     as index maps.
 
-    fibers and pos are those of xmod._fibers(xmod).  The set of the object
+    fibers and pos are those of xmod._fibers.  The set of the object
     at position i of the site is the product of the fibers over its labels
     in lexicographic order, of size sizes[i]: assignment (a,) of single(x)
     has index pos[a], and (a, b) of pair(x, y) has index
@@ -169,8 +168,8 @@ class Presheaf:
 
     site: Site
     xmod: CrossedModule
-    fibers: list[list[int]]
-    pos: list[int]
+    fibers: tuple[tuple[int, ...], ...]
+    pos: tuple[int, ...]
     sizes: tuple[int, ...]
     actions: Sequence[tuple[int, ...]]
 
@@ -213,7 +212,7 @@ def compute_presheaf(A: CrossedModule) -> Presheaf:
     fibers of A.
 
     The site is build_site(A.base), a formula in the base that stores three
-    integers, so each presheaf builds its own.  _fibers lists every fiber
+    integers, so each presheaf builds its own.  A._fibers lists every fiber
     and each element's position in its fiber, and the presheaf keeps both.
     The set of an object is the product of its fibers, in the lexicographic
     order hom_set gives, hom_set(F.site.free(i), A) for the object at i;
@@ -232,7 +231,7 @@ def compute_presheaf(A: CrossedModule) -> Presheaf:
     |P| + 5|P|^2 maps; embed reads them all, in one loop.
     """
     site = build_site(A.base)
-    fibers, pos = _fibers(A)
+    fibers, pos = A._fibers
     lens = [len(f) for f in fibers]
     sizes = (*lens, *(i * j for i in lens for j in lens))
     act, tab = A.action.table, A.group.table

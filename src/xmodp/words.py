@@ -36,7 +36,7 @@ from .errors import (
     PreconditionFailedError,
 )
 from .groups import Group, _require_element, is_index
-from .xmod import CrossedModule, _fibers
+from .xmod import CrossedModule
 
 __all__ = [
     "Symbol",
@@ -213,13 +213,13 @@ def _word_images(w: Word, A: CrossedModule, assignments: Sequence[Sequence[int]]
 def hom_set(free: FreeObject, A: CrossedModule) -> tuple[tuple[int, ...], ...]:
     """All fiber-respecting assignments, in lexicographic element order."""
     _require_over(A, free.base)
-    fibers, _ = _fibers(A)
+    fibers, _ = A._fibers
     return tuple(itertools.product(*(fibers[x] for x in free.omega)))
 
 
 def hom_set_size(free: FreeObject, A: CrossedModule) -> int:
     _require_over(A, free.base)
-    fibers, _ = _fibers(A)
+    fibers, _ = A._fibers
     size = 1
     for x in free.omega:
         size *= len(fibers[x])

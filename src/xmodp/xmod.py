@@ -60,6 +60,15 @@ The action and CM1/CM2 checks compare whole rows, gathered as tuples in
 C, and search entry by entry only the rows that differ; the map-boundary
 and map-equivariant checks go entry by entry.
 
+The morphism search is set up once per crossed module: each keeps its
+boundary fibers (CrossedModule._fibers, as tuples) and its plan
+(CrossedModule._plan), the products of its group merged once with the
+moves of its action rows, filed by row index.  enumerate_morphisms(A, B)
+then only reads B's fibers and B's action rows, and it finds and charges
+what a search filing every row's moves per call did.  The caches
+live as long as the crossed module, a session's or a catalogue's, so
+none outlives its command.
+
 Conjugation in bulk is read from one table per group, Group._conjugation,
 built once in C: conjugation_action returns it as its table, so the
 terminal object of limits.py shares the base's, and the CM1/CM2 row scan,
@@ -71,6 +80,7 @@ _crossed_holds, which reads a few entries on generators, calls Group.conj.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -84,14 +94,16 @@ from .groups import (
     AutGroup,
     Group,
     GroupHom,
+    _descend,
     _differences,
     _elements,
+    _file,
     _gather,
     _hom_failures,
     _hom_witnesses,
     _indices,
+    _merge,
     _meter,
-    _search_homs,
     automorphism_group,
     center,
     enumerate_homs,
@@ -223,7 +235,10 @@ def conjugation_action(G: Group) -> Action:
 
 @dataclass(frozen=True)
 class CrossedModule:
-    """A validated crossed module (group, base, boundary, action)."""
+    """A validated crossed module (group, base, boundary, action).
+
+    What it caches lives as long as it does, the session or the catalogue
+    that holds it, so none of it outlives the command that built it."""
 
     name: str
     group: Group
@@ -233,6 +248,48 @@ class CrossedModule:
 
     def act(self, p: int, m: int) -> int:
         return self.action.table[p][m]
+
+    @cached_property
+    def _fibers(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """fibers[x], the elements of M over x in ascending order, and
+        pos[a], the position of a in its fiber, by one pass over the
+        boundary, once per crossed module.
+
+        This is the one place M is split by boundary.  The presheaf lists
+        each set as the product of its fibers in lexicographic order, so
+        the single assignment (a,) of x has index pos[a] and the pair
+        assignment (a, b) of (x, y) has index pos[a] * len(fibers[y]) + pos[b].
+        """
+        fibers: list[list[int]] = [[] for _ in range(self.base.order)]
+        pos = []
+        for m, x in enumerate(self.boundary.image):
+            pos.append(len(fibers[x]))
+            fibers[x].append(m)
+        return tuple(map(tuple, fibers)), tuple(pos)
+
+    @cached_property
+    def _plan(self) -> tuple[tuple[tuple | None, tuple | None, tuple, tuple], ...]:
+        """The steps of every morphism search from this module: the
+        products of its group (Group._steps) merged with the moves
+        (x, s_p[x], p + 1) of each action row s_p but the identity's, whose
+        moves always hold.  A search reads move p + 1 through its table
+        p + 1, the target's row t_p, table 0 being the target group's.
+
+        The rows of the generators of P alone decide which maps are found.
+        If img is multiplicative and commutes with the rows s_p, t_p and
+        s_q, t_q of p and q, then, rows composing as the action does
+        (s_pq = s_p s_q and t_pq = t_p t_q), img s_pq = img s_p s_q =
+        t_p img s_q = t_p t_q img = t_pq img: the p with which img commutes
+        are closed under products, and in a finite group the products of a
+        generating set are every element.  The other rows still cut
+        partial maps earlier: on the catalogues of order at most 6 over V4
+        and S3, generator rows alone leave 176 of the 5,789 ordered pairs
+        searching more nodes (up to 2.6 times the units).  So every row is
+        filed, and each search charges what it did when it filed its moves
+        per call."""
+        identity = self.base.identity
+        moves = [(x, y, p + 1) for p, s in enumerate(self.action.table) if p != identity for x, y in enumerate(s)]
+        return _merge(self.group._steps, _file(self.group.order, moves, 1))
 
 
 def crossed_module_violations(
@@ -346,23 +403,6 @@ def _trusted_xmod(name: str, group: Group, base: Group, boundary: Sequence[int],
         boundary=GroupHom(group, base, tuple(boundary)),
         action=Action(actor=base, space=group, table=tuple(tuple(r) for r in action)),
     )
-
-
-def _fibers(A: CrossedModule) -> tuple[list[list[int]], list[int]]:
-    """fibers[x], the elements of A over x in ascending order, and pos[a],
-    the position of a in its fiber, by one pass over the boundary.
-
-    This is the one place M is split by boundary.  The presheaf lists each
-    set as the product of its fibers in lexicographic order, so the single
-    assignment (a,) of x has index pos[a] and the pair assignment (a, b)
-    of (x, y) has index pos[a] * len(fibers[y]) + pos[b].
-    """
-    fibers: list[list[int]] = [[] for _ in range(A.base.order)]
-    pos = []
-    for m, x in enumerate(A.boundary.image):
-        pos.append(len(fibers[x]))
-        fibers[x].append(m)
-    return fibers, pos
 
 
 # The five standard constructions.
@@ -545,14 +585,17 @@ def enumerate_morphisms(A: CrossedModule, B: CrossedModule, budget: int = DEFAUL
 
     Each element a may only go to the target boundary fiber of its own
     boundary, and the search cuts a partial map as soon as it breaks a
-    product or the P-action.  Every candidate a node of the search holds
-    is charged to the budget, or to the Work meter of an enclosing call.
+    product or the P-action.  The conditions are filed once per source
+    module (A._plan), so a search only reads its candidates from B's
+    fibers (B._fibers) and its tables from B's group and action rows.
+    Every candidate a node of the search holds is charged to the budget,
+    or to the Work meter of an enclosing call.
     """
     _require_same_base(A, B)
-    fibers, _ = _fibers(B)
-    candidates = [fibers[x] for x in A.boundary.image]
+    candidates = _gather(A.boundary.image)(B._fibers[0])
+    tables = (B.group.table, *B.action.table)
     what = f"morphism search {A.name} -> {B.name}"
-    maps = _search_homs(A.group, B.group, candidates, _meter(budget), what, zip(A.action.table, B.action.table))
+    maps = _descend(candidates, A._plan, tables, _meter(budget), what)
     return tuple(XModMorphism(A, B, mapping) for mapping in maps)
 
 

@@ -53,9 +53,9 @@ def test_a_second_sweep_builds_no_catalogue_group_and_searches_no_automorphisms(
         tables.append(tuple(map(tuple, table)))
         return make_group(table, name)
 
-    def search_spy(domain, codomain, candidates, work, what, actions=()):
+    def search_spy(domain, codomain, candidates, work, what):
         searches.append(what)
-        return search_homs(domain, codomain, candidates, work, what, actions)
+        return search_homs(domain, codomain, candidates, work, what)
 
     monkeypatch.setattr(groups, "make_group", make_group_spy)
     monkeypatch.setattr(session, "make_group", make_group_spy)

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import assignment_sets
 from test_presheaf_from_fibers import S3_SESSION, _labels, _relabel_xmod
-from xmodp import groups, presheaf
+from xmodp import groups, presheaf, xmod
 from xmodp.groups import _gather, cyclic_group, klein_four_group, make_group, symmetric_group_3
 from xmodp.limits import Cone, coequaliser, default_catalogue, equaliser, kernel_pair, product_over_P
 from xmodp.presheaf import (
@@ -316,9 +316,10 @@ def test_one_key_and_empty_gathers_make_tuples():
 
 @pytest.mark.parametrize("trivial", [True, False])
 def test_hom_search_files_no_identity_move_and_each_pair_once(monkeypatch, trivial):
-    # Three identity pairs and one pair given twice: the moves filed are
-    # those of the one pair, once, and the search finds what it finds
-    # with that pair alone.
+    # A morphism search from A files the moves (x, s_p[x], p + 1) of each
+    # action row s_p of A once, read through table p + 1 (B's row t_p),
+    # and none of the identity's row, whose moves always hold.  The plan
+    # is kept on A, so a second search files nothing and finds the same.
     filed = []
 
     def recording(n, conditions, target, _real=groups._file):
@@ -328,11 +329,14 @@ def test_hom_search_files_no_identity_move_and_each_pair_once(monkeypatch, trivi
         return _real(n, conditions, target)
 
     monkeypatch.setattr(groups, "_file", recording)
+    monkeypatch.setattr(xmod, "_file", recording)
     ident, swap = (0, 1, 2, 3), (0, 1, 3, 2)
-    pair = (ident, ident) if trivial else (swap, ident)
+    rows = [ident] * 4 if trivial else [ident, swap, ident, swap]
+    A = trivial_xmod(klein_four_group("M"), V4, rows, name="A")
+    B = trivial_xmod(klein_four_group("M"), V4, name="B")
     runs = []
-    for actions in ([(ident, ident)] * 3 + [pair] * 2, [pair]):
+    for _ in range(2):
         work = groups.Work(UNGATED)
-        runs.append((groups._search_homs(V4, V4, [range(4)] * 4, work, "search", actions), work.used))
-    assert filed[0] == ([] if trivial else [(x, swap[x], ident) for x in range(4)]) == filed[1]
+        runs.append(([f.mapping for f in enumerate_morphisms(A, B, budget=work)], work.used))
+    assert filed == [[(x, rows[p][x], p + 1) for p in (1, 2, 3) for x in range(4)]]
     assert runs[0] == runs[1]

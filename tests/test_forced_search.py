@@ -2,11 +2,13 @@
 
 groups._search tries the one value a forced step can take (a product
 (a, b, k, T) with a, b < k, or a move (x, k, t) with x < k, fixes img[k])
-instead of scanning that step's candidates, and _search_homs reads its
+instead of scanning that step's candidates, _search_homs reads its
 product conditions from the filing each domain group keeps
-(Group._steps).  Neither may change a search: the nodes, the tuples,
-their order and every Work charge stay those of the engine that scanned
-every candidate, kept below as the oracle.  A universal-property sweep
+(Group._steps), and enumerate_morphisms its conditions from the plan
+each source crossed module keeps (CrossedModule._plan).  None may change
+a search: the nodes, the tuples, their order and every Work charge stay
+those of the engine that scanned every candidate, kept below as the
+oracle.  A universal-property sweep
 searches an end that occurs twice only once per catalogue object, and
 stops at the first end with no map, searching no apex there; so of all
 the meter readings only a sweep's drops, by the charges of the searches
@@ -97,11 +99,10 @@ def _flat_products(domain, codomain):
     return [(a, b, c, T) for a, row in enumerate(domain.table) for b, c in enumerate(row)]
 
 
-def _assert_prefiled_equals_flat(domain, codomain, candidates, actions=()):
-    moves = [(x, y, t) for s, t in actions for x, y in enumerate(s)]
-    flat = _both(candidates, _flat_products(domain, codomain), moves)
+def _assert_prefiled_equals_flat(domain, codomain, candidates):
+    flat = _both(candidates, _flat_products(domain, codomain), [])
     work = Work(DEFAULT_BUDGET)
-    prefiled = _search_homs(domain, codomain, candidates, work, "search", actions)
+    prefiled = _search_homs(domain, codomain, candidates, work, "search")
     assert [(prefiled, work.used)] * 2 == flat
 
 
@@ -116,7 +117,11 @@ def test_prefiled_hom_search_equals_flat_products_on_catalogue_groups():
 def test_prefiled_morphism_search_equals_flat_conditions():
     for A, B in itertools.product(C2_CATALOGUE, repeat=2):
         candidates = [[b for b in range(B.group.order) if B.boundary.image[b] == x] for x in A.boundary.image]
-        _assert_prefiled_equals_flat(A.group, B.group, candidates, list(zip(A.action.table, B.action.table)))
+        moves = [(x, y, t) for s, t in zip(A.action.table, B.action.table) for x, y in enumerate(s)]
+        flat = _both(candidates, _flat_products(A.group, B.group), moves)
+        work = Work(DEFAULT_BUDGET)
+        planned = [f.mapping for f in enumerate_morphisms(A, B, budget=work)]
+        assert [(planned, work.used)] * 2 == flat
 
 
 @st.composite

@@ -7,8 +7,8 @@ without the checks of make_free_object and make_word.
 Here catalogue crossed modules over C2, V4 and S3, and the central
 extension GL(2,3) -> S4 with central kernel {I, -I}, are relabelled so
 that the identities of M and of the base leave index 0.  The presheaf
-must then keep the fibers of xmod._fibers, every set must equal hom_set
-and have its stored size, every generator's map must equal
+must then keep the fibers of CrossedModule._fibers, every set must equal
+hom_set and have its stored size, every generator's map must equal
 presheaf_action's and carry each assignment to the evaluation of its
 words, every position must follow single x = x and pair (x, y) =
 n + x n + y, and every word of the site must equal the word rebuilt
@@ -39,7 +39,7 @@ from xmodp.presheaf import (
 )
 from xmodp.session import Session, parse_session, run_command
 from xmodp.words import build_site, evaluate_word, hom_set, hom_set_size, make_free_object, make_word
-from xmodp.xmod import _fibers, central_extension_xmod, enumerate_morphisms, make_crossed_module
+from xmodp.xmod import central_extension_xmod, enumerate_morphisms, make_crossed_module
 
 BASES = [cyclic_group(2), klein_four_group(), symmetric_group_3()]
 SMALL_XMODS = [A for P in BASES for A in default_catalogue(P, 6 if P.order != 4 else 4)]
@@ -119,7 +119,7 @@ def _check_against_words(A):
     site = build_site(A.base)
     F = compute_presheaf(A)
     n = A.base.order
-    assert (F.fibers, F.pos) == _fibers(A)
+    assert (F.fibers, F.pos) == A._fibers
     assert len(F.sizes) == site.object_count == n + n * n
     sets = []
     for i, o in enumerate(map(site.object, range(site.object_count))):

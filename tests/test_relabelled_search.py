@@ -43,7 +43,6 @@ from xmodp.presheaf import (
 from xmodp.session import parse_session
 from xmodp.words import SiteObject, build_site
 from xmodp.xmod import (
-    _fibers,
     all_crossed_modules,
     crossed_module_violations,
     enumerate_morphisms,
@@ -67,7 +66,7 @@ NAT_PAIRS = [
     (A, B)
     for A in XMODS
     for B in XMODS
-    for (a0, a1), (b0, b1) in [(_fibers(A)[0], _fibers(B)[0])]
+    for (a0, a1), (b0, b1) in [(A._fibers[0], B._fibers[0])]
     if len(b0) ** len(a0) * len(b1) ** len(a1) <= MAX_NAT_SPACE
 ]
 

@@ -362,9 +362,11 @@ EQUIVARIANT_HOMS = [
     for A in XMODS[:20]
     for B in XMODS[:20]
     if A.group.order == B.group.order
-    for img in groups._search_homs(
-        A.group, B.group, [range(B.group.order)] * A.group.order,
-        groups.Work(groups.DEFAULT_BUDGET), "equivariant hom search", zip(A.action.table, B.action.table),
+    for img in groups._search(
+        [range(B.group.order)] * A.group.order,
+        [(a, b, c, B.group.table) for a, row in enumerate(A.group.table) for b, c in enumerate(row)],
+        [(x, y, t) for s, t in zip(A.action.table, B.action.table) for x, y in enumerate(s)],
+        groups.Work(groups.DEFAULT_BUDGET), "equivariant hom search",
     )
 ]
 

@@ -23,7 +23,6 @@ from xmodp.groups import (
     trivial_group,
 )
 from xmodp.xmod import (
-    _fibers,
     all_crossed_modules,
     automorphism_xmod,
     central_extension_xmod,
@@ -131,10 +130,11 @@ def test_make_crossed_module_raises_with_violations():
 
 def test_fiber():
     A = _mod2_xmod()
-    fibers, pos = _fibers(A)
-    assert fibers[0] == [0, 2]
-    assert fibers[1] == [1, 3]
-    assert pos == [0, 0, 1, 1]
+    fibers, pos = A._fibers
+    assert fibers == ((0, 2), (1, 3))
+    assert pos == (0, 0, 1, 1)
+    # Computed once per crossed module, as tuples that no reader can change.
+    assert A._fibers is A._fibers
 
 
 def test_conjugation_construction():
